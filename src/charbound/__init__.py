@@ -32,7 +32,6 @@ from .chern import (
     squared_chern_pairing,
     tangent_chern,
     twist_chern,
-    twisted_chern_sum,
 )
 from .graded import CapMismatchError, NotAUnitError, TruncatedClass
 from .schubert import (

@@ -28,7 +28,6 @@ from .chern import (
     squared_chern_pairing,
     twist_chern,
 )
-from .graded import TruncatedClass
 from .varieties import CompleteIntersection, MultiIndex, Partition, partitions_of
 
 CHECK_NAMES = (
@@ -235,6 +234,10 @@ class GridSpec:
     max_cases: int = 500
 
     def __post_init__(self):
+        if not isinstance(self.checks, (list, tuple)):
+            raise ValueError(
+                f"checks must be a list of names, got {type(self.checks).__name__}"
+            )
         object.__setattr__(self, "checks", tuple(self.checks))
         if self.max_ambient_dim < 2:
             raise ValueError("max_ambient_dim must be >= 2")
@@ -244,11 +247,16 @@ class GridSpec:
             raise ValueError("max_codim must be >= 1")
         if self.max_cases < 0:
             raise ValueError("max_cases must be >= 0")
+        if not self.checks:
+            raise ValueError("checks must name at least one check")
         unknown = [c for c in self.checks if c not in CHECK_NAMES]
         if unknown:
             raise ValueError(
                 f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}"
             )
+        repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
+        if repeated:
+            raise ValueError(f"checks named more than once: {repeated}")
 
     @classmethod
     def from_dict(cls, data) -> "GridSpec":
@@ -262,10 +270,7 @@ class GridSpec:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown grid spec keys: {sorted(unknown)}")
-        kwargs = {k: data[k] for k in known if k in data}
-        if "checks" in kwargs:
-            kwargs["checks"] = tuple(kwargs["checks"])
-        return cls(**kwargs)
+        return cls(**{k: data[k] for k in known if k in data})
 
     def to_dict(self) -> dict:
         return {
@@ -358,9 +363,15 @@ def _check_log_concavity(ci):
     return reports
 
 
+@lru_cache(maxsize=None)
+def _nef_twist(ci: CompleteIntersection):
+    """The cotangent bundle twisted by 2h, which is nef; shared by three checks."""
+    return twist_chern(cotangent_chern(ci), 2)
+
+
 def _check_nef_chern(ci):
     n = ci.dimension
-    twisted = twist_chern(cotangent_chern(ci), 2)
+    twisted = _nef_twist(ci)
     reports = []
     for index in _indices_up_to(n):
         value = chern_number(ci, twisted, index)
@@ -435,12 +446,11 @@ def _check_euler(ci):
 
 def _check_schur_positivity(ci):
     n = ci.dimension
-    twisted = twist_chern(cotangent_chern(ci), 2)
+    twisted = _nef_twist(ci)
     reports = []
     for shape in _shapes_up_to(n):
-        cls = schur_class(twisted, shape)
-        padded = cls * TruncatedClass.monomial(1, n - shape.size, n)
-        pairing = padded.coefficient(n) * ci.degree
+        # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|)
+        pairing = schur_class(twisted, shape) * ci.degree
         shortfall = min(pairing, 0)
         reports.append(
             BoundReport(
@@ -463,7 +473,7 @@ def _check_pontryagin(ci):
     n = ci.dimension
     if n % 4 != 0:
         return []
-    twisted = twist_chern(cotangent_chern(ci), 2)
+    twisted = _nef_twist(ci)
     bound = pontryagin_bound(n, ci.degree)
     reports = []
     for parts in partitions_of(n // 4):

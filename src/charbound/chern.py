@@ -2,18 +2,22 @@
 
 Every bundle handled here is pulled back from the ambient projective space,
 so each Chern class is an integer multiple of a power of the hyperplane
-class h. The computations still run through full truncated-polynomial
-arithmetic: products of classes, determinants and twists then need no
-special casing.
+class h: c_i = a_i * h^i. A Chern vector is therefore the tuple of integers
+a_0..a_rank, and every computation is plain integer arithmetic on it:
+
+- the tangent multiples are one series pass over (1+h)^(m+1) / prod(1+d_j h);
+- a twist by t*h is a binomial sum of the multiples;
+- a Chern number is the degree times a product of multiples;
+- a Schur class s_lambda is D * h^|lambda|, with D the Jacobi-Trudi
+  determinant of the multiples, computed by Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
-from .graded import TruncatedClass
 from .varieties import CompleteIntersection, MultiIndex, Partition
 
 
@@ -25,72 +29,64 @@ class DegreeError(ValueError):
 class ChernVector:
     """Total Chern class of a bundle restricted to a fixed variety.
 
-    ``classes[i]`` is c_i, each truncated at the variety dimension; c_0 = 1
-    and the list has exactly ``rank + 1`` entries.
+    ``multiples[i]`` is the integer a_i with c_i = a_i * h^i; a_0 = 1 and the
+    tuple has exactly ``rank + 1`` entries. Classes live in degrees up to
+    ``cap`` (the variety dimension), so a_i is stored as 0 for i > cap.
     """
 
     rank: int
-    classes: tuple
+    multiples: tuple
+    cap: int
 
     def __post_init__(self):
-        classes = tuple(self.classes)
+        multiples = tuple(self.multiples)
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
-        if len(classes) != self.rank + 1:
+        if self.cap < 0:
+            raise ValueError("cap must be nonnegative")
+        if len(multiples) != self.rank + 1:
             raise ValueError(
-                f"need rank+1={self.rank + 1} classes, got {len(classes)}"
+                f"need rank+1={self.rank + 1} multiples, got {len(multiples)}"
             )
-        cap = classes[0].cap
-        if any(c.cap != cap for c in classes):
-            raise ValueError("all classes must share one truncation cap")
-        if classes[0] != TruncatedClass.one(cap):
+        for a in multiples:
+            if not isinstance(a, int):
+                raise TypeError(f"multiples must be int, got {type(a).__name__}")
+        if multiples[0] != 1:
             raise ValueError("c_0 must be 1")
-        object.__setattr__(self, "classes", classes)
+        if self.rank > self.cap:
+            multiples = multiples[: self.cap + 1] + (0,) * (self.rank - self.cap)
+        object.__setattr__(self, "multiples", multiples)
 
-    @property
-    def cap(self) -> int:
-        return self.classes[0].cap
-
-    def chern(self, i: int) -> TruncatedClass:
-        """c_i, the zero class outside 0 <= i <= rank."""
+    def chern(self, i: int) -> int:
+        """a_i, the multiple of h^i in c_i; 0 outside 0 <= i <= rank."""
         if 0 <= i <= self.rank:
-            return self.classes[i]
-        return TruncatedClass.zero(self.cap)
+            return self.multiples[i]
+        return 0
 
     @classmethod
     def from_h_multiples(cls, multiples, cap: int) -> "ChernVector":
         """Build from integers a_0..a_r with c_i = a_i * h^i."""
-        ms = list(multiples)
-        return cls(
-            len(ms) - 1,
-            tuple(TruncatedClass.monomial(a, i, cap) for i, a in enumerate(ms)),
-        )
+        ms = tuple(multiples)
+        return cls(len(ms) - 1, ms, cap)
 
     def h_multiples(self) -> tuple:
-        """The integers a_i with c_i = a_i * h^i (valid on these varieties)."""
-        return tuple(c.coefficient(i) for i, c in enumerate(self.classes))
-
-
-def _total_class(ci: CompleteIntersection) -> TruncatedClass:
-    # (1+h)^(m+1) / prod_j (1 + d_j h), truncated at the dimension
-    n = ci.dimension
-    total = (TruncatedClass.one(n) + TruncatedClass.hyperplane(n)) ** (
-        ci.ambient_dim + 1
-    )
-    for d in ci.multidegree:
-        factor = TruncatedClass.one(n) + TruncatedClass.monomial(d, 1, n)
-        total = total * factor.invert_unit()
-    return total
+        """The integers a_i with c_i = a_i * h^i."""
+        return self.multiples
 
 
 @lru_cache(maxsize=None)
 def tangent_chern(ci: CompleteIntersection) -> ChernVector:
-    """Chern classes of the tangent bundle, via the ambient/normal quotient."""
+    """Chern classes of the tangent bundle, via the ambient/normal quotient.
+
+    The multiples are the coefficients of (1+h)^(m+1) / prod_j (1 + d_j h)
+    up to h^n; dividing by (1 + d h) is the recursion b_k = a_k - d * b_(k-1).
+    """
     n = ci.dimension
-    total = _total_class(ci)
-    return ChernVector(
-        n, tuple(TruncatedClass.monomial(total.coeffs[i], i, n) for i in range(n + 1))
-    )
+    series = [comb(ci.ambient_dim + 1, i) for i in range(n + 1)]
+    for d in ci.multidegree:
+        for k in range(1, n + 1):
+            series[k] -= d * series[k - 1]
+    return ChernVector(n, tuple(series), n)
 
 
 @lru_cache(maxsize=None)
@@ -98,8 +94,7 @@ def cotangent_chern(ci: CompleteIntersection) -> ChernVector:
     """Chern classes of the cotangent bundle: c_i flips sign with parity."""
     t = tangent_chern(ci)
     return ChernVector(
-        t.rank,
-        tuple(c if i % 2 == 0 else -c for i, c in enumerate(t.classes)),
+        t.rank, tuple(-a if i % 2 else a for i, a in enumerate(t.multiples)), t.cap
     )
 
 
@@ -109,17 +104,22 @@ def twist_chern(e: ChernVector, t: int) -> ChernVector:
     c_i(E (x) L) = sum_j C(rank-j, i-j) * t^(i-j) * c_j(E); twisting by t and
     then by -t is the identity.
     """
-    cap = e.cap
-    classes = []
-    for i in range(e.rank + 1):
-        acc = TruncatedClass.zero(cap)
-        for j in range(i + 1):
-            scale = comb(e.rank - j, i - j) * t ** (i - j)
-            if scale == 0:
-                continue
-            acc = acc + TruncatedClass.monomial(scale, i - j, cap) * e.classes[j]
-        classes.append(acc)
-    return ChernVector(e.rank, tuple(classes))
+    r = e.rank
+    return ChernVector(
+        r,
+        tuple(
+            sum(comb(r - j, i - j) * t ** (i - j) * e.multiples[j] for j in range(i + 1))
+            for i in range(r + 1)
+        ),
+        e.cap,
+    )
+
+
+def _require_cap(ci: CompleteIntersection, e: ChernVector) -> int:
+    n = ci.dimension
+    if e.cap != n:
+        raise ValueError(f"Chern vector truncated at {e.cap}, variety has dimension {n}")
+    return n
 
 
 def chern_number(
@@ -127,16 +127,13 @@ def chern_number(
 ) -> int:
     """Pairing of c_{i_1}...c_{i_r} * h^(n - |I|) against the variety.
 
-    The coefficient of h^n in the padded product, times the degree.
+    The product is (prod_t a_{i_t}) * h^n, so the pairing is that product
+    times the degree.
     """
-    n = ci.dimension
+    n = _require_cap(ci, e)
     if index.weight > n:
         raise DegreeError(f"index weight {index.weight} exceeds dimension {n}")
-    product = TruncatedClass.one(n)
-    for i in index:
-        product = product * e.chern(i)
-    product = product * TruncatedClass.monomial(1, n - index.weight, n)
-    return product.coefficient(n) * ci.degree
+    return ci.degree * prod(e.chern(i) for i in index)
 
 
 @lru_cache(maxsize=None)
@@ -173,54 +170,57 @@ def ample_degree_sequence(ci: CompleteIntersection) -> tuple:
     return tuple(a**i * d for i in range(ci.dimension + 1))
 
 
-def schur_class(e: ChernVector, shape: Partition) -> TruncatedClass:
-    """Determinant det(c_{a_i - i + j}) expanded exactly in the truncated ring.
+def schur_class(e: ChernVector, shape: Partition) -> int:
+    """The integer D with s_lambda(e) = D * h^|lambda|.
 
-    Entries with index below 0 or above the rank are zero; c_0 = 1. The empty
-    shape gives 1.
+    D is the Jacobi-Trudi determinant det(a_{lambda_i - i + j}), where
+    entries with index below 0 or above the rank are zero and a_0 = 1. The
+    empty shape gives 1; a shape larger than the cap gives 0.
     """
     r = len(shape)
-    cap = e.cap
     if r == 0:
-        return TruncatedClass.one(cap)
+        return 1
     if shape.parts[0] > e.rank:
         raise ValueError(
             f"largest part {shape.parts[0]} exceeds bundle rank {e.rank}"
         )
+    if shape.size > e.cap:
+        return 0
     matrix = [
         [e.chern(shape.parts[i] - i + j) for j in range(r)] for i in range(r)
     ]
-    return _determinant(matrix, cap)
+    return bareiss_determinant(matrix)
 
 
-def _determinant(matrix, cap: int) -> TruncatedClass:
-    # Laplace expansion along the first row; zero entries prune the recursion
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    total = TruncatedClass.zero(cap)
-    for col in range(size):
-        entry = matrix[0][col]
-        if entry.is_zero():
-            continue
-        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        term = entry * _determinant(minor, cap)
-        total = total + term if col % 2 == 0 else total - term
-    return total
+def bareiss_determinant(matrix) -> int:
+    """Exact determinant of a square integer matrix in O(r^3) operations.
 
-
-def twisted_chern_sum(e: ChernVector, r: int, t: int) -> TruncatedClass:
-    """sum of t^(r-j) * c_j(e) for j = 0..r, as one mixed-degree class.
-
-    This is the crude twist estimate that drops the binomial weights of
-    twist_chern; pairings are expected to extract the top-degree part.
+    Bareiss fraction-free elimination: every division is exact, so entries
+    stay integers no larger than minors of the input. A zero pivot is
+    replaced by swapping in a lower row with a nonzero entry in its column.
     """
-    if not 0 <= r <= e.rank:
-        raise ValueError(f"need 0 <= r <= rank={e.rank}, got {r}")
-    acc = TruncatedClass.zero(e.cap)
-    for j in range(r + 1):
-        acc = acc + t ** (r - j) * e.classes[j]
-    return acc
+    m = [list(row) for row in matrix]
+    size = len(m)
+    if any(len(row) != size for row in m):
+        raise ValueError("determinant needs a square matrix")
+    if size == 0:
+        return 1
+    sign, previous = 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, pivot_row = m[k][k], m[k]
+        for i in range(k + 1, size):
+            row = m[i]
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
+        previous = pivot
+    return sign * m[-1][-1]
 
 
 def pontryagin_to_chern_index(index: MultiIndex) -> MultiIndex:
@@ -236,7 +236,7 @@ def squared_chern_pairing(
     The product must land exactly in top degree; the empty index is the
     fundamental pairing of h^n, i.e. the degree.
     """
-    n = ci.dimension
+    n = _require_cap(ci, e)
     if len(index) == 0:
         return ci.degree
     chern_idx = pontryagin_to_chern_index(index)
@@ -244,8 +244,4 @@ def squared_chern_pairing(
         raise DegreeError(
             f"squared classes have degree {2 * chern_idx.weight}, need {n}"
         )
-    product = TruncatedClass.one(n)
-    for i in chern_idx:
-        c = e.chern(i)
-        product = product * c * c
-    return product.coefficient(n) * ci.degree
+    return ci.degree * prod(e.chern(i) ** 2 for i in chern_idx)

@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from dataclasses import replace
+from decimal import Decimal
 
 from .betti import betti_numbers, total_betti
 from .bounds import (
@@ -46,6 +47,13 @@ from .schubert import (
 from .varieties import CompleteIntersection, MultiIndex, Partition
 
 MAX_CASES_ENV = "CHARBOUND_MAX_CASES"
+# `bound` accepts 1 <= n <= MAX_BOUND_N and 1 <= d <= MAX_BOUND_D; the largest
+# value, the Pontryagin cap at the corner, has about 21,000 decimal digits
+MAX_BOUND_N = 256
+MAX_BOUND_D = 10**6
+# digits of a `schubert --power` index or exponent; longer ones are rejected
+# before they are parsed
+MAX_POWER_DIGITS = 18
 
 
 class UsageError(ValueError):
@@ -60,6 +68,11 @@ def _parse_int_list(text: str) -> tuple:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal text of any int; str() refuses past 4300 digits."""
+    return str(Decimal(value))
 
 
 def _variety_from_args(args) -> CompleteIntersection:
@@ -86,6 +99,10 @@ def _cmd_bound(args) -> int:
         raise UsageError("pick exactly one of --pontryagin, --betti, --ci, --cin")
     which = picked[0]
     n, d = args.n, args.d
+    if not (1 <= n <= MAX_BOUND_N and 1 <= d <= MAX_BOUND_D):
+        raise UsageError(
+            f"need 1 <= n <= {MAX_BOUND_N} and 1 <= d <= {MAX_BOUND_D}, got n={n}, d={d}"
+        )
     if which in ("ci", "cin"):
         if args.index is None:
             raise UsageError(f"--{which} needs a multi-index via -I")
@@ -99,7 +116,7 @@ def _cmd_bound(args) -> int:
         if args.index is not None:
             raise UsageError(f"--{which} takes no multi-index")
         value = pontryagin_bound(n, d) if which == "pontryagin" else betti_bound(n, d)
-    print(value)
+    print(_decimal(value))
     return 0
 
 
@@ -129,8 +146,13 @@ def _grid_spec_from_args(args) -> GridSpec:
             kwargs["max_codim"] = args.max_codim
         if args.max_cases is not None:
             kwargs["max_cases"] = args.max_cases
-        if args.checks:
-            kwargs["checks"] = tuple(args.checks.split(","))
+        if args.checks is not None:
+            names = tuple(name.strip() for name in args.checks.split(","))
+            if not all(names):
+                raise UsageError(
+                    f"--checks needs comma-separated check names, got {args.checks!r}"
+                )
+            kwargs["checks"] = names
         try:
             spec = GridSpec(**kwargs)
         except ValueError as exc:
@@ -250,8 +272,10 @@ def _cmd_table(args) -> int:
     for name in wanted:
         value = values[name]()
         if isinstance(value, tuple):
-            value = "(" + ", ".join(map(str, value)) + ")"
-        print(f"{name}: {value}")
+            text = "(" + ", ".join(map(_decimal, value)) + ")"
+        else:
+            text = _decimal(value)
+        print(f"{name}: {text}")
     return 0
 
 
@@ -261,6 +285,7 @@ _POWER_TOKEN = re.compile(r"^sigma(\d+)(?:\^(\d+))?$")
 
 
 def _parse_power_spec(text: str):
+    """(k, exponent) pairs of a product of special classes, unexpanded."""
     factors = []
     for token in text.split("*"):
         token = token.strip()
@@ -269,9 +294,13 @@ def _parse_power_spec(text: str):
             raise UsageError(
                 f"cannot parse {token!r}; expected sigmaK or sigmaK^E terms joined by *"
             )
+        if any(len(g) > MAX_POWER_DIGITS for g in match.groups() if g):
+            raise UsageError(
+                f"{token!r}: index and exponent take at most {MAX_POWER_DIGITS} digits"
+            )
         k = int(match.group(1))
         exponent = int(match.group(2)) if match.group(2) else 1
-        factors.extend([k] * exponent)
+        factors.append((k, exponent))
     return factors
 
 
@@ -289,14 +318,20 @@ def _cmd_schubert(args) -> int:
         print(expansion)
         return 0
     factors = _parse_power_spec(args.power)
-    for k in factors:
+    for k, _ in factors:
         if not 0 <= k <= gr.cols:
             raise GradingError(
                 f"sigma{k} vanishes on {gr}: special index must be <= {gr.cols}"
             )
+    # sigma0 is the identity; past the top codimension every product is 0
+    factors = [(k, e) for k, e in factors if k and e]
+    if sum(k * e for k, e in factors) > gr.total_codim:
+        print(0)
+        return 0
     cls = SchubertClass.one(gr)
-    for k in factors:
-        cls = pieri(cls, k)
+    for k, exponent in factors:
+        for _ in range(exponent):
+            cls = pieri(cls, k)
     if cls.is_zero():
         print(0)
         return 0
@@ -330,8 +365,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument(
         "--cin", action="store_true", help="bound for cotangent Chern numbers"
     )
-    bound.add_argument("-n", type=int, required=True, help="variety dimension")
-    bound.add_argument("-d", type=int, required=True, help="variety degree")
+    bound.add_argument(
+        "-n", type=int, required=True, help=f"variety dimension, 1..{MAX_BOUND_N}"
+    )
+    bound.add_argument(
+        "-d", type=int, required=True, help=f"variety degree, 1..{MAX_BOUND_D}"
+    )
     bound.add_argument("-I", "--index", help="comma-separated multi-index, e.g. 1,2")
     bound.set_defaults(func=_cmd_bound)
 

@@ -2,7 +2,10 @@
 
 The derived expected values are frozen from the naive series oracle below:
 plain list convolution of (1+h)^(m+1) against the geometric series of each
-1/(1+d_j h), written without any of the package's ring machinery.
+1/(1+d_j h), written without any of the package's ring machinery. The
+integer twist and Schur paths are also compared with the same computation
+run through the general truncated-polynomial ring, and the Bareiss
+determinant with a plain Laplace expansion.
 """
 
 from math import comb
@@ -16,6 +19,7 @@ from charbound.chern import (
     DegreeError,
     ample_class,
     ample_degree_sequence,
+    bareiss_determinant,
     canonical_class,
     chern_number,
     cotangent_chern,
@@ -25,7 +29,6 @@ from charbound.chern import (
     squared_chern_pairing,
     tangent_chern,
     twist_chern,
-    twisted_chern_sum,
 )
 from charbound.graded import TruncatedClass
 from charbound.varieties import CompleteIntersection, MultiIndex, Partition
@@ -49,6 +52,55 @@ def oracle_tangent_multiples(ci):
     for d in ci.multidegree:
         series = convolve(series, [(-d) ** i for i in range(cap + 1)], cap)
     return tuple(series)
+
+
+def laplace_determinant(matrix):
+    # expansion along the first row; works for any ring with + - * and zero
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = None
+    for col, entry in enumerate(matrix[0]):
+        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
+        term = entry * laplace_determinant(minor)
+        if col % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def ring_classes(e):
+    # c_0..c_rank as classes of the truncated ring Z[h]/(h^(cap+1))
+    return [TruncatedClass.monomial(a, i, e.cap) for i, a in enumerate(e.h_multiples())]
+
+
+def ring_twist(e, t):
+    # c_i(E (x) L) = sum_j C(rank-j, i-j) t^(i-j) c_j(E), evaluated in the ring
+    classes = ring_classes(e)
+    out = []
+    for i in range(e.rank + 1):
+        acc = TruncatedClass.zero(e.cap)
+        for j in range(i + 1):
+            scale = comb(e.rank - j, i - j) * t ** (i - j)
+            acc = acc + TruncatedClass.monomial(scale, i - j, e.cap) * classes[j]
+        out.append(acc)
+    return out
+
+
+def ring_jacobi_trudi(e, shape):
+    # det(c_{lambda_i - i + j}) expanded in the truncated ring
+    classes = ring_classes(e)
+    zero = TruncatedClass.zero(e.cap)
+    r = len(shape)
+    if r == 0:
+        return TruncatedClass.one(e.cap)
+    matrix = [
+        [
+            classes[k] if 0 <= k <= e.rank else zero
+            for k in (shape.parts[i] - i + j for j in range(r))
+        ]
+        for i in range(r)
+    ]
+    return laplace_determinant(matrix)
 
 
 # -- tangent / cotangent -----------------------------------------------------
@@ -81,23 +133,40 @@ def test_tangent_chern_matches_series_oracle(ci):
 
 @given(varieties)
 def test_whitney_product_recovers_ambient(ci):
+    # c(T) * prod(1 + d_j h) = (1+h)^(m+1), as integer series up to h^n
     n = ci.dimension
-    total = TruncatedClass.zero(n)
-    for i, c in enumerate(tangent_chern(ci).classes):
-        total = total + c
+    total = list(tangent_chern(ci).h_multiples())
     for d in ci.multidegree:
-        total = total * (TruncatedClass.one(n) + TruncatedClass.monomial(d, 1, n))
-    ambient = (TruncatedClass.one(n) + TruncatedClass.hyperplane(n)) ** (
-        ci.ambient_dim + 1
-    )
-    assert total == ambient
+        total = convolve(total, [1, d], n)
+    assert total == [comb(ci.ambient_dim + 1, i) for i in range(n + 1)]
 
 
 @given(varieties, st.integers(min_value=-3, max_value=3))
 def test_classes_stay_pure_monomials(ci, t):
-    # on these varieties every c_i is a single multiple of h^i
-    for vector in (tangent_chern(ci), twist_chern(cotangent_chern(ci), t)):
-        assert ChernVector.from_h_multiples(vector.h_multiples(), vector.cap) == vector
+    # the twist evaluated in the general ring is a single multiple of h^i in
+    # each degree, and that multiple is the integer twist's entry
+    e = cotangent_chern(ci)
+    twisted = twist_chern(e, t).h_multiples()
+    for i, c in enumerate(ring_twist(e, t)):
+        assert c == TruncatedClass.monomial(twisted[i], i, e.cap)
+
+
+def test_chern_vector_rejects_bad_input():
+    with pytest.raises(ValueError):
+        ChernVector(-1, (), 2)
+    with pytest.raises(ValueError):
+        ChernVector(2, (1, 2), 2)
+    with pytest.raises(ValueError):
+        ChernVector(1, (2, 2), 2)
+    with pytest.raises(TypeError):
+        ChernVector(1, (1, 2.0), 2)
+
+
+def test_chern_vector_zero_above_cap():
+    # c_i vanishes on a variety of dimension below i
+    e = ChernVector.from_h_multiples((1, 4, 7, 6), cap=2)
+    assert e.h_multiples() == (1, 4, 7, 0)
+    assert e == ChernVector.from_h_multiples((1, 4, 7, 0), cap=2)
 
 
 def test_cotangent_flips_odd_signs():
@@ -223,26 +292,79 @@ def test_hypersurface_sequence_is_geometric(m, d):
 
 def test_schur_single_row_is_chern_class():
     e = ChernVector.from_h_multiples((1, 2, 3), cap=4)
-    assert schur_class(e, Partition((1,))) == e.classes[1]
+    assert schur_class(e, Partition((1,))) == 2
+    assert schur_class(e, Partition((2,))) == 3
 
 
 def test_schur_column_two():
+    # s_(1,1) = c_1^2 - c_2 = (4 - 3) h^2
     e = ChernVector.from_h_multiples((1, 2, 3), cap=4)
-    expected = e.classes[1] * e.classes[1] - e.classes[2]
-    assert schur_class(e, Partition((1, 1))) == expected
-    assert schur_class(e, Partition((1, 1))).coefficient(2) == 1
+    assert schur_class(e, Partition((1, 1))) == 1
 
 
 def test_schur_hook_rank_three():
+    # s_(2,1) = c_2 c_1 - c_3 = (6 - 5) h^3
     e = ChernVector.from_h_multiples((1, 2, 3, 5), cap=6)
-    expected = e.classes[2] * e.classes[1] - e.classes[3]
-    assert schur_class(e, Partition((2, 1))) == expected
-    assert schur_class(e, Partition((2, 1))).coefficient(3) == 1
+    assert schur_class(e, Partition((2, 1))) == 1
 
 
 def test_schur_empty_shape_is_one():
     e = ChernVector.from_h_multiples((1, 2), cap=3)
-    assert schur_class(e, Partition(())) == TruncatedClass.one(3)
+    assert schur_class(e, Partition(())) == 1
+
+
+def test_schur_above_cap_is_zero():
+    e = ChernVector.from_h_multiples((1, 2, 3), cap=2)
+    assert schur_class(e, Partition((2, 1))) == 0
+
+
+@st.composite
+def h_multiple_vectors_and_shapes(draw):
+    rank = draw(st.integers(min_value=1, max_value=6))
+    cap = draw(st.integers(min_value=0, max_value=8))
+    tail = draw(st.lists(st.integers(-6, 6), min_size=rank, max_size=rank))
+    e = ChernVector.from_h_multiples((1, *tail), cap)
+    parts = draw(st.lists(st.integers(1, rank), min_size=0, max_size=5))
+    return e, Partition(tuple(sorted(parts, reverse=True)))
+
+
+@given(h_multiple_vectors_and_shapes())
+def test_schur_class_matches_ring_jacobi_trudi(case):
+    e, shape = case
+    ring = ring_jacobi_trudi(e, shape)
+    # the ring determinant is homogeneous: D * h^|lambda|, or 0 above the cap
+    d = ring.coefficient(shape.size)
+    assert ring == TruncatedClass.monomial(d, shape.size, e.cap)
+    assert schur_class(e, shape) == d
+
+
+@st.composite
+def matrices_with_zero_pivots(draw):
+    r = draw(st.integers(min_value=1, max_value=7))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-5, 5), min_size=r, max_size=r), min_size=r, max_size=r
+        )
+    )
+    # zero some leading entries, so elimination meets zero pivots and has
+    # to swap rows (or finds a whole zero column below the diagonal)
+    for i, k in enumerate(draw(st.lists(st.integers(0, r), min_size=r, max_size=r))):
+        rows[i][:k] = [0] * k
+    return rows
+
+
+@given(matrices_with_zero_pivots())
+def test_bareiss_matches_laplace(matrix):
+    assert bareiss_determinant(matrix) == laplace_determinant(matrix)
+
+
+def test_bareiss_swaps_for_zero_pivot():
+    assert bareiss_determinant([[0, 1], [1, 0]]) == -1
+    assert bareiss_determinant([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
+    assert bareiss_determinant([[0, 1], [0, 2]]) == 0
+    assert bareiss_determinant([]) == 1
+    with pytest.raises(ValueError):
+        bareiss_determinant([[1, 2]])
 
 
 def test_schur_part_above_rank_rejected():
@@ -251,23 +373,7 @@ def test_schur_part_above_rank_rejected():
         schur_class(e, Partition((2,)))
 
 
-# -- twisted sums and squared pairings ------------------------------------------
-
-
-def test_twisted_chern_sum_at_zero_picks_top():
-    e = ChernVector.from_h_multiples((1, 4, 7), cap=4)
-    assert twisted_chern_sum(e, 2, 0) == e.classes[2]
-
-
-def test_twisted_chern_sum_rank_zero():
-    e = ChernVector.from_h_multiples((1, 4, 7), cap=4)
-    assert twisted_chern_sum(e, 0, 5) == TruncatedClass.one(4)
-
-
-def test_twisted_chern_sum_mixed_degree():
-    e = ChernVector.from_h_multiples((1, 4, 7), cap=4)
-    expected = TruncatedClass.from_coeffs([2, 4], 4)
-    assert twisted_chern_sum(e, 1, 2) == expected
+# -- squared pairings ------------------------------------------
 
 
 def test_pontryagin_index_doubles():

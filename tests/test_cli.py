@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,34 @@ def test_bound_ci(capsys):
     code, out, _ = run(capsys, "bound", "--ci", "-n", "2", "-d", "3", "-I", "2")
     assert code == 0
     assert out == "27\n"
+
+
+def parse_decimal(text):
+    # int() refuses decimal text past 4300 digits unless the limit is lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_bound_prints_long_values_in_full(capsys):
+    code, out, _ = run(capsys, "bound", "--pontryagin", "-n", "120", "-d", "2")
+    assert code == 0
+    assert len(out.strip()) > 4300
+    assert parse_decimal(out) == 2 ** (120 * 120 + 3 * 120) * 2 * 120**120
+    code, out, _ = run(capsys, "bound", "--betti", "-n", "256", "-d", "1000000")
+    assert code == 0
+    assert parse_decimal(out) == 2 ** (256 * 256 + 2) * 1000000**257
+
+
+def test_bound_rejects_n_and_d_above_limit(capsys):
+    for n, d in (("257", "2"), ("2", "1000001"), ("0", "2"), ("2", "-1")):
+        code, out, err = run(capsys, "bound", "--pontryagin", "-n", n, "-d", d)
+        assert code == 2
+        assert out == ""
+        assert "n <= 256" in err and "d <= 1000000" in err
 
 
 def test_bound_usage_errors(capsys):
@@ -141,6 +170,40 @@ def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--checks", "bogus")
     assert code == 2
     assert "unknown checks" in err
+
+
+def test_verify_grid_checks_must_be_a_list(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"checks": "betti"}))
+    code, out, err = run(capsys, "verify", "--grid", str(grid))
+    assert code == 2
+    assert out == ""
+    assert "checks must be a list of names" in err
+
+
+def test_verify_duplicate_checks_rejected(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--checks", "betti,betti")
+    assert code == 2
+    assert out == ""
+    assert "more than once" in err
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"checks": ["euler", "betti", "euler"]}))
+    code, _, err = run(capsys, "verify", "--grid", str(grid))
+    assert code == 2
+    assert "more than once" in err
+
+
+def test_verify_empty_checks_rejected(capsys, tmp_path):
+    for text in ("", ",", "betti,"):
+        code, out, err = run(capsys, "verify", "--checks", text)
+        assert code == 2
+        assert out == ""
+        assert "check names" in err
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"checks": []}))
+    code, _, err = run(capsys, "verify", "--grid", str(grid))
+    assert code == 2
+    assert "at least one check" in err
 
 
 def test_verify_env_var_overrides_cap(capsys, monkeypatch):
@@ -263,6 +326,48 @@ def test_schubert_vanishing_special_class_exits_one(capsys):
 def test_schubert_bad_power_spec(capsys):
     code, _, _ = run(capsys, "schubert", "-q", "2", "-N", "4", "--power", "tau1^4")
     assert code == 2
+
+
+def run_limited(*argv, address_space=1 << 30):
+    # the CLI in a fresh process whose address space is capped
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "charbound", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit,
+        timeout=60,
+    )
+
+
+def test_schubert_huge_power_is_not_expanded():
+    proc = run_limited("schubert", "-q", "2", "-N", "4", "--power", "sigma1^300000000")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    # sigma0 is the identity, however often it is repeated
+    proc = run_limited(
+        "schubert", "-q", "2", "-N", "4", "--power", "sigma0^300000000*sigma1^4"
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+    # an index past the box still fails, before any expansion
+    proc = run_limited("schubert", "-q", "2", "-N", "4", "--power", "sigma3^300000000")
+    assert proc.returncode == 1
+    assert "special index must be <= 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_schubert_power_products(capsys):
+    def power(spec):
+        return run(capsys, "schubert", "-q", "2", "-N", "4", "--power", spec)
+
+    assert power("sigma1^2*sigma0*sigma2")[:2] == (0, "1\n")
+    assert power("sigma2^3")[:2] == (0, "0\n")
+    code, _, err = power("sigma1^" + "9" * 5000)
+    assert code == 2
+    assert "at most 18 digits" in err
 
 
 def test_module_entry_point():
