@@ -42,6 +42,11 @@ CHECK_NAMES = (
     "pontryagin",
 )
 
+# every check of a dimension-n case walks all partitions of weight <= n, a
+# count that grows exponentially in n; the 23 hypersurfaces of the grid
+# max_ambient_dim=24, max_degree_per_factor=1 take about 2 s
+MAX_AMBIENT_DIM = 24
+
 DEGENERATE_NOTE = "degenerate bound base (d+n-2)=0; settled by direct inspection"
 
 
@@ -239,8 +244,11 @@ class GridSpec:
                 f"checks must be a list of names, got {type(self.checks).__name__}"
             )
         object.__setattr__(self, "checks", tuple(self.checks))
-        if self.max_ambient_dim < 2:
-            raise ValueError("max_ambient_dim must be >= 2")
+        if not 2 <= self.max_ambient_dim <= MAX_AMBIENT_DIM:
+            raise ValueError(
+                f"max_ambient_dim must be between 2 and {MAX_AMBIENT_DIM}, "
+                f"got {self.max_ambient_dim}"
+            )
         if self.max_degree_per_factor < 1:
             raise ValueError("max_degree_per_factor must be >= 1")
         if self.max_codim < 1:

@@ -14,6 +14,7 @@ import re
 import sys
 from dataclasses import replace
 from decimal import Decimal
+from math import comb
 
 from .betti import betti_numbers, total_betti
 from .bounds import (
@@ -54,6 +55,13 @@ MAX_BOUND_D = 10**6
 # digits of a `schubert --power` index or exponent; longer ones are rejected
 # before they are parsed
 MAX_POWER_DIGITS = 18
+# `schubert --power` and `--giambelli` work on the shapes of the q x (N-q)
+# box, each a q-tuple, so both the shape count C(N, q) and the cell count
+# q(N-q) are capped; the slowest accepted queries found take about 2 s
+MAX_SCHUBERT_SHAPES = 150_000
+MAX_SCHUBERT_CELLS = 200
+# `schubert --degree` computes (q(N-q))!; at the cap it takes under a second
+MAX_DEGREE_CELLS = 50_000
 
 
 class UsageError(ValueError):
@@ -309,9 +317,19 @@ def _cmd_schubert(args) -> int:
     if len(modes) != 1:
         raise UsageError("pick exactly one of --power, --giambelli, --degree")
     gr = Grassmannian(args.q, args.N)
+    cells = gr.total_codim
     if args.degree:
-        print(grassmannian_degree(args.q, args.N))
+        if cells > MAX_DEGREE_CELLS:
+            raise UsageError(
+                f"--degree needs q(N-q) <= {MAX_DEGREE_CELLS}, got {cells} on {gr}"
+            )
+        print(_decimal(grassmannian_degree(args.q, args.N)))
         return 0
+    if cells > MAX_SCHUBERT_CELLS or comb(gr.N, gr.q) > MAX_SCHUBERT_SHAPES:
+        raise UsageError(
+            f"{gr} is too large: --power and --giambelli need q(N-q) <= "
+            f"{MAX_SCHUBERT_CELLS} and at most {MAX_SCHUBERT_SHAPES} box shapes C(N,q)"
+        )
     if args.giambelli:
         shape = Partition(_parse_int_list(args.giambelli))
         expansion = giambelli_expand(shape, gr)
@@ -336,7 +354,7 @@ def _cmd_schubert(args) -> int:
         print(0)
         return 0
     if cls.codimensions() == {gr.total_codim}:
-        print(cls.coefficient(gr.point_partition))
+        print(_decimal(cls.coefficient(gr.point_partition)))
     else:
         print(cls)
     return 0

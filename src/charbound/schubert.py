@@ -1,18 +1,21 @@
 """Schubert calculus on the Grassmannian of q-planes in C^N.
 
-One combinatorial rule does all the work: multiplication by a special class
-is a sum over horizontal-strip extensions. General products go through the
-determinant expansion into special-class monomials, and the classical
-factorial formula for the degree of the Grassmannian serves as an
-independent cross-check on the whole machine.
+A class is an integer combination of box partitions, each stored as a
+zero-padded q-tuple. One combinatorial rule does all the work: multiplying
+by a special class sigma_k adds a horizontal strip of k boxes, and only the
+corner rows (row 0 up to N-q, row i up to part i-1) can take boxes.
+General products expand the Jacobi-Trudi determinant det(sigma_{l_i-i+j})
+of one factor row by row over subsets of used columns, keeping only subsets
+the remaining rows can complete, so an r-part shape costs at most r*2^(r-1)
+Pieri steps. The classical factorial formula for the degree of the
+Grassmannian serves as an independent cross-check on the whole machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from decimal import Decimal
+from math import factorial, perm
 
 from .varieties import Partition
 
@@ -53,11 +56,24 @@ class Grassmannian:
         return f"G({self.q},{self.N})"
 
 
-class SchubertClass:
-    """Integer combination of basis classes, keyed by box partitions.
+def _padded_key(grassmannian: Grassmannian, shape) -> tuple:
+    """The zero-padded q-tuple of a shape; BoxError if it leaves the box."""
+    if not isinstance(shape, Partition):
+        shape = Partition(tuple(shape))
+    if not shape.fits_in_box(grassmannian.q, grassmannian.cols):
+        raise BoxError(
+            f"{shape} does not fit in the {grassmannian.q}x"
+            f"{grassmannian.cols} box of {grassmannian}"
+        )
+    return shape.parts + (0,) * (grassmannian.q - len(shape.parts))
 
-    Mixed-degree sums are allowed (they appear as determinant
-    intermediates); pairings check homogeneity where it matters.
+
+class SchubertClass:
+    """Integer combination of basis classes, keyed by padded box partitions.
+
+    ``terms`` maps zero-padded q-tuples to nonzero coefficients. Mixed-degree
+    sums are allowed (they appear as determinant intermediates); pairings
+    check homogeneity where it matters.
     """
 
     __slots__ = ("grassmannian", "terms")
@@ -66,16 +82,18 @@ class SchubertClass:
         self.grassmannian = grassmannian
         clean = {}
         for shape, coeff in (terms or {}).items():
-            if not isinstance(shape, Partition):
-                shape = Partition(tuple(shape))
-            if not shape.fits_in_box(grassmannian.q, grassmannian.cols):
-                raise BoxError(
-                    f"{shape} does not fit in the {grassmannian.q}x"
-                    f"{grassmannian.cols} box of {grassmannian}"
-                )
+            key = _padded_key(grassmannian, shape)
             if coeff:
-                clean[shape] = clean.get(shape, 0) + coeff
+                clean[key] = clean.get(key, 0) + coeff
         self.terms = {s: c for s, c in clean.items() if c}
+
+    @classmethod
+    def _trusted(cls, grassmannian: Grassmannian, terms: dict) -> "SchubertClass":
+        # keys must already be padded shapes inside the box; zeros are dropped
+        out = cls.__new__(cls)
+        out.grassmannian = grassmannian
+        out.terms = {s: c for s, c in terms.items() if c}
+        return out
 
     @classmethod
     def basis(cls, grassmannian: Grassmannian, shape: Partition) -> "SchubertClass":
@@ -103,10 +121,10 @@ class SchubertClass:
         merged = dict(self.terms)
         for shape, coeff in other.terms.items():
             merged[shape] = merged.get(shape, 0) + coeff
-        return SchubertClass(self.grassmannian, merged)
+        return SchubertClass._trusted(self.grassmannian, merged)
 
     def __neg__(self):
-        return SchubertClass(
+        return SchubertClass._trusted(
             self.grassmannian, {s: -c for s, c in self.terms.items()}
         )
 
@@ -117,7 +135,7 @@ class SchubertClass:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return SchubertClass(
+            return SchubertClass._trusted(
                 self.grassmannian, {s: c * other for s, c in self.terms.items()}
             )
         if isinstance(other, SchubertClass):
@@ -138,10 +156,14 @@ class SchubertClass:
 
     def codimensions(self) -> set:
         """Set of codimensions |shape| present among the nonzero terms."""
-        return {shape.size for shape in self.terms}
+        return {sum(shape) for shape in self.terms}
 
     def coefficient(self, shape: Partition) -> int:
-        return self.terms.get(shape, 0)
+        try:
+            key = _padded_key(self.grassmannian, shape)
+        except BoxError:
+            return 0
+        return self.terms.get(key, 0)
 
     def __repr__(self):
         return f"SchubertClass({self.grassmannian}, {self})"
@@ -150,35 +172,64 @@ class SchubertClass:
         if not self.terms:
             return "0"
         pieces = []
-        for shape in sorted(self.terms, key=lambda s: (s.size, s.parts)):
-            coeff = self.terms[shape]
-            name = "1" if not shape.parts else f"sigma[{','.join(map(str, shape.parts))}]"
-            if coeff == 1 and shape.parts:
-                pieces.append(name)
-            else:
-                pieces.append(f"{coeff}*{name}" if shape.parts else str(coeff))
+        for _, parts, coeff in sorted(
+            (sum(key), Partition(key).parts, coeff) for key, coeff in self.terms.items()
+        ):
+            # Decimal, because str() refuses ints past 4300 digits
+            text = str(Decimal(coeff))
+            if not parts:
+                pieces.append(text)
+                continue
+            name = f"sigma[{','.join(map(str, parts))}]"
+            pieces.append(name if coeff == 1 else f"{text}*{name}")
         return " + ".join(pieces)
 
 
-def _horizontal_strips(padded, add, cols):
-    # all weakly decreasing extensions mu >= lam with mu/lam a horizontal
-    # strip of size `add` inside the box; `padded` has length q
-    q = len(padded)
-    mu = [0] * q
+def _strip_shapes(lam: tuple, k: int, cols: int) -> list:
+    """Every mu in the box with mu/lam a horizontal strip of k boxes.
 
-    def rec(i, remaining):
-        if i == q:
-            if remaining == 0:
-                yield tuple(mu)
+    Only corner rows can grow: row 0 up to ``cols``, row i up to lam[i-1].
+    The k boxes are spread over those rows as compositions bounded by each
+    row's room.
+    """
+    rows, rooms = [], []
+    upper = cols
+    for i, part in enumerate(lam):
+        if upper > part:
+            rows.append(i)
+            rooms.append(upper - part)
+        if not part:
+            break  # rows below the first empty row have no room
+        upper = part
+    # spare[j]: boxes the corner rows from j on can still take
+    spare = [0] * (len(rows) + 1)
+    for j in range(len(rows) - 1, -1, -1):
+        spare[j] = spare[j + 1] + rooms[j]
+    if spare[0] < k:
+        return []
+    shapes = []
+    mu = list(lam)
+
+    def place(j, left):
+        if left == 1:
+            # the last box goes to any one of the corner rows from j on
+            for i in rows[j:]:
+                mu[i] += 1
+                shapes.append(tuple(mu))
+                mu[i] -= 1
             return
-        upper = cols if i == 0 else padded[i - 1]
-        lo = padded[i]
-        hi = min(upper, padded[i] + remaining)
-        for v in range(lo, hi + 1):
-            mu[i] = v
-            yield from rec(i + 1, remaining - (v - padded[i]))
+        i = rows[j]
+        # leave at most spare[j + 1] boxes for the rows below
+        for add in range(max(0, left - spare[j + 1]), min(left, rooms[j]) + 1):
+            mu[i] = lam[i] + add
+            if add == left:
+                shapes.append(tuple(mu))
+            else:
+                place(j + 1, left - add)
+        mu[i] = lam[i]
 
-    yield from rec(0, add)
+    place(0, k)
+    return shapes
 
 
 def pieri(s: SchubertClass, k: int) -> SchubertClass:
@@ -188,66 +239,76 @@ def pieri(s: SchubertClass, k: int) -> SchubertClass:
         raise ValueError(f"special index must satisfy 0 <= k <= {gr.cols}, got {k}")
     if k == 0:
         return s
+    cols = gr.cols
     out = {}
+    get = out.get
     for shape, coeff in s.terms.items():
-        padded = shape.parts + (0,) * (gr.q - len(shape.parts))
-        for mu in _horizontal_strips(padded, k, gr.cols):
-            key = Partition(mu)
-            out[key] = out.get(key, 0) + coeff
-    return SchubertClass(gr, out)
+        for mu in _strip_shapes(shape, k, cols):
+            out[mu] = get(mu, 0) + coeff
+    return SchubertClass._trusted(gr, out)
 
 
-def _permutation_sign(perm) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+def _jacobi_trudi(a: SchubertClass, parts: tuple) -> SchubertClass:
+    """a * det(sigma_{parts[i] - i + j}), expanded one row at a time.
 
+    The state maps the bitmask of the columns the rows so far have used to
+    the signed sum of their products; taking column j after used columns
+    right of it costs one transposition each. Entry (i, j) is nonzero only
+    for j in [i - parts[i], i - parts[i] + cols]. Both ends of that window
+    grow with i, so the rows left can fill the free columns only in order;
+    a state that cannot be completed that way is dropped before its Pieri
+    step.
+    """
+    gr = a.grassmannian
+    cols = gr.cols
+    r = len(parts)
+    lo = [max(0, i - part) for i, part in enumerate(parts)]
+    hi = [min(r - 1, i - part + cols) for i, part in enumerate(parts)]
 
-def _determinant_monomials(shape: Partition, gr: Grassmannian):
-    # signed special-class monomials of det(sigma_{a_i - i + j}); entries with
-    # index < 0 or > cols vanish and kill the permutation term
-    r = len(shape)
-    for perm in permutations(range(r)):
-        indices = tuple(shape.parts[i] - i + perm[i] for i in range(r))
-        if any(x < 0 or x > gr.cols for x in indices):
-            continue
-        yield _permutation_sign(perm), tuple(x for x in indices if x)
+    def completable(used, below):
+        free = (j for j in range(r) if not used >> j & 1)
+        return all(lo[i] <= j <= hi[i] for i, j in zip(range(below, r), free))
+
+    states = {0: a}
+    for i, part in enumerate(parts):
+        sums = {}
+        for used, cls in states.items():
+            for j in range(lo[i], hi[i] + 1):
+                bit = 1 << j
+                if used & bit or not completable(used | bit, i + 1):
+                    continue
+                k = part - i + j
+                product = pieri(cls, k) if k else cls
+                sign = -1 if (used >> j).bit_count() % 2 else 1
+                acc = sums.setdefault(used | bit, {})
+                for shape, coeff in product.terms.items():
+                    acc[shape] = acc.get(shape, 0) + sign * coeff
+        states = {}
+        for used, acc in sums.items():
+            cls = SchubertClass._trusted(gr, acc)
+            if cls.terms:
+                states[used] = cls
+    return states.get((1 << r) - 1, SchubertClass.zero(gr))
 
 
 def giambelli_expand(shape: Partition, grassmannian: Grassmannian) -> SchubertClass:
     """Expand the determinant of special classes; must equal the basis class."""
-    if not shape.fits_in_box(grassmannian.q, grassmannian.cols):
-        raise BoxError(
-            f"{shape} does not fit in the {grassmannian.q}x{grassmannian.cols} "
-            f"box of {grassmannian}"
-        )
-    result = SchubertClass.zero(grassmannian)
-    for sign, indices in _determinant_monomials(shape, grassmannian):
-        term = SchubertClass.one(grassmannian)
-        for k in indices:
-            term = pieri(term, k)
-        result = result + sign * term
-    return result
+    _padded_key(grassmannian, shape)
+    return _jacobi_trudi(SchubertClass.one(grassmannian), shape.parts)
 
 
 def multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
-    """General product: expand one factor into special monomials, then Pieri."""
+    """General product: expand one factor's determinant against the other."""
     a._require_same_space(b)
     gr = a.grassmannian
     if len(b.terms) > len(a.terms):
         a, b = b, a
-    out = SchubertClass.zero(gr)
+    out = {}
     for shape, coeff in b.terms.items():
-        for sign, indices in _determinant_monomials(shape, gr):
-            term = a
-            for k in indices:
-                term = pieri(term, k)
-            out = out + (coeff * sign) * term
-    return out
+        parts = Partition(shape).parts
+        for mu, c in _jacobi_trudi(a, parts).terms.items():
+            out[mu] = out.get(mu, 0) + coeff * c
+    return SchubertClass._trusted(gr, out)
 
 
 def intersection_number(classes) -> int:
@@ -282,13 +343,18 @@ def intersection_number(classes) -> int:
 def grassmannian_degree(q: int, N: int) -> int:
     """Degree of G_q(C^N) in its Pluecker embedding, by the factorial formula.
 
-    Independent oracle for the Pieri machinery: must equal the intersection
-    number of q(N-q) copies of sigma_1.
+    (q(N-q))! * prod_{i<q} i! / (N-q+i)!, the hook-length count of the
+    q x (N-q) rectangle; the hook product is the same for the transposed
+    box, so it runs over the shorter side. Independent oracle for the Pieri
+    machinery: must equal the intersection number of q(N-q) copies of
+    sigma_1.
     """
     gr = Grassmannian(q, N)
-    value = Fraction(factorial(gr.total_codim))
-    for i in range(q):
-        value *= Fraction(factorial(i), factorial(gr.cols + i))
-    if value.denominator != 1:
+    rows, width = sorted((gr.q, gr.cols))
+    hooks = 1
+    for i in range(rows):
+        hooks *= perm(width + i, width)
+    value, rest = divmod(factorial(gr.total_codim), hooks)
+    if rest:
         raise ArithmeticError("factorial degree formula must be integral")
-    return int(value)
+    return value

@@ -174,6 +174,13 @@ def test_grid_spec_json_roundtrip():
         GridSpec(checks=("nonsense",))
 
 
+def test_grid_spec_bounds_ambient_dim():
+    assert GridSpec(max_ambient_dim=24).max_ambient_dim == 24
+    for bad in (1, 25, 60):
+        with pytest.raises(ValueError, match="between 2 and 24"):
+            GridSpec(max_ambient_dim=bad)
+
+
 # -- verification runs -----------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from charbound.cli import main
+from charbound.schubert import grassmannian_degree
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -126,6 +127,23 @@ def test_verify_writes_deterministic_json(tmp_path, capsys):
     payload = json.loads(out1.read_text())
     assert payload["violations"] == 0
     assert payload["grid"]["max_ambient_dim"] == 4
+
+
+def test_verify_rejects_ambient_dim_above_limit(tmp_path, capsys, monkeypatch):
+    def never(spec):
+        raise AssertionError("the grid must not run")
+
+    monkeypatch.setattr("charbound.cli.verify_grid", never)
+    argv = ["--max-ambient-dim", "60", "--max-degree", "1", "--max-codim", "1"]
+    argv += ["--max-cases", "60", "--checks", "nef-chern"]
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert "max_ambient_dim must be between 2 and 24, got 60" in err
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"max_ambient_dim": 25}))
+    code, out, err = run(capsys, "verify", "--grid", str(grid))
+    assert (code, out) == (2, "")
+    assert "got 25" in err
 
 
 def test_verify_csv_format(tmp_path, capsys):
@@ -368,6 +386,68 @@ def test_schubert_power_products(capsys):
     code, _, err = power("sigma1^" + "9" * 5000)
     assert code == 2
     assert "at most 18 digits" in err
+
+
+def test_schubert_degree_prints_all_digits(capsys):
+    # 9,226 digits, past the 4,300 that str() accepts
+    code, out, err = run(capsys, "schubert", "-q", "40", "-N", "200", "--degree")
+    assert (code, err) == (0, "")
+    assert len(out.strip()) > 4300
+    assert parse_decimal(out) == grassmannian_degree(40, 200)
+
+
+def test_schubert_rejects_oversized_grassmannians(capsys):
+    rejected = (
+        # 30,045,015 box shapes
+        ("-q", "10", "-N", "30", "--power", "sigma1^200"),
+        ("-q", "10", "-N", "30", "--giambelli", "1"),
+        # 163,185 box shapes, 168 cells
+        ("-q", "4", "-N", "46", "--power", "sigma1"),
+        # 201 cells, 202 box shapes
+        ("-q", "1", "-N", "202", "--power", "sigma1"),
+        ("-q", "201", "-N", "202", "--giambelli", "1"),
+    )
+    for argv in rejected:
+        code, out, err = run(capsys, "schubert", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "q(N-q) <= 200 and at most 150000 box shapes" in err, argv
+    # q(N-q) = 10^10 cells: (10^10)! is never built
+    code, out, err = run(capsys, "schubert", "-q", "100000", "-N", "200000", "--degree")
+    assert (code, out) == (2, "")
+    assert "--degree needs q(N-q) <= 50000, got 10000000000" in err
+    code, _, err = run(capsys, "schubert", "-q", "1", "-N", "50002", "--degree")
+    assert code == 2 and "got 50001" in err
+
+
+def test_schubert_accepts_the_largest_grassmannians(capsys):
+    def schubert(*argv):
+        return run(capsys, "schubert", *argv)[:2]
+
+    # 148,995 box shapes (the most under the cap) in 164 cells
+    assert schubert("-q", "41", "-N", "45", "--power", "sigma4^41") == (0, "1\n")
+    assert schubert("-q", "41", "-N", "45", "--giambelli", "4,3,2,1") == (
+        0,
+        "sigma[4,3,2,1]\n",
+    )
+    # exactly 200 cells
+    assert schubert("-q", "1", "-N", "201", "--power", "sigma1^200") == (0, "1\n")
+    # exactly 50,000 cells
+    assert schubert("-q", "1", "-N", "50001", "--degree") == (0, "1\n")
+
+
+def test_schubert_giambelli_twelve_parts_is_fast():
+    # a Leibniz expansion would face 12! = 479,001,600 permutations
+    shape = ",".join(["2"] * 12)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = ["schubert", "-q", "12", "-N", "14", "--giambelli", shape]
+    proc = subprocess.run(
+        [sys.executable, "-m", "charbound", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"sigma[{shape}]\n", "")
 
 
 def test_module_entry_point():

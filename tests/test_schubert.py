@@ -7,6 +7,9 @@ against the classical factorial degree formula, an independent route.
 """
 
 import random
+from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,3 +200,113 @@ def test_multiply_against_pieri():
     s1 = SchubertClass.basis(gr, Partition((1,)))
     s21 = SchubertClass.basis(gr, Partition((2, 1)))
     assert multiply(s21, s1) == pieri(s21, 1)
+
+
+# -- differential oracles ---------------------------------------------------------------
+#
+# Each oracle below is written out here, independently of the module's
+# corner-row kernel and column-subset determinant.
+
+
+def brute_pieri(cls, k):
+    """Every box shape of size |lam| + k interlacing lam, for each term lam."""
+    gr = cls.grassmannian
+    shapes = all_box_partitions(gr)
+    out = {}
+    for key, coeff in cls.terms.items():
+        lam = Partition(key)
+        lam_padded = lam.parts + (0,) * (gr.q - len(lam))
+        for mu in shapes:
+            if mu.size != lam.size + k:
+                continue
+            mu_padded = mu.parts + (0,) * (gr.q - len(mu))
+            # mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...
+            if all(mu_padded[i] >= lam_padded[i] for i in range(gr.q)) and all(
+                lam_padded[i] >= mu_padded[i + 1] for i in range(gr.q - 1)
+            ):
+                out[mu] = out.get(mu, 0) + coeff
+    return SchubertClass(gr, out)
+
+
+def leibniz(a, shape):
+    """a * det(sigma_{shape_i - i + j}) summed over all permutations."""
+    gr = a.grassmannian
+    r = len(shape)
+    total = SchubertClass.zero(gr)
+    for perm in permutations(range(r)):
+        indices = [shape.parts[i] - i + perm[i] for i in range(r)]
+        if any(k < 0 or k > gr.cols for k in indices):
+            continue
+        inversions = sum(perm[j] < perm[i] for i in range(r) for j in range(i, r))
+        term = a
+        for k in indices:
+            term = brute_pieri(term, k)
+        total = total + (-1) ** inversions * term
+    return total
+
+
+@st.composite
+def small_grassmannians(draw, max_cells=20, min_q=1):
+    q = draw(st.integers(min_value=min_q, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=max(1, max_cells // q)))
+    return Grassmannian(q, q + cols)
+
+
+@st.composite
+def integer_classes(draw, gr, max_terms=4):
+    shapes = all_box_partitions(gr)
+    picked = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=max_terms))
+    coeffs = st.integers(min_value=-5, max_value=5)
+    return SchubertClass(gr, {shape: draw(coeffs) for shape in picked})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pieri_matches_interlacing_oracle(data):
+    gr = data.draw(small_grassmannians())
+    cls = data.draw(integer_classes(gr))
+    k = data.draw(st.integers(min_value=0, max_value=gr.cols))
+    assert pieri(cls, k) == brute_pieri(cls, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_giambelli_and_multiply_match_leibniz_expansion(data):
+    gr = data.draw(small_grassmannians(max_cells=16))
+    shapes = [s for s in all_box_partitions(gr) if len(s) <= 6]
+    shape = data.draw(st.sampled_from(shapes))
+    one = SchubertClass.one(gr)
+    assert giambelli_expand(shape, gr) == leibniz(one, shape)
+    a = data.draw(integer_classes(gr, max_terms=3))
+    b = data.draw(integer_classes(gr, max_terms=2))
+    expected = SchubertClass.zero(gr)
+    for key, coeff in b.terms.items():
+        expected = expected + coeff * leibniz(a, Partition(key))
+    assert multiply(a, b) == expected
+
+
+def test_degree_matches_fraction_product():
+    for N in range(2, 24):
+        for q in range(1, N):
+            cols = N - q
+            value = Fraction(factorial(q * cols))
+            for i in range(q):
+                value *= Fraction(factorial(i), factorial(cols + i))
+            assert value.denominator == 1
+            assert grassmannian_degree(q, N) == value.numerator, (q, N)
+
+
+def test_classes_print_long_coefficients_in_full():
+    gr = Grassmannian(2, 4)
+    big = 7 * 10**5000
+    text = str(SchubertClass(gr, {Partition(()): big, Partition((2, 1)): -big}))
+    assert text == f"{'7' + '0' * 5000} + {'-7' + '0' * 5000}*sigma[2,1]"
+
+
+def test_terms_are_padded_keys():
+    cls = basis(3, 6, 2) + basis(3, 6, 1, 1)
+    assert cls.terms == {(2, 0, 0): 1, (1, 1, 0): 1}
+    assert cls.coefficient(Partition((1, 1))) == 1
+    assert cls.coefficient(Partition((4,))) == 0
+    with pytest.raises(BoxError):
+        SchubertClass(Grassmannian(3, 6), {(4,): 1})
