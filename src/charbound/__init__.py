@@ -33,7 +33,6 @@ from .chern import (
     tangent_chern,
     twist_chern,
 )
-from .graded import CapMismatchError, NotAUnitError, TruncatedClass
 from .schubert import (
     BoxError,
     GradingError,

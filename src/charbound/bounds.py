@@ -14,7 +14,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 
 from .betti import betti_numbers, total_betti
@@ -30,18 +30,6 @@ from .chern import (
 )
 from .varieties import CompleteIntersection, MultiIndex, Partition, partitions_of
 
-CHECK_NAMES = (
-    "degree-sequence",
-    "log-concavity",
-    "nef-chern",
-    "cotangent-chern",
-    "betti",
-    "betti-recursive",
-    "euler",
-    "schur-positivity",
-    "pontryagin",
-)
-
 # every check of a dimension-n case walks all partitions of weight <= n, a
 # count that grows exponentially in n; the 23 hypersurfaces of the grid
 # max_ambient_dim=24, max_degree_per_factor=1 take about 2 s
@@ -54,9 +42,11 @@ DEGENERATE_NOTE = "degenerate bound base (d+n-2)=0; settled by direct inspection
 class BoundReport:
     """One verified inequality instance.
 
-    ``satisfied == (|exact_value| <= bound_value)`` whenever an exact value
-    is present; one-sided checks therefore record their shortfall as the
-    exact value and carry the raw quantity in ``note``.
+    ``satisfied`` is ``|exact_value| <= bound_value``, and for the checks
+    with a lower limit also ``exact_value >= limit``: 1 for degree-sequence,
+    0 for nef-chern. ``margin`` is ``bound_value - |exact_value|``.
+    Schur positivity is one-sided with bound 0, so it records its shortfall
+    ``min(pairing, 0)`` as the exact value and the pairing in ``note``.
     """
 
     subject: str
@@ -121,22 +111,6 @@ CSV_COLUMNS = (
     "satisfied",
     "margin",
 )
-
-
-def _abs_report(subject, ci, index, exact, bound, degenerate=False, note=""):
-    return BoundReport(
-        subject=subject,
-        n=ci.dimension,
-        d=ci.degree,
-        multidegree=ci.multidegree,
-        index=index,
-        exact_value=exact,
-        bound_value=bound,
-        satisfied=abs(exact) <= bound,
-        margin=bound - abs(exact),
-        degenerate=degenerate,
-        note=note,
-    )
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -225,6 +199,140 @@ def blowup_euler(
     return chi_m + (nu - 1) * chi_c
 
 
+# -- checks ----------------------------------------------------------------
+# Each check yields (index, exact, bound, note) rows for one variety; the
+# table below says which lower limit and which bound base apply to them.
+
+
+@lru_cache(maxsize=None)
+def _indices_up_to(n: int):
+    # multi-indices with entries in [1, n] and weight <= n, one per multiset
+    out = [MultiIndex(())]
+    for total in range(1, n + 1):
+        out.extend(MultiIndex(p) for p in partitions_of(total))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _shapes_up_to(n: int):
+    out = []
+    for total in range(1, n + 1):
+        out.extend(Partition(p) for p in partitions_of(total))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _nef_twist(ci: CompleteIntersection):
+    """The cotangent bundle twisted by 2h, which is nef; shared by three checks."""
+    return twist_chern(cotangent_chern(ci), 2)
+
+
+def _degree_sequence_rows(ci):
+    d = ci.degree
+    for i, value in enumerate(ample_degree_sequence(ci)):
+        yield (i,), value, d ** (i + 1), ""
+
+
+def _log_concavity_rows(ci):
+    seq = ample_degree_sequence(ci)
+    for i in range(2, len(seq)):
+        yield (i,), seq[i] * seq[i - 2], seq[i - 1] ** 2, ""
+
+
+def _nef_chern_rows(ci):
+    n, d, twisted = ci.dimension, ci.degree, _nef_twist(ci)
+    for index in _indices_up_to(n):
+        value = chern_number(ci, twisted, index)
+        yield index.entries, value, nef_chern_bound(n, d, index), ""
+
+
+def _cotangent_chern_rows(ci):
+    n, d, cot = ci.dimension, ci.degree, cotangent_chern(ci)
+    for index in _indices_up_to(n):
+        value = chern_number(ci, cot, index)
+        yield index.entries, value, cotangent_chern_bound(n, d, index), ""
+
+
+def _betti_rows(ci):
+    yield None, total_betti(ci), betti_bound(ci.dimension, ci.degree), ""
+
+
+def _betti_recursive_rows(ci):
+    yield None, total_betti(ci), betti_bound_recursive(ci), ""
+
+
+def _euler_rows(ci):
+    chi = euler_characteristic(ci)
+    alternating = sum(b if i % 2 == 0 else -b for i, b in enumerate(betti_numbers(ci)))
+    yield None, chi - alternating, 0, f"chi={chi} alternating_betti={alternating}"
+
+
+def _schur_positivity_rows(ci):
+    # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the check is
+    # one-sided, so the row carries the shortfall min(pairing, 0)
+    twisted = _nef_twist(ci)
+    for shape in _shapes_up_to(ci.dimension):
+        pairing = schur_class(twisted, shape) * ci.degree
+        yield shape.parts, min(pairing, 0), 0, f"pairing={pairing}"
+
+
+def _pontryagin_rows(ci):
+    n = ci.dimension
+    if n % 4 != 0:
+        return
+    twisted = _nef_twist(ci)
+    bound = pontryagin_bound(n, ci.degree)
+    for parts in partitions_of(n // 4):
+        index = MultiIndex(parts)
+        yield index.entries, squared_chern_pairing(ci, twisted, index), bound, ""
+
+
+# name -> (rows, least legal exact value or None, bound has the base (d+n-2))
+_RULES = {
+    "degree-sequence": (_degree_sequence_rows, 1, False),
+    "log-concavity": (_log_concavity_rows, None, False),
+    "nef-chern": (_nef_chern_rows, 0, True),
+    "cotangent-chern": (_cotangent_chern_rows, None, True),
+    "betti": (_betti_rows, None, False),
+    "betti-recursive": (_betti_recursive_rows, None, False),
+    "euler": (_euler_rows, None, False),
+    "schur-positivity": (_schur_positivity_rows, None, False),
+    "pontryagin": (_pontryagin_rows, None, True),
+}
+
+CHECK_NAMES = tuple(_RULES)
+
+
+def _reports(subject, rows, least, has_base, ci) -> list:
+    """One BoundReport per row; rows with a non-empty index whose bound base
+    (d+n-2) vanishes are flagged degenerate."""
+    n, d, multidegree = ci.dimension, ci.degree, ci.multidegree
+    base_vanishes = has_base and d + n - 2 == 0
+    out = []
+    for index, exact, bound, note in rows(ci):
+        degenerate = base_vanishes and bool(index)
+        out.append(
+            BoundReport(
+                subject=subject,
+                n=n,
+                d=d,
+                multidegree=multidegree,
+                index=index,
+                exact_value=exact,
+                bound_value=bound,
+                satisfied=abs(exact) <= bound and (least is None or exact >= least),
+                margin=bound - abs(exact),
+                degenerate=degenerate,
+                note=DEGENERATE_NOTE if degenerate else note,
+            )
+        )
+    return out
+
+
+# name -> callable(ci) -> list of BoundReport; verify_grid dispatches here
+_CHECKS = {name: partial(_reports, name, *rule) for name, rule in _RULES.items()}
+
+
 # -- verification grid -----------------------------------------------------
 
 
@@ -304,213 +412,6 @@ def enumerate_varieties(spec: GridSpec):
                     return tuple(cases), truncated
                 cases.append(CompleteIntersection(m, degs))
     return tuple(cases), truncated
-
-
-@lru_cache(maxsize=None)
-def _indices_up_to(n: int):
-    # multi-indices with entries in [1, n] and weight <= n, one per multiset
-    out = [MultiIndex(())]
-    for total in range(1, n + 1):
-        out.extend(MultiIndex(p) for p in partitions_of(total))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _shapes_up_to(n: int):
-    out = []
-    for total in range(1, n + 1):
-        out.extend(Partition(p) for p in partitions_of(total))
-    return tuple(out)
-
-
-def _degenerate(ci: CompleteIntersection, index: MultiIndex) -> bool:
-    return ci.degree + ci.dimension - 2 == 0 and index.weight >= 1
-
-
-def _check_degree_sequence(ci):
-    seq = ample_degree_sequence(ci)
-    d = ci.degree
-    reports = []
-    for i, value in enumerate(seq):
-        bound = d ** (i + 1)
-        reports.append(
-            BoundReport(
-                subject="degree-sequence",
-                n=ci.dimension,
-                d=d,
-                multidegree=ci.multidegree,
-                index=(i,),
-                exact_value=value,
-                bound_value=bound,
-                satisfied=1 <= value <= bound,
-                margin=bound - abs(value),
-            )
-        )
-    return reports
-
-
-def _check_log_concavity(ci):
-    seq = ample_degree_sequence(ci)
-    reports = []
-    for i in range(2, len(seq)):
-        value = seq[i] * seq[i - 2]
-        bound = seq[i - 1] ** 2
-        reports.append(
-            BoundReport(
-                subject="log-concavity",
-                n=ci.dimension,
-                d=ci.degree,
-                multidegree=ci.multidegree,
-                index=(i,),
-                exact_value=value,
-                bound_value=bound,
-                satisfied=value <= bound,
-                margin=bound - abs(value),
-            )
-        )
-    return reports
-
-
-@lru_cache(maxsize=None)
-def _nef_twist(ci: CompleteIntersection):
-    """The cotangent bundle twisted by 2h, which is nef; shared by three checks."""
-    return twist_chern(cotangent_chern(ci), 2)
-
-
-def _check_nef_chern(ci):
-    n = ci.dimension
-    twisted = _nef_twist(ci)
-    reports = []
-    for index in _indices_up_to(n):
-        value = chern_number(ci, twisted, index)
-        bound = nef_chern_bound(n, ci.degree, index)
-        degenerate = _degenerate(ci, index)
-        reports.append(
-            BoundReport(
-                subject="nef-chern",
-                n=n,
-                d=ci.degree,
-                multidegree=ci.multidegree,
-                index=index.entries,
-                exact_value=value,
-                bound_value=bound,
-                satisfied=0 <= value <= bound,
-                margin=bound - abs(value),
-                degenerate=degenerate,
-                note=DEGENERATE_NOTE if degenerate else "",
-            )
-        )
-    return reports
-
-
-def _check_cotangent_chern(ci):
-    n = ci.dimension
-    cot = cotangent_chern(ci)
-    reports = []
-    for index in _indices_up_to(n):
-        value = chern_number(ci, cot, index)
-        bound = cotangent_chern_bound(n, ci.degree, index)
-        degenerate = _degenerate(ci, index)
-        reports.append(
-            _abs_report(
-                "cotangent-chern",
-                ci,
-                index.entries,
-                value,
-                bound,
-                degenerate=degenerate,
-                note=DEGENERATE_NOTE if degenerate else "",
-            )
-        )
-    return reports
-
-
-def _check_betti(ci):
-    return [
-        _abs_report("betti", ci, None, total_betti(ci), betti_bound(ci.dimension, ci.degree))
-    ]
-
-
-def _check_betti_recursive(ci):
-    return [
-        _abs_report("betti-recursive", ci, None, total_betti(ci), betti_bound_recursive(ci))
-    ]
-
-
-def _check_euler(ci):
-    chi = euler_characteristic(ci)
-    alternating = sum(b if i % 2 == 0 else -b for i, b in enumerate(betti_numbers(ci)))
-    return [
-        _abs_report(
-            "euler",
-            ci,
-            None,
-            chi - alternating,
-            0,
-            note=f"chi={chi} alternating_betti={alternating}",
-        )
-    ]
-
-
-def _check_schur_positivity(ci):
-    n = ci.dimension
-    twisted = _nef_twist(ci)
-    reports = []
-    for shape in _shapes_up_to(n):
-        # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|)
-        pairing = schur_class(twisted, shape) * ci.degree
-        shortfall = min(pairing, 0)
-        reports.append(
-            BoundReport(
-                subject="schur-positivity",
-                n=n,
-                d=ci.degree,
-                multidegree=ci.multidegree,
-                index=shape.parts,
-                exact_value=shortfall,
-                bound_value=0,
-                satisfied=shortfall == 0,
-                margin=-abs(shortfall),
-                note=f"pairing={pairing}",
-            )
-        )
-    return reports
-
-
-def _check_pontryagin(ci):
-    n = ci.dimension
-    if n % 4 != 0:
-        return []
-    twisted = _nef_twist(ci)
-    bound = pontryagin_bound(n, ci.degree)
-    reports = []
-    for parts in partitions_of(n // 4):
-        index = MultiIndex(parts)
-        value = squared_chern_pairing(ci, twisted, index)
-        reports.append(
-            _abs_report(
-                "pontryagin",
-                ci,
-                index.entries,
-                value,
-                bound,
-                degenerate=_degenerate(ci, index),
-            )
-        )
-    return reports
-
-
-_CHECKS = {
-    "degree-sequence": _check_degree_sequence,
-    "log-concavity": _check_log_concavity,
-    "nef-chern": _check_nef_chern,
-    "cotangent-chern": _check_cotangent_chern,
-    "betti": _check_betti,
-    "betti-recursive": _check_betti_recursive,
-    "euler": _check_euler,
-    "schur-positivity": _check_schur_positivity,
-    "pontryagin": _check_pontryagin,
-}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import replace
@@ -37,7 +36,6 @@ from .chern import (
     tangent_chern,
 )
 from .schubert import (
-    BoxError,
     Grassmannian,
     GradingError,
     SchubertClass,
@@ -47,7 +45,6 @@ from .schubert import (
 )
 from .varieties import CompleteIntersection, MultiIndex, Partition
 
-MAX_CASES_ENV = "CHARBOUND_MAX_CASES"
 # `bound` accepts 1 <= n <= MAX_BOUND_N and 1 <= d <= MAX_BOUND_D; the largest
 # value, the Pontryagin cap at the corner, has about 21,000 decimal digits
 MAX_BOUND_N = 256
@@ -165,12 +162,6 @@ def _grid_spec_from_args(args) -> GridSpec:
             spec = GridSpec(**kwargs)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    override = os.environ.get(MAX_CASES_ENV)
-    if override is not None:
-        try:
-            spec = replace(spec, max_cases=int(override))
-        except ValueError as exc:
-            raise UsageError(f"bad {MAX_CASES_ENV}={override!r}: {exc}") from exc
     return spec
 
 
@@ -450,10 +441,7 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else 2
     try:
         return args.func(args)
-    except (BoxError, GradingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charbound.bounds import (
+    _CHECKS,
     CHECK_NAMES,
     GridSpec,
     betti_bound,
@@ -216,6 +217,33 @@ def test_report_type_invariant(small_grid):
         if report.exact_value is not None:
             assert report.satisfied == (abs(report.exact_value) <= report.bound_value)
             assert report.margin == report.bound_value - abs(report.exact_value)
+
+
+def test_check_table_lists_every_name_once():
+    assert tuple(_CHECKS) == CHECK_NAMES
+
+
+def test_nef_chern_lower_limit_can_fail(monkeypatch):
+    # a negative pairing is within |exact| <= bound but below the limit 0
+    monkeypatch.setattr("charbound.bounds.chern_number", lambda ci, e, index: -1)
+    spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=3, checks=("nef-chern",))
+    result = verify_grid(spec)
+    plain = [r for r in result.reports if not r.degenerate]
+    assert plain
+    assert all(r.exact_value == -1 and r.margin >= 0 for r in plain)
+    assert not any(r.satisfied for r in plain)
+    assert result.violations == tuple(plain)
+
+
+def test_degree_sequence_lower_limit_can_fail(monkeypatch):
+    monkeypatch.setattr(
+        "charbound.bounds.ample_degree_sequence", lambda ci: (0,) * (ci.dimension + 1)
+    )
+    spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=3, checks=("degree-sequence",))
+    result = verify_grid(spec)
+    assert result.reports
+    assert not any(r.satisfied for r in result.reports)
+    assert result.violations == result.reports
 
 
 def test_every_check_contributes(small_grid):

@@ -4,8 +4,9 @@ The derived expected values are frozen from the naive series oracle below:
 plain list convolution of (1+h)^(m+1) against the geometric series of each
 1/(1+d_j h), written without any of the package's ring machinery. The
 integer twist and Schur paths are also compared with the same computation
-run through the general truncated-polynomial ring, and the Bareiss
-determinant with a plain Laplace expansion.
+run through a truncated polynomial ring of coefficient lists (``Series``
+in ``series_ring.py``), and the Bareiss determinant with a plain Laplace
+expansion.
 """
 
 from math import comb
@@ -30,20 +31,11 @@ from charbound.chern import (
     tangent_chern,
     twist_chern,
 )
-from charbound.graded import TruncatedClass
 from charbound.varieties import CompleteIntersection, MultiIndex, Partition
+from series_ring import Series, convolve
 
 
 # -- independent series oracle ----------------------------------------------
-
-
-def convolve(a, b, cap):
-    out = [0] * (cap + 1)
-    for i, x in enumerate(a[: cap + 1]):
-        for j, y in enumerate(b[: cap + 1]):
-            if i + j <= cap:
-                out[i + j] += x * y
-    return out
 
 
 def oracle_tangent_multiples(ci):
@@ -70,7 +62,7 @@ def laplace_determinant(matrix):
 
 def ring_classes(e):
     # c_0..c_rank as classes of the truncated ring Z[h]/(h^(cap+1))
-    return [TruncatedClass.monomial(a, i, e.cap) for i, a in enumerate(e.h_multiples())]
+    return [Series.monomial(a, i, e.cap) for i, a in enumerate(e.h_multiples())]
 
 
 def ring_twist(e, t):
@@ -78,10 +70,10 @@ def ring_twist(e, t):
     classes = ring_classes(e)
     out = []
     for i in range(e.rank + 1):
-        acc = TruncatedClass.zero(e.cap)
+        acc = Series([], e.cap)
         for j in range(i + 1):
             scale = comb(e.rank - j, i - j) * t ** (i - j)
-            acc = acc + TruncatedClass.monomial(scale, i - j, e.cap) * classes[j]
+            acc = acc + Series.monomial(scale, i - j, e.cap) * classes[j]
         out.append(acc)
     return out
 
@@ -89,10 +81,10 @@ def ring_twist(e, t):
 def ring_jacobi_trudi(e, shape):
     # det(c_{lambda_i - i + j}) expanded in the truncated ring
     classes = ring_classes(e)
-    zero = TruncatedClass.zero(e.cap)
+    zero = Series([], e.cap)
     r = len(shape)
     if r == 0:
-        return TruncatedClass.one(e.cap)
+        return Series([1], e.cap)
     matrix = [
         [
             classes[k] if 0 <= k <= e.rank else zero
@@ -148,7 +140,7 @@ def test_classes_stay_pure_monomials(ci, t):
     e = cotangent_chern(ci)
     twisted = twist_chern(e, t).h_multiples()
     for i, c in enumerate(ring_twist(e, t)):
-        assert c == TruncatedClass.monomial(twisted[i], i, e.cap)
+        assert c == Series.monomial(twisted[i], i, e.cap)
 
 
 def test_chern_vector_rejects_bad_input():
@@ -333,8 +325,8 @@ def test_schur_class_matches_ring_jacobi_trudi(case):
     e, shape = case
     ring = ring_jacobi_trudi(e, shape)
     # the ring determinant is homogeneous: D * h^|lambda|, or 0 above the cap
-    d = ring.coefficient(shape.size)
-    assert ring == TruncatedClass.monomial(d, shape.size, e.cap)
+    d = ring.coeffs[shape.size] if shape.size <= e.cap else 0
+    assert ring == Series.monomial(d, shape.size, e.cap)
     assert schur_class(e, shape) == d
 
 

@@ -224,19 +224,6 @@ def test_verify_empty_checks_rejected(capsys, tmp_path):
     assert "at least one check" in err
 
 
-def test_verify_env_var_overrides_cap(capsys, monkeypatch):
-    monkeypatch.setenv("CHARBOUND_MAX_CASES", "3")
-    code, out, _ = run(capsys, "verify", "--checks", "betti")
-    assert code == 0
-    assert "cases=3" in out
-
-
-def test_verify_env_var_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("CHARBOUND_MAX_CASES", "many")
-    code, _, err = run(capsys, "verify", "--checks", "betti")
-    assert code == 2
-
-
 def test_verify_signature_satisfied(capsys):
     code, out, _ = run(capsys, "verify", "--sigma", "0", "-m", "5", "-D", "2")
     assert code == 0
@@ -330,15 +317,17 @@ def test_schubert_partial_power_prints_expansion(capsys):
     assert out == "sigma[1,1] + sigma[2]\n"
 
 
-def test_schubert_box_violation_exits_one(capsys):
+def test_schubert_box_violation_exits_two(capsys):
+    # a shape outside the box is bad input, not a mathematical violation
     code, _, err = run(capsys, "schubert", "-q", "2", "-N", "4", "--giambelli", "5,1")
-    assert code == 1
+    assert code == 2
     assert "box" in err
 
 
-def test_schubert_vanishing_special_class_exits_one(capsys):
+def test_schubert_vanishing_special_class_exits_two(capsys):
     code, _, err = run(capsys, "schubert", "-q", "2", "-N", "4", "--power", "sigma3")
-    assert code == 1
+    assert code == 2
+    assert "special index must be <= 2" in err
 
 
 def test_schubert_bad_power_spec(capsys):
@@ -372,7 +361,7 @@ def test_schubert_huge_power_is_not_expanded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
     # an index past the box still fails, before any expansion
     proc = run_limited("schubert", "-q", "2", "-N", "4", "--power", "sigma3^300000000")
-    assert proc.returncode == 1
+    assert proc.returncode == 2
     assert "special index must be <= 2" in proc.stderr
     assert "Traceback" not in proc.stderr
 
