@@ -10,12 +10,12 @@ than special-cased, and the flagged cases are settled by direct inspection.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from dataclasses import dataclass, fields
+from decimal import Decimal
+from functools import cached_property, lru_cache, partial
+from io import StringIO
 from itertools import combinations_with_replacement
+from json.encoder import encode_basestring_ascii
 
 from .betti import betti_numbers, total_betti
 from .chern import (
@@ -61,42 +61,12 @@ class BoundReport:
     degenerate: bool = False
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "n": self.n,
-            "d": self.d,
-            "multidegree": None if self.multidegree is None else list(self.multidegree),
-            "index": None if self.index is None else list(self.index),
-            "exact": self.exact_value,
-            "bound": self.bound_value,
-            "satisfied": self.satisfied,
-            "margin": self.margin,
-            "degenerate": self.degenerate,
-            "note": self.note,
-        }
-
-    def to_row(self) -> list:
-        join = lambda t: "" if t is None else ",".join(map(str, t))
-        blank = lambda v: "" if v is None else str(v)
-        return [
-            self.subject,
-            blank(self.n),
-            blank(self.d),
-            join(self.multidegree),
-            join(self.index),
-            blank(self.exact_value),
-            str(self.bound_value),
-            "true" if self.satisfied else "false",
-            blank(self.margin),
-        ]
-
     def witness(self) -> str:
         return (
-            f"subject={self.subject} n={self.n} d={self.d} "
-            f"multidegree={self.multidegree} index={self.index} "
-            f"exact={self.exact_value} bound={self.bound_value} "
-            f"margin={self.margin}"
+            f"subject={self.subject} n={exact_repr(self.n)} d={exact_repr(self.d)} "
+            f"multidegree={exact_repr(self.multidegree)} index={exact_repr(self.index)} "
+            f"exact={exact_repr(self.exact_value)} bound={exact_repr(self.bound_value)} "
+            f"margin={exact_repr(self.margin)}"
         )
 
 
@@ -111,6 +81,100 @@ CSV_COLUMNS = (
     "satisfied",
     "margin",
 )
+
+
+# -- report writers ----------------------------------------------------------
+# Each writer streams the bytes the stdlib would give: json.dumps(payload,
+# indent=2) + "\n" with its default ASCII escaping, and csv.writer with
+# lineterminator "\n". Only the report tuple is held, never the document.
+# List fields are rendered once per document: reports repeat their multidegree.
+
+# str(int) refuses past sys.get_int_max_str_digits(), which can be set as low
+# as 640; every integer below this constant has at most 639 digits
+_SHORT_INT = 10**639
+
+
+def exact_decimal(value: int) -> str:
+    """Exact decimal text of any int, however many digits it has."""
+    return str(value if -_SHORT_INT < value < _SHORT_INT else Decimal(value))
+
+
+def _opt(value, none: str) -> str:
+    return none if value is None else exact_decimal(value)
+
+
+def exact_repr(value) -> str:
+    """repr() of None, an int or an int tuple, every int in full."""
+    if value is None or isinstance(value, int):
+        return _opt(value, "None")
+    comma = "," if len(value) == 1 else ""
+    return "(" + ", ".join(map(exact_decimal, value)) + comma + ")"
+
+
+def _json_ints(values) -> str:
+    """An int list or null, as the value of a report member."""
+    if not values:
+        return "null" if values is None else "[]"
+    return "[\n        " + ",\n        ".join(map(exact_decimal, values)) + "\n      ]"
+
+
+def _joined(values) -> str:
+    return "" if values is None else ",".join(map(exact_decimal, values))
+
+
+def _csv_cell(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_json(stream, reports, head: str = "") -> None:
+    """``{head "reports": [...]}``; ``head`` holds the rendered members before it."""
+    write, lists = stream.write, lru_cache(maxsize=None)(_json_ints)
+    write("{\n" + head + '  "reports": [')
+    sep = "\n"
+    for r in reports:
+        write(
+            f"{sep}    {{\n"
+            f'      "subject": {encode_basestring_ascii(r.subject)},\n'
+            f'      "n": {_opt(r.n, "null")},\n'
+            f'      "d": {_opt(r.d, "null")},\n'
+            f'      "multidegree": {lists(r.multidegree)},\n'
+            f'      "index": {lists(r.index)},\n'
+            f'      "exact": {_opt(r.exact_value, "null")},\n'
+            f'      "bound": {exact_decimal(r.bound_value)},\n'
+            f'      "satisfied": {"true" if r.satisfied else "false"},\n'
+            f'      "margin": {_opt(r.margin, "null")},\n'
+            f'      "degenerate": {"true" if r.degenerate else "false"},\n'
+            f'      "note": {encode_basestring_ascii(r.note)}\n'
+            "    }"
+        )
+        sep = ",\n"
+    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+
+
+def write_csv(stream, reports) -> None:
+    write, lists = stream.write, lru_cache(maxsize=None)(lambda t: _csv_cell(_joined(t)))
+    write(",".join(CSV_COLUMNS) + "\n")
+    for r in reports:
+        write(
+            f'{_csv_cell(r.subject)},{_opt(r.n, "")},{_opt(r.d, "")},'
+            f"{lists(r.multidegree)},{lists(r.index)},{_opt(r.exact_value, '')},"
+            f'{exact_decimal(r.bound_value)},{"true" if r.satisfied else "false"},'
+            f'{_opt(r.margin, "")}\n'
+        )
+
+
+def write_markdown(stream, reports) -> None:
+    write, lists = stream.write, lru_cache(maxsize=None)(_joined)
+    write("| " + " | ".join(CSV_COLUMNS) + " |\n|" + "---|" * len(CSV_COLUMNS) + "\n")
+    for r in reports:
+        write(
+            f'| {r.subject} | {_opt(r.n, "")} | {_opt(r.d, "")} | '
+            f"{lists(r.multidegree)} | {lists(r.index)} | {_opt(r.exact_value, '')} | "
+            f'{exact_decimal(r.bound_value)} | {"true" if r.satisfied else "false"} | '
+            f'{_opt(r.margin, "")} |\n'
+        )
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -352,6 +416,10 @@ class GridSpec:
                 f"checks must be a list of names, got {type(self.checks).__name__}"
             )
         object.__setattr__(self, "checks", tuple(self.checks))
+        for name in ("max_ambient_dim", "max_degree_per_factor", "max_codim", "max_cases"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 2 <= self.max_ambient_dim <= MAX_AMBIENT_DIM:
             raise ValueError(
                 f"max_ambient_dim must be between 2 and {MAX_AMBIENT_DIM}, "
@@ -376,26 +444,11 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, data) -> "GridSpec":
-        known = {
-            "max_ambient_dim",
-            "max_degree_per_factor",
-            "max_codim",
-            "checks",
-            "max_cases",
-        }
+        known = {field.name for field in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown grid spec keys: {sorted(unknown)}")
         return cls(**{k: data[k] for k in known if k in data})
-
-    def to_dict(self) -> dict:
-        return {
-            "max_ambient_dim": self.max_ambient_dim,
-            "max_degree_per_factor": self.max_degree_per_factor,
-            "max_codim": self.max_codim,
-            "checks": list(self.checks),
-            "max_cases": self.max_cases,
-        }
 
 
 def enumerate_varieties(spec: GridSpec):
@@ -423,11 +476,11 @@ class GridResult:
     truncated: bool
     reports: tuple
 
-    @property
+    @cached_property
     def violations(self) -> tuple:
         return tuple(r for r in self.reports if not r.satisfied and not r.degenerate)
 
-    @property
+    @cached_property
     def flagged(self) -> tuple:
         return tuple(r for r in self.reports if r.degenerate)
 
@@ -435,41 +488,36 @@ class GridResult:
     def all_satisfied(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> str:
-        payload = {
-            "grid": self.spec.to_dict(),
-            "cases": len(self.cases),
-            "truncated": self.truncated,
-            "violations": len(self.violations),
-            "reports": [r.to_dict() for r in self.reports],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for report in self.reports:
-            writer.writerow(report.to_row())
-        return buffer.getvalue()
-
-    def to_markdown(self) -> str:
-        lines = [
-            "| " + " | ".join(CSV_COLUMNS) + " |",
-            "|" + "---|" * len(CSV_COLUMNS),
-        ]
-        for report in self.reports:
-            lines.append("| " + " | ".join(report.to_row()) + " |")
-        return "\n".join(lines) + "\n"
+    def write(self, stream, fmt: str) -> None:
+        """Stream the report document in ``fmt`` (json, csv or markdown)."""
+        if fmt == "json":
+            spec = self.spec
+            checks = ",\n      ".join(map(encode_basestring_ascii, spec.checks))
+            head = (
+                '  "grid": {\n'
+                f'    "max_ambient_dim": {exact_decimal(spec.max_ambient_dim)},\n'
+                f'    "max_degree_per_factor": {exact_decimal(spec.max_degree_per_factor)},\n'
+                f'    "max_codim": {exact_decimal(spec.max_codim)},\n'
+                f'    "checks": [\n      {checks}\n    ],\n'
+                f'    "max_cases": {exact_decimal(spec.max_cases)}\n'
+                "  },\n"
+                f'  "cases": {exact_decimal(len(self.cases))},\n'
+                f'  "truncated": {"true" if self.truncated else "false"},\n'
+                f'  "violations": {exact_decimal(len(self.violations))},\n'
+            )
+            write_json(stream, self.reports, head)
+        elif fmt == "csv":
+            write_csv(stream, self.reports)
+        elif fmt == "markdown":
+            write_markdown(stream, self.reports)
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "markdown":
-            return self.to_markdown()
-        raise ValueError(f"unknown format {fmt!r}")
+        """The document ``write`` streams, as one string."""
+        buffer = StringIO()
+        self.write(buffer, fmt)
+        return buffer.getvalue()
 
 
 def verify_grid(spec: GridSpec) -> GridResult:

@@ -12,7 +12,6 @@ import json
 import re
 import sys
 from dataclasses import replace
-from decimal import Decimal
 from math import comb
 
 from .betti import betti_numbers, total_betti
@@ -22,10 +21,13 @@ from .bounds import (
     betti_bound,
     betti_bound_recursive,
     cotangent_chern_bound,
+    exact_decimal,
+    exact_repr,
     nef_chern_bound,
     pontryagin_bound,
     signature_check,
     verify_grid,
+    write_json,
 )
 from .chern import (
     ample_class,
@@ -75,11 +77,6 @@ def _parse_int_list(text: str) -> tuple:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _decimal(value: int) -> str:
-    """Exact decimal text of any int; str() refuses past 4300 digits."""
-    return str(Decimal(value))
-
-
 def _variety_from_args(args) -> CompleteIntersection:
     if getattr(args, "variety", None):
         try:
@@ -121,7 +118,7 @@ def _cmd_bound(args) -> int:
         if args.index is not None:
             raise UsageError(f"--{which} takes no multi-index")
         value = pontryagin_bound(n, d) if which == "pontryagin" else betti_bound(n, d)
-    print(_decimal(value))
+    print(exact_decimal(value))
     return 0
 
 
@@ -165,15 +162,16 @@ def _grid_spec_from_args(args) -> GridSpec:
     return spec
 
 
-def _write_or_print(text: str, out_path) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write output: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+def _write_out(write, out_path) -> None:
+    """Call ``write(stream)`` on the --out file, or on stdout without one."""
+    if not out_path:
+        write(sys.stdout)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -182,15 +180,14 @@ def _cmd_verify(args) -> int:
     spec = _grid_spec_from_args(args)
     result = verify_grid(spec)
     document_on_stdout = bool(args.format) and not args.out
-    if args.format:
-        _write_or_print(result.render(args.format), args.out)
-    elif args.out:
-        _write_or_print(result.to_json(), args.out)
+    if args.format or args.out:
+        _write_out(lambda out: result.write(out, args.format or "json"), args.out)
     if not document_on_stdout:
+        counts = (result.cases, result.reports, result.flagged, result.violations)
+        cases, reports, flagged, violations = (exact_decimal(len(c)) for c in counts)
         print(
-            f"cases={len(result.cases)} truncated={str(result.truncated).lower()} "
-            f"reports={len(result.reports)} flagged={len(result.flagged)} "
-            f"violations={len(result.violations)}"
+            f"cases={cases} truncated={str(result.truncated).lower()} "
+            f"reports={reports} flagged={flagged} violations={violations}"
         )
     # keep stdout a pure data document when one was rendered there
     witness_stream = sys.stderr if document_on_stdout else sys.stdout
@@ -212,12 +209,12 @@ def _cmd_verify_signature(args) -> int:
     )
     status = "satisfied" if report.satisfied else "violated"
     print(
-        f"signature check on {ci}: |3*sigma|={abs(report.exact_value)} "
-        f"c2^2={report.bound_value} margin={report.margin} {status}"
+        f"signature check on {ci}: |3*sigma|={exact_decimal(abs(report.exact_value))} "
+        f"c2^2={exact_decimal(report.bound_value)} "
+        f"margin={exact_decimal(report.margin)} {status}"
     )
     if args.out:
-        payload = json.dumps({"reports": [report.to_dict()]}, indent=2) + "\n"
-        _write_or_print(payload, args.out)
+        _write_out(lambda out: write_json(out, (report,)), args.out)
     if not report.satisfied:
         print(f"VIOLATION {report.witness()}")
         return 1
@@ -269,12 +266,7 @@ def _cmd_table(args) -> int:
     }
     print(f"variety: {ci}")
     for name in wanted:
-        value = values[name]()
-        if isinstance(value, tuple):
-            text = "(" + ", ".join(map(_decimal, value)) + ")"
-        else:
-            text = _decimal(value)
-        print(f"{name}: {text}")
+        print(f"{name}: {exact_repr(values[name]())}")
     return 0
 
 
@@ -314,7 +306,7 @@ def _cmd_schubert(args) -> int:
             raise UsageError(
                 f"--degree needs q(N-q) <= {MAX_DEGREE_CELLS}, got {cells} on {gr}"
             )
-        print(_decimal(grassmannian_degree(args.q, args.N)))
+        print(exact_decimal(grassmannian_degree(args.q, args.N)))
         return 0
     if cells > MAX_SCHUBERT_CELLS or comb(gr.N, gr.q) > MAX_SCHUBERT_SHAPES:
         raise UsageError(
@@ -345,7 +337,7 @@ def _cmd_schubert(args) -> int:
         print(0)
         return 0
     if cls.codimensions() == {gr.total_codim}:
-        print(_decimal(cls.coefficient(gr.point_partition)))
+        print(exact_decimal(cls.coefficient(gr.point_partition)))
     else:
         print(cls)
     return 0

@@ -224,8 +224,8 @@ def test_criterion_09_bound_goldens_in_cli(capsys):
 
 def test_criterion_10_grid_determinism(full_grid):
     again = verify_grid(GridSpec())
-    ok = full_grid.to_json() == again.to_json()
-    ok = ok and full_grid.to_csv() == again.to_csv()
+    ok = full_grid.render("json") == again.render("json")
+    ok = ok and full_grid.render("csv") == again.render("csv")
     verdict(
         10,
         "two full verification runs produce byte-identical reports",

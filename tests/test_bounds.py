@@ -1,4 +1,8 @@
+import csv
+import io
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +10,8 @@ from hypothesis import given, strategies as st
 from charbound.bounds import (
     _CHECKS,
     CHECK_NAMES,
+    BoundReport,
+    GridResult,
     GridSpec,
     betti_bound,
     betti_bound_recursive,
@@ -13,10 +19,12 @@ from charbound.bounds import (
     cotangent_chern_bound,
     curve_betti_bound,
     enumerate_varieties,
+    exact_decimal,
     nef_chern_bound,
     pontryagin_bound,
     signature_check,
     verify_grid,
+    write_json,
 )
 from charbound.chern import DegreeError
 from charbound.varieties import CompleteIntersection, MultiIndex
@@ -168,7 +176,8 @@ def test_empty_grid():
 
 def test_grid_spec_json_roundtrip():
     spec = GridSpec(max_ambient_dim=5, checks=("betti", "euler"), max_cases=20)
-    assert GridSpec.from_dict(spec.to_dict()) == spec
+    empty = GridResult(spec=spec, cases=(), truncated=False, reports=())
+    assert GridSpec.from_dict(json.loads(empty.render("json"))["grid"]) == spec
     with pytest.raises(ValueError):
         GridSpec.from_dict({"max_cases": 5, "bogus": 1})
     with pytest.raises(ValueError):
@@ -182,6 +191,13 @@ def test_grid_spec_bounds_ambient_dim():
             GridSpec(max_ambient_dim=bad)
 
 
+def test_grid_spec_sizes_must_be_integers():
+    for name in ("max_ambient_dim", "max_degree_per_factor", "max_codim", "max_cases"):
+        for bad in (4.0, True, "4"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                GridSpec(**{name: bad})
+
+
 # -- verification runs -----------------------------------------------------------------
 
 
@@ -193,6 +209,8 @@ def small_grid():
 def test_small_grid_has_no_violations(small_grid):
     assert small_grid.all_satisfied
     assert small_grid.violations == ()
+    assert small_grid.violations is small_grid.violations
+    assert small_grid.flagged is small_grid.flagged
 
 
 def test_small_grid_flags_only_degenerate_lines(small_grid):
@@ -254,23 +272,185 @@ def test_every_check_contributes(small_grid):
 
 def test_json_output_is_deterministic(small_grid):
     again = verify_grid(small_grid.spec)
-    assert small_grid.to_json() == again.to_json()
-    payload = json.loads(small_grid.to_json())
+    assert small_grid.render("json") == again.render("json")
+    payload = json.loads(small_grid.render("json"))
     assert payload["cases"] == len(small_grid.cases)
     assert payload["violations"] == 0
     assert len(payload["reports"]) == len(small_grid.reports)
 
 
 def test_csv_output_shape(small_grid):
-    lines = small_grid.to_csv().splitlines()
+    lines = small_grid.render("csv").splitlines()
     assert lines[0] == "subject,n,d,multidegree,index,exact,bound,satisfied,margin"
     assert len(lines) == len(small_grid.reports) + 1
 
 
 def test_markdown_output_shape(small_grid):
-    lines = small_grid.to_markdown().splitlines()
+    lines = small_grid.render("markdown").splitlines()
     assert lines[0].startswith("| subject |")
     assert len(lines) == len(small_grid.reports) + 2
+
+
+# -- report writers against the stdlib serializers -----------------------------------
+
+
+def oracle_dict(r):
+    return {
+        "subject": r.subject,
+        "n": r.n,
+        "d": r.d,
+        "multidegree": None if r.multidegree is None else list(r.multidegree),
+        "index": None if r.index is None else list(r.index),
+        "exact": r.exact_value,
+        "bound": r.bound_value,
+        "satisfied": r.satisfied,
+        "margin": r.margin,
+        "degenerate": r.degenerate,
+        "note": r.note,
+    }
+
+
+def oracle_json(result):
+    spec = result.spec
+    payload = {
+        "grid": {
+            "max_ambient_dim": spec.max_ambient_dim,
+            "max_degree_per_factor": spec.max_degree_per_factor,
+            "max_codim": spec.max_codim,
+            "checks": list(spec.checks),
+            "max_cases": spec.max_cases,
+        },
+        "cases": len(result.cases),
+        "truncated": result.truncated,
+        "violations": sum(not r.satisfied and not r.degenerate for r in result.reports),
+        "reports": [oracle_dict(r) for r in result.reports],
+    }
+    return payload, json.dumps(payload, indent=2) + "\n"
+
+
+def oracle_row(r):
+    join = lambda t: "" if t is None else ",".join(map(str, t))
+    blank = lambda v: "" if v is None else str(v)
+    return [
+        r.subject,
+        blank(r.n),
+        blank(r.d),
+        join(r.multidegree),
+        join(r.index),
+        blank(r.exact_value),
+        str(r.bound_value),
+        "true" if r.satisfied else "false",
+        blank(r.margin),
+    ]
+
+
+COLUMNS = ["subject", "n", "d", "multidegree", "index", "exact", "bound", "satisfied", "margin"]
+
+
+def oracle_csv(reports):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    writer.writerows(oracle_row(r) for r in reports)
+    return buffer.getvalue()
+
+
+def oracle_markdown(reports):
+    lines = ["| " + " | ".join(COLUMNS) + " |", "|" + "---|" * len(COLUMNS)]
+    lines += ["| " + " | ".join(oracle_row(r)) + " |" for r in reports]
+    return "\n".join(lines) + "\n"
+
+
+maybe_int = st.none() | st.integers(min_value=-(10**30), max_value=10**30)
+maybe_ints = st.none() | st.lists(st.integers(min_value=-(10**12), max_value=10**12), max_size=4).map(tuple)
+# csv.writer quotes on "," '"' and "\n" only, so a subject needs no "\r"
+subjects = st.sampled_from(CHECK_NAMES + ("signature",)) | st.text(alphabet='ab -,"\n\\', max_size=8)
+notes = st.text(alphabet=st.sampled_from('a "\\\n\r\t,\x00\x7fé€\U0001d11e') | st.characters(), max_size=12)
+reports_strategy = st.builds(
+    BoundReport,
+    subject=subjects,
+    n=maybe_int,
+    d=maybe_int,
+    multidegree=maybe_ints,
+    index=maybe_ints,
+    exact_value=maybe_int,
+    bound_value=st.integers(min_value=-(10**30), max_value=10**30),
+    satisfied=st.booleans(),
+    margin=maybe_int,
+    degenerate=st.booleans(),
+    note=notes,
+)
+specs = st.builds(
+    GridSpec,
+    max_ambient_dim=st.integers(min_value=2, max_value=24),
+    max_degree_per_factor=st.integers(min_value=1, max_value=10**20),
+    max_codim=st.integers(min_value=1, max_value=30),
+    checks=st.lists(st.sampled_from(CHECK_NAMES), min_size=1, unique=True).map(tuple),
+    max_cases=st.integers(min_value=0, max_value=10**6),
+)
+
+
+@given(specs, st.integers(min_value=0, max_value=3), st.booleans(), st.lists(reports_strategy, max_size=5))
+def test_writers_match_stdlib_serializers(spec, cases, truncated, reports):
+    result = GridResult(spec=spec, cases=(None,) * cases, truncated=truncated, reports=tuple(reports))
+    payload, expected = oracle_json(result)
+    assert result.render("json") == expected
+    assert json.loads(result.render("json")) == payload
+    assert result.render("csv") == oracle_csv(reports)
+    assert result.render("markdown") == oracle_markdown(reports)
+    # the signature check's --out file: a document with the report list alone
+    buffer = io.StringIO()
+    write_json(buffer, tuple(reports))
+    standalone = {"reports": [oracle_dict(r) for r in reports]}
+    assert buffer.getvalue() == json.dumps(standalone, indent=2) + "\n"
+
+
+def test_writers_on_an_empty_report_list():
+    result = GridResult(spec=GridSpec(), cases=(), truncated=False, reports=())
+    assert result.render("json") == oracle_json(result)[1]
+    assert result.render("json").endswith('  "violations": 0,\n  "reports": []\n}\n')
+    assert result.render("csv") == oracle_csv(()) == ",".join(COLUMNS) + "\n"
+    assert result.render("markdown") == oracle_markdown(())
+    with pytest.raises(ValueError, match="unknown format"):
+        result.render("yaml")
+
+
+def test_long_integers_print_in_full_in_every_format():
+    exact = 10**4999 + 7  # 5,000 digits, past str()'s default 4,300-digit limit
+    report = BoundReport(
+        subject="betti",
+        n=2,
+        d=exact,
+        multidegree=(exact, 2),
+        index=(exact,),
+        exact_value=exact,
+        bound_value=3,
+        satisfied=False,
+        margin=3 - exact,
+    )
+    digits = "1" + "0" * 4998 + "7"
+    margin = "-1" + "0" * 4998 + "4"
+    result = GridResult(spec=GridSpec(), cases=(), truncated=False, reports=(report,))
+    for fmt in ("json", "csv", "markdown"):
+        text = result.render(fmt)
+        assert text.count(digits) == 4, fmt
+        assert margin in text, fmt
+    assert report.witness() == (
+        f"subject=betti n=2 d={digits} multidegree=({digits}, 2) index=({digits},) "
+        f"exact={digits} bound=3 margin={margin}"
+    )
+
+
+def test_exact_decimal_under_the_lowest_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for value in (0, -5, 10**639 - 1, 10**639, -(10**639), 10**700 + 1):
+            text = exact_decimal(value)
+            assert text.removeprefix("-").isdigit()
+            assert Decimal(text) == value
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_default_grid_has_no_violations():

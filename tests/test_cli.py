@@ -146,6 +146,15 @@ def test_verify_rejects_ambient_dim_above_limit(tmp_path, capsys, monkeypatch):
     assert "got 25" in err
 
 
+def test_verify_grid_sizes_must_be_integers(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    for data in ({"max_ambient_dim": 4.0}, {"max_cases": True}):
+        grid.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--grid", str(grid))
+        assert (code, out) == (2, "")
+        assert "must be an integer" in err
+
+
 def test_verify_csv_format(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code, _, _ = run(
@@ -237,6 +246,37 @@ def test_verify_signature_violation_exits_one(capsys):
     assert "VIOLATION" in out
     assert "exact=99" in out
     assert "bound=98" in out
+
+
+def test_verify_signature_out_file_bytes(tmp_path, capsys):
+    out = tmp_path / "sig.json"
+    code, _, _ = run(capsys, "verify", "--sigma", "33", "-m", "5", "-D", "2", "--out", str(out))
+    assert code == 1
+    report = {
+        "subject": "signature",
+        "n": 4,
+        "d": 2,
+        "multidegree": [2],
+        "index": None,
+        "exact": 99,
+        "bound": 98,
+        "satisfied": False,
+        "margin": -1,
+        "degenerate": False,
+        "note": "sigma supplied externally; c2^2 computed",
+    }
+    assert out.read_text() == json.dumps({"reports": [report]}, indent=2) + "\n"
+
+
+def test_verify_signature_prints_long_values_in_full(tmp_path, capsys):
+    out = tmp_path / "sig.json"
+    sigma = "9" * 4300  # 3*sigma has 4,301 digits, past str()'s default limit
+    code, text, _ = run(capsys, "verify", "--sigma", sigma, "-m", "5", "-D", "2", "--out", str(out))
+    assert code == 1
+    exact = "2" + "9" * 4299 + "7"
+    assert f"|3*sigma|={exact} c2^2=98 margin=-{exact[:-3]}899 violated" in text
+    assert f"VIOLATION subject=signature n=4 d=2 multidegree=(2,) index=None exact={exact}" in text
+    assert f'"exact": {exact},' in out.read_text()
 
 
 def test_verify_signature_needs_fourfold(capsys):

@@ -2,7 +2,8 @@
 
 Each case runs the CLI in a new interpreter, so no lru_cache is warm, and
 compares the sha256 of its stdout with the digest recorded in
-perfbench/golden.json. The test only reads that file.
+perfbench/golden.json, or pinned here for outputs that file does not cover.
+The test only reads that file.
 """
 
 import hashlib
@@ -16,20 +17,62 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+PINNED = {
+    "default-markdown": {
+        "argv": "verify --format markdown",
+        "sha256": "95478ee49e948707a24c435fce17088af31aac5d77fe987d0c4053f3bdc4e85e",
+        "bytes": 678030,
+    },
+}
+DIGESTS = {**GOLDEN, **PINNED}
+ENV = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"))
 
 
 @pytest.mark.parametrize(
-    "entry", ["default-json", "default-csv", "deep-json", "wide-csv"]
+    "entry", ["default-json", "default-csv", "deep-json", "wide-csv", "default-markdown"]
 )
 def test_fresh_process_output_matches_golden_digest(entry):
-    golden = GOLDEN[entry]
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"))
+    golden = DIGESTS[entry]
     proc = subprocess.run(
         [sys.executable, "-m", "charbound", *golden["argv"].split()],
         capture_output=True,
-        env=env,
+        env=ENV,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert len(proc.stdout) == golden["bytes"]
     assert hashlib.sha256(proc.stdout).hexdigest() == golden["sha256"]
+
+
+# Runs the CLI and prints the interpreter's own peak RSS (VmHWM, in kB) to
+# stderr. A child's ru_maxrss would not do: it counts the pages it inherits
+# from this pytest process before exec.
+PEAK_RSS_PROBE = """\
+import sys
+from charbound.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(peak, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_json_report_memory_does_not_grow_with_the_document(tmp_path):
+    # 67,168 reports, 23.8 MB of JSON; building the document as one string
+    # peaked at about 255 MB
+    out = tmp_path / "m12d3.json"
+    argv = "verify --max-ambient-dim 12 --max-degree 3 --max-codim 11"
+    argv += f" --max-cases 1000000 --format json --out {out}"
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_PROBE, *argv.split()],
+        capture_output=True,
+        env=ENV,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "03b10e704677b04b3fd4d18b5e046c8e85c80d9e976242248ae5e227a6e1468b"
+    peak_mb = int(proc.stderr.decode().split()[-1]) / 1024
+    assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
