@@ -20,6 +20,7 @@ def genus_plane_curve(d: int) -> int:
     return (d - 1) * (d - 2) // 2
 
 
+# one entry per reduced grid key and hyperplane section; see chern.tangent_chern
 @lru_cache(maxsize=None)
 def betti_numbers(ci: CompleteIntersection) -> tuple:
     """b_0..b_2n: projective-space values off the middle, middle from chi."""

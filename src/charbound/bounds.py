@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache, partial
 from io import StringIO
 from itertools import combinations_with_replacement
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .betti import betti_numbers, total_betti
 from .chern import (
@@ -38,8 +39,7 @@ MAX_AMBIENT_DIM = 24
 DEGENERATE_NOTE = "degenerate bound base (d+n-2)=0; settled by direct inspection"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One verified inequality instance.
 
     ``satisfied`` is ``|exact_value| <= bound_value``, and for the checks
@@ -128,53 +128,75 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def _exact_lines(line, reports, none: str):
+    """``line(*report)`` for each report, every number in full.
+
+    The ints go into line's f-string as they are. A None number, or an int
+    past str()'s digit limit (ValueError), sends the report again with its
+    numbers as ``exact_decimal`` text, and ``none`` for None.
+    """
+    for r in reports:
+        subject, n, d, multidegree, index, exact, bound, ok, margin, flag, note = r
+        try:
+            if n is None or d is None or exact is None or margin is None:
+                raise ValueError("a number is None")
+            text = line(*r)
+        except ValueError:
+            n, d, exact, margin = (_opt(v, none) for v in (n, d, exact, margin))
+            bound = exact_decimal(bound)
+            text = line(
+                subject, n, d, multidegree, index, exact, bound, ok, margin, flag, note
+            )
+        yield text
+
+
 def write_json(stream, reports, head: str = "") -> None:
     """``{head "reports": [...]}``; ``head`` holds the rendered members before it."""
     write, lists = stream.write, lru_cache(maxsize=None)(_json_ints)
+
+    def line(subject, n, d, multidegree, index, exact, bound, ok, margin, flag, note):
+        return (
+            f'    {{\n      "subject": {encode_basestring_ascii(subject)},\n'
+            f'      "n": {n},\n      "d": {d},\n'
+            f'      "multidegree": {lists(multidegree)},\n      "index": {lists(index)},\n'
+            f'      "exact": {exact},\n      "bound": {bound},\n'
+            f'      "satisfied": {"true" if ok else "false"},\n      "margin": {margin},\n'
+            f'      "degenerate": {"true" if flag else "false"},\n'
+            f'      "note": {encode_basestring_ascii(note)}\n    }}'
+        )
+
     write("{\n" + head + '  "reports": [')
     sep = "\n"
-    for r in reports:
-        write(
-            f"{sep}    {{\n"
-            f'      "subject": {encode_basestring_ascii(r.subject)},\n'
-            f'      "n": {_opt(r.n, "null")},\n'
-            f'      "d": {_opt(r.d, "null")},\n'
-            f'      "multidegree": {lists(r.multidegree)},\n'
-            f'      "index": {lists(r.index)},\n'
-            f'      "exact": {_opt(r.exact_value, "null")},\n'
-            f'      "bound": {exact_decimal(r.bound_value)},\n'
-            f'      "satisfied": {"true" if r.satisfied else "false"},\n'
-            f'      "margin": {_opt(r.margin, "null")},\n'
-            f'      "degenerate": {"true" if r.degenerate else "false"},\n'
-            f'      "note": {encode_basestring_ascii(r.note)}\n'
-            "    }"
-        )
+    for text in _exact_lines(line, reports, "null"):
+        write(sep + text)
         sep = ",\n"
     write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def write_csv(stream, reports) -> None:
-    write, lists = stream.write, lru_cache(maxsize=None)(lambda t: _csv_cell(_joined(t)))
-    write(",".join(CSV_COLUMNS) + "\n")
-    for r in reports:
-        write(
-            f'{_csv_cell(r.subject)},{_opt(r.n, "")},{_opt(r.d, "")},'
-            f"{lists(r.multidegree)},{lists(r.index)},{_opt(r.exact_value, '')},"
-            f'{exact_decimal(r.bound_value)},{"true" if r.satisfied else "false"},'
-            f'{_opt(r.margin, "")}\n'
+    lists = lru_cache(maxsize=None)(lambda t: _csv_cell(_joined(t)))
+
+    def line(subject, n, d, multidegree, index, exact, bound, ok, margin, _, __):
+        return (
+            f"{_csv_cell(subject)},{n},{d},{lists(multidegree)},{lists(index)},"
+            f'{exact},{bound},{"true" if ok else "false"},{margin}\n'
         )
+
+    stream.write(",".join(CSV_COLUMNS) + "\n")
+    stream.writelines(_exact_lines(line, reports, ""))
 
 
 def write_markdown(stream, reports) -> None:
-    write, lists = stream.write, lru_cache(maxsize=None)(_joined)
-    write("| " + " | ".join(CSV_COLUMNS) + " |\n|" + "---|" * len(CSV_COLUMNS) + "\n")
-    for r in reports:
-        write(
-            f'| {r.subject} | {_opt(r.n, "")} | {_opt(r.d, "")} | '
-            f"{lists(r.multidegree)} | {lists(r.index)} | {_opt(r.exact_value, '')} | "
-            f'{exact_decimal(r.bound_value)} | {"true" if r.satisfied else "false"} | '
-            f'{_opt(r.margin, "")} |\n'
+    lists = lru_cache(maxsize=None)(_joined)
+
+    def line(subject, n, d, multidegree, index, exact, bound, ok, margin, _, __):
+        return (
+            f"| {subject} | {n} | {d} | {lists(multidegree)} | {lists(index)} | "
+            f'{exact} | {bound} | {"true" if ok else "false"} | {margin} |\n'
         )
+
+    stream.write(f"| {' | '.join(CSV_COLUMNS)} |\n|{'---|' * len(CSV_COLUMNS)}\n")
+    stream.writelines(_exact_lines(line, reports, ""))
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -204,6 +226,7 @@ def curve_betti_bound(d: int) -> int:
     return 2 + (d - 1) * (d - 2)
 
 
+# one entry per reduced grid key and hyperplane section; see chern.tangent_chern
 @lru_cache(maxsize=None)
 def betti_bound_recursive(ci: CompleteIntersection) -> int:
     """Recurse through hyperplane sections: 4*b(H) + 2*2^(n^2)*d^(n+1)."""
@@ -285,6 +308,7 @@ def _shapes_up_to(n: int):
     return tuple(out)
 
 
+# one entry per reduced grid key; see chern.tangent_chern
 @lru_cache(maxsize=None)
 def _nef_twist(ci: CompleteIntersection):
     """The cotangent bundle twisted by 2h, which is nef; shared by three checks."""
@@ -367,34 +391,22 @@ _RULES = {
 CHECK_NAMES = tuple(_RULES)
 
 
-def _reports(subject, rows, least, has_base, ci) -> list:
-    """One BoundReport per row; rows with a non-empty index whose bound base
-    (d+n-2) vanishes are flagged degenerate."""
-    n, d, multidegree = ci.dimension, ci.degree, ci.multidegree
-    base_vanishes = has_base and d + n - 2 == 0
+def _reports(rows, least, has_base, ci) -> list:
+    """The finished rows (index, exact, bound, satisfied, margin, degenerate,
+    note) of one check; rows with a non-empty index whose bound base (d+n-2)
+    vanishes are flagged degenerate."""
+    base_vanishes = has_base and ci.degree + ci.dimension - 2 == 0
     out = []
     for index, exact, bound, note in rows(ci):
         degenerate = base_vanishes and bool(index)
-        out.append(
-            BoundReport(
-                subject=subject,
-                n=n,
-                d=d,
-                multidegree=multidegree,
-                index=index,
-                exact_value=exact,
-                bound_value=bound,
-                satisfied=abs(exact) <= bound and (least is None or exact >= least),
-                margin=bound - abs(exact),
-                degenerate=degenerate,
-                note=DEGENERATE_NOTE if degenerate else note,
-            )
-        )
+        satisfied = abs(exact) <= bound and (least is None or exact >= least)
+        note = DEGENERATE_NOTE if degenerate else note
+        out.append((index, exact, bound, satisfied, bound - abs(exact), degenerate, note))
     return out
 
 
-# name -> callable(ci) -> list of BoundReport; verify_grid dispatches here
-_CHECKS = {name: partial(_reports, name, *rule) for name, rule in _RULES.items()}
+# name -> callable(ci) -> list of finished rows; verify_grid dispatches here
+_CHECKS = {name: partial(_reports, *rule) for name, rule in _RULES.items()}
 
 
 # -- verification grid -----------------------------------------------------
@@ -521,10 +533,28 @@ class GridResult:
 
 
 def verify_grid(spec: GridSpec) -> GridResult:
-    """Run every selected check over every grid variety."""
+    """Run every selected check over every grid variety.
+
+    A degree-1 factor is a linear re-embedding: X cut by a hyperplane of P^m
+    is the same variety in P^(m-1), with the same n and d. So the checks run
+    once per key (dimension, degrees above 1), and each later case with that
+    key copies the first one's reports under its own multidegree. The memo
+    keeps only where those reports sit in the output, and lives for this
+    call alone. The key is a plain tuple: (n, ()) is P^n, which
+    CompleteIntersection cannot hold.
+    """
     cases, truncated = enumerate_varieties(spec)
-    reports = []
+    reports, first, new = [], {}, partial(tuple.__new__, BoundReport)
     for ci in cases:
+        n, degs = ci.dimension, ci.multidegree
+        key = n, degs[degs.count(1) :]
+        if key in first:
+            start, end = first[key]
+            reports.extend([new(r[:3] + (degs,) + r[4:]) for r in reports[start:end]])
+            continue
+        start = len(reports)
         for check in spec.checks:
-            reports.extend(_CHECKS[check](ci))
+            head = check, n, ci.degree, degs
+            reports.extend([new(head + row) for row in _CHECKS[check](ci)])
+        first[key] = start, len(reports)
     return GridResult(spec=spec, cases=cases, truncated=truncated, reports=tuple(reports))

@@ -74,6 +74,8 @@ class ChernVector:
         return self.multiples
 
 
+# verify_grid calls the cached functions of this module with one variety per
+# key (dimension, degrees above 1) of its grid, so the grid caps bound them
 @lru_cache(maxsize=None)
 def tangent_chern(ci: CompleteIntersection) -> ChernVector:
     """Chern classes of the tangent bundle, via the ambient/normal quotient.

@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
 from math import comb
 
 from .betti import betti_numbers, total_betti
@@ -48,7 +47,8 @@ from .schubert import (
 from .varieties import CompleteIntersection, MultiIndex, Partition
 
 # `bound` accepts 1 <= n <= MAX_BOUND_N and 1 <= d <= MAX_BOUND_D; the largest
-# value, the Pontryagin cap at the corner, has about 21,000 decimal digits
+# value, the Pontryagin cap at the corner, has about 21,000 decimal digits.
+# `table` takes dimensions up to MAX_BOUND_N too
 MAX_BOUND_N = 256
 MAX_BOUND_D = 10**6
 # digits of a `schubert --power` index or exponent; longer ones are rejected
@@ -204,9 +204,7 @@ def _cmd_verify_signature(args) -> int:
         )
     c2_squared = squared_chern_pairing(ci, tangent_chern(ci), MultiIndex((1,)))
     report = signature_check(c2_squared, args.sigma)
-    report = replace(
-        report, n=ci.dimension, d=ci.degree, multidegree=ci.multidegree
-    )
+    report = report._replace(n=ci.dimension, d=ci.degree, multidegree=ci.multidegree)
     status = "satisfied" if report.satisfied else "violated"
     print(
         f"signature check on {ci}: |3*sigma|={exact_decimal(abs(report.exact_value))} "
@@ -241,6 +239,8 @@ TABLE_QUANTITIES = (
 
 def _cmd_table(args) -> int:
     ci = _variety_from_args(args)
+    if ci.dimension > MAX_BOUND_N:
+        raise UsageError(f"table needs dimension <= {MAX_BOUND_N}, got {ci.dimension}")
     wanted = TABLE_QUANTITIES
     if args.quantities:
         wanted = tuple(args.quantities.split(","))

@@ -62,12 +62,17 @@ class CompleteIntersection:
     @classmethod
     def from_dict(cls, data) -> "CompleteIntersection":
         """Parse the JSON shape {"ambient_dim": int, "multidegree": [int, ...]}."""
-        try:
-            ambient = int(data["ambient_dim"])
-            degs = tuple(int(d) for d in data["multidegree"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed variety spec: {exc}") from exc
-        return cls(ambient, degs)
+        if not isinstance(data, dict):
+            raise ValueError(f"variety spec must be an object, got {type(data).__name__}")
+        unknown = set(data) - {"ambient_dim", "multidegree"}
+        if unknown:
+            raise ValueError(f"unknown variety spec keys: {sorted(unknown)}")
+        ambient, degs = data.get("ambient_dim"), data.get("multidegree")
+        if type(ambient) is not int:
+            raise ValueError(f"ambient_dim must be an integer, got {ambient!r}")
+        if type(degs) is not list or any(type(d) is not int for d in degs):
+            raise ValueError(f"multidegree must be a list of integers, got {degs!r}")
+        return cls(ambient, tuple(degs))
 
     def to_dict(self) -> dict:
         return {"ambient_dim": self.ambient_dim, "multidegree": list(self.multidegree)}

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from decimal import Decimal
 
 import pytest
@@ -264,6 +265,35 @@ def test_degree_sequence_lower_limit_can_fail(monkeypatch):
     assert result.violations == result.reports
 
 
+def unmemoized_reports(spec):
+    # every case through the check table on its own, with no reduced-key memo
+    cases, _ = enumerate_varieties(spec)
+    return [
+        BoundReport(check, ci.dimension, ci.degree, ci.multidegree, *row)
+        for ci in cases
+        for check in spec.checks
+        for row in _CHECKS[check](ci)
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    (
+        # 120 of 156 cases have a degree-1 factor
+        GridSpec(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8, max_cases=10**6),
+        GridSpec(max_ambient_dim=6, max_degree_per_factor=3, max_codim=5, max_cases=10**6),
+    ),
+)
+def test_memoized_reports_match_case_by_case_checks(spec):
+    result = verify_grid(spec)
+    expected = unmemoized_reports(spec)
+    assert len(result.reports) == len(expected)
+    for got, want in zip(result.reports, expected):
+        assert got._asdict() == want._asdict()
+    keys = {(ci.dimension, tuple(d for d in ci.multidegree if d > 1)) for ci in result.cases}
+    assert len(keys) < len(result.cases)
+
+
 def test_every_check_contributes(small_grid):
     subjects = {r.subject for r in small_grid.reports}
     # no fourfolds below ambient dimension 5, so no pontryagin reports here
@@ -289,6 +319,30 @@ def test_markdown_output_shape(small_grid):
     lines = small_grid.render("markdown").splitlines()
     assert lines[0].startswith("| subject |")
     assert len(lines) == len(small_grid.reports) + 2
+
+
+def test_bound_report_is_an_immutable_named_tuple():
+    report = BoundReport(
+        subject="betti",
+        n=2,
+        d=3,
+        multidegree=(3,),
+        index=None,
+        exact_value=10,
+        bound_value=27,
+        satisfied=True,
+        margin=17,
+    )
+    assert report.degenerate is False and report.note == ""
+    assert report == ("betti", 2, 3, (3,), None, 10, 27, True, 17, False, "")
+    with pytest.raises(AttributeError):
+        report.n = 4
+    moved = report._replace(n=4, multidegree=(1, 3))
+    assert moved == ("betti", 4, 3, (1, 3), None, 10, 27, True, 17, False, "")
+    assert report.n == 2
+    assert report.witness() == (
+        "subject=betti n=2 d=3 multidegree=(3,) index=None exact=10 bound=27 margin=17"
+    )
 
 
 # -- report writers against the stdlib serializers -----------------------------------
@@ -344,6 +398,16 @@ def oracle_row(r):
     ]
 
 
+@contextmanager
+def unlimited_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 COLUMNS = ["subject", "n", "d", "multidegree", "index", "exact", "bound", "satisfied", "margin"]
 
 
@@ -361,8 +425,13 @@ def oracle_markdown(reports):
     return "\n".join(lines) + "\n"
 
 
-maybe_int = st.none() | st.integers(min_value=-(10**30), max_value=10**30)
-maybe_ints = st.none() | st.lists(st.integers(min_value=-(10**12), max_value=10**12), max_size=4).map(tuple)
+# ints past str()'s default 4,300-digit limit, which take the writers' exact_decimal path
+long_ints = st.sampled_from((10**4300, -(10**4300) - 7))
+some_int = st.integers(min_value=-(10**30), max_value=10**30) | long_ints
+maybe_int = st.none() | some_int
+maybe_ints = st.none() | st.lists(
+    st.integers(min_value=-(10**12), max_value=10**12) | long_ints, max_size=4
+).map(tuple)
 # csv.writer quotes on "," '"' and "\n" only, so a subject needs no "\r"
 subjects = st.sampled_from(CHECK_NAMES + ("signature",)) | st.text(alphabet='ab -,"\n\\', max_size=8)
 notes = st.text(alphabet=st.sampled_from('a "\\\n\r\t,\x00\x7fé€\U0001d11e') | st.characters(), max_size=12)
@@ -374,7 +443,7 @@ reports_strategy = st.builds(
     multidegree=maybe_ints,
     index=maybe_ints,
     exact_value=maybe_int,
-    bound_value=st.integers(min_value=-(10**30), max_value=10**30),
+    bound_value=some_int,
     satisfied=st.booleans(),
     margin=maybe_int,
     degenerate=st.booleans(),
@@ -393,16 +462,18 @@ specs = st.builds(
 @given(specs, st.integers(min_value=0, max_value=3), st.booleans(), st.lists(reports_strategy, max_size=5))
 def test_writers_match_stdlib_serializers(spec, cases, truncated, reports):
     result = GridResult(spec=spec, cases=(None,) * cases, truncated=truncated, reports=tuple(reports))
-    payload, expected = oracle_json(result)
-    assert result.render("json") == expected
-    assert json.loads(result.render("json")) == payload
-    assert result.render("csv") == oracle_csv(reports)
-    assert result.render("markdown") == oracle_markdown(reports)
+    rendered = {fmt: result.render(fmt) for fmt in ("json", "csv", "markdown")}
     # the signature check's --out file: a document with the report list alone
     buffer = io.StringIO()
     write_json(buffer, tuple(reports))
-    standalone = {"reports": [oracle_dict(r) for r in reports]}
-    assert buffer.getvalue() == json.dumps(standalone, indent=2) + "\n"
+    with unlimited_int_digits():  # the stdlib oracles print every int with str()
+        payload, expected = oracle_json(result)
+        assert rendered["json"] == expected
+        assert json.loads(rendered["json"]) == payload
+        assert rendered["csv"] == oracle_csv(reports)
+        assert rendered["markdown"] == oracle_markdown(reports)
+        standalone = {"reports": [oracle_dict(r) for r in reports]}
+        assert buffer.getvalue() == json.dumps(standalone, indent=2) + "\n"
 
 
 def test_writers_on_an_empty_report_list():

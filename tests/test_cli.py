@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from charbound.cli import main
 from charbound.schubert import grassmannian_degree
 
@@ -328,6 +330,41 @@ def test_table_invalid_spec(capsys):
     assert code == 2
     code, _, _ = run(capsys, "table", "-m", "3")
     assert code == 2
+
+
+BAD_VARIETY_SPECS = (
+    ({"ambient_dim": 4.7, "multidegree": [2.9]}, "ambient_dim must be an integer"),
+    ({"ambient_dim": 4, "multidegree": [2.9]}, "multidegree must be a list of integers"),
+    ({"ambient_dim": "3", "multidegree": [2]}, "ambient_dim must be an integer"),
+    ({"ambient_dim": 5, "multidegree": ["2"]}, "multidegree must be a list of integers"),
+    ({"ambient_dim": True, "multidegree": [2]}, "ambient_dim must be an integer"),
+    ({"ambient_dim": 5, "multidegree": 2}, "multidegree must be a list of integers"),
+    ({"multidegree": [2]}, "ambient_dim must be an integer"),
+    ({"ambient_dim": 5, "multidegree": [2], "degree": 2}, "unknown variety spec keys"),
+    ([5, [2]], "variety spec must be an object"),
+)
+
+
+@pytest.mark.parametrize("data, message", BAD_VARIETY_SPECS)
+def test_variety_files_reject_non_integer_sizes_and_unknown_keys(tmp_path, capsys, data, message):
+    spec = tmp_path / "v.json"
+    spec.write_text(json.dumps(data))
+    for argv in (("table",), ("verify", "--sigma", "0")):
+        code, out, err = run(capsys, *argv, "--variety", str(spec))
+        assert code == 2, argv
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+
+def test_table_refuses_a_dimension_past_the_cap_before_computing(capsys, monkeypatch):
+    for name in ("canonical_class", "euler_characteristic", "betti_numbers", "tangent_chern"):
+        monkeypatch.setattr(f"charbound.cli.{name}", lambda ci: pytest.fail("computed"))
+    code, out, err = run(capsys, "table", "-m", "3000", "-D", "2")
+    assert code == 2
+    assert out == ""
+    assert "dimension <= 256, got 2999" in err
+    code, out, _ = run(capsys, "table", "-m", "257", "-D", "1", "--quantities", "dimension")
+    assert (code, out) == (0, "variety: m=257 deg=(1)\ndimension: 256\n")
 
 
 # -- schubert -----------------------------------------------------------------------
