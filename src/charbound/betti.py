@@ -20,20 +20,25 @@ def genus_plane_curve(d: int) -> int:
     return (d - 1) * (d - 2) // 2
 
 
-# one entry per reduced grid key and hyperplane section; see chern.tangent_chern
+# one entry per variety a caller asks about; verify_grid reads betti_from_euler
 @lru_cache(maxsize=None)
 def betti_numbers(ci: CompleteIntersection) -> tuple:
     """b_0..b_2n: projective-space values off the middle, middle from chi."""
-    n = ci.dimension
-    chi = euler_characteristic(ci)
-    betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
+    return betti_from_euler(ci.dimension, euler_characteristic(ci))
+
+
+def betti_from_euler(n: int, chi: int) -> tuple:
+    """b_0..b_2n of a smooth n-dimensional complete intersection with Euler
+    characteristic chi: 1 in each even degree off the middle, 0 in each odd
+    one, and the middle number whatever makes the alternating sum chi."""
+    betti = [1, 0] * n + [1]
     betti[n] = 0
-    off_middle = sum(b if i % 2 == 0 else -b for i, b in enumerate(betti))
-    middle = (chi - off_middle) if n % 2 == 0 else -(chi - off_middle)
+    # off the middle every odd-degree number is 0, so the alternating sum is the sum
+    middle = chi - sum(betti) if n % 2 == 0 else sum(betti) - chi
     if middle < 0:
         raise RuntimeError(
-            f"negative middle Betti number {middle} for {ci}; inconsistent "
-            "Euler characteristic"
+            f"negative middle Betti number {middle} for dimension {n} and chi={chi}; "
+            "inconsistent Euler characteristic"
         )
     betti[n] = middle
     return tuple(betti)

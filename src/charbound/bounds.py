@@ -14,26 +14,27 @@ from dataclasses import dataclass, fields
 from decimal import Decimal
 from functools import cached_property, lru_cache, partial
 from io import StringIO
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from json.encoder import encode_basestring_ascii
+from math import comb, prod
+from operator import add, itemgetter, mul
 from typing import NamedTuple
 
-from .betti import betti_numbers, total_betti
+from .betti import betti_from_euler
 from .chern import (
     DegreeError,
-    ample_degree_sequence,
-    chern_number,
-    cotangent_chern,
-    euler_characteristic,
-    schur_class,
-    squared_chern_pairing,
-    twist_chern,
+    degree_sequence,
+    dual_sequence,
+    plan_determinant,
+    schur_plan,
+    tangent_multiples,
 )
-from .varieties import CompleteIntersection, MultiIndex, Partition, partitions_of
+from .varieties import CompleteIntersection, MultiIndex, partitions_of
 
 # every check of a dimension-n case walks all partitions of weight <= n, a
 # count that grows exponentially in n; the 23 hypersurfaces of the grid
-# max_ambient_dim=24, max_degree_per_factor=1 take about 2 s
+# max_ambient_dim=24, max_degree_per_factor=1, max_codim=1 take about 0.9 s
+# in a fresh process
 MAX_AMBIENT_DIM = 24
 
 DEGENERATE_NOTE = "degenerate bound base (d+n-2)=0; settled by direct inspection"
@@ -226,16 +227,20 @@ def curve_betti_bound(d: int) -> int:
     return 2 + (d - 1) * (d - 2)
 
 
-# one entry per reduced grid key and hyperplane section; see chern.tangent_chern
 @lru_cache(maxsize=None)
-def betti_bound_recursive(ci: CompleteIntersection) -> int:
-    """Recurse through hyperplane sections: 4*b(H) + 2*2^(n^2)*d^(n+1)."""
-    n, d = ci.dimension, ci.degree
+def _recursive_betti_bound(n: int, d: int) -> int:
     if n == 1:
         return curve_betti_bound(d)
-    return 4 * betti_bound_recursive(ci.hyperplane_section()) + 2 * 2 ** (n * n) * d ** (
-        n + 1
-    )
+    return 4 * _recursive_betti_bound(n - 1, d) + 2 * 2 ** (n * n) * d ** (n + 1)
+
+
+def betti_bound_recursive(ci: CompleteIntersection) -> int:
+    """Recurse through hyperplane sections: 4*b(H) + 2*2^(n^2)*d^(n+1).
+
+    A hyperplane section keeps the degree d and lowers n by one, so the
+    recursion runs on (n, d) alone and ends at the plane-curve bound.
+    """
+    return _recursive_betti_bound(ci.dimension, ci.degree)
 
 
 def nef_chern_bound(n: int, d: int, index: MultiIndex) -> int:
@@ -287,92 +292,129 @@ def blowup_euler(
 
 
 # -- checks ----------------------------------------------------------------
-# Each check yields (index, exact, bound, note) rows for one variety; the
-# table below says which lower limit and which bound base apply to them.
+# Each check gives the columns (indices, exact values, bounds, notes) of its
+# rows for one variety, all from plain ints; the table below says which
+# lower limit and which bound base apply to them.
 
 
-@lru_cache(maxsize=None)
-def _indices_up_to(n: int):
-    # multi-indices with entries in [1, n] and weight <= n, one per multiset
-    out = [MultiIndex(())]
-    for total in range(1, n + 1):
-        out.extend(MultiIndex(p) for p in partitions_of(total))
-    return tuple(out)
+class _Tables:
+    """What every variety of dimension n shares; build it through _tables(n),
+    which extends the tables one dimension down."""
+
+    __slots__ = ("indices", "weights", "steps", "plans", "twist", "singles")
+
+    def __init__(self, n: int):
+        # row i of twist: (-1)^j * C(n-j, i-j) * 2^(i-j) for j <= i
+        self.twist = tuple(
+            tuple((-1) ** j * comb(n - j, i - j) * 2 ** (i - j) for j in range(i + 1))
+            for i in range(n + 1)
+        )
+        if n == 0:
+            self.indices, self.weights, self.steps, self.plans = ((),), (0,), (), ()
+            self.singles = ((0,),)
+            return
+        below = _tables(n - 1)
+        where = {parts: i for i, parts in enumerate(below.indices)}
+        new = tuple(partitions_of(n))
+        # () and the partitions of 1..n by weight: the multi-indices
+        self.indices = below.indices + new
+        self.weights = below.weights + (n,) * len(new)
+        # (position of I minus its last part, that part) for each I != ()
+        self.steps = below.steps + tuple((where[parts[:-1]], parts[-1]) for parts in new)
+        # chern.schur_plan of each shape, the indices after ()
+        self.plans = below.plans + tuple(map(schur_plan, new))
+        self.singles = below.singles + ((n,),)
 
 
-@lru_cache(maxsize=None)
-def _shapes_up_to(n: int):
-    out = []
-    for total in range(1, n + 1):
-        out.extend(Partition(p) for p in partitions_of(total))
-    return tuple(out)
+# one entry per dimension, at most MAX_AMBIENT_DIM of them
+_tables = lru_cache(maxsize=None)(_Tables)
 
 
-# one entry per reduced grid key; see chern.tangent_chern
-@lru_cache(maxsize=None)
-def _nef_twist(ci: CompleteIntersection):
-    """The cotangent bundle twisted by 2h, which is nef; shared by three checks."""
-    return twist_chern(cotangent_chern(ci), 2)
+class _Variety:
+    """The ints every check of one grid key reads."""
+
+    __slots__ = ("n", "d", "tables", "tangent", "twisted", "sequence", "powers", "betti")
+
+    def __init__(self, ambient_dim: int, degrees: tuple, n: int):
+        d = prod(degrees)
+        self.n, self.d, self.tables = n, d, _tables(n)
+        # a_0..a_n of the tangent bundle, and of the cotangent bundle twisted
+        # by 2h, which is nef
+        a = self.tangent = tangent_multiples(ambient_dim, degrees, n)
+        self.twisted = [sum(map(mul, row, a)) for row in self.tables.twist]
+        # the ample degree sequence, for A = K + (n+2)h with K = -c_1
+        self.sequence = degree_sequence(n + 2 - a[1], d, n)
+        # d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight
+        self.powers = [d * (d + n - 2) ** w for w in range(n + 1)]
+        self.betti = betti_from_euler(n, d * a[n])
 
 
-def _degree_sequence_rows(ci):
-    d = ci.degree
-    for i, value in enumerate(ample_degree_sequence(ci)):
-        yield (i,), value, d ** (i + 1), ""
+def _chern_numbers(v: _Variety, multiples) -> list:
+    """d * prod(multiples[i] for i in I) for every index I of v's tables,
+    each one the product of its parent's by its last part's multiple."""
+    values = [v.d]
+    append = values.append
+    for parent, last in v.tables.steps:
+        append(values[parent] * multiples[last])
+    return values
 
 
-def _log_concavity_rows(ci):
-    seq = ample_degree_sequence(ci)
-    for i in range(2, len(seq)):
-        yield (i,), seq[i] * seq[i - 2], seq[i - 1] ** 2, ""
+def _degree_sequence_rows(v):
+    d = v.d
+    bounds = [d ** (i + 1) for i in range(v.n + 1)]
+    return v.tables.singles, v.sequence, bounds, repeat("")
 
 
-def _nef_chern_rows(ci):
-    n, d, twisted = ci.dimension, ci.degree, _nef_twist(ci)
-    for index in _indices_up_to(n):
-        value = chern_number(ci, twisted, index)
-        yield index.entries, value, nef_chern_bound(n, d, index), ""
+def _log_concavity_rows(v):
+    seq = v.sequence
+    products = list(map(mul, seq[2:], seq))
+    return v.tables.singles[2:], products, [x * x for x in seq[1:-1]], repeat("")
 
 
-def _cotangent_chern_rows(ci):
-    n, d, cot = ci.dimension, ci.degree, cotangent_chern(ci)
-    for index in _indices_up_to(n):
-        value = chern_number(ci, cot, index)
-        yield index.entries, value, cotangent_chern_bound(n, d, index), ""
+def _nef_chern_rows(v):
+    bounds = list(map(v.powers.__getitem__, v.tables.weights))
+    return v.tables.indices, _chern_numbers(v, v.twisted), bounds, repeat("")
 
 
-def _betti_rows(ci):
-    yield None, total_betti(ci), betti_bound(ci.dimension, ci.degree), ""
+def _cotangent_chern_rows(v):
+    cotangent = [-a if i % 2 else a for i, a in enumerate(v.tangent)]
+    scale = 2 ** (v.n * v.n)
+    powers = [scale * power for power in v.powers]
+    bounds = list(map(powers.__getitem__, v.tables.weights))
+    return v.tables.indices, _chern_numbers(v, cotangent), bounds, repeat("")
 
 
-def _betti_recursive_rows(ci):
-    yield None, total_betti(ci), betti_bound_recursive(ci), ""
+def _betti_rows(v):
+    return (None,), (sum(v.betti),), (betti_bound(v.n, v.d),), ("",)
 
 
-def _euler_rows(ci):
-    chi = euler_characteristic(ci)
-    alternating = sum(b if i % 2 == 0 else -b for i, b in enumerate(betti_numbers(ci)))
-    yield None, chi - alternating, 0, f"chi={chi} alternating_betti={alternating}"
+def _betti_recursive_rows(v):
+    return (None,), (sum(v.betti),), (_recursive_betti_bound(v.n, v.d),), ("",)
 
 
-def _schur_positivity_rows(ci):
+def _euler_rows(v):
+    chi = v.d * v.tangent[v.n]
+    alternating = sum(v.betti[::2]) - sum(v.betti[1::2])
+    return (None,), (chi - alternating,), (0,), (f"chi={chi} alternating_betti={alternating}",)
+
+
+def _schur_positivity_rows(v):
     # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the check is
     # one-sided, so the row carries the shortfall min(pairing, 0)
-    twisted = _nef_twist(ci)
-    for shape in _shapes_up_to(ci.dimension):
-        pairing = schur_class(twisted, shape) * ci.degree
-        yield shape.parts, min(pairing, 0), 0, f"pairing={pairing}"
+    a, b, d = v.twisted + [0], dual_sequence(v.twisted) + [0], v.d
+    pairings = [plan_determinant(plan, a, b) * d for plan in v.tables.plans]
+    shortfalls = [pairing if pairing < 0 else 0 for pairing in pairings]
+    notes = [f"pairing={pairing}" for pairing in pairings]
+    return v.tables.indices[1:], shortfalls, [0] * len(pairings), notes
 
 
-def _pontryagin_rows(ci):
-    n = ci.dimension
+def _pontryagin_rows(v):
+    n, d, twisted = v.n, v.d, v.twisted
     if n % 4 != 0:
-        return
-    twisted = _nef_twist(ci)
-    bound = pontryagin_bound(n, ci.degree)
-    for parts in partitions_of(n // 4):
-        index = MultiIndex(parts)
-        yield index.entries, squared_chern_pairing(ci, twisted, index), bound, ""
+        return (), (), (), ()
+    indices = tuple(partitions_of(n // 4))
+    values = [d * prod(twisted[2 * j] ** 2 for j in parts) for parts in indices]
+    return indices, values, [pontryagin_bound(n, d)] * len(values), repeat("")
 
 
 # name -> (rows, least legal exact value or None, bound has the base (d+n-2))
@@ -391,21 +433,20 @@ _RULES = {
 CHECK_NAMES = tuple(_RULES)
 
 
-def _reports(rows, least, has_base, ci) -> list:
+def _reports(rows, least, has_base, v: _Variety) -> list:
     """The finished rows (index, exact, bound, satisfied, margin, degenerate,
     note) of one check; rows with a non-empty index whose bound base (d+n-2)
     vanishes are flagged degenerate."""
-    base_vanishes = has_base and ci.degree + ci.dimension - 2 == 0
-    out = []
-    for index, exact, bound, note in rows(ci):
-        degenerate = base_vanishes and bool(index)
-        satisfied = abs(exact) <= bound and (least is None or exact >= least)
-        note = DEGENERATE_NOTE if degenerate else note
-        out.append((index, exact, bound, satisfied, bound - abs(exact), degenerate, note))
+    out = [
+        (i, e, b, (m := b - abs(e)) >= 0 and (least is None or e >= least), m, False, note)
+        for i, e, b, note in zip(*rows(v))
+    ]
+    if has_base and v.d + v.n == 2:
+        out = [row[:5] + (True, DEGENERATE_NOTE) if row[0] else row for row in out]
     return out
 
 
-# name -> callable(ci) -> list of finished rows; verify_grid dispatches here
+# name -> callable(variety) -> list of finished rows; verify_grid dispatches here
 _CHECKS = {name: partial(_reports, *rule) for name, rule in _RULES.items()}
 
 
@@ -544,17 +585,25 @@ def verify_grid(spec: GridSpec) -> GridResult:
     CompleteIntersection cannot hold.
     """
     cases, truncated = enumerate_varieties(spec)
-    reports, first, new = [], {}, partial(tuple.__new__, BoundReport)
+    reports, first = [], {}
+    new, front, tail = (
+        partial(tuple.__new__, BoundReport),
+        itemgetter(slice(3)),
+        itemgetter(slice(4, None)),
+    )
     for ci in cases:
-        n, degs = ci.dimension, ci.multidegree
+        m, degs = ci.ambient_dim, ci.multidegree
+        n = m - len(degs)
         key = n, degs[degs.count(1) :]
         if key in first:
-            start, end = first[key]
-            reports.extend([new(r[:3] + (degs,) + r[4:]) for r in reports[start:end]])
+            # r[:3] + (degs,) + r[4:] for each report r of the key's first case
+            done = reports[slice(*first[key])]
+            labels = map(add, map(front, done), repeat((degs,)))
+            reports.extend(map(new, map(add, labels, map(tail, done))))
             continue
-        start = len(reports)
+        start, v = len(reports), _Variety(m, degs, n)
         for check in spec.checks:
-            head = check, n, ci.degree, degs
-            reports.extend([new(head + row) for row in _CHECKS[check](ci)])
+            rows = _CHECKS[check](v)
+            reports.extend(map(new, map(add, repeat((check, n, v.d, degs)), rows)))
         first[key] = start, len(reports)
     return GridResult(spec=spec, cases=cases, truncated=truncated, reports=tuple(reports))

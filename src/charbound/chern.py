@@ -9,7 +9,16 @@ a_0..a_rank, and every computation is plain integer arithmetic on it:
 - a twist by t*h is a binomial sum of the multiples;
 - a Chern number is the degree times a product of multiples;
 - a Schur class s_lambda is D * h^|lambda|, with D the Jacobi-Trudi
-  determinant of the multiples, computed by Bareiss elimination.
+  determinant of the multiples, computed by Bareiss elimination on the
+  shorter side of the shape: when lambda_1 < len(lambda), the conjugate
+  shape against the dual sequence b of B(t) = 1 / A(-t), an order
+  lambda_1 matrix in place of an order len(lambda) one. Orders 1 and 2
+  are expanded directly.
+
+The grid kernel in ``bounds`` reads the int-level helpers here
+(``tangent_multiples``, ``degree_sequence``, ``schur_plan``,
+``dual_sequence``, ``plan_determinant``) directly; the per-variety
+functions delegate to the same helpers.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+from operator import itemgetter, mul
 
 from .varieties import CompleteIntersection, MultiIndex, Partition
 
@@ -74,8 +84,8 @@ class ChernVector:
         return self.multiples
 
 
-# verify_grid calls the cached functions of this module with one variety per
-# key (dimension, degrees above 1) of its grid, so the grid caps bound them
+# the cached functions of this module hold one entry per variety a caller
+# asks about; verify_grid reads the int-level helpers instead
 @lru_cache(maxsize=None)
 def tangent_chern(ci: CompleteIntersection) -> ChernVector:
     """Chern classes of the tangent bundle, via the ambient/normal quotient.
@@ -84,11 +94,17 @@ def tangent_chern(ci: CompleteIntersection) -> ChernVector:
     up to h^n; dividing by (1 + d h) is the recursion b_k = a_k - d * b_(k-1).
     """
     n = ci.dimension
-    series = [comb(ci.ambient_dim + 1, i) for i in range(n + 1)]
-    for d in ci.multidegree:
+    return ChernVector(n, tuple(tangent_multiples(ci.ambient_dim, ci.multidegree, n)), n)
+
+
+def tangent_multiples(ambient_dim: int, degrees, n: int) -> list:
+    """a_0..a_n of the tangent bundle of the complete intersection of
+    ``degrees`` in P^ambient_dim, whose dimension is n."""
+    series = [comb(ambient_dim + 1, i) for i in range(n + 1)]
+    for d in degrees:
         for k in range(1, n + 1):
             series[k] -= d * series[k - 1]
-    return ChernVector(n, tuple(series), n)
+    return series
 
 
 @lru_cache(maxsize=None)
@@ -167,9 +183,13 @@ def ample_degree_sequence(ci: CompleteIntersection) -> tuple:
     Entry 0 is the degree; for hypersurfaces the sequence is exactly
     (d, d^2, ..., d^(n+1)).
     """
-    a = ample_class(ci)
-    d = ci.degree
-    return tuple(a**i * d for i in range(ci.dimension + 1))
+    return degree_sequence(ample_class(ci), ci.degree, ci.dimension)
+
+
+def degree_sequence(a: int, d: int, n: int) -> tuple:
+    """(d, a*d, ..., a^n*d): the pairings h^(n-i) * (a*h)^i on a degree-d
+    n-fold."""
+    return tuple([a**i * d for i in range(n + 1)])
 
 
 def schur_class(e: ChernVector, shape: Partition) -> int:
@@ -179,8 +199,7 @@ def schur_class(e: ChernVector, shape: Partition) -> int:
     entries with index below 0 or above the rank are zero and a_0 = 1. The
     empty shape gives 1; a shape larger than the cap gives 0.
     """
-    r = len(shape)
-    if r == 0:
+    if len(shape) == 0:
         return 1
     if shape.parts[0] > e.rank:
         raise ValueError(
@@ -188,10 +207,61 @@ def schur_class(e: ChernVector, shape: Partition) -> int:
         )
     if shape.size > e.cap:
         return 0
-    matrix = [
-        [e.chern(shape.parts[i] - i + j) for j in range(r)] for i in range(r)
-    ]
-    return bareiss_determinant(matrix)
+    # every entry index is at most |lambda| <= cap
+    a = list(e.multiples[: shape.size + 1])
+    a += [0] * (shape.size + 1 - len(a))
+    plan = schur_plan(shape.parts)
+    return plan_determinant(plan, a + [0], dual_sequence(a) + [0] if plan[0] else None)
+
+
+def conjugate(parts: tuple) -> tuple:
+    """The conjugate partition: column lengths of the Young diagram."""
+    return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
+
+
+def schur_plan(parts: tuple) -> tuple:
+    """(dual, order, entries): the Jacobi-Trudi matrix of a non-empty shape
+    on its shorter side.
+
+    A shape with lambda_1 < len(lambda) is replaced by its conjugate, whose
+    determinant is taken against the dual sequence (dual is True). The
+    matrix has ``order`` rows, and ``entries`` reads them from a sequence
+    row by row (one value when the order is 1). An entry whose index is
+    below 0 reads position -1, so a sequence that ends in a 0 gives it 0.
+    """
+    dual = parts[0] < len(parts)
+    if dual:
+        parts = conjugate(parts)
+    order = len(parts)
+    flat = [max(p - i + j, -1) for i, p in enumerate(parts) for j in range(order)]
+    return dual, order, itemgetter(*flat)
+
+
+def dual_sequence(a) -> list:
+    """b with B(t) = 1 / A(-t), as many terms as ``a`` has (a_0 = 1).
+
+    b_k = sum_i (-1)^(i-1) * a_i * b_(k-i). Since det(a_{lambda_i - i + j})
+    = det(b_{lambda'_i - i + j}) for every shape (the two Jacobi-Trudi
+    forms), b serves the conjugate of a shape.
+    """
+    signed = [-x if i % 2 == 0 else x for i, x in enumerate(a)]
+    b = [1]
+    for k in range(1, len(a)):
+        b.append(sum(map(mul, signed[1 : k + 1], reversed(b))))
+    return b
+
+
+def plan_determinant(plan: tuple, a, b) -> int:
+    """The determinant ``plan`` (from ``schur_plan``) lays out over a, or
+    over its dual sequence b; both end in one 0 past the entries it reads."""
+    dual, order, entries = plan
+    values = entries(b if dual else a)
+    if order == 1:
+        return values
+    if order == 2:
+        w, x, y, z = values
+        return w * z - x * y
+    return bareiss_determinant([values[i : i + order] for i in range(0, order * order, order)])
 
 
 def bareiss_determinant(matrix) -> int:

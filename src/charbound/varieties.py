@@ -30,7 +30,12 @@ class CompleteIntersection:
     multidegree: tuple
 
     def __post_init__(self):
-        degs = tuple(sorted(int(d) for d in self.multidegree))
+        if type(self.ambient_dim) is not int:
+            raise ValueError(f"ambient_dim must be an integer, got {self.ambient_dim!r}")
+        for d in self.multidegree:
+            if type(d) is not int:
+                raise ValueError(f"degrees must be integers, got {d!r}")
+        degs = tuple(sorted(self.multidegree))
         object.__setattr__(self, "multidegree", degs)
         if not degs:
             raise ValueError("multidegree must contain at least one factor")

@@ -6,11 +6,13 @@ from contextlib import contextmanager
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
+from charbound.betti import betti_numbers, total_betti
 from charbound.bounds import (
     _CHECKS,
     CHECK_NAMES,
+    DEGENERATE_NOTE,
     BoundReport,
     GridResult,
     GridSpec,
@@ -27,8 +29,17 @@ from charbound.bounds import (
     verify_grid,
     write_json,
 )
-from charbound.chern import DegreeError
-from charbound.varieties import CompleteIntersection, MultiIndex
+from charbound.chern import (
+    DegreeError,
+    ample_degree_sequence,
+    bareiss_determinant,
+    chern_number,
+    cotangent_chern,
+    euler_characteristic,
+    squared_chern_pairing,
+    twist_chern,
+)
+from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
 
 
 # -- closed-form bound formulas ------------------------------------------------
@@ -244,7 +255,9 @@ def test_check_table_lists_every_name_once():
 
 def test_nef_chern_lower_limit_can_fail(monkeypatch):
     # a negative pairing is within |exact| <= bound but below the limit 0
-    monkeypatch.setattr("charbound.bounds.chern_number", lambda ci, e, index: -1)
+    monkeypatch.setattr(
+        "charbound.bounds._chern_numbers", lambda v, multiples: [-1] * len(v.tables.indices)
+    )
     spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=3, checks=("nef-chern",))
     result = verify_grid(spec)
     plain = [r for r in result.reports if not r.degenerate]
@@ -255,9 +268,7 @@ def test_nef_chern_lower_limit_can_fail(monkeypatch):
 
 
 def test_degree_sequence_lower_limit_can_fail(monkeypatch):
-    monkeypatch.setattr(
-        "charbound.bounds.ample_degree_sequence", lambda ci: (0,) * (ci.dimension + 1)
-    )
+    monkeypatch.setattr("charbound.bounds.degree_sequence", lambda a, d, n: (0,) * (n + 1))
     spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=3, checks=("degree-sequence",))
     result = verify_grid(spec)
     assert result.reports
@@ -265,15 +276,91 @@ def test_degree_sequence_lower_limit_can_fail(monkeypatch):
     assert result.violations == result.reports
 
 
-def unmemoized_reports(spec):
-    # every case through the check table on its own, with no reduced-key memo
-    cases, _ = enumerate_varieties(spec)
+# -- the grid kernel against a case-by-case oracle -------------------------------
+# Built from the public per-variety functions, one case and one index at a
+# time, with no reduced-key memo: chern_number on ChernVectors, Schur classes
+# as long-side Jacobi-Trudi determinants, and the recursive Betti bound
+# through CompleteIntersection hyperplane sections.
+
+ORACLE_LEAST = {"degree-sequence": 1, "nef-chern": 0}
+ORACLE_HAS_BASE = {"nef-chern", "cotangent-chern", "pontryagin"}
+
+
+def oracle_indices(n):
+    return [()] + [parts for total in range(1, n + 1) for parts in partitions_of(total)]
+
+
+def long_side_schur(e, parts):
+    r = len(parts)
+    return bareiss_determinant([[e.chern(parts[i] - i + j) for j in range(r)] for i in range(r)])
+
+
+def sectioned_betti_bound(ci):
+    n, d = ci.dimension, ci.degree
+    if n == 1:
+        return curve_betti_bound(d)
+    return 4 * sectioned_betti_bound(ci.hyperplane_section()) + 2 * 2 ** (n * n) * d ** (n + 1)
+
+
+def oracle_rows(check, ci):
+    n, d = ci.dimension, ci.degree
+    twisted = twist_chern(cotangent_chern(ci), 2)
+    if check in ("degree-sequence", "log-concavity"):
+        seq = ample_degree_sequence(ci)
+        if check == "degree-sequence":
+            return [((i,), value, d ** (i + 1), "") for i, value in enumerate(seq)]
+        return [((i,), seq[i] * seq[i - 2], seq[i - 1] ** 2, "") for i in range(2, n + 1)]
+    if check in ("nef-chern", "cotangent-chern"):
+        if check == "nef-chern":
+            e, bound = twisted, nef_chern_bound
+        else:
+            e, bound = cotangent_chern(ci), cotangent_chern_bound
+        return [
+            (parts, chern_number(ci, e, MultiIndex(parts)), bound(n, d, MultiIndex(parts)), "")
+            for parts in oracle_indices(n)
+        ]
+    if check == "betti":
+        return [(None, total_betti(ci), betti_bound(n, d), "")]
+    if check == "betti-recursive":
+        return [(None, total_betti(ci), sectioned_betti_bound(ci), "")]
+    if check == "euler":
+        chi = euler_characteristic(ci)
+        alternating = sum((-1) ** i * b for i, b in enumerate(betti_numbers(ci)))
+        return [(None, chi - alternating, 0, f"chi={chi} alternating_betti={alternating}")]
+    if check == "schur-positivity":
+        rows = []
+        for parts in oracle_indices(n)[1:]:
+            pairing = long_side_schur(twisted, parts) * d
+            rows.append((parts, min(pairing, 0), 0, f"pairing={pairing}"))
+        return rows
+    assert check == "pontryagin"
+    if n % 4:
+        return []
+    bound = pontryagin_bound(n, d)
     return [
-        BoundReport(check, ci.dimension, ci.degree, ci.multidegree, *row)
-        for ci in cases
-        for check in spec.checks
-        for row in _CHECKS[check](ci)
+        (parts, squared_chern_pairing(ci, twisted, MultiIndex(parts)), bound, "")
+        for parts in partitions_of(n // 4)
     ]
+
+
+def oracle_reports(spec):
+    out = []
+    for ci in enumerate_varieties(spec)[0]:
+        n, d = ci.dimension, ci.degree
+        for check in spec.checks:
+            least = ORACLE_LEAST.get(check)
+            for index, exact, bound, note in oracle_rows(check, ci):
+                degenerate = check in ORACLE_HAS_BASE and d + n - 2 == 0 and bool(index)
+                satisfied = abs(exact) <= bound and (least is None or exact >= least)
+                note = DEGENERATE_NOTE if degenerate else note
+                margin = bound - abs(exact)
+                out.append(
+                    BoundReport(
+                        check, n, d, ci.multidegree, index, exact, bound, satisfied, margin,
+                        degenerate, note,
+                    )
+                )
+    return out
 
 
 @pytest.mark.parametrize(
@@ -282,14 +369,17 @@ def unmemoized_reports(spec):
         # 120 of 156 cases have a degree-1 factor
         GridSpec(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8, max_cases=10**6),
         GridSpec(max_ambient_dim=6, max_degree_per_factor=3, max_codim=5, max_cases=10**6),
+        # reaches dimension 11, where Schur shapes need order-6 determinants
+        GridSpec(max_ambient_dim=12, max_degree_per_factor=3, max_codim=2, max_cases=10**6),
     ),
 )
 def test_memoized_reports_match_case_by_case_checks(spec):
     result = verify_grid(spec)
-    expected = unmemoized_reports(spec)
+    expected = oracle_reports(spec)
     assert len(result.reports) == len(expected)
     for got, want in zip(result.reports, expected):
         assert got._asdict() == want._asdict()
+        assert type(got.satisfied) is bool and type(got.degenerate) is bool
     keys = {(ci.dimension, tuple(d for d in ci.multidegree if d > 1)) for ci in result.cases}
     assert len(keys) < len(result.cases)
 
@@ -459,6 +549,10 @@ specs = st.builds(
 )
 
 
+# Without the explain phase: after shrinking, it reruns the failing example
+# with each part varied, and pytest formats a traceback for every rerun that
+# fails. That took a broken writer 50-100 s to report, shrinking itself 5-13 s.
+@settings(phases=tuple(phase for phase in Phase if phase is not Phase.explain))
 @given(specs, st.integers(min_value=0, max_value=3), st.booleans(), st.lists(reports_strategy, max_size=5))
 def test_writers_match_stdlib_serializers(spec, cases, truncated, reports):
     result = GridResult(spec=spec, cases=(None,) * cases, truncated=truncated, reports=tuple(reports))

@@ -24,14 +24,17 @@ from charbound.chern import (
     canonical_class,
     chern_number,
     cotangent_chern,
+    dual_sequence,
     euler_characteristic,
+    plan_determinant,
     pontryagin_to_chern_index,
     schur_class,
+    schur_plan,
     squared_chern_pairing,
     tangent_chern,
     twist_chern,
 )
-from charbound.varieties import CompleteIntersection, MultiIndex, Partition
+from charbound.varieties import CompleteIntersection, MultiIndex, Partition, partitions_of
 from series_ring import Series, convolve
 
 
@@ -328,6 +331,38 @@ def test_schur_class_matches_ring_jacobi_trudi(case):
     d = ring.coeffs[shape.size] if shape.size <= e.cap else 0
     assert ring == Series.monomial(d, shape.size, e.cap)
     assert schur_class(e, shape) == d
+
+
+@st.composite
+def sequences_and_shapes(draw):
+    # a_0 = 1 and a_1..a_w for a shape of weight w <= 12; half the shapes are
+    # flipped to their conjugates, so lambda_1 < len(lambda) is common
+    weight = draw(st.integers(min_value=1, max_value=12))
+    parts = draw(st.sampled_from(list(partitions_of(weight))))
+    if draw(st.booleans()):
+        parts = tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+    tail = draw(st.lists(st.integers(-9, 9), min_size=weight, max_size=weight))
+    return [1, *tail], parts
+
+
+@given(sequences_and_shapes())
+def test_shorter_side_schur_matches_long_side_bareiss(case):
+    a, parts = case
+    r = len(parts)
+    entry = lambda k: a[k] if 0 <= k < len(a) else 0
+    long_side = bareiss_determinant(
+        [[entry(parts[i] - i + j) for j in range(r)] for i in range(r)]
+    )
+    plan = schur_plan(parts)
+    assert plan[0] == (parts[0] < r)
+    assert plan[1] == min(parts[0], r)
+    assert plan_determinant(plan, a + [0], dual_sequence(a) + [0]) == long_side
+
+
+def test_dual_sequence_inverts_the_signed_series():
+    # B(t) * A(-t) = 1: (1 + 2t + t^2)(1 - 2t + 3t^2 - 4t^3) = 1 + O(t^4)
+    assert dual_sequence([1, 2, 3, 4]) == [1, 2, 1, 0]
+    assert dual_sequence([1]) == [1]
 
 
 @st.composite

@@ -29,7 +29,17 @@ ENV = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"))
 
 
 @pytest.mark.parametrize(
-    "entry", ["default-json", "default-csv", "deep-json", "wide-csv", "default-markdown"]
+    "entry",
+    [
+        "default-json",
+        "default-csv",
+        "deep-json",
+        "wide-csv",
+        "default-markdown",
+        # dimension 9 with degree-4 factors, and 12,645 cases of dimension <= 4
+        "deep-d4-json",
+        "wide-d20-csv",
+    ],
 )
 def test_fresh_process_output_matches_golden_digest(entry):
     golden = DIGESTS[entry]

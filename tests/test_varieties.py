@@ -48,6 +48,16 @@ def test_validation():
         CompleteIntersection(3, (0,))
 
 
+def test_constructor_takes_integer_sizes_only():
+    # int() used to truncate these silently: m=4.7 deg=(2) and deg=(1,2)
+    with pytest.raises(ValueError, match="ambient_dim must be an integer"):
+        CompleteIntersection(4.7, (2.9,))
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        CompleteIntersection(5, (True, 2))
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        CompleteIntersection(4, (2.0,))
+
+
 def test_json_roundtrip():
     ci = CompleteIntersection(4, (2, 3))
     assert CompleteIntersection.from_dict(ci.to_dict()) == ci
