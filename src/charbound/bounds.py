@@ -10,8 +10,6 @@ than special-cased, and the flagged cases are settled by direct inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from decimal import Decimal
 from functools import cached_property, lru_cache, partial
 from io import StringIO
 from itertools import combinations_with_replacement, repeat
@@ -29,7 +27,14 @@ from .chern import (
     schur_plan,
     tangent_multiples,
 )
-from .varieties import CompleteIntersection, MultiIndex, partitions_of
+from .varieties import (
+    CompleteIntersection,
+    MultiIndex,
+    Record,
+    exact_decimal,
+    exact_repr,
+    partitions_of,
+)
 
 # every check of a dimension-n case walks all partitions of weight <= n, a
 # count that grows exponentially in n; the 23 hypersurfaces of the grid
@@ -62,6 +67,9 @@ class BoundReport(NamedTuple):
     degenerate: bool = False
     note: str = ""
 
+    # the named tuple's repr, with every int in full
+    __repr__ = Record.__repr__
+
     def witness(self) -> str:
         return (
             f"subject={self.subject} n={exact_repr(self.n)} d={exact_repr(self.d)} "
@@ -89,27 +97,11 @@ CSV_COLUMNS = (
 # indent=2) + "\n" with its default ASCII escaping, and csv.writer with
 # lineterminator "\n". Only the report tuple is held, never the document.
 # List fields are rendered once per document: reports repeat their multidegree.
-
-# str(int) refuses past sys.get_int_max_str_digits(), which can be set as low
-# as 640; every integer below this constant has at most 639 digits
-_SHORT_INT = 10**639
-
-
-def exact_decimal(value: int) -> str:
-    """Exact decimal text of any int, however many digits it has."""
-    return str(value if -_SHORT_INT < value < _SHORT_INT else Decimal(value))
+# Every int prints through exact_decimal (from varieties, re-exported here).
 
 
 def _opt(value, none: str) -> str:
     return none if value is None else exact_decimal(value)
-
-
-def exact_repr(value) -> str:
-    """repr() of None, an int or an int tuple, every int in full."""
-    if value is None or isinstance(value, int):
-        return _opt(value, "None")
-    comma = "," if len(value) == 1 else ""
-    return "(" + ", ".join(map(exact_decimal, value)) + comma + ")"
 
 
 def _json_ints(values) -> str:
@@ -453,51 +445,63 @@ _CHECKS = {name: partial(_reports, *rule) for name, rule in _RULES.items()}
 # -- verification grid -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Family of complete intersections to sweep, and which checks to run."""
 
-    max_ambient_dim: int = 8
-    max_degree_per_factor: int = 5
-    max_codim: int = 7
-    checks: tuple = CHECK_NAMES
-    max_cases: int = 500
+    __slots__ = _fields = (
+        "max_ambient_dim",
+        "max_degree_per_factor",
+        "max_codim",
+        "checks",
+        "max_cases",
+    )
 
-    def __post_init__(self):
-        if not isinstance(self.checks, (list, tuple)):
-            raise ValueError(
-                f"checks must be a list of names, got {type(self.checks).__name__}"
-            )
-        object.__setattr__(self, "checks", tuple(self.checks))
-        for name in ("max_ambient_dim", "max_degree_per_factor", "max_codim", "max_cases"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        max_ambient_dim: int = 8,
+        max_degree_per_factor: int = 5,
+        max_codim: int = 7,
+        checks: tuple = CHECK_NAMES,
+        max_cases: int = 500,
+    ):
+        if not isinstance(checks, (list, tuple)):
+            raise ValueError(f"checks must be a list of names, got {type(checks).__name__}")
+        checks = tuple(checks)
+        sizes = {
+            "max_ambient_dim": max_ambient_dim,
+            "max_degree_per_factor": max_degree_per_factor,
+            "max_codim": max_codim,
+            "max_cases": max_cases,
+        }
+        for name, value in sizes.items():
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 2 <= self.max_ambient_dim <= MAX_AMBIENT_DIM:
+        if not 2 <= max_ambient_dim <= MAX_AMBIENT_DIM:
             raise ValueError(
                 f"max_ambient_dim must be between 2 and {MAX_AMBIENT_DIM}, "
-                f"got {self.max_ambient_dim}"
+                f"got {max_ambient_dim}"
             )
-        if self.max_degree_per_factor < 1:
+        if max_degree_per_factor < 1:
             raise ValueError("max_degree_per_factor must be >= 1")
-        if self.max_codim < 1:
+        if max_codim < 1:
             raise ValueError("max_codim must be >= 1")
-        if self.max_cases < 0:
+        if max_cases < 0:
             raise ValueError("max_cases must be >= 0")
-        if not self.checks:
+        if not checks:
             raise ValueError("checks must name at least one check")
-        unknown = [c for c in self.checks if c not in CHECK_NAMES]
+        unknown = [c for c in checks if c not in CHECK_NAMES]
         if unknown:
             raise ValueError(
                 f"unknown checks {unknown}; available: {', '.join(CHECK_NAMES)}"
             )
-        repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
+        repeated = sorted({c for c in checks if checks.count(c) > 1})
         if repeated:
             raise ValueError(f"checks named more than once: {repeated}")
+        super().__init__(max_ambient_dim, max_degree_per_factor, max_codim, checks, max_cases)
 
     @classmethod
     def from_dict(cls, data) -> "GridSpec":
-        known = {field.name for field in fields(cls)}
+        known = set(cls._fields)
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown grid spec keys: {sorted(unknown)}")
@@ -520,14 +524,15 @@ def enumerate_varieties(spec: GridSpec):
     return tuple(cases), truncated
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(Record):
     """Outcome of one grid sweep, deterministically ordered."""
 
-    spec: GridSpec
-    cases: tuple
-    truncated: bool
-    reports: tuple
+    _fields = ("spec", "cases", "truncated", "reports")
+    # __dict__ holds the cached properties
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(self, spec: GridSpec, cases: tuple, truncated: bool, reports: tuple):
+        super().__init__(spec, cases, truncated, reports)
 
     @cached_property
     def violations(self) -> tuple:

@@ -23,20 +23,18 @@ functions delegate to the same helpers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 from operator import itemgetter, mul
 
-from .varieties import CompleteIntersection, MultiIndex, Partition
+from .varieties import CompleteIntersection, MultiIndex, Partition, Record
 
 
 class DegreeError(ValueError):
     """A pairing was requested in the wrong cohomological degree."""
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(Record):
     """Total Chern class of a bundle restricted to a fixed variety.
 
     ``multiples[i]`` is the integer a_i with c_i = a_i * h^i; a_0 = 1 and the
@@ -44,28 +42,24 @@ class ChernVector:
     ``cap`` (the variety dimension), so a_i is stored as 0 for i > cap.
     """
 
-    rank: int
-    multiples: tuple
-    cap: int
+    __slots__ = _fields = ("rank", "multiples", "cap")
 
-    def __post_init__(self):
-        multiples = tuple(self.multiples)
-        if self.rank < 0:
+    def __init__(self, rank: int, multiples: tuple, cap: int):
+        multiples = tuple(multiples)
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        if self.cap < 0:
+        if cap < 0:
             raise ValueError("cap must be nonnegative")
-        if len(multiples) != self.rank + 1:
-            raise ValueError(
-                f"need rank+1={self.rank + 1} multiples, got {len(multiples)}"
-            )
+        if len(multiples) != rank + 1:
+            raise ValueError(f"need rank+1={rank + 1} multiples, got {len(multiples)}")
         for a in multiples:
             if not isinstance(a, int):
                 raise TypeError(f"multiples must be int, got {type(a).__name__}")
         if multiples[0] != 1:
             raise ValueError("c_0 must be 1")
-        if self.rank > self.cap:
-            multiples = multiples[: self.cap + 1] + (0,) * (self.rank - self.cap)
-        object.__setattr__(self, "multiples", multiples)
+        if rank > cap:
+            multiples = multiples[: cap + 1] + (0,) * (rank - cap)
+        super().__init__(rank, multiples, cap)
 
     def chern(self, i: int) -> int:
         """a_i, the multiple of h^i in c_i; 0 outside 0 <= i <= rank."""

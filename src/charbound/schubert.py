@@ -13,11 +13,9 @@ Grassmannian serves as an independent cross-check on the whole machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal
 from math import factorial, perm
 
-from .varieties import Partition
+from .varieties import Partition, Record, exact_decimal
 
 
 class BoxError(ValueError):
@@ -28,16 +26,15 @@ class GradingError(ValueError):
     """A pairing was requested in the wrong total codimension."""
 
 
-@dataclass(frozen=True)
-class Grassmannian:
+class Grassmannian(Record):
     """G_q(C^N): q-dimensional subspaces of C^N."""
 
-    q: int
-    N: int
+    __slots__ = _fields = ("q", "N")
 
-    def __post_init__(self):
-        if not 1 <= self.q < self.N:
-            raise ValueError(f"need 1 <= q < N, got q={self.q}, N={self.N}")
+    def __init__(self, q: int, N: int):
+        if not 1 <= q < N:
+            raise ValueError(f"need 1 <= q < N, got q={q}, N={N}")
+        super().__init__(q, N)
 
     @property
     def cols(self) -> int:
@@ -175,8 +172,7 @@ class SchubertClass:
         for _, parts, coeff in sorted(
             (sum(key), Partition(key).parts, coeff) for key, coeff in self.terms.items()
         ):
-            # Decimal, because str() refuses ints past 4300 digits
-            text = str(Decimal(coeff))
+            text = exact_decimal(coeff)
             if not parts:
                 pieces.append(text)
                 continue
@@ -242,6 +238,20 @@ def pieri(s: SchubertClass, k: int) -> SchubertClass:
     cols = gr.cols
     out = {}
     get = out.get
+    if k == 1:
+        # one box: each corner row in turn, as in _strip_shapes
+        for shape, coeff in s.terms.items():
+            mu, upper = list(shape), cols
+            for i, part in enumerate(shape):
+                if upper > part:
+                    mu[i] = part + 1
+                    key = tuple(mu)
+                    out[key] = get(key, 0) + coeff
+                    mu[i] = part
+                if not part:
+                    break
+                upper = part
+        return SchubertClass._trusted(gr, out)
     for shape, coeff in s.terms.items():
         for mu in _strip_shapes(shape, k, cols):
             out[mu] = get(mu, 0) + coeff

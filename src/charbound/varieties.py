@@ -9,16 +9,82 @@ pipeline only as a (dimension, degree) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from decimal import Decimal
 from math import prod
+
+# str(int) refuses past sys.get_int_max_str_digits(), which can be set as low
+# as 640; every integer below this constant has at most 639 digits
+_SHORT_INT = 10**639
+
+
+def exact_decimal(value: int) -> str:
+    """Exact decimal text of any int, however many digits it has."""
+    return str(value if -_SHORT_INT < value < _SHORT_INT else Decimal(value))
+
+
+def exact_repr(value) -> str:
+    """repr() of a value, with every int in it printed in full.
+
+    Ints go through ``exact_decimal`` and plain tuples item by item; any
+    other value gives its own repr(). Records print their fields through
+    this function.
+    """
+    if type(value) is int:
+        return exact_decimal(value)
+    if type(value) is tuple:
+        comma = "," if len(value) == 1 else ""
+        return "(" + ", ".join(map(exact_repr, value)) + comma + ")"
+    return repr(value)
+
+
+class Record:
+    """Immutable value with the fields named in ``_fields``.
+
+    A record equals only a record of the same type with equal fields,
+    hashes as the tuple of its fields, prints as ``Type(field=value, ...)``
+    and refuses assignment. A subclass names its fields in ``_fields`` and
+    ``__slots__``, checks its arguments in ``__init__`` and hands the
+    normalized field values, in order, to ``Record.__init__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        items = (f"{name}={exact_repr(getattr(self, name))}" for name in self._fields)
+        return f"{type(self).__qualname__}({', '.join(items)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, never through setattr
+        return type(self), self._values()
 
 
 class DimensionError(ValueError):
     """An operation needed more dimensions than the variety has."""
 
 
-@dataclass(frozen=True)
-class CompleteIntersection:
+class CompleteIntersection(Record):
     """Variety cut out by hypersurfaces of the given degrees in P^ambient_dim.
 
     The multidegree is stored sorted ascending, so equal varieties compare
@@ -26,25 +92,24 @@ class CompleteIntersection:
     linear re-embeddings.
     """
 
-    ambient_dim: int
-    multidegree: tuple
+    __slots__ = _fields = ("ambient_dim", "multidegree")
 
-    def __post_init__(self):
-        if type(self.ambient_dim) is not int:
-            raise ValueError(f"ambient_dim must be an integer, got {self.ambient_dim!r}")
-        for d in self.multidegree:
+    def __init__(self, ambient_dim: int, multidegree: tuple):
+        if type(ambient_dim) is not int:
+            raise ValueError(f"ambient_dim must be an integer, got {ambient_dim!r}")
+        for d in multidegree:
             if type(d) is not int:
                 raise ValueError(f"degrees must be integers, got {d!r}")
-        degs = tuple(sorted(self.multidegree))
-        object.__setattr__(self, "multidegree", degs)
+        degs = tuple(sorted(multidegree))
         if not degs:
             raise ValueError("multidegree must contain at least one factor")
         if any(d < 1 for d in degs):
             raise ValueError("every degree factor must be >= 1")
-        if len(degs) >= self.ambient_dim:
+        if len(degs) >= ambient_dim:
             raise ValueError(
                 "codimension must be strictly below the ambient dimension"
             )
+        super().__init__(ambient_dim, degs)
 
     @property
     def codimension(self) -> int:
@@ -86,17 +151,16 @@ class CompleteIntersection:
         return f"m={self.ambient_dim} deg=({','.join(map(str, self.multidegree))})"
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(Record):
     """Indices (i_1, ..., i_r) of a monomial in Chern classes; entries >= 1."""
 
-    entries: tuple
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(int(i) for i in self.entries)
+    def __init__(self, entries: tuple):
+        entries = tuple(int(i) for i in entries)
         if any(i < 1 for i in entries):
             raise ValueError("multi-index entries must be >= 1")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
 
     @property
     def weight(self) -> int:
@@ -110,21 +174,20 @@ class MultiIndex:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Weakly decreasing nonnegative parts; trailing zeros stripped."""
 
-    parts: tuple
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+    def __init__(self, parts: tuple):
+        parts = tuple(int(p) for p in parts)
         if any(p < 0 for p in parts):
             raise ValueError("partition parts must be >= 0")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     @property
     def size(self) -> int:

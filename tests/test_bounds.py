@@ -606,6 +606,27 @@ def test_long_integers_print_in_full_in_every_format():
     )
 
 
+def test_bound_report_repr_prints_long_ints_in_full():
+    report = BoundReport("betti", 2, 3, (3,), None, 10**4999 + 7, 27, False, -(10**4999))
+
+    def stdlib_repr(r):
+        # the named tuple's own format
+        return "BoundReport(" + ", ".join(f"{k}={v!r}" for k, v in r._asdict().items()) + ")"
+
+    short = report._replace(exact_value=10, margin=17)
+    assert repr(short) == stdlib_repr(short)
+    assert repr(short) == (
+        "BoundReport(subject='betti', n=2, d=3, multidegree=(3,), index=None, "
+        "exact_value=10, bound_value=27, satisfied=False, margin=17, "
+        "degenerate=False, note='')"
+    )
+    text = repr(report)
+    assert "exact_value=1" + "0" * 4998 + "7," in text
+    assert "margin=-1" + "0" * 4999 + "," in text
+    with unlimited_int_digits():
+        assert text == stdlib_repr(report)
+
+
 def test_exact_decimal_under_the_lowest_digit_limit():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)

@@ -526,3 +526,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "512\n"
+
+
+def test_cli_import_needs_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at start-up, which
+    # no command uses; compare the modules before and after the import
+    script = (
+        "import sys; before = set(sys.modules); import charbound.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "charbound.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -19,6 +19,7 @@ from charbound.schubert import (
     GradingError,
     Grassmannian,
     SchubertClass,
+    _strip_shapes,
     giambelli_expand,
     grassmannian_degree,
     intersection_number,
@@ -267,6 +268,30 @@ def test_pieri_matches_interlacing_oracle(data):
     cls = data.draw(integer_classes(gr))
     k = data.draw(st.integers(min_value=0, max_value=gr.cols))
     assert pieri(cls, k) == brute_pieri(cls, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sigma_one_steps_match_strip_shapes(data):
+    # pieri takes k = 1 in a flat loop of its own; the strip compositions
+    # serve every k >= 2 and must give the same successors
+    gr = data.draw(small_grassmannians(max_cells=30))
+    shape = data.draw(st.sampled_from(all_box_partitions(gr)))
+    lam = shape.parts + (0,) * (gr.q - len(shape))
+    step = pieri(SchubertClass.basis(gr, shape), 1).terms
+    assert list(step) == _strip_shapes(lam, 1, gr.cols)
+    assert set(step.values()) <= {1}
+    cls = data.draw(integer_classes(gr, max_terms=6))
+    expected = {}
+    for key, coeff in cls.terms.items():
+        for mu in _strip_shapes(key, 1, gr.cols):
+            expected[mu] = expected.get(mu, 0) + coeff
+    assert pieri(cls, 1).terms == {mu: c for mu, c in expected.items() if c}
+
+
+def test_sigma_one_step_drops_cancelled_terms():
+    # sigma[2] and -sigma[1,1] both reach sigma[2,1], which cancels
+    assert pieri(basis(2, 5, 2) - basis(2, 5, 1, 1), 1).terms == {(3, 0): 1}
 
 
 @settings(max_examples=40, deadline=None)

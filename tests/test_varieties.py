@@ -1,6 +1,12 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from charbound.bounds import GridResult, GridSpec
+from charbound.chern import ChernVector
+from charbound.schubert import Grassmannian
 from charbound.varieties import (
     CompleteIntersection,
     DimensionError,
@@ -116,3 +122,82 @@ def test_partitions_of():
     )
     assert list(partitions_of(0)) == [()]
     assert sorted(partitions_of(4, max_part=2)) == sorted([(2, 2), (2, 1, 1), (1, 1, 1, 1)])
+
+
+# -- value types ---------------------------------------------------------------
+#
+# (value, its field tuple, its repr, a value of the same type with other
+# fields); the repr texts are those of the frozen dataclasses these types were.
+_SPEC = GridSpec(3, 2, 1, ["betti"], 4)
+VALUES = [
+    (
+        CompleteIntersection(5, (3, 1, 2)),
+        (5, (1, 2, 3)),
+        "CompleteIntersection(ambient_dim=5, multidegree=(1, 2, 3))",
+        CompleteIntersection(5, (1, 2, 2)),
+    ),
+    (MultiIndex((2, 1)), ((2, 1),), "MultiIndex(entries=(2, 1))", MultiIndex((1, 2))),
+    (Partition((2, 1, 0)), ((2, 1),), "Partition(parts=(2, 1))", Partition((2,))),
+    (
+        ChernVector(2, (1, 0, 6), 2),
+        (2, (1, 0, 6), 2),
+        "ChernVector(rank=2, multiples=(1, 0, 6), cap=2)",
+        ChernVector(2, (1, 0, 6), 1),
+    ),
+    (Grassmannian(2, 4), (2, 4), "Grassmannian(q=2, N=4)", Grassmannian(2, 5)),
+    (
+        _SPEC,
+        (3, 2, 1, ("betti",), 4),
+        "GridSpec(max_ambient_dim=3, max_degree_per_factor=2, max_codim=1, "
+        "checks=('betti',), max_cases=4)",
+        GridSpec(3, 2, 1, ["euler"], 4),
+    ),
+    (
+        GridResult(_SPEC, (CompleteIntersection(2, (1,)),), False, ()),
+        (_SPEC, (CompleteIntersection(2, (1,)),), False, ()),
+        "GridResult(spec=GridSpec(max_ambient_dim=3, max_degree_per_factor=2, "
+        "max_codim=1, checks=('betti',), max_cases=4), "
+        "cases=(CompleteIntersection(ambient_dim=2, multidegree=(1,)),), "
+        "truncated=False, reports=())",
+        GridResult(_SPEC, (), True, ()),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value, fields, text, other", VALUES, ids=[type(v[0]).__name__ for v in VALUES]
+)
+def test_value_type_semantics(value, fields, text, other):
+    assert repr(value) == text
+    twin = type(value)(*fields)
+    assert value == twin and hash(value) == hash(twin) == hash(fields)
+    assert value != other
+    # equal only to the same type: not to the field tuple, not to another
+    # record type with the same fields
+    assert value != fields
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value
+    first = text.partition("(")[2].partition("=")[0]  # the first field's name
+    with pytest.raises(AttributeError):
+        setattr(value, first, getattr(value, first))
+    with pytest.raises(AttributeError):
+        value.unknown = 1
+    with pytest.raises(AttributeError):
+        delattr(value, first)
+    assert value == twin
+
+
+def test_value_types_differ_across_types():
+    assert Partition((1,)) != MultiIndex((1,))
+    assert hash(Partition((1,))) == hash(MultiIndex((1,)))
+    assert Grassmannian(2, 4) != ChernVector(1, (1, 4), 1)
+
+
+def test_value_repr_prints_long_ints_in_full():
+    # str() refuses ints past 4,300 digits; repr must not
+    big = 10**4999 + 7
+    digits = "1" + "0" * 4998 + "7"
+    assert repr(ChernVector(1, (1, big), 1)) == (
+        f"ChernVector(rank=1, multiples=(1, {digits}), cap=1)"
+    )
+    assert repr(GridSpec(max_cases=big)).endswith(f"max_cases={digits})")
