@@ -512,11 +512,12 @@ def enumerate_varieties(spec: GridSpec):
     """All grid varieties in canonical order, capped; returns (cases, truncated)."""
     cases = []
     truncated = False
+    # no degree above max_cases + 1 is reached before the cap, and the shorter
+    # range keeps combinations_with_replacement under its sys.maxsize limit
+    degrees = range(1, min(spec.max_degree_per_factor, spec.max_cases + 1) + 1)
     for m in range(2, spec.max_ambient_dim + 1):
         for k in range(1, min(m - 1, spec.max_codim) + 1):
-            for degs in combinations_with_replacement(
-                range(1, spec.max_degree_per_factor + 1), k
-            ):
+            for degs in combinations_with_replacement(degrees, k):
                 if len(cases) >= spec.max_cases:
                     truncated = True
                     return tuple(cases), truncated

@@ -53,7 +53,7 @@ class ChernVector(Record):
         if len(multiples) != rank + 1:
             raise ValueError(f"need rank+1={rank + 1} multiples, got {len(multiples)}")
         for a in multiples:
-            if not isinstance(a, int):
+            if type(a) is not int:
                 raise TypeError(f"multiples must be int, got {type(a).__name__}")
         if multiples[0] != 1:
             raise ValueError("c_0 must be 1")

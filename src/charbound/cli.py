@@ -68,103 +68,99 @@ class UsageError(ValueError):
 
 
 def _parse_int_list(text: str) -> tuple:
+    """Comma-separated integers; the empty string is the empty tuple."""
     text = text.strip()
     if not text:
         return ()
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from exc
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} spec: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise UsageError(f"malformed {what} JSON: {exc}") from exc
 
 
 def _variety_from_args(args) -> CompleteIntersection:
-    if getattr(args, "variety", None):
-        try:
-            with open(args.variety, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise UsageError(f"cannot read variety spec: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed variety JSON: {exc}") from exc
-        return CompleteIntersection.from_dict(data)
+    if args.variety is not None:
+        if args.ambient_dim is not None or args.multidegree is not None:
+            raise UsageError("--variety FILE excludes -m and -D")
+        return CompleteIntersection.from_dict(_read_json(args.variety, "variety"))
     if args.ambient_dim is None or not args.multidegree:
         raise UsageError("need --variety FILE or both -m and -D")
-    return CompleteIntersection(args.ambient_dim, _parse_int_list(args.multidegree))
+    return CompleteIntersection(args.ambient_dim, args.multidegree)
 
 
 # -- bound -----------------------------------------------------------------
 
 
+# flag -> (formula, whether it takes a multi-index)
+BOUNDS = {
+    "pontryagin": (pontryagin_bound, False),
+    "betti": (betti_bound, False),
+    "ci": (nef_chern_bound, True),
+    "cin": (cotangent_chern_bound, True),
+}
+
+
 def _cmd_bound(args) -> int:
-    picked = [name for name in ("pontryagin", "betti", "ci", "cin") if getattr(args, name)]
-    if len(picked) != 1:
-        raise UsageError("pick exactly one of --pontryagin, --betti, --ci, --cin")
-    which = picked[0]
     n, d = args.n, args.d
     if not (1 <= n <= MAX_BOUND_N and 1 <= d <= MAX_BOUND_D):
         raise UsageError(
             f"need 1 <= n <= {MAX_BOUND_N} and 1 <= d <= {MAX_BOUND_D}, got n={n}, d={d}"
         )
-    if which in ("ci", "cin"):
-        if args.index is None:
-            raise UsageError(f"--{which} needs a multi-index via -I")
-        index = MultiIndex(_parse_int_list(args.index))
-        value = (
-            nef_chern_bound(n, d, index)
-            if which == "ci"
-            else cotangent_chern_bound(n, d, index)
-        )
-    else:
-        if args.index is not None:
-            raise UsageError(f"--{which} takes no multi-index")
-        value = pontryagin_bound(n, d) if which == "pontryagin" else betti_bound(n, d)
-    print(exact_decimal(value))
+    formula, takes_index = BOUNDS[args.formula]
+    if takes_index != (args.index is not None):
+        need = "needs a multi-index via -I" if takes_index else "takes no multi-index"
+        raise UsageError(f"--{args.formula} {need}")
+    index = (MultiIndex(args.index),) if takes_index else ()
+    print(exact_decimal(formula(n, d, *index)))
     return 0
 
 
 # -- verify ----------------------------------------------------------------
 
 
+def _parse_names(text: str) -> tuple:
+    names = tuple(name.strip() for name in text.split(","))
+    if not all(names):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated check names, got {text!r}"
+        )
+    return names
+
+
+def _refuse(args, actions, when: str) -> None:
+    """Raise UsageError naming each of these flags that was given."""
+    given = [a.option_strings[0] for a in actions if getattr(args, a.dest) is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} cannot be used {when}")
+
+
 def _grid_spec_from_args(args) -> GridSpec:
-    if args.grid:
-        try:
-            with open(args.grid, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise UsageError(f"cannot read grid spec: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed grid JSON: {exc}") from exc
-        try:
-            spec = GridSpec.from_dict(data)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad grid spec: {exc}") from exc
-    else:
-        kwargs = {}
-        if args.max_ambient_dim is not None:
-            kwargs["max_ambient_dim"] = args.max_ambient_dim
-        if args.max_degree is not None:
-            kwargs["max_degree_per_factor"] = args.max_degree
-        if args.max_codim is not None:
-            kwargs["max_codim"] = args.max_codim
-        if args.max_cases is not None:
-            kwargs["max_cases"] = args.max_cases
-        if args.checks is not None:
-            names = tuple(name.strip() for name in args.checks.split(","))
-            if not all(names):
-                raise UsageError(
-                    f"--checks needs comma-separated check names, got {args.checks!r}"
-                )
-            kwargs["checks"] = names
-        try:
-            spec = GridSpec(**kwargs)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    return spec
+    if args.grid is None:
+        given = vars(args)
+        return GridSpec(**{f: given[f] for f in GridSpec._fields if given[f] is not None})
+    _refuse(args, args.spec_flags, "with --grid")
+    data = _read_json(args.grid, "grid")
+    try:
+        return GridSpec.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad grid spec: {exc}") from exc
 
 
 def _write_out(write, out_path) -> None:
     """Call ``write(stream)`` on the --out file, or on stdout without one."""
-    if not out_path:
+    if out_path is None:
         write(sys.stdout)
         return
     try:
@@ -176,11 +172,13 @@ def _write_out(write, out_path) -> None:
 
 def _cmd_verify(args) -> int:
     if args.sigma is not None:
+        _refuse(args, args.grid_flags, "with --sigma")
         return _cmd_verify_signature(args)
+    _refuse(args, args.signature_flags, "without --sigma")
     spec = _grid_spec_from_args(args)
     result = verify_grid(spec)
-    document_on_stdout = bool(args.format) and not args.out
-    if args.format or args.out:
+    document_on_stdout = args.format is not None and args.out is None
+    if args.format is not None or args.out is not None:
         _write_out(lambda out: result.write(out, args.format or "json"), args.out)
     if not document_on_stdout:
         counts = (result.cases, result.reports, result.flagged, result.violations)
@@ -211,7 +209,7 @@ def _cmd_verify_signature(args) -> int:
         f"c2^2={exact_decimal(report.bound_value)} "
         f"margin={exact_decimal(report.margin)} {status}"
     )
-    if args.out:
+    if args.out is not None:
         _write_out(lambda out: write_json(out, (report,)), args.out)
     if not report.satisfied:
         print(f"VIOLATION {report.witness()}")
@@ -221,20 +219,22 @@ def _cmd_verify_signature(args) -> int:
 
 # -- table -----------------------------------------------------------------
 
-TABLE_QUANTITIES = (
-    "dimension",
-    "degree",
-    "canonical",
-    "ample",
-    "chi",
-    "betti",
-    "total_betti",
-    "degree_sequence",
-    "tangent_chern",
-    "betti_bound",
-    "betti_bound_recursive",
-    "pontryagin_bound",
-)
+# quantity -> its value on a variety; each function is looked up when called
+TABLE = {
+    "dimension": lambda ci: ci.dimension,
+    "degree": lambda ci: ci.degree,
+    "canonical": lambda ci: canonical_class(ci),
+    "ample": lambda ci: ample_class(ci),
+    "chi": lambda ci: euler_characteristic(ci),
+    "betti": lambda ci: betti_numbers(ci),
+    "total_betti": lambda ci: total_betti(ci),
+    "degree_sequence": lambda ci: ample_degree_sequence(ci),
+    "tangent_chern": lambda ci: tangent_chern(ci).h_multiples(),
+    "betti_bound": lambda ci: betti_bound(ci.dimension, ci.degree),
+    "betti_bound_recursive": lambda ci: betti_bound_recursive(ci),
+    "pontryagin_bound": lambda ci: pontryagin_bound(ci.dimension, ci.degree),
+}
+TABLE_QUANTITIES = tuple(TABLE)
 
 
 def _cmd_table(args) -> int:
@@ -242,31 +242,16 @@ def _cmd_table(args) -> int:
     if ci.dimension > MAX_BOUND_N:
         raise UsageError(f"table needs dimension <= {MAX_BOUND_N}, got {ci.dimension}")
     wanted = TABLE_QUANTITIES
-    if args.quantities:
+    if args.quantities is not None:
         wanted = tuple(args.quantities.split(","))
-        unknown = [q for q in wanted if q not in TABLE_QUANTITIES]
+        unknown = [q for q in wanted if q not in TABLE]
         if unknown:
             raise UsageError(
                 f"unknown quantities {unknown}; available: {', '.join(TABLE_QUANTITIES)}"
             )
-    n, d = ci.dimension, ci.degree
-    values = {
-        "dimension": lambda: n,
-        "degree": lambda: d,
-        "canonical": lambda: canonical_class(ci),
-        "ample": lambda: ample_class(ci),
-        "chi": lambda: euler_characteristic(ci),
-        "betti": lambda: betti_numbers(ci),
-        "total_betti": lambda: total_betti(ci),
-        "degree_sequence": lambda: ample_degree_sequence(ci),
-        "tangent_chern": lambda: tangent_chern(ci).h_multiples(),
-        "betti_bound": lambda: betti_bound(n, d),
-        "betti_bound_recursive": lambda: betti_bound_recursive(ci),
-        "pontryagin_bound": lambda: pontryagin_bound(n, d),
-    }
     print(f"variety: {ci}")
     for name in wanted:
-        print(f"{name}: {exact_repr(values[name]())}")
+        print(f"{name}: {exact_repr(TABLE[name](ci))}")
     return 0
 
 
@@ -275,30 +260,27 @@ def _cmd_table(args) -> int:
 _POWER_TOKEN = re.compile(r"^sigma(\d+)(?:\^(\d+))?$")
 
 
-def _parse_power_spec(text: str):
+def _parse_power_spec(text: str) -> tuple:
     """(k, exponent) pairs of a product of special classes, unexpanded."""
     factors = []
     for token in text.split("*"):
         token = token.strip()
         match = _POWER_TOKEN.match(token)
         if not match:
-            raise UsageError(
+            raise argparse.ArgumentTypeError(
                 f"cannot parse {token!r}; expected sigmaK or sigmaK^E terms joined by *"
             )
         if any(len(g) > MAX_POWER_DIGITS for g in match.groups() if g):
-            raise UsageError(
+            raise argparse.ArgumentTypeError(
                 f"{token!r}: index and exponent take at most {MAX_POWER_DIGITS} digits"
             )
         k = int(match.group(1))
         exponent = int(match.group(2)) if match.group(2) else 1
         factors.append((k, exponent))
-    return factors
+    return tuple(factors)
 
 
 def _cmd_schubert(args) -> int:
-    modes = [m for m in ("power", "giambelli", "degree") if getattr(args, m)]
-    if len(modes) != 1:
-        raise UsageError("pick exactly one of --power, --giambelli, --degree")
     gr = Grassmannian(args.q, args.N)
     cells = gr.total_codim
     if args.degree:
@@ -313,37 +295,40 @@ def _cmd_schubert(args) -> int:
             f"{gr} is too large: --power and --giambelli need q(N-q) <= "
             f"{MAX_SCHUBERT_CELLS} and at most {MAX_SCHUBERT_SHAPES} box shapes C(N,q)"
         )
-    if args.giambelli:
-        shape = Partition(_parse_int_list(args.giambelli))
-        expansion = giambelli_expand(shape, gr)
-        print(expansion)
+    if args.giambelli is not None:
+        print(giambelli_expand(Partition(args.giambelli), gr))
         return 0
-    factors = _parse_power_spec(args.power)
-    for k, _ in factors:
-        if not 0 <= k <= gr.cols:
+    for k, _ in args.power:
+        if k > gr.cols:
             raise GradingError(
                 f"sigma{k} vanishes on {gr}: special index must be <= {gr.cols}"
             )
     # sigma0 is the identity; past the top codimension every product is 0
-    factors = [(k, e) for k, e in factors if k and e]
-    if sum(k * e for k, e in factors) > gr.total_codim:
+    factors = [(k, e) for k, e in args.power if k and e]
+    total = sum(k * e for k, e in factors)
+    if total > cells:
         print(0)
         return 0
     cls = SchubertClass.one(gr)
     for k, exponent in factors:
         for _ in range(exponent):
             cls = pieri(cls, k)
-    if cls.is_zero():
-        print(0)
-        return 0
-    if cls.codimensions() == {gr.total_codim}:
-        print(exact_decimal(cls.coefficient(gr.point_partition)))
-    else:
-        print(cls)
+    # in the top codimension the product is a multiple of the point class
+    print(exact_decimal(cls.coefficient(gr.point_partition)) if total == cells else cls)
     return 0
 
 
 # -- entry point -------------------------------------------------------------
+
+
+def _add_variety_flags(parser) -> list:
+    """--variety FILE, or -m and -D inline; returns their actions."""
+    degrees = "comma-separated degrees, e.g. 2,2"
+    return [
+        parser.add_argument("--variety", help="variety spec JSON file"),
+        parser.add_argument("-m", "--ambient-dim", type=int, help="ambient dimension"),
+        parser.add_argument("-D", "--multidegree", type=_parse_int_list, help=degrees),
+    ]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -358,52 +343,53 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bound = sub.add_parser("bound", help="evaluate one bound formula exactly")
-    bound.add_argument("--pontryagin", action="store_true", help="Pontryagin-number bound")
-    bound.add_argument("--betti", action="store_true", help="total-Betti-number bound")
+    formulas = bound.add_mutually_exclusive_group(required=True)
+    for flag, (formula, _) in BOUNDS.items():
+        formulas.add_argument(
+            f"--{flag}", dest="formula", action="store_const", const=flag, help=formula.__doc__
+        )
+    bound.add_argument("-n", type=int, required=True, help=f"dimension, 1..{MAX_BOUND_N}")
+    bound.add_argument("-d", type=int, required=True, help=f"degree, 1..{MAX_BOUND_D}")
     bound.add_argument(
-        "--ci", action="store_true", help="bound for twisted-cotangent Chern numbers"
+        "-I", "--index", type=_parse_int_list, help="comma-separated multi-index, e.g. 1,2"
     )
-    bound.add_argument(
-        "--cin", action="store_true", help="bound for cotangent Chern numbers"
-    )
-    bound.add_argument(
-        "-n", type=int, required=True, help=f"variety dimension, 1..{MAX_BOUND_N}"
-    )
-    bound.add_argument(
-        "-d", type=int, required=True, help=f"variety degree, 1..{MAX_BOUND_D}"
-    )
-    bound.add_argument("-I", "--index", help="comma-separated multi-index, e.g. 1,2")
     bound.set_defaults(func=_cmd_bound)
 
     verify = sub.add_parser(
         "verify", help="run bound checks over a variety grid, or a signature check"
     )
-    verify.add_argument("--grid", help="path to a grid-spec JSON file")
-    verify.add_argument("--max-ambient-dim", type=int)
-    verify.add_argument("--max-degree", type=int, help="max degree per factor")
-    verify.add_argument("--max-codim", type=int)
-    verify.add_argument("--max-cases", type=int)
-    verify.add_argument(
-        "--checks", help=f"comma-separated subset of: {','.join(CHECK_NAMES)}"
-    )
-    verify.add_argument("--out", help="write the report file here")
-    verify.add_argument(
+    grid = verify.add_argument_group("grid run")
+    grid_file = grid.add_argument("--grid", help="path to a grid-spec JSON file")
+    spec_flags = [  # each dest is a GridSpec field
+        grid.add_argument("--max-ambient-dim", type=int),
+        grid.add_argument(
+            "--max-degree", type=int, dest="max_degree_per_factor", metavar="MAX_DEGREE"
+        ),
+        grid.add_argument("--max-codim", type=int),
+        grid.add_argument("--max-cases", type=int),
+        grid.add_argument(
+            "--checks",
+            type=_parse_names,
+            help=f"comma-separated subset of: {','.join(CHECK_NAMES)}",
+        ),
+    ]
+    report_format = grid.add_argument(
         "--format", choices=("json", "csv", "markdown"), help="report format"
     )
-    verify.add_argument(
-        "--sigma",
-        type=int,
-        help="supplied real-side signature; runs the signature check on one variety",
+    verify.add_argument("--out", help="write the report file here")
+    signature = verify.add_argument_group("signature check")
+    signature.add_argument(
+        "--sigma", type=int, help="supplied real-side signature; runs the signature check"
     )
-    verify.add_argument("--variety", help="variety spec JSON file (signature mode)")
-    verify.add_argument("-m", "--ambient-dim", type=int, help="ambient dimension")
-    verify.add_argument("-D", "--multidegree", help="comma-separated degrees, e.g. 2,2")
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(
+        func=_cmd_verify,
+        spec_flags=spec_flags,
+        grid_flags=[grid_file, *spec_flags, report_format],
+        signature_flags=_add_variety_flags(signature),
+    )
 
     table = sub.add_parser("table", help="print exact invariants of one variety")
-    table.add_argument("--variety", help="variety spec JSON file")
-    table.add_argument("-m", "--ambient-dim", type=int, help="ambient dimension")
-    table.add_argument("-D", "--multidegree", help="comma-separated degrees, e.g. 2,2")
+    _add_variety_flags(table)
     table.add_argument(
         "--quantities", help=f"comma-separated subset of: {','.join(TABLE_QUANTITIES)}"
     )
@@ -412,25 +398,22 @@ def _build_parser() -> argparse.ArgumentParser:
     schubert = sub.add_parser("schubert", help="Schubert calculus on G_q(C^N)")
     schubert.add_argument("-q", type=int, required=True, help="subspace dimension")
     schubert.add_argument("-N", type=int, required=True, help="ambient dimension")
-    schubert.add_argument(
-        "--power", help="product of special classes, e.g. sigma1^4 or sigma1^2*sigma2"
+    modes = schubert.add_mutually_exclusive_group(required=True)
+    modes.add_argument(
+        "--power", type=_parse_power_spec, help="product, e.g. sigma1^4 or sigma1^2*sigma2"
     )
-    schubert.add_argument("--giambelli", help="partition to expand, e.g. 1,1")
-    schubert.add_argument(
-        "--degree", action="store_true", help="degree of the Grassmannian"
-    )
+    modes.add_argument("--giambelli", type=_parse_int_list, help="shape to expand, e.g. 1,1")
+    modes.add_argument("--degree", action="store_true", help="degree of the Grassmannian")
     schubert.set_defaults(func=_cmd_schubert)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else 2
+        return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

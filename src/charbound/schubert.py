@@ -32,6 +32,8 @@ class Grassmannian(Record):
     __slots__ = _fields = ("q", "N")
 
     def __init__(self, q: int, N: int):
+        if type(q) is not int or type(N) is not int:
+            raise ValueError(f"q and N must be integers, got q={q!r}, N={N!r}")
         if not 1 <= q < N:
             raise ValueError(f"need 1 <= q < N, got q={q}, N={N}")
         super().__init__(q, N)

@@ -157,7 +157,10 @@ class MultiIndex(Record):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: tuple):
-        entries = tuple(int(i) for i in entries)
+        entries = tuple(entries)
+        for i in entries:
+            if type(i) is not int:
+                raise ValueError(f"multi-index entries must be integers, got {i!r}")
         if any(i < 1 for i in entries):
             raise ValueError("multi-index entries must be >= 1")
         super().__init__(entries)
@@ -180,7 +183,10 @@ class Partition(Record):
     __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        for p in parts:
+            if type(p) is not int:
+                raise ValueError(f"partition parts must be integers, got {p!r}")
         if any(p < 0 for p in parts):
             raise ValueError("partition parts must be >= 0")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

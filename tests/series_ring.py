@@ -1,7 +1,7 @@
 """The truncated polynomial ring Z[h]/(h^(cap+1)) on plain coefficient lists.
 
 An oracle for the Chern tests, written without any of the package's code;
-``tests/test_graded.py`` checks its ring laws.
+``tests/test_series_ring.py`` checks its ring laws.
 """
 
 

@@ -180,6 +180,16 @@ def test_enumeration_truncates_with_flag():
     assert len(cases) == 10
 
 
+@pytest.mark.parametrize("max_degree", (7, 10**6, 10**20))
+@pytest.mark.parametrize("max_cases", (0, 1, 5))
+def test_enumeration_under_a_degree_cap_past_the_case_cap(max_degree, max_cases):
+    # the cap stops the first block, the plane curves of degree 1, 2, ...; a
+    # range(1, 10**20 + 1) of degrees used to raise OverflowError
+    spec = GridSpec(max_degree_per_factor=max_degree, max_cases=max_cases)
+    curves = tuple(CompleteIntersection(2, (d,)) for d in range(1, max_cases + 1))
+    assert enumerate_varieties(spec) == (curves, True)
+
+
 def test_empty_grid():
     result = verify_grid(GridSpec(max_cases=0))
     assert result.reports == ()

@@ -1,13 +1,17 @@
+import argparse
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
-from charbound.cli import main
+from charbound.cli import _build_parser, main
 from charbound.schubert import grassmannian_degree
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -82,6 +86,57 @@ def test_bound_usage_errors(capsys):
     code, _, err = run(capsys, "bound", "--cin", "-n", "2", "-d", "2")  # missing -I
     assert code == 2
     assert "multi-index" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("bound", "-n", "2", "-d", "2"),
+            "one of the arguments --pontryagin --betti --ci --cin is required",
+            id="bound-none",
+        ),
+        pytest.param(
+            ("bound", "--betti", "--ci", "-n", "2", "-d", "2"),
+            "argument --ci: not allowed with argument --betti",
+            id="bound-two",
+        ),
+        pytest.param(
+            ("schubert", "-q", "2", "-N", "4"),
+            "one of the arguments --power --giambelli --degree is required",
+            id="schubert-none",
+        ),
+        pytest.param(
+            ("schubert", "-q", "2", "-N", "4", "--degree", "--power", "sigma1"),
+            "argument --power: not allowed with argument --degree",
+            id="schubert-two",
+        ),
+    ],
+)
+def test_each_subcommand_takes_exactly_one_mode(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, group",
+    [
+        ("bound", "(--pontryagin | --betti | --ci | --cin)"),
+        ("schubert", "(--power POWER | --giambelli GIAMBELLI | --degree)"),
+    ],
+    ids=("bound", "schubert"),
+)
+def test_help_shows_the_required_mode_group(capsys, command, group):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert group in out
+
+
+def test_empty_lists_are_the_empty_index_and_shape(capsys):
+    # d (d+n-2)^0 for the empty multi-index; the empty shape is the unit class
+    assert run(capsys, "bound", "--ci", "-n", "3", "-d", "3", "-I", "")[:2] == (0, "3\n")
+    assert run(capsys, "schubert", "-q", "2", "-N", "4", "--giambelli", "")[:2] == (0, "1\n")
 
 
 # -- verify ---------------------------------------------------------------------
@@ -195,6 +250,20 @@ def test_verify_malformed_grid_json(tmp_path, capsys):
     assert "error" in err
 
 
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
+    # json.load raises RecursionError on this, which once escaped as a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv, what in (
+        (("verify", "--grid", str(deep)), "grid"),
+        (("verify", "--sigma", "0", "--variety", str(deep)), "variety"),
+        (("table", "--variety", str(deep)), "variety"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"malformed {what} JSON" in err and "Traceback" not in err
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--checks", "bogus")
     assert code == 2
@@ -295,6 +364,47 @@ def test_verify_signature_from_variety_file(tmp_path, capsys):
     assert "satisfied" in out
 
 
+SIGNATURE = ("--sigma", "0", "-m", "5", "-D", "2")
+# verify argv that give one mode flags only the other mode reads, and the
+# flags the refusal names; each of these flags was once silently ignored
+MIXED_VERIFY_FLAGS = [
+    pytest.param(SIGNATURE + ("--grid", "g.json"), "--grid", id="sigma-grid"),
+    pytest.param(SIGNATURE + ("--format", "csv"), "--format", id="sigma-format"),
+    pytest.param(SIGNATURE + ("--checks", "betti"), "--checks", id="sigma-checks"),
+    pytest.param(SIGNATURE + ("--max-degree", "2"), "--max-degree", id="sigma-size"),
+    pytest.param(
+        SIGNATURE + ("--format", "csv", "--max-ambient-dim", "99"),
+        "--max-ambient-dim, --format",
+        id="sigma-format-size",
+    ),
+    pytest.param(("-m", "5", "-D", "2"), "-m, -D", id="grid-variety"),
+    pytest.param(("--variety", "v.json"), "--variety", id="grid-variety-file"),
+    pytest.param(("--max-cases", "5", "-D", "2"), "-D", id="grid-multidegree"),
+    pytest.param(("--grid", "g.json", "--max-cases", "5"), "--max-cases", id="grid-file-size"),
+]
+
+
+@pytest.mark.parametrize("argv, flags", MIXED_VERIFY_FLAGS)
+def test_verify_refuses_the_flags_of_the_other_mode(capsys, monkeypatch, argv, flags):
+    def never(*args):
+        raise AssertionError("nothing may run")
+
+    monkeypatch.setattr("charbound.cli.verify_grid", never)
+    monkeypatch.setattr("charbound.cli.signature_check", never)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert f"error: {flags} cannot be used" in err
+
+
+def test_variety_file_excludes_inline_variety(tmp_path, capsys):
+    spec = tmp_path / "v.json"
+    spec.write_text(json.dumps({"ambient_dim": 5, "multidegree": [2]}))
+    for argv in (("table",), ("verify", "--sigma", "0")):
+        code, out, err = run(capsys, *argv, "--variety", str(spec), "-m", "5")
+        assert (code, out) == (2, "")
+        assert "--variety FILE excludes -m and -D" in err
+
+
 # -- table ------------------------------------------------------------------------
 
 
@@ -323,6 +433,13 @@ def test_table_quantity_selection(capsys):
     assert code == 0
     assert "chi: 4" in out
     assert "betti_bound" not in out
+
+
+def test_table_refuses_empty_quantities(capsys):
+    # an empty list once printed every quantity, as if the flag were absent
+    code, out, err = run(capsys, "table", "-m", "3", "-D", "2", "--quantities", "")
+    assert (code, out) == (2, "")
+    assert "unknown quantities ['']" in err
 
 
 def test_table_invalid_spec(capsys):
@@ -543,3 +660,116 @@ def test_cli_import_needs_no_dataclasses():
     added = set(proc.stdout.split())
     assert "charbound.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+# -- argv fuzz ------------------------------------------------------------------
+
+
+def subcommand_flags():
+    """Each subcommand's flags, read from the parser the CLI uses."""
+    (subparsers,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        for name, sub in subparsers.choices.items()
+    }
+
+
+FLAGS = subcommand_flags()
+BIG = "9" * 20
+JUNK = ("", ",", "x", "1.5", "-1", "0", "-" + BIG)
+# values by dest, next to JUNK; every legal run stays cheap: q, N <= 12, and a
+# grid run has --max-ambient-dim <= 8 and --max-cases <= 30 (added below)
+VALUES = {
+    "n": ("1", "4", "256", "257", BIG),
+    "d": ("1", "3", "1000000", "1000001", BIG),
+    "index": ("1", "2", "1,2", "2,1,1", "", BIG),
+    "grid": ("out.json", "missing.json"),
+    "max_ambient_dim": ("2", "3", "8", "25"),
+    "max_degree_per_factor": ("1", "3", BIG),
+    "max_codim": ("1", "2", BIG),
+    "max_cases": ("1", "5", "30"),
+    "checks": ("betti", "betti,euler", "euler,euler", "bogus", "pontryagin,nef-chern"),
+    "format": ("json", "csv", "markdown"),
+    "out": ("out.json",),
+    "sigma": ("33", BIG),
+    "variety": ("out.json", "missing.json"),
+    "ambient_dim": ("3", "5", "24", "25", "256", "257", BIG),
+    "multidegree": ("2", "2,2", "1,1", "2,0", "1000000", "1000001", BIG),
+    "quantities": ("chi", "betti,total_betti", "dimension", "bogus"),
+    "q": ("1", "2", "3", "6", "12", BIG),
+    "N": ("2", "4", "7", "12", BIG),
+    "power": (
+        "sigma1^4",
+        "sigma2*sigma1^2",
+        "sigma13",
+        "sigma0^" + "9" * 18,
+        "sigma1^" + "9" * 18,
+        "sigma1^" + "9" * 19,
+        "tau1",
+    ),
+    "giambelli": ("1,1", "2,1", "", "1,2", "5,1", "12", BIG),
+}
+
+
+# legal argv, one or more per mode; the fuzz adds flags of the same subcommand
+SEEDS = (
+    ("bound", "--betti", "-n", "2", "-d", "2"),
+    ("bound", "--ci", "-n", "3", "-d", "3", "-I", "1,2"),
+    ("verify",),
+    ("verify", "--sigma", "0", "-m", "5", "-D", "2"),
+    ("table", "-m", "3", "-D", "2"),
+    ("schubert", "-q", "2", "-N", "4", "--power", "sigma1^4"),
+    ("schubert", "-q", "2", "-N", "4", "--giambelli", "1,1"),
+    ("schubert", "-q", "2", "-N", "4", "--degree"),
+)
+
+
+def value(dest):
+    # two draws in three from the flag's own values
+    own = st.sampled_from(VALUES[dest])
+    return st.one_of(own, own, st.sampled_from(JUNK))
+
+
+@st.composite
+def argvs(draw):
+    argv = list(draw(st.sampled_from(SEEDS)))
+    # added flags repeat a flag (the last value counts), add a rival mode or
+    # add a flag the mode does not read
+    for action in draw(st.lists(st.sampled_from(FLAGS[argv[0]]), max_size=3)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            argv.append(draw(value(action.dest)))
+    if argv[0] == "verify" and "--sigma" not in argv:
+        argv += ["--max-cases", draw(value("max_cases"))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # --out writes here, and --grid and --variety may read what it wrote
+    return tmp_path_factory.mktemp("fuzz")
+
+
+# Without the explain phase, as in test_writers_match_stdlib_serializers.
+@settings(
+    max_examples=600,
+    deadline=None,
+    phases=tuple(phase for phase in Phase if phase is not Phase.explain),
+)
+@given(argvs())
+@example(["schubert", "-q", "2", "-N", "4", "--giambelli", ""])
+@example(["verify", "--sigma", "0", "-m", "5", "-D", "2", "--max-cases", "5"])
+@example(["verify", "--max-degree", BIG, "--max-cases", "30"])
+def test_any_argv_exits_with_a_code_and_no_traceback(fuzz_dir, argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -62,6 +63,27 @@ def test_constructor_takes_integer_sizes_only():
         CompleteIntersection(5, (True, 2))
     with pytest.raises(ValueError, match="degrees must be integers"):
         CompleteIntersection(4, (2.0,))
+
+
+# each call once truncated or kept its float or bool: MultiIndex((1.9, 2)) gave
+# entries (1, 2), Partition((2.7, True)) parts (2, 1), Grassmannian(2.5, 4) G(2.5,4)
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        pytest.param(MultiIndex, ((1.9, 2),), "got 1.9", id="MultiIndex-float"),
+        pytest.param(MultiIndex, ((True, 2),), "got True", id="MultiIndex-bool"),
+        pytest.param(Partition, ((2.7, 1),), "got 2.7", id="Partition-float"),
+        pytest.param(Partition, ((2, True),), "got True", id="Partition-bool"),
+        pytest.param(Grassmannian, (2.5, 4), "got q=2.5", id="Grassmannian-float"),
+        pytest.param(Grassmannian, (1, True), "N=True", id="Grassmannian-bool"),
+        pytest.param(ChernVector, (1, (1, 2.0), 1), "got float", id="ChernVector-float"),
+        pytest.param(ChernVector, (1, (True, 2), 1), "got bool", id="ChernVector-bool"),
+    ],
+)
+def test_value_types_take_exact_ints_only(build, args, message):
+    error = TypeError if build is ChernVector else ValueError
+    with pytest.raises(error, match=r"must be int.*" + re.escape(message)):
+        build(*args)
 
 
 def test_json_roundtrip():
