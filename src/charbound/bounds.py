@@ -15,7 +15,7 @@ from io import StringIO
 from itertools import combinations_with_replacement, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb, prod
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .betti import betti_from_euler
@@ -41,6 +41,10 @@ from .varieties import (
 # max_ambient_dim=24, max_degree_per_factor=1, max_codim=1 take about 0.9 s
 # in a fresh process
 MAX_AMBIENT_DIM = 24
+# a grid may hold at most this many cases after its max_cases cap; counted in
+# closed form before anything is enumerated, so a huge degree or case cap is
+# refused up front instead of overflowing or exhausting memory
+MAX_GRID_CASES = 10**6
 
 DEGENERATE_NOTE = "degenerate bound base (d+n-2)=0; settled by direct inspection"
 
@@ -93,11 +97,16 @@ CSV_COLUMNS = (
 
 
 # -- report writers ----------------------------------------------------------
-# Each writer streams the bytes the stdlib would give: json.dumps(payload,
-# indent=2) + "\n" with its default ASCII escaping, and csv.writer with
-# lineterminator "\n". Only the report tuple is held, never the document.
-# List fields are rendered once per document: reports repeat their multidegree.
-# Every int prints through exact_decimal (from varieties, re-exported here).
+# A report document is written from keys x labels (see GridResult): a key is
+# (n, d, rows), a label (key position, multidegree) per case. Each key's rows
+# are rendered once, as the text around their multidegree field, and each
+# case writes its own multidegree's text between those pieces. The bytes are
+# those the stdlib would give: json.dumps(payload, indent=2) + "\n" with its
+# default ASCII escaping, and csv.writer with lineterminator "\n". Only a
+# key's pieces are held, and only while cases of that key remain. List fields
+# are rendered once per document. Every int prints through the row's
+# f-string, or through exact_decimal (from varieties, re-exported here) past
+# str()'s digit limit.
 
 
 def _opt(value, none: str) -> str:
@@ -121,75 +130,108 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _exact_lines(line, reports, none: str):
-    """``line(*report)`` for each report, every number in full.
+def _exact_lines(line, n, d, rows, none: str):
+    """``line(n, d, *row)`` for each row, every number in full.
 
     The ints go into line's f-string as they are. A None number, or an int
-    past str()'s digit limit (ValueError), sends the report again with its
+    past str()'s digit limit (ValueError), sends the row again with its
     numbers as ``exact_decimal`` text, and ``none`` for None.
     """
-    for r in reports:
-        subject, n, d, multidegree, index, exact, bound, ok, margin, flag, note = r
+    for row in rows:
+        subject, index, exact, bound, ok, margin, flag, note = row
         try:
             if n is None or d is None or exact is None or margin is None:
                 raise ValueError("a number is None")
-            text = line(*r)
+            text = line(n, d, *row)
         except ValueError:
-            n, d, exact, margin = (_opt(v, none) for v in (n, d, exact, margin))
+            n_text, d_text, exact, margin = (_opt(v, none) for v in (n, d, exact, margin))
             bound = exact_decimal(bound)
-            text = line(
-                subject, n, d, multidegree, index, exact, bound, ok, margin, flag, note
-            )
+            text = line(n_text, d_text, subject, index, exact, bound, ok, margin, flag, note)
         yield text
 
 
-def write_json(stream, reports, head: str = "") -> None:
-    """``{head "reports": [...]}``; ``head`` holds the rendered members before it."""
-    write, lists = stream.write, lru_cache(maxsize=None)(_json_ints)
-
-    def line(subject, n, d, multidegree, index, exact, bound, ok, margin, flag, note):
-        return (
-            f'    {{\n      "subject": {encode_basestring_ascii(subject)},\n'
-            f'      "n": {n},\n      "d": {d},\n'
-            f'      "multidegree": {lists(multidegree)},\n      "index": {lists(index)},\n'
-            f'      "exact": {exact},\n      "bound": {bound},\n'
-            f'      "satisfied": {"true" if ok else "false"},\n      "margin": {margin},\n'
-            f'      "degenerate": {"true" if flag else "false"},\n'
-            f'      "note": {encode_basestring_ascii(note)}\n    }}'
-        )
-
-    write("{\n" + head + '  "reports": [')
-    sep = "\n"
-    for text in _exact_lines(line, reports, "null"):
-        write(sep + text)
-        sep = ",\n"
-    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+def _pieces(line, n, d, rows, none: str, sep: str) -> tuple:
+    """One key's rows as text, cut where the multidegree goes: the first
+    row's text before it, each row's text after it joined by ``sep`` to the
+    next row's text before it, and the last row's text after it."""
+    if not rows:
+        return ()
+    heads, tails = zip(*_exact_lines(line, n, d, rows, none))
+    return (heads[0], *map(sep.join, zip(tails, heads[1:])), tails[-1])
 
 
-def write_csv(stream, reports) -> None:
-    lists = lru_cache(maxsize=None)(lambda t: _csv_cell(_joined(t)))
+def _write(stream, fmt: str, keys, labels, head: str = "") -> None:
+    """Stream keys x labels as a ``fmt`` document (json, csv or markdown);
+    ``head`` holds the rendered JSON members before "reports"."""
+    if fmt == "json":
+        label = lru_cache(maxsize=None)(_json_ints)
 
-    def line(subject, n, d, multidegree, index, exact, bound, ok, margin, _, __):
-        return (
-            f"{_csv_cell(subject)},{n},{d},{lists(multidegree)},{lists(index)},"
-            f'{exact},{bound},{"true" if ok else "false"},{margin}\n'
-        )
+        def line(n, d, subject, index, exact, bound, ok, margin, flag, note):
+            return (
+                f'    {{\n      "subject": {encode_basestring_ascii(subject)},\n'
+                f'      "n": {n},\n      "d": {d},\n      "multidegree": ',
+                f',\n      "index": {label(index)},\n'
+                f'      "exact": {exact},\n      "bound": {bound},\n'
+                f'      "satisfied": {"true" if ok else "false"},\n      "margin": {margin},\n'
+                f'      "degenerate": {"true" if flag else "false"},\n'
+                f'      "note": {encode_basestring_ascii(note)}\n    }}',
+            )
 
-    stream.write(",".join(CSV_COLUMNS) + "\n")
-    stream.writelines(_exact_lines(line, reports, ""))
+        start, first, sep, none = "{\n" + head + '  "reports": [', "\n", ",\n", "null"
+        ends = "]\n}\n", "\n  ]\n}\n"
+    elif fmt == "csv":
+        label = lru_cache(maxsize=None)(lambda t: _csv_cell(_joined(t)))
+
+        def line(n, d, subject, index, exact, bound, ok, margin, _, __):
+            return (
+                f"{_csv_cell(subject)},{n},{d},",
+                f',{label(index)},{exact},{bound},{"true" if ok else "false"},{margin}\n',
+            )
+
+        start, first, sep, none, ends = ",".join(CSV_COLUMNS) + "\n", "", "", "", ("", "")
+    elif fmt == "markdown":
+        label = lru_cache(maxsize=None)(_joined)
+
+        def line(n, d, subject, index, exact, bound, ok, margin, _, __):
+            return (
+                f"| {subject} | {n} | {d} | ",
+                f" | {label(index)} | {exact} | {bound} | "
+                f'{"true" if ok else "false"} | {margin} |\n',
+            )
+
+        start = f"| {' | '.join(CSV_COLUMNS)} |\n|{'---|' * len(CSV_COLUMNS)}\n"
+        first, sep, none, ends = "", "", "", ("", "")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    write = stream.write
+    write(start)
+    # the cases still to write of each key, and the pieces of those with some
+    left = [0] * len(keys)
+    for i, _ in labels:
+        left[i] += 1
+    held, lead = {}, first
+    for i, multidegree in labels:
+        pieces = held.pop(i, None) or _pieces(line, *keys[i], none, sep)
+        left[i] -= 1
+        if left[i]:
+            held[i] = pieces
+        if pieces:
+            write(lead)
+            write(label(multidegree).join(pieces))
+            lead = sep
+    # lead is no longer first once a row is written
+    write(ends[lead != first])
 
 
-def write_markdown(stream, reports) -> None:
-    lists = lru_cache(maxsize=None)(_joined)
+def _single_keys(reports) -> tuple:
+    """(keys, labels) holding each report as a key with one row and one case."""
+    keys = [(r[1], r[2], (r[:1] + r[4:],)) for r in reports]
+    return keys, [(i, r[3]) for i, r in enumerate(reports)]
 
-    def line(subject, n, d, multidegree, index, exact, bound, ok, margin, _, __):
-        return (
-            f"| {subject} | {n} | {d} | {lists(multidegree)} | {lists(index)} | "
-            f'{exact} | {bound} | {"true" if ok else "false"} | {margin} |\n'
-        )
 
-    stream.write(f"| {' | '.join(CSV_COLUMNS)} |\n|{'---|' * len(CSV_COLUMNS)}\n")
-    stream.writelines(_exact_lines(line, reports, ""))
+def write_json(stream, reports) -> None:
+    """``{"reports": [...]}`` for a report list, such as the signature check's."""
+    _write(stream, "json", *_single_keys(reports))
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -425,21 +467,21 @@ _RULES = {
 CHECK_NAMES = tuple(_RULES)
 
 
-def _reports(rows, least, has_base, v: _Variety) -> list:
-    """The finished rows (index, exact, bound, satisfied, margin, degenerate,
-    note) of one check; rows with a non-empty index whose bound base (d+n-2)
-    vanishes are flagged degenerate."""
+def _reports(name, rows, least, has_base, v: _Variety) -> list:
+    """The finished rows (subject, index, exact, bound, satisfied, margin,
+    degenerate, note) of one check; rows with a non-empty index whose bound
+    base (d+n-2) vanishes are flagged degenerate."""
     out = [
-        (i, e, b, (m := b - abs(e)) >= 0 and (least is None or e >= least), m, False, note)
+        (name, i, e, b, (m := b - abs(e)) >= 0 and (least is None or e >= least), m, False, note)
         for i, e, b, note in zip(*rows(v))
     ]
     if has_base and v.d + v.n == 2:
-        out = [row[:5] + (True, DEGENERATE_NOTE) if row[0] else row for row in out]
+        out = [row[:6] + (True, DEGENERATE_NOTE) if row[1] else row for row in out]
     return out
 
 
 # name -> callable(variety) -> list of finished rows; verify_grid dispatches here
-_CHECKS = {name: partial(_reports, *rule) for name, rule in _RULES.items()}
+_CHECKS = {name: partial(_reports, name, *rule) for name, rule in _RULES.items()}
 
 
 # -- verification grid -----------------------------------------------------
@@ -498,6 +540,23 @@ class GridSpec(Record):
         if repeated:
             raise ValueError(f"checks named more than once: {repeated}")
         super().__init__(max_ambient_dim, max_degree_per_factor, max_codim, checks, max_cases)
+        if self.case_count > MAX_GRID_CASES:
+            raise ValueError(
+                f"the grid has more than {MAX_GRID_CASES} cases after the max_cases cap; "
+                "lower max_cases, max_degree_per_factor, max_codim or max_ambient_dim"
+            )
+
+    @property
+    def case_count(self) -> int:
+        """len(enumerate_varieties(self)[0]) in closed form: k factors of
+        degree at most D, in P^m, make C(D+k-1, k) cases, summed over m and
+        k and capped by max_cases."""
+        total = sum(
+            comb(self.max_degree_per_factor + k - 1, k)
+            for m in range(2, self.max_ambient_dim + 1)
+            for k in range(1, min(m - 1, self.max_codim) + 1)
+        )
+        return min(total, self.max_cases)
 
     @classmethod
     def from_dict(cls, data) -> "GridSpec":
@@ -526,22 +585,58 @@ def enumerate_varieties(spec: GridSpec):
 
 
 class GridResult(Record):
-    """Outcome of one grid sweep, deterministically ordered."""
+    """Outcome of one grid sweep, deterministically ordered.
+
+    The sweep is held as keys x labels. A key is (n, d, rows): the finished
+    rows of one variety, every selected check in order, each row a report
+    without n, d and multidegree (see _reports). A label is (key position,
+    multidegree), one per case in case order. A case's reports are its
+    key's rows with n, d and its multidegree put in; ``reports`` builds them
+    on first use, while the counts and the writers read the keys. A result
+    made from a report tuple holds each report as a key of its own.
+    """
 
     _fields = ("spec", "cases", "truncated", "reports")
-    # __dict__ holds the cached properties
-    __slots__ = _fields + ("__dict__",)
+    # no slot for reports: __dict__ holds it, the keys and the cached properties
+    __slots__ = ("spec", "cases", "truncated", "__dict__")
 
     def __init__(self, spec: GridSpec, cases: tuple, truncated: bool, reports: tuple):
         super().__init__(spec, cases, truncated, reports)
 
+    @classmethod
+    def _from_keys(cls, spec: GridSpec, cases: tuple, truncated: bool, keys, labels):
+        result = cls.__new__(cls)
+        # the first three fields; reports is built from the keys on first use
+        Record.__init__(result, spec, cases, truncated)
+        result.__dict__["_keyed"] = keys, labels
+        return result
+
+    @cached_property
+    def _keyed(self) -> tuple:
+        return _single_keys(self.reports)
+
+    @cached_property
+    def reports(self) -> tuple:
+        return tuple(_expand(*self._keyed))
+
+    @property
+    def report_count(self) -> int:
+        """len(reports), from each case's key, without building them."""
+        keys, labels = self._keyed
+        return sum(len(keys[i][2]) for i, _ in labels)
+
+    def _select(self, keep) -> tuple:
+        """The reports of the rows ``keep`` takes, in report order."""
+        keys, labels = self._keyed
+        return tuple(_expand([(n, d, [*filter(keep, rows)]) for n, d, rows in keys], labels))
+
     @cached_property
     def violations(self) -> tuple:
-        return tuple(r for r in self.reports if not r.satisfied and not r.degenerate)
+        return self._select(lambda row: not row[4] and not row[6])
 
     @cached_property
     def flagged(self) -> tuple:
-        return tuple(r for r in self.reports if r.degenerate)
+        return self._select(itemgetter(6))
 
     @property
     def all_satisfied(self) -> bool:
@@ -549,6 +644,7 @@ class GridResult(Record):
 
     def write(self, stream, fmt: str) -> None:
         """Stream the report document in ``fmt`` (json, csv or markdown)."""
+        head = ""
         if fmt == "json":
             spec = self.spec
             checks = ",\n      ".join(map(encode_basestring_ascii, spec.checks))
@@ -564,13 +660,7 @@ class GridResult(Record):
                 f'  "truncated": {"true" if self.truncated else "false"},\n'
                 f'  "violations": {exact_decimal(len(self.violations))},\n'
             )
-            write_json(stream, self.reports, head)
-        elif fmt == "csv":
-            write_csv(stream, self.reports)
-        elif fmt == "markdown":
-            write_markdown(stream, self.reports)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        _write(stream, fmt, *self._keyed, head)
 
     def render(self, fmt: str) -> str:
         """The document ``write`` streams, as one string."""
@@ -579,37 +669,37 @@ class GridResult(Record):
         return buffer.getvalue()
 
 
+def _expand(keys, labels):
+    """The BoundReports of keys x labels, in case order."""
+    new = partial(tuple.__new__, BoundReport)
+    for i, multidegree in labels:
+        n, d, rows = keys[i]
+        middle = n, d, multidegree
+        for row in rows:
+            yield new(row[:1] + middle + row[1:])
+
+
 def verify_grid(spec: GridSpec) -> GridResult:
     """Run every selected check over every grid variety.
 
     A degree-1 factor is a linear re-embedding: X cut by a hyperplane of P^m
     is the same variety in P^(m-1), with the same n and d. So the checks run
-    once per key (dimension, degrees above 1), and each later case with that
-    key copies the first one's reports under its own multidegree. The memo
-    keeps only where those reports sit in the output, and lives for this
-    call alone. The key is a plain tuple: (n, ()) is P^n, which
-    CompleteIntersection cannot hold.
+    once per key (dimension, degrees above 1), and each case keeps only its
+    key's position and its multidegree. The key is a plain tuple: (n, ()) is
+    P^n, which CompleteIntersection cannot hold.
     """
     cases, truncated = enumerate_varieties(spec)
-    reports, first = [], {}
-    new, front, tail = (
-        partial(tuple.__new__, BoundReport),
-        itemgetter(slice(3)),
-        itemgetter(slice(4, None)),
-    )
+    keys, labels, where = [], [], {}
     for ci in cases:
         m, degs = ci.ambient_dim, ci.multidegree
         n = m - len(degs)
         key = n, degs[degs.count(1) :]
-        if key in first:
-            # r[:3] + (degs,) + r[4:] for each report r of the key's first case
-            done = reports[slice(*first[key])]
-            labels = map(add, map(front, done), repeat((degs,)))
-            reports.extend(map(new, map(add, labels, map(tail, done))))
-            continue
-        start, v = len(reports), _Variety(m, degs, n)
-        for check in spec.checks:
-            rows = _CHECKS[check](v)
-            reports.extend(map(new, map(add, repeat((check, n, v.d, degs)), rows)))
-        first[key] = start, len(reports)
-    return GridResult(spec=spec, cases=cases, truncated=truncated, reports=tuple(reports))
+        i = where.get(key)
+        if i is None:
+            i = where[key] = len(keys)
+            v, rows = _Variety(m, degs, n), []
+            for check in spec.checks:
+                rows += _CHECKS[check](v)
+            keys.append((n, v.d, tuple(rows)))
+        labels.append((i, degs))
+    return GridResult._from_keys(spec, cases, truncated, keys, labels)

@@ -181,8 +181,9 @@ def _cmd_verify(args) -> int:
     if args.format is not None or args.out is not None:
         _write_out(lambda out: result.write(out, args.format or "json"), args.out)
     if not document_on_stdout:
-        counts = (result.cases, result.reports, result.flagged, result.violations)
-        cases, reports, flagged, violations = (exact_decimal(len(c)) for c in counts)
+        counts = (len(result.cases), result.report_count, len(result.flagged))
+        cases, reports, flagged = map(exact_decimal, counts)
+        violations = exact_decimal(len(result.violations))
         print(
             f"cases={cases} truncated={str(result.truncated).lower()} "
             f"reports={reports} flagged={flagged} violations={violations}"

@@ -13,6 +13,7 @@ from charbound.bounds import (
     _CHECKS,
     CHECK_NAMES,
     DEGENERATE_NOTE,
+    MAX_GRID_CASES,
     BoundReport,
     GridResult,
     GridSpec,
@@ -35,10 +36,12 @@ from charbound.chern import (
     bareiss_determinant,
     chern_number,
     cotangent_chern,
+    degree_sequence,
     euler_characteristic,
     squared_chern_pairing,
     twist_chern,
 )
+from charbound.cli import main
 from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
 
 
@@ -190,6 +193,39 @@ def test_enumeration_under_a_degree_cap_past_the_case_cap(max_degree, max_cases)
     assert enumerate_varieties(spec) == (curves, True)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    (
+        GridSpec(max_ambient_dim=4, max_degree_per_factor=2, max_cases=1000),
+        GridSpec(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8, max_cases=10**6),
+        GridSpec(max_ambient_dim=5, max_degree_per_factor=14, max_cases=10**6),
+        GridSpec(max_ambient_dim=12, max_degree_per_factor=3, max_codim=2, max_cases=10**6),
+        # cut short by the cap
+        GridSpec(),
+        GridSpec(max_ambient_dim=6, max_degree_per_factor=3, max_codim=2, max_cases=37),
+        GridSpec(max_degree_per_factor=10**20, max_cases=5),
+        GridSpec(max_cases=0),
+    ),
+)
+def test_case_count_is_the_enumerated_count(spec):
+    assert spec.case_count == len(enumerate_varieties(spec)[0])
+
+
+def test_grid_spec_refuses_more_cases_than_the_limit():
+    assert MAX_GRID_CASES == 10**6
+    at_limit = GridSpec(max_degree_per_factor=10**20, max_cases=MAX_GRID_CASES)
+    assert at_limit.case_count == MAX_GRID_CASES
+    for sizes in (
+        {"max_degree_per_factor": 10**20, "max_cases": 10**20},
+        {"max_ambient_dim": 3, "max_degree_per_factor": 9999999999, "max_cases": 99999999999},
+        # m<=24 D<=8 has 28,048,776 cases
+        {"max_ambient_dim": 24, "max_degree_per_factor": 8, "max_codim": 23,
+         "max_cases": MAX_GRID_CASES + 1},
+    ):
+        with pytest.raises(ValueError, match="more than 1000000 cases after the max_cases cap"):
+            GridSpec(**sizes)
+
+
 def test_empty_grid():
     result = verify_grid(GridSpec(max_cases=0))
     assert result.reports == ()
@@ -284,6 +320,43 @@ def test_degree_sequence_lower_limit_can_fail(monkeypatch):
     assert result.reports
     assert not any(r.satisfied for r in result.reports)
     assert result.violations == result.reports
+
+
+def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, capsys):
+    # the quadric surface key, (n, d) = (2, 2), gets degree sequence values
+    # one past their bounds d^(i+1); every other key keeps its own
+    def one_past(a, d, n):
+        if (n, d) == (2, 2):
+            return tuple(d ** (i + 1) + 1 for i in range(n + 1))
+        return degree_sequence(a, d, n)
+
+    monkeypatch.setattr("charbound.bounds.degree_sequence", one_past)
+    spec = GridSpec(max_ambient_dim=5, max_degree_per_factor=3, checks=("degree-sequence",))
+    result = verify_grid(spec)
+    # P^3 (2), P^4 (1,2) and P^5 (1,1,2): three cases share the key
+    quadrics = [ci.multidegree for ci in result.cases if (ci.dimension, ci.degree) == (2, 2)]
+    assert quadrics == [(2,), (1, 2), (1, 1, 2)]
+    expected = tuple(
+        BoundReport("degree-sequence", 2, 2, degs, (i,), 2 ** (i + 1) + 1, 2 ** (i + 1), False, -1)
+        for degs in quadrics
+        for i in range(3)
+    )
+    assert result.violations == expected
+    assert result.flagged == ()
+    assert all(r.satisfied for r in result.reports if (r.n, r.d) != (2, 2))
+    # degree-sequence has n + 1 rows per case
+    reports = sum(ci.dimension + 1 for ci in result.cases)
+    assert reports == len(result.reports)
+    # the summary line and the JSON head count each case of the key
+    flags = ["--max-ambient-dim", "5", "--max-degree", "3", "--checks", "degree-sequence"]
+    assert main(["verify", *flags]) == 1
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith(f"reports={reports} flagged=0 violations=9")
+    out = tmp_path / "reports.json"
+    assert main(["verify", *flags, "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["violations"] == 9
+    assert sum(not r["satisfied"] for r in payload["reports"]) == 9
 
 
 # -- the grid kernel against a case-by-case oracle -------------------------------
@@ -535,20 +608,38 @@ maybe_ints = st.none() | st.lists(
 # csv.writer quotes on "," '"' and "\n" only, so a subject needs no "\r"
 subjects = st.sampled_from(CHECK_NAMES + ("signature",)) | st.text(alphabet='ab -,"\n\\', max_size=8)
 notes = st.text(alphabet=st.sampled_from('a "\\\n\r\t,\x00\x7fé€\U0001d11e') | st.characters(), max_size=12)
-reports_strategy = st.builds(
-    BoundReport,
-    subject=subjects,
-    n=maybe_int,
-    d=maybe_int,
-    multidegree=maybe_ints,
-    index=maybe_ints,
-    exact_value=maybe_int,
-    bound_value=some_int,
-    satisfied=st.booleans(),
-    margin=maybe_int,
-    degenerate=st.booleans(),
-    note=notes,
+# a report without n, d and multidegree, as a key holds it
+rows_strategy = st.tuples(
+    subjects, maybe_ints, maybe_int, some_int, st.booleans(), maybe_int, st.booleans(), notes
 )
+# "2,3" needs CSV quoting
+multidegrees = maybe_ints | st.sampled_from(((2, 3), (1, 1, 2)))
+
+
+@st.composite
+def keyed_layouts(draw):
+    """(keys, labels) as verify_grid lays a grid out: a few keys (n, d, rows),
+    each shared by several cases that carry their own multidegrees."""
+    keys = draw(
+        st.lists(
+            st.tuples(maybe_int, maybe_int, st.lists(rows_strategy, max_size=2).map(tuple)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    labels = st.tuples(st.integers(min_value=0, max_value=len(keys) - 1), multidegrees)
+    return keys, draw(st.lists(labels, max_size=4))
+
+
+def layout_reports(keys, labels):
+    """The reports of a layout, one case and one row at a time."""
+    return tuple(
+        BoundReport(row[0], keys[i][0], keys[i][1], multidegree, *row[1:])
+        for i, multidegree in labels
+        for row in keys[i][2]
+    )
+
+
 specs = st.builds(
     GridSpec,
     max_ambient_dim=st.integers(min_value=2, max_value=24),
@@ -563,19 +654,28 @@ specs = st.builds(
 # with each part varied, and pytest formats a traceback for every rerun that
 # fails. That took a broken writer 50-100 s to report, shrinking itself 5-13 s.
 @settings(phases=tuple(phase for phase in Phase if phase is not Phase.explain))
-@given(specs, st.integers(min_value=0, max_value=3), st.booleans(), st.lists(reports_strategy, max_size=5))
-def test_writers_match_stdlib_serializers(spec, cases, truncated, reports):
-    result = GridResult(spec=spec, cases=(None,) * cases, truncated=truncated, reports=tuple(reports))
-    rendered = {fmt: result.render(fmt) for fmt in ("json", "csv", "markdown")}
+@given(specs, st.integers(min_value=0, max_value=3), st.booleans(), keyed_layouts())
+def test_writers_match_stdlib_serializers(spec, cases, truncated, layout):
+    # the same reports as verify_grid stores them, and as a report tuple
+    reports = layout_reports(*layout)
+    keyed = GridResult._from_keys(spec, (None,) * cases, truncated, *layout)
+    listed = GridResult(spec=spec, cases=(None,) * cases, truncated=truncated, reports=reports)
+    assert keyed.reports == reports and keyed.report_count == len(reports)
+    violations = tuple(r for r in reports if not r.satisfied and not r.degenerate)
+    assert keyed.violations == listed.violations == violations
+    assert keyed.flagged == listed.flagged == tuple(r for r in reports if r.degenerate)
+    rendered = [
+        {fmt: result.render(fmt) for fmt in ("json", "csv", "markdown")}
+        for result in (keyed, listed)
+    ]
     # the signature check's --out file: a document with the report list alone
     buffer = io.StringIO()
-    write_json(buffer, tuple(reports))
+    write_json(buffer, reports)
     with unlimited_int_digits():  # the stdlib oracles print every int with str()
-        payload, expected = oracle_json(result)
-        assert rendered["json"] == expected
-        assert json.loads(rendered["json"]) == payload
-        assert rendered["csv"] == oracle_csv(reports)
-        assert rendered["markdown"] == oracle_markdown(reports)
+        payload, expected = oracle_json(listed)
+        assert json.loads(rendered[0]["json"]) == payload
+        csv_text, markdown = oracle_csv(reports), oracle_markdown(reports)
+        assert rendered[0] == rendered[1] == {"json": expected, "csv": csv_text, "markdown": markdown}
         standalone = {"reports": [oracle_dict(r) for r in reports]}
         assert buffer.getvalue() == json.dumps(standalone, indent=2) + "\n"
 

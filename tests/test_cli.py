@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
+from charbound.bounds import GridResult, GridSpec, verify_grid
 from charbound.cli import _build_parser, main
 from charbound.schubert import grassmannian_degree
 
@@ -201,6 +202,43 @@ def test_verify_rejects_ambient_dim_above_limit(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--grid", str(grid))
     assert (code, out) == (2, "")
     assert "got 25" in err
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    (
+        # once an OverflowError from combinations_with_replacement
+        ("--max-degree", "99999999999999999999", "--max-cases", "99999999999999999999"),
+        # once a MemoryError: the pool of 10^10 degrees was copied into a tuple
+        ("--max-ambient-dim", "3", "--max-degree", "9999999999", "--max-cases", "99999999999"),
+    ),
+)
+def test_verify_refuses_a_grid_past_the_case_limit(sizes):
+    proc = run_limited("verify", *sizes)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "more than 1000000 cases after the max_cases cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_builds_reports_only_for_violations_and_flags(tmp_path, capsys, monkeypatch):
+    # 6 of the 439 reports, those of lines, are flagged; the rest are only
+    # counted and rendered
+    flags = ["--max-ambient-dim", "4", "--max-degree", "3"]
+    grid = verify_grid(GridSpec(max_ambient_dim=4, max_degree_per_factor=3))
+    assert (len(grid.reports), len(grid.flagged)) == (439, 6)
+
+    def refuse(self):
+        raise AssertionError("GridResult.reports was built")
+
+    monkeypatch.setattr(GridResult, "reports", property(refuse))
+    code, out, _ = run(capsys, "verify", *flags)
+    assert code == 0
+    assert f"reports={grid.report_count} flagged={len(grid.flagged)} violations=0" in out
+    for fmt in ("json", "csv", "markdown"):
+        path = tmp_path / f"reports.{fmt}"
+        code, _, _ = run(capsys, "verify", *flags, "--format", fmt, "--out", str(path))
+        assert code == 0
+        assert path.read_text() == grid.render(fmt)
 
 
 def test_verify_grid_sizes_must_be_integers(tmp_path, capsys):
