@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache, partial
 from io import StringIO
-from itertools import combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement, count, filterfalse, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb, prod
 from operator import itemgetter, mul
@@ -98,15 +98,27 @@ CSV_COLUMNS = (
 
 # -- report writers ----------------------------------------------------------
 # A report document is written from keys x labels (see GridResult): a key is
-# (n, d, rows), a label (key position, multidegree) per case. Each key's rows
-# are rendered once, as the text around their multidegree field, and each
-# case writes its own multidegree's text between those pieces. The bytes are
-# those the stdlib would give: json.dumps(payload, indent=2) + "\n" with its
-# default ASCII escaping, and csv.writer with lineterminator "\n". Only a
-# key's pieces are held, and only while cases of that key remain. List fields
-# are rendered once per document. Every int prints through the row's
-# f-string, or through exact_decimal (from varieties, re-exported here) past
-# str()'s digit limit.
+# (n, d, rows), a label (key position, multidegree) per case. The rows of a
+# key render through one %-template, built once per document for each
+# layout, the key's sequence of (subject, index) pairs: the template holds
+# every row's subject and index text, with each "%" doubled, a %s for each
+# number and flag, and a cut mark where the multidegree goes. So a key is one
+# ``template % values`` whose values are flattened in C, cut at the marks
+# into pieces, and each case writes its own multidegree's text between those
+# pieces. The mark is the first control character, or else the first
+# character from U+0080 on, that the template's own text does not hold. No
+# value holds one: values are numbers, true and false, and ASCII-escaped
+# JSON strings. So a subject is never cut, whatever it holds. A key holding
+# None or an int past str()'s digit limit fills the same template with
+# exact_decimal (from varieties, re-exported here) text and the format's
+# blank for None; %s would print None as "None". Only a key's pieces are
+# held, and only while cases of that key remain. The templates live for one
+# document and hold at most one entry per key, and list fields are rendered
+# once per document. The bytes are those the stdlib would give:
+# json.dumps(payload, indent=2) + "\n" with its default ASCII escaping, and
+# csv.writer with lineterminator "\n".
+
+_TRUE_FALSE = ("false", "true").__getitem__
 
 
 def _opt(value, none: str) -> str:
@@ -130,34 +142,53 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _exact_lines(line, n, d, rows, none: str):
-    """``line(n, d, *row)`` for each row, every number in full.
+def _escaped(text: str) -> str:
+    """``text`` as literal %-template text."""
+    return text.replace("%", "%%")
 
-    The ints go into line's f-string as they are. A None number, or an int
-    past str()'s digit limit (ValueError), sends the row again with its
-    numbers as ``exact_decimal`` text, and ``none`` for None.
+
+def _template(row, sep: str, subjects, indices) -> tuple:
+    """(template, mark) for one layout. ``row(subject, index)`` gives a
+    row's template text before and after its multidegree; the rows are
+    joined by ``sep``, with the mark between each row's two halves."""
+    heads, tails = zip(*map(row, subjects, indices))
+    text = "".join(heads + tails)
+    mark = next(c for c in map(chr, chain(range(32), count(0x80))) if c not in text)
+    return sep.join(map(mark.join, zip(heads, tails))), mark
+
+
+def _json_values(n, d, exacts, bounds, oks, margins, flags, notes):
+    """The values of a key's JSON rows, row by row."""
+    return zip(
+        repeat(n), repeat(d), exacts, bounds, map(_TRUE_FALSE, oks), margins,
+        map(_TRUE_FALSE, flags), map(encode_basestring_ascii, notes),
+    )
+
+
+def _table_values(n, d, exacts, bounds, oks, margins, _, __):
+    """The values of a key's CSV or markdown rows, row by row."""
+    return zip(repeat(n), repeat(d), exacts, bounds, map(_TRUE_FALSE, oks), margins)
+
+
+def _fill(template, values, none, n, d, columns) -> str:
+    """``template`` filled with one key's n, d and row columns (exact
+    values, bounds, satisfied, margins, degenerate, notes), every number in
+    full.
+
+    The ints go into the template as they are. A None number, or an int
+    past str()'s digit limit (ValueError), fills it again with the numbers
+    as ``exact_decimal`` text, and ``none`` for None.
     """
-    for row in rows:
-        subject, index, exact, bound, ok, margin, flag, note = row
+    exacts, bounds, oks, margins, flags, notes = columns
+    if not (n is None or d is None or None in exacts or None in margins):
         try:
-            if n is None or d is None or exact is None or margin is None:
-                raise ValueError("a number is None")
-            text = line(n, d, *row)
-        except ValueError:
-            n_text, d_text, exact, margin = (_opt(v, none) for v in (n, d, exact, margin))
-            bound = exact_decimal(bound)
-            text = line(n_text, d_text, subject, index, exact, bound, ok, margin, flag, note)
-        yield text
-
-
-def _pieces(line, n, d, rows, none: str, sep: str) -> tuple:
-    """One key's rows as text, cut where the multidegree goes: the first
-    row's text before it, each row's text after it joined by ``sep`` to the
-    next row's text before it, and the last row's text after it."""
-    if not rows:
-        return ()
-    heads, tails = zip(*_exact_lines(line, n, d, rows, none))
-    return (heads[0], *map(sep.join, zip(tails, heads[1:])), tails[-1])
+            return template % tuple(chain.from_iterable(values(n, d, *columns)))
+        except ValueError:  # an int past str()'s digit limit
+            pass
+    text = partial(_opt, none=none)
+    exacts, margins, bounds = map(text, exacts), map(text, margins), map(exact_decimal, bounds)
+    columns = values(text(n), text(d), exacts, bounds, oks, margins, flags, notes)
+    return template % tuple(chain.from_iterable(columns))
 
 
 def _write(stream, fmt: str, keys, labels, head: str = "") -> None:
@@ -166,43 +197,50 @@ def _write(stream, fmt: str, keys, labels, head: str = "") -> None:
     if fmt == "json":
         label = lru_cache(maxsize=None)(_json_ints)
 
-        def line(n, d, subject, index, exact, bound, ok, margin, flag, note):
+        def row(subject, index):
             return (
-                f'    {{\n      "subject": {encode_basestring_ascii(subject)},\n'
-                f'      "n": {n},\n      "d": {d},\n      "multidegree": ',
-                f',\n      "index": {label(index)},\n'
-                f'      "exact": {exact},\n      "bound": {bound},\n'
-                f'      "satisfied": {"true" if ok else "false"},\n      "margin": {margin},\n'
-                f'      "degenerate": {"true" if flag else "false"},\n'
-                f'      "note": {encode_basestring_ascii(note)}\n    }}',
+                f'    {{\n      "subject": {_escaped(encode_basestring_ascii(subject))},\n'
+                '      "n": %s,\n      "d": %s,\n      "multidegree": ',
+                f',\n      "index": {label(index)},\n      "exact": %s,\n      "bound": %s,\n'
+                '      "satisfied": %s,\n      "margin": %s,\n'
+                '      "degenerate": %s,\n      "note": %s\n    }',
             )
 
         start, first, sep, none = "{\n" + head + '  "reports": [', "\n", ",\n", "null"
-        ends = "]\n}\n", "\n  ]\n}\n"
+        values, ends = _json_values, ("]\n}\n", "\n  ]\n}\n")
     elif fmt == "csv":
         label = lru_cache(maxsize=None)(lambda t: _csv_cell(_joined(t)))
 
-        def line(n, d, subject, index, exact, bound, ok, margin, _, __):
-            return (
-                f"{_csv_cell(subject)},{n},{d},",
-                f',{label(index)},{exact},{bound},{"true" if ok else "false"},{margin}\n',
-            )
+        def row(subject, index):
+            return f"{_escaped(_csv_cell(subject))},%s,%s,", f",{label(index)},%s,%s,%s,%s\n"
 
         start, first, sep, none, ends = ",".join(CSV_COLUMNS) + "\n", "", "", "", ("", "")
+        values = _table_values
     elif fmt == "markdown":
         label = lru_cache(maxsize=None)(_joined)
 
-        def line(n, d, subject, index, exact, bound, ok, margin, _, __):
-            return (
-                f"| {subject} | {n} | {d} | ",
-                f" | {label(index)} | {exact} | {bound} | "
-                f'{"true" if ok else "false"} | {margin} |\n',
-            )
+        def row(subject, index):
+            tail = f" | {label(index)} | %s | %s | %s | %s |\n"
+            return f"| {_escaped(subject)} | %s | %s | ", tail
 
         start = f"| {' | '.join(CSV_COLUMNS)} |\n|{'---|' * len(CSV_COLUMNS)}\n"
-        first, sep, none, ends = "", "", "", ("", "")
+        values, first, sep, none, ends = _table_values, "", "", "", ("", "")
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    templates = {}
+
+    def pieces(n, d, rows) -> list:
+        """One key's rows as text, cut where the multidegree goes."""
+        if not rows:
+            return []
+        subjects, indices, *columns = zip(*rows)
+        layout = subjects, indices
+        found = templates.get(layout)
+        if found is None:
+            found = templates[layout] = _template(row, sep, subjects, indices)
+        template, mark = found
+        return _fill(template, values, none, n, d, columns).split(mark)
+
     write = stream.write
     write(start)
     # the cases still to write of each key, and the pieces of those with some
@@ -211,13 +249,13 @@ def _write(stream, fmt: str, keys, labels, head: str = "") -> None:
         left[i] += 1
     held, lead = {}, first
     for i, multidegree in labels:
-        pieces = held.pop(i, None) or _pieces(line, *keys[i], none, sep)
+        cut = held.pop(i, None) or pieces(*keys[i])
         left[i] -= 1
         if left[i]:
-            held[i] = pieces
-        if pieces:
+            held[i] = cut
+        if cut:
             write(lead)
-            write(label(multidegree).join(pieces))
+            write(label(multidegree).join(cut))
             lead = sep
     # lead is no longer first once a row is written
     write(ends[lead != first])
@@ -261,6 +299,11 @@ def curve_betti_bound(d: int) -> int:
     return 2 + (d - 1) * (d - 2)
 
 
+# one entry per (n, d) reached: the recursion fills n = 1 up to the n asked,
+# so a degree d holds as many entries as its largest n (below
+# MAX_AMBIENT_DIM on a grid, up to cli.MAX_BOUND_N through `bound`). A verify
+# run asks for one d per grid key, so its grid bounds what it adds; a library
+# process that asks for ever new degrees grows the cache for its lifetime
 @lru_cache(maxsize=None)
 def _recursive_betti_bound(n: int, d: int) -> int:
     if n == 1:
@@ -365,22 +408,27 @@ _tables = lru_cache(maxsize=None)(_Tables)
 
 
 class _Variety:
-    """The ints every check of one grid key reads."""
+    """The ints the checks of one grid key read; of twisted, sequence,
+    powers and betti, only those named in ``reads``."""
 
     __slots__ = ("n", "d", "tables", "tangent", "twisted", "sequence", "powers", "betti")
 
-    def __init__(self, ambient_dim: int, degrees: tuple, n: int):
+    def __init__(self, ambient_dim: int, degrees: tuple, n: int, reads):
         d = prod(degrees)
         self.n, self.d, self.tables = n, d, _tables(n)
         # a_0..a_n of the tangent bundle, and of the cotangent bundle twisted
         # by 2h, which is nef
         a = self.tangent = tangent_multiples(ambient_dim, degrees, n)
-        self.twisted = [sum(map(mul, row, a)) for row in self.tables.twist]
-        # the ample degree sequence, for A = K + (n+2)h with K = -c_1
-        self.sequence = degree_sequence(n + 2 - a[1], d, n)
-        # d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight
-        self.powers = [d * (d + n - 2) ** w for w in range(n + 1)]
-        self.betti = betti_from_euler(n, d * a[n])
+        if "twisted" in reads:
+            self.twisted = [sum(map(mul, row, a)) for row in self.tables.twist]
+        if "sequence" in reads:
+            # the ample degree sequence, for A = K + (n+2)h with K = -c_1
+            self.sequence = degree_sequence(n + 2 - a[1], d, n)
+        if "powers" in reads:
+            # d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight
+            self.powers = [d * (d + n - 2) ** w for w in range(n + 1)]
+        if "betti" in reads:
+            self.betti = betti_from_euler(n, d * a[n])
 
 
 def _chern_numbers(v: _Variety, multiples) -> list:
@@ -451,17 +499,18 @@ def _pontryagin_rows(v):
     return indices, values, [pontryagin_bound(n, d)] * len(values), repeat("")
 
 
-# name -> (rows, least legal exact value or None, bound has the base (d+n-2))
+# name -> (rows, least legal exact value or None, bound has the base (d+n-2),
+# the _Variety values the rows read besides n, d, tables and tangent)
 _RULES = {
-    "degree-sequence": (_degree_sequence_rows, 1, False),
-    "log-concavity": (_log_concavity_rows, None, False),
-    "nef-chern": (_nef_chern_rows, 0, True),
-    "cotangent-chern": (_cotangent_chern_rows, None, True),
-    "betti": (_betti_rows, None, False),
-    "betti-recursive": (_betti_recursive_rows, None, False),
-    "euler": (_euler_rows, None, False),
-    "schur-positivity": (_schur_positivity_rows, None, False),
-    "pontryagin": (_pontryagin_rows, None, True),
+    "degree-sequence": (_degree_sequence_rows, 1, False, ("sequence",)),
+    "log-concavity": (_log_concavity_rows, None, False, ("sequence",)),
+    "nef-chern": (_nef_chern_rows, 0, True, ("twisted", "powers")),
+    "cotangent-chern": (_cotangent_chern_rows, None, True, ("powers",)),
+    "betti": (_betti_rows, None, False, ("betti",)),
+    "betti-recursive": (_betti_recursive_rows, None, False, ("betti",)),
+    "euler": (_euler_rows, None, False, ("betti",)),
+    "schur-positivity": (_schur_positivity_rows, None, False, ("twisted",)),
+    "pontryagin": (_pontryagin_rows, None, True, ("twisted",)),
 }
 
 CHECK_NAMES = tuple(_RULES)
@@ -481,7 +530,7 @@ def _reports(name, rows, least, has_base, v: _Variety) -> list:
 
 
 # name -> callable(variety) -> list of finished rows; verify_grid dispatches here
-_CHECKS = {name: partial(_reports, name, *rule) for name, rule in _RULES.items()}
+_CHECKS = {name: partial(_reports, name, *rule[:3]) for name, rule in _RULES.items()}
 
 
 # -- verification grid -----------------------------------------------------
@@ -567,21 +616,30 @@ class GridSpec(Record):
         return cls(**{k: data[k] for k in known if k in data})
 
 
-def enumerate_varieties(spec: GridSpec):
-    """All grid varieties in canonical order, capped; returns (cases, truncated)."""
-    cases = []
-    truncated = False
+def _grid(spec: GridSpec):
+    """The grid's (ambient dimension, multidegree) pairs in canonical order,
+    capped; returns (pairs, truncated)."""
+    pairs = []
     # no degree above max_cases + 1 is reached before the cap, and the shorter
     # range keeps combinations_with_replacement under its sys.maxsize limit
     degrees = range(1, min(spec.max_degree_per_factor, spec.max_cases + 1) + 1)
     for m in range(2, spec.max_ambient_dim + 1):
         for k in range(1, min(m - 1, spec.max_codim) + 1):
             for degs in combinations_with_replacement(degrees, k):
-                if len(cases) >= spec.max_cases:
-                    truncated = True
-                    return tuple(cases), truncated
-                cases.append(CompleteIntersection(m, degs))
-    return tuple(cases), truncated
+                if len(pairs) >= spec.max_cases:
+                    return pairs, True
+                pairs.append((m, degs))
+    return pairs, False
+
+
+def enumerate_varieties(spec: GridSpec):
+    """All grid varieties in canonical order, capped; returns (cases, truncated)."""
+    pairs, truncated = _grid(spec)
+    return tuple(CompleteIntersection(m, degs) for m, degs in pairs), truncated
+
+
+# the satisfied and degenerate fields of a key's row
+_SATISFIED, _DEGENERATE = itemgetter(4), itemgetter(6)
 
 
 class GridResult(Record):
@@ -591,23 +649,26 @@ class GridResult(Record):
     rows of one variety, every selected check in order, each row a report
     without n, d and multidegree (see _reports). A label is (key position,
     multidegree), one per case in case order. A case's reports are its
-    key's rows with n, d and its multidegree put in; ``reports`` builds them
-    on first use, while the counts and the writers read the keys. A result
-    made from a report tuple holds each report as a key of its own.
+    key's rows with n, d and its multidegree put in; ``cases`` and
+    ``reports`` are built on first use, while the counts and the writers
+    read the keys and labels. A result made from a case tuple and a report
+    tuple holds each report as a key of its own.
     """
 
     _fields = ("spec", "cases", "truncated", "reports")
-    # no slot for reports: __dict__ holds it, the keys and the cached properties
-    __slots__ = ("spec", "cases", "truncated", "__dict__")
+    # no slots for cases and reports: __dict__ holds them, the keys and the
+    # cached properties
+    __slots__ = ("spec", "truncated", "__dict__")
 
     def __init__(self, spec: GridSpec, cases: tuple, truncated: bool, reports: tuple):
         super().__init__(spec, cases, truncated, reports)
 
     @classmethod
-    def _from_keys(cls, spec: GridSpec, cases: tuple, truncated: bool, keys, labels):
+    def _from_keys(cls, spec: GridSpec, truncated: bool, keys, labels):
         result = cls.__new__(cls)
-        # the first three fields; reports is built from the keys on first use
-        Record.__init__(result, spec, cases, truncated)
+        # cases and reports are built from the keys and labels on first use
+        object.__setattr__(result, "spec", spec)
+        object.__setattr__(result, "truncated", truncated)
         result.__dict__["_keyed"] = keys, labels
         return result
 
@@ -616,8 +677,21 @@ class GridResult(Record):
         return _single_keys(self.reports)
 
     @cached_property
+    def cases(self) -> tuple:
+        # a case of dimension n with k factors lies in P^(n+k)
+        keys, labels = self._keyed
+        return tuple(CompleteIntersection(keys[i][0] + len(degs), degs) for i, degs in labels)
+
+    @cached_property
     def reports(self) -> tuple:
         return tuple(_expand(*self._keyed))
+
+    @property
+    def case_count(self) -> int:
+        """len(cases), from the labels when cases were not given."""
+        if "cases" in self.__dict__:
+            return len(self.cases)
+        return len(self._keyed[1])
 
     @property
     def report_count(self) -> int:
@@ -625,18 +699,22 @@ class GridResult(Record):
         keys, labels = self._keyed
         return sum(len(keys[i][2]) for i, _ in labels)
 
-    def _select(self, keep) -> tuple:
-        """The reports of the rows ``keep`` takes, in report order."""
+    def _select(self, select) -> tuple:
+        """The reports of the rows ``select(rows)`` keeps of each key, in
+        report order."""
         keys, labels = self._keyed
-        return tuple(_expand([(n, d, [*filter(keep, rows)]) for n, d, rows in keys], labels))
+        return tuple(_expand([(n, d, select(rows)) for n, d, rows in keys], labels))
 
     @cached_property
     def violations(self) -> tuple:
-        return self._select(lambda row: not row[4] and not row[6])
+        # the unsatisfied rows, less the few flagged degenerate
+        return self._select(
+            lambda rows: [*filterfalse(_DEGENERATE, filterfalse(_SATISFIED, rows))]
+        )
 
     @cached_property
     def flagged(self) -> tuple:
-        return self._select(itemgetter(6))
+        return self._select(lambda rows: [*filter(_DEGENERATE, rows)])
 
     @property
     def all_satisfied(self) -> bool:
@@ -656,7 +734,7 @@ class GridResult(Record):
                 f'    "checks": [\n      {checks}\n    ],\n'
                 f'    "max_cases": {exact_decimal(spec.max_cases)}\n'
                 "  },\n"
-                f'  "cases": {exact_decimal(len(self.cases))},\n'
+                f'  "cases": {exact_decimal(self.case_count)},\n'
                 f'  "truncated": {"true" if self.truncated else "false"},\n'
                 f'  "violations": {exact_decimal(len(self.violations))},\n'
             )
@@ -686,20 +764,22 @@ def verify_grid(spec: GridSpec) -> GridResult:
     is the same variety in P^(m-1), with the same n and d. So the checks run
     once per key (dimension, degrees above 1), and each case keeps only its
     key's position and its multidegree. The key is a plain tuple: (n, ()) is
-    P^n, which CompleteIntersection cannot hold.
+    P^n, which CompleteIntersection cannot hold. Each key's variety holds
+    only the values the selected checks read.
     """
-    cases, truncated = enumerate_varieties(spec)
+    pairs, truncated = _grid(spec)
+    checks = [_CHECKS[check] for check in spec.checks]
+    reads = {value for check in spec.checks for value in _RULES[check][3]}
     keys, labels, where = [], [], {}
-    for ci in cases:
-        m, degs = ci.ambient_dim, ci.multidegree
+    for m, degs in pairs:
         n = m - len(degs)
         key = n, degs[degs.count(1) :]
         i = where.get(key)
         if i is None:
             i = where[key] = len(keys)
-            v, rows = _Variety(m, degs, n), []
-            for check in spec.checks:
-                rows += _CHECKS[check](v)
+            v, rows = _Variety(m, degs, n, reads), []
+            for check in checks:
+                rows += check(v)
             keys.append((n, v.d, tuple(rows)))
         labels.append((i, degs))
-    return GridResult._from_keys(spec, cases, truncated, keys, labels)
+    return GridResult._from_keys(spec, truncated, keys, labels)

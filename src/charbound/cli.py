@@ -181,7 +181,7 @@ def _cmd_verify(args) -> int:
     if args.format is not None or args.out is not None:
         _write_out(lambda out: result.write(out, args.format or "json"), args.out)
     if not document_on_stdout:
-        counts = (len(result.cases), result.report_count, len(result.flagged))
+        counts = (result.case_count, result.report_count, len(result.flagged))
         cases, reports, flagged = map(exact_decimal, counts)
         violations = exact_decimal(len(result.violations))
         print(

@@ -322,6 +322,20 @@ def test_degree_sequence_lower_limit_can_fail(monkeypatch):
     assert result.violations == result.reports
 
 
+def test_a_check_computes_only_what_it_reads(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("computed a value no selected check reads")
+
+    monkeypatch.setattr("charbound.bounds.betti_from_euler", refuse)
+    monkeypatch.setattr("charbound.bounds.dual_sequence", refuse)
+    assert main(["verify", "--checks", "degree-sequence"]) == 0
+    assert "violations=0" in capsys.readouterr().out
+    # the patches bite where a check reads the Betti numbers or the dual sequence
+    for check in ("betti", "schur-positivity"):
+        with pytest.raises(AssertionError, match="no selected check reads"):
+            verify_grid(GridSpec(max_ambient_dim=3, checks=(check,)))
+
+
 def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, capsys):
     # the quadric surface key, (n, d) = (2, 2), gets degree sequence values
     # one past their bounds d^(i+1); every other key keeps its own
@@ -446,16 +460,24 @@ def oracle_reports(spec):
     return out
 
 
-@pytest.mark.parametrize(
-    "spec",
-    (
-        # 120 of 156 cases have a degree-1 factor
-        GridSpec(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8, max_cases=10**6),
-        GridSpec(max_ambient_dim=6, max_degree_per_factor=3, max_codim=5, max_cases=10**6),
-        # reaches dimension 11, where Schur shapes need order-6 determinants
-        GridSpec(max_ambient_dim=12, max_degree_per_factor=3, max_codim=2, max_cases=10**6),
-    ),
+MEMO_GRIDS = (
+    # 120 of 156 cases have a degree-1 factor
+    GridSpec(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8, max_cases=10**6),
+    GridSpec(max_ambient_dim=6, max_degree_per_factor=3, max_codim=5, max_cases=10**6),
+    # reaches dimension 11, where Schur shapes need order-6 determinants
+    GridSpec(max_ambient_dim=12, max_degree_per_factor=3, max_codim=2, max_cases=10**6),
 )
+
+
+@pytest.mark.parametrize("spec", MEMO_GRIDS)
+def test_grid_cases_built_from_labels_are_the_enumerated_cases(spec):
+    result = verify_grid(spec)
+    assert result.case_count == spec.case_count
+    assert result.cases == enumerate_varieties(spec)[0]
+    assert result.case_count == len(result.cases)
+
+
+@pytest.mark.parametrize("spec", MEMO_GRIDS)
 def test_memoized_reports_match_case_by_case_checks(spec):
     result = verify_grid(spec)
     expected = oracle_reports(spec)
@@ -605,9 +627,14 @@ maybe_int = st.none() | some_int
 maybe_ints = st.none() | st.lists(
     st.integers(min_value=-(10**12), max_value=10**12) | long_ints, max_size=4
 ).map(tuple)
-# csv.writer quotes on "," '"' and "\n" only, so a subject needs no "\r"
-subjects = st.sampled_from(CHECK_NAMES + ("signature",)) | st.text(alphabet='ab -,"\n\\', max_size=8)
-notes = st.text(alphabet=st.sampled_from('a "\\\n\r\t,\x00\x7fé€\U0001d11e') | st.characters(), max_size=12)
+# csv.writer quotes on "," '"' and "\n" only, so a subject needs no "\r";
+# "%" is literal template text, and "\x00" the writers' first cut mark
+subjects = st.sampled_from(CHECK_NAMES + ("signature",)) | st.text(
+    alphabet='ab -,"\n\\%{}\x00', max_size=8
+)
+notes = st.text(
+    alphabet=st.sampled_from('a "\\\n\r\t,%\x00\x7fé€\U0001d11e') | st.characters(), max_size=12
+)
 # a report without n, d and multidegree, as a key holds it
 rows_strategy = st.tuples(
     subjects, maybe_ints, maybe_int, some_int, st.booleans(), maybe_int, st.booleans(), notes
@@ -654,13 +681,16 @@ specs = st.builds(
 # with each part varied, and pytest formats a traceback for every rerun that
 # fails. That took a broken writer 50-100 s to report, shrinking itself 5-13 s.
 @settings(phases=tuple(phase for phase in Phase if phase is not Phase.explain))
-@given(specs, st.integers(min_value=0, max_value=3), st.booleans(), keyed_layouts())
-def test_writers_match_stdlib_serializers(spec, cases, truncated, layout):
-    # the same reports as verify_grid stores them, and as a report tuple
+@given(specs, st.booleans(), keyed_layouts())
+def test_writers_match_stdlib_serializers(spec, truncated, layout):
+    # the same reports as verify_grid stores them, one case per label, and
+    # as a report tuple
     reports = layout_reports(*layout)
-    keyed = GridResult._from_keys(spec, (None,) * cases, truncated, *layout)
-    listed = GridResult(spec=spec, cases=(None,) * cases, truncated=truncated, reports=reports)
+    keyed = GridResult._from_keys(spec, truncated, *layout)
+    cases = (None,) * len(layout[1])
+    listed = GridResult(spec=spec, cases=cases, truncated=truncated, reports=reports)
     assert keyed.reports == reports and keyed.report_count == len(reports)
+    assert keyed.case_count == listed.case_count == len(cases)
     violations = tuple(r for r in reports if not r.satisfied and not r.degenerate)
     assert keyed.violations == listed.violations == violations
     assert keyed.flagged == listed.flagged == tuple(r for r in reports if r.degenerate)
@@ -678,6 +708,45 @@ def test_writers_match_stdlib_serializers(spec, cases, truncated, layout):
         assert rendered[0] == rendered[1] == {"json": expected, "csv": csv_text, "markdown": markdown}
         standalone = {"reports": [oracle_dict(r) for r in reports]}
         assert buffer.getvalue() == json.dumps(standalone, indent=2) + "\n"
+
+
+def test_writers_keep_layouts_of_one_dimension_apart():
+    # keys of dimension 2: the first two have layouts of their own, the rest
+    # the first one's; "%" and "{}" are literal text, and "\x00", the first
+    # cut mark a layout may take, is part of a subject
+    first = (
+        ("50% of {n}", (1,), 5, 9, True, 4, False, "p%s"),
+        ("euler", None, 0, 0, True, 0, False, ""),
+    )
+    second = (
+        ("a\x00b", (2,), 5, 9, True, 4, False, ""),
+        ("eu,ler", (1, 1), 0, 0, False, 0, True, "x"),
+    )
+    (a, b), huge = first, 10**4999 + 7  # 5,000 digits, past str()'s default limit
+    keys = [
+        (2, 3, first),
+        (2, 3, second),
+        # each number that may be None is None in one key
+        (2, 3, (a[:2] + (None,) + a[3:], b)),
+        (2, 3, (a, b[:5] + (None,) + b[6:])),
+        (None, 3, first),
+        (2, None, first),
+        (2, huge, (a[:2] + (huge, huge) + a[4:], b)),
+    ]
+    labels = [(0, (3,)), (1, (1, 3)), (0, (1, 1, 3)), (2, None), (3, (2,)), (4, (2,)), (5, ())]
+    labels += [(6, (huge,)), (1, (2, 3))]
+    reports = layout_reports(keys, labels)
+    keyed = GridResult._from_keys(GridSpec(), False, keys, labels)
+    listed = GridResult(GridSpec(), (None,) * len(labels), False, reports)
+    with unlimited_int_digits():
+        expected = {
+            "json": oracle_json(listed)[1],
+            "csv": oracle_csv(reports),
+            "markdown": oracle_markdown(reports),
+        }
+    for fmt, text in expected.items():
+        assert keyed.render(fmt) == text, fmt
+    assert "a\x00b" in expected["csv"] and "50% of {n}" in expected["markdown"]
 
 
 def test_writers_on_an_empty_report_list():

@@ -14,6 +14,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from charbound.bounds import GridResult, GridSpec, verify_grid
 from charbound.cli import _build_parser, main
 from charbound.schubert import grassmannian_degree
+from charbound.varieties import CompleteIntersection
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -239,6 +240,26 @@ def test_verify_builds_reports_only_for_violations_and_flags(tmp_path, capsys, m
         code, _, _ = run(capsys, "verify", *flags, "--format", fmt, "--out", str(path))
         assert code == 0
         assert path.read_text() == grid.render(fmt)
+
+
+def test_verify_builds_no_variety_per_case(tmp_path, capsys, monkeypatch):
+    built = []
+    init = CompleteIntersection.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CompleteIntersection, "__init__", counting)
+    flags = ["--max-ambient-dim", "5", "--max-degree", "4", "--max-cases", "1000"]
+    code, out, _ = run(capsys, "verify", *flags)
+    assert code == 0 and out.startswith("cases=")
+    path = tmp_path / "reports.csv"
+    code, out, _ = run(capsys, "verify", *flags, "--format", "csv", "--out", str(path))
+    assert code == 0 and out.startswith("cases=")
+    assert built == []
+    # the lazy cases still build on request
+    assert len(verify_grid(GridSpec(max_ambient_dim=3)).cases) == len(built) > 0
 
 
 def test_verify_grid_sizes_must_be_integers(tmp_path, capsys):

@@ -23,6 +23,12 @@ PINNED = {
         "sha256": "95478ee49e948707a24c435fce17088af31aac5d77fe987d0c4053f3bdc4e85e",
         "bytes": 678030,
     },
+    # the wide-csv grid, 46,921 reports, as markdown
+    "wide-markdown": {
+        "argv": "verify --max-ambient-dim 5 --max-degree 14 --max-cases 1000000 --format markdown",
+        "sha256": "92f4807b6885b731846bc04263009a0431766d11e001f431c5cfdfb4259f9491",
+        "bytes": 3253708,
+    },
 }
 DIGESTS = {**GOLDEN, **PINNED}
 ENV = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"))
@@ -36,6 +42,7 @@ ENV = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"))
         "deep-json",
         "wide-csv",
         "default-markdown",
+        "wide-markdown",
         # dimension 9 with degree-4 factors, and 12,645 cases of dimension <= 4
         "deep-d4-json",
         "wide-d20-csv",
