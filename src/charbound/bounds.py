@@ -23,8 +23,9 @@ from .chern import (
     DegreeError,
     degree_sequence,
     dual_sequence,
-    plan_determinant,
-    schur_plan,
+    giambelli,
+    giambelli_plan,
+    hook_classes,
     tangent_multiples,
 )
 from .varieties import (
@@ -38,7 +39,7 @@ from .varieties import (
 
 # every check of a dimension-n case walks all partitions of weight <= n, a
 # count that grows exponentially in n; the 23 hypersurfaces of the grid
-# max_ambient_dim=24, max_degree_per_factor=1, max_codim=1 take about 0.9 s
+# max_ambient_dim=24, max_degree_per_factor=1, max_codim=1 take about 0.4 s
 # in a fresh process
 MAX_AMBIENT_DIM = 24
 # a grid may hold at most this many cases after its max_cases cap; counted in
@@ -378,14 +379,9 @@ class _Tables:
     """What every variety of dimension n shares; build it through _tables(n),
     which extends the tables one dimension down."""
 
-    __slots__ = ("indices", "weights", "steps", "plans", "twist", "singles")
+    __slots__ = ("indices", "weights", "steps", "plans", "singles")
 
     def __init__(self, n: int):
-        # row i of twist: (-1)^j * C(n-j, i-j) * 2^(i-j) for j <= i
-        self.twist = tuple(
-            tuple((-1) ** j * comb(n - j, i - j) * 2 ** (i - j) for j in range(i + 1))
-            for i in range(n + 1)
-        )
         if n == 0:
             self.indices, self.weights, self.steps, self.plans = ((),), (0,), (), ()
             self.singles = ((0,),)
@@ -398,8 +394,8 @@ class _Tables:
         self.weights = below.weights + (n,) * len(new)
         # (position of I minus its last part, that part) for each I != ()
         self.steps = below.steps + tuple((where[parts[:-1]], parts[-1]) for parts in new)
-        # chern.schur_plan of each shape, the indices after ()
-        self.plans = below.plans + tuple(map(schur_plan, new))
+        # chern.giambelli_plan of each shape, the indices after ()
+        self.plans = below.plans + tuple(map(giambelli_plan, new))
         self.singles = below.singles + ((n,),)
 
 
@@ -408,19 +404,21 @@ _tables = lru_cache(maxsize=None)(_Tables)
 
 
 class _Variety:
-    """The ints the checks of one grid key read; of twisted, sequence,
-    powers and betti, only those named in ``reads``."""
+    """The ints the checks of the grid key (n, degrees above 1) read, for
+    its variety in P^(n + len(degrees)); of twisted, sequence, powers and
+    betti, only those named in ``reads``."""
 
     __slots__ = ("n", "d", "tables", "tangent", "twisted", "sequence", "powers", "betti")
 
-    def __init__(self, ambient_dim: int, degrees: tuple, n: int, reads):
+    def __init__(self, n: int, degrees: tuple, reads):
         d = prod(degrees)
         self.n, self.d, self.tables = n, d, _tables(n)
-        # a_0..a_n of the tangent bundle, and of the cotangent bundle twisted
-        # by 2h, which is nef
-        a = self.tangent = tangent_multiples(ambient_dim, degrees, n)
+        m = n + len(degrees)
+        a = self.tangent = tangent_multiples(m, degrees, n)
         if "twisted" in reads:
-            self.twisted = [sum(map(mul, row, a)) for row in self.tables.twist]
+            # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
+            # O(2) - sum_j O(2 - d_j): the tangent series over the roots 2, 2 - d_j
+            self.twisted = tangent_multiples(m, (2, *(2 - e for e in degrees)), n)
         if "sequence" in reads:
             # the ample degree sequence, for A = K + (n+2)h with K = -c_1
             self.sequence = degree_sequence(n + 2 - a[1], d, n)
@@ -483,8 +481,8 @@ def _euler_rows(v):
 def _schur_positivity_rows(v):
     # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the check is
     # one-sided, so the row carries the shortfall min(pairing, 0)
-    a, b, d = v.twisted + [0], dual_sequence(v.twisted) + [0], v.d
-    pairings = [plan_determinant(plan, a, b) * d for plan in v.tables.plans]
+    hooks, d = hook_classes(v.twisted, dual_sequence(v.twisted)), v.d
+    pairings = [giambelli(plan, hooks) * d for plan in v.tables.plans]
     shortfalls = [pairing if pairing < 0 else 0 for pairing in pairings]
     notes = [f"pairing={pairing}" for pairing in pairings]
     return v.tables.indices[1:], shortfalls, [0] * len(pairings), notes
@@ -777,7 +775,7 @@ def verify_grid(spec: GridSpec) -> GridResult:
         i = where.get(key)
         if i is None:
             i = where[key] = len(keys)
-            v, rows = _Variety(m, degs, n, reads), []
+            v, rows = _Variety(*key, reads), []
             for check in checks:
                 rows += check(v)
             keys.append((n, v.d, tuple(rows)))

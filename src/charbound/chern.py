@@ -5,20 +5,21 @@ so each Chern class is an integer multiple of a power of the hyperplane
 class h: c_i = a_i * h^i. A Chern vector is therefore the tuple of integers
 a_0..a_rank, and every computation is plain integer arithmetic on it:
 
-- the tangent multiples are one series pass over (1+h)^(m+1) / prod(1+d_j h);
-- a twist by t*h is a binomial sum of the multiples;
+- the multiples of a K-theory sum of line bundles O(k h) are one series
+  pass over their Chern roots k h: (1+h)^(m+1) / prod(1+d_j h) for the
+  tangent bundle, (1+h)^(m+1) / ((1+2h) prod(1+(2-d_j)h)) for the nef
+  twist Omega(2h);
+- a twist of any Chern vector by t*h is a binomial sum of its multiples;
 - a Chern number is the degree times a product of multiples;
-- a Schur class s_lambda is D * h^|lambda|, with D the Jacobi-Trudi
-  determinant of the multiples, computed by Bareiss elimination on the
-  shorter side of the shape: when lambda_1 < len(lambda), the conjugate
-  shape against the dual sequence b of B(t) = 1 / A(-t), an order
-  lambda_1 matrix in place of an order len(lambda) one. Orders 1 and 2
-  are expanded directly.
+- a Schur class s_lambda is D * h^|lambda|, with D Giambelli's determinant
+  det(s_(alpha_i|beta_j)) on the Frobenius coordinates of lambda, of order
+  its Durfee size. The hook classes s_(p|q) come from the multiples a and
+  their dual sequence b, B(t) = 1 / A(-t), by a two-term recursion.
 
 The grid kernel in ``bounds`` reads the int-level helpers here
-(``tangent_multiples``, ``degree_sequence``, ``schur_plan``,
-``dual_sequence``, ``plan_determinant``) directly; the per-variety
-functions delegate to the same helpers.
+(``tangent_multiples``, ``degree_sequence``, ``dual_sequence``,
+``hook_classes``, ``giambelli_plan``, ``giambelli``) directly; the
+per-variety functions delegate to the same helpers.
 """
 
 from __future__ import annotations
@@ -92,8 +93,10 @@ def tangent_chern(ci: CompleteIntersection) -> ChernVector:
 
 
 def tangent_multiples(ambient_dim: int, degrees, n: int) -> list:
-    """a_0..a_n of the tangent bundle of the complete intersection of
-    ``degrees`` in P^ambient_dim, whose dimension is n."""
+    """a_0..a_n of (1+h)^(ambient_dim+1) / prod_j (1 + d_j h): the bundle
+    (ambient_dim+1)*O(1) less the O(d_j), whose Chern roots d_j * h may be
+    any ints. For the degrees of an n-dimensional complete intersection in
+    P^ambient_dim, its tangent bundle."""
     series = [comb(ambient_dim + 1, i) for i in range(n + 1)]
     for d in degrees:
         for k in range(1, n + 1):
@@ -190,8 +193,9 @@ def schur_class(e: ChernVector, shape: Partition) -> int:
     """The integer D with s_lambda(e) = D * h^|lambda|.
 
     D is the Jacobi-Trudi determinant det(a_{lambda_i - i + j}), where
-    entries with index below 0 or above the rank are zero and a_0 = 1. The
-    empty shape gives 1; a shape larger than the cap gives 0.
+    entries with index below 0 or above the rank are zero and a_0 = 1,
+    taken as Giambelli's determinant (see ``giambelli``). The empty shape
+    gives 1; a shape larger than the cap gives 0.
     """
     if len(shape) == 0:
         return 1
@@ -201,11 +205,9 @@ def schur_class(e: ChernVector, shape: Partition) -> int:
         )
     if shape.size > e.cap:
         return 0
-    # every entry index is at most |lambda| <= cap
-    a = list(e.multiples[: shape.size + 1])
-    a += [0] * (shape.size + 1 - len(a))
-    plan = schur_plan(shape.parts)
-    return plan_determinant(plan, a + [0], dual_sequence(a) + [0] if plan[0] else None)
+    # every hook of the shape has weight at most |lambda| <= cap
+    a = [e.chern(i) for i in range(shape.size + 1)]
+    return giambelli(giambelli_plan(shape.parts), hook_classes(a, dual_sequence(a)))
 
 
 def conjugate(parts: tuple) -> tuple:
@@ -213,30 +215,12 @@ def conjugate(parts: tuple) -> tuple:
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
 
 
-def schur_plan(parts: tuple) -> tuple:
-    """(dual, order, entries): the Jacobi-Trudi matrix of a non-empty shape
-    on its shorter side.
-
-    A shape with lambda_1 < len(lambda) is replaced by its conjugate, whose
-    determinant is taken against the dual sequence (dual is True). The
-    matrix has ``order`` rows, and ``entries`` reads them from a sequence
-    row by row (one value when the order is 1). An entry whose index is
-    below 0 reads position -1, so a sequence that ends in a 0 gives it 0.
-    """
-    dual = parts[0] < len(parts)
-    if dual:
-        parts = conjugate(parts)
-    order = len(parts)
-    flat = [max(p - i + j, -1) for i, p in enumerate(parts) for j in range(order)]
-    return dual, order, itemgetter(*flat)
-
-
 def dual_sequence(a) -> list:
     """b with B(t) = 1 / A(-t), as many terms as ``a`` has (a_0 = 1).
 
-    b_k = sum_i (-1)^(i-1) * a_i * b_(k-i). Since det(a_{lambda_i - i + j})
-    = det(b_{lambda'_i - i + j}) for every shape (the two Jacobi-Trudi
-    forms), b serves the conjugate of a shape.
+    b_k = sum_i (-1)^(i-1) * a_i * b_(k-i). If a plays the complete
+    symmetric functions of the Jacobi-Trudi form det(a_{lambda_i - i + j}),
+    b plays the elementary ones.
     """
     signed = [-x if i % 2 == 0 else x for i, x in enumerate(a)]
     b = [1]
@@ -245,48 +229,62 @@ def dual_sequence(a) -> list:
     return b
 
 
-def plan_determinant(plan: tuple, a, b) -> int:
-    """The determinant ``plan`` (from ``schur_plan``) lays out over a, or
-    over its dual sequence b; both end in one 0 past the entries it reads."""
-    dual, order, entries = plan
-    values = entries(b if dual else a)
-    if order == 1:
-        return values
+def hook_classes(a, b) -> list:
+    """The hook classes s_(p|q) = sum_k (-1)^k a_(p+1+k) b_(q-k) of weight
+    p + q + 1 from 1 to len(a) - 1, for b = dual_sequence(a).
+
+    They are listed by weight w and, within a weight, by q from 0 up, so
+    s_(p|q) sits at w(w-1)/2 + q. Each is a_(p+1) b_q - s_(p+1|q-1), and
+    s_(w-1|0) = a_w.
+    """
+    hooks = []
+    append = hooks.append
+    for w in range(1, len(a)):
+        s = a[w]
+        append(s)
+        for q in range(1, w):
+            s = a[w - q] * b[q] - s
+            append(s)
+    return hooks
+
+
+def giambelli_plan(parts: tuple) -> tuple:
+    """(order, entries): Giambelli's matrix of a non-empty shape.
+
+    With the Frobenius coordinates alpha_i = lambda_i - i and beta_i =
+    lambda'_i - i (i from 1) of the r = Durfee size rows, s_lambda =
+    det(s_(alpha_i|beta_j)). ``entries`` reads that order-r matrix row by
+    row from a ``hook_classes`` list (one value when the order is 1).
+    """
+    columns = conjugate(parts)
+    order = sum(1 for i, p in enumerate(parts) if p > i)
+    alphas = [parts[i] - i - 1 for i in range(order)]
+    betas = [columns[j] - j - 1 for j in range(order)]
+    flat = [(p + q + 1) * (p + q) // 2 + q for p in alphas for q in betas]
+    return order, itemgetter(*flat)
+
+
+def giambelli(plan: tuple, hooks) -> int:
+    """The determinant ``plan`` (from ``giambelli_plan``) lays out over the
+    ``hook_classes`` list ``hooks``."""
+    order, entries = plan
+    values = entries(hooks)
+    return values if order == 1 else cofactor_determinant(values, order)
+
+
+def cofactor_determinant(values, order: int) -> int:
+    """The determinant of the order x order matrix (order >= 2) laid out row
+    by row in ``values``: order 2 directly, larger ones by cofactor
+    expansion along the first row."""
     if order == 2:
         w, x, y, z = values
         return w * z - x * y
-    return bareiss_determinant([values[i : i + order] for i in range(0, order * order, order)])
-
-
-def bareiss_determinant(matrix) -> int:
-    """Exact determinant of a square integer matrix in O(r^3) operations.
-
-    Bareiss fraction-free elimination: every division is exact, so entries
-    stay integers no larger than minors of the input. A zero pivot is
-    replaced by swapping in a lower row with a nonzero entry in its column.
-    """
-    m = [list(row) for row in matrix]
-    size = len(m)
-    if any(len(row) != size for row in m):
-        raise ValueError("determinant needs a square matrix")
-    if size == 0:
-        return 1
-    sign, previous = 1, 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, pivot_row = m[k][k], m[k]
-        for i in range(k + 1, size):
-            row = m[i]
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // previous
-        previous = pivot
-    return sign * m[-1][-1]
+    rest = values[order:]
+    minors = ([x for k, x in enumerate(rest) if k % order != j] for j in range(order))
+    return sum(
+        (-1) ** j * x * cofactor_determinant(minor, order - 1)
+        for j, (x, minor) in enumerate(zip(values, minors))
+    )
 
 
 def pontryagin_to_chern_index(index: MultiIndex) -> MultiIndex:

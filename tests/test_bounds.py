@@ -11,6 +11,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from charbound.betti import betti_numbers, total_betti
 from charbound.bounds import (
     _CHECKS,
+    _Variety,
     CHECK_NAMES,
     DEGENERATE_NOTE,
     MAX_GRID_CASES,
@@ -33,7 +34,6 @@ from charbound.bounds import (
 from charbound.chern import (
     DegreeError,
     ample_degree_sequence,
-    bareiss_determinant,
     chern_number,
     cotangent_chern,
     degree_sequence,
@@ -43,6 +43,7 @@ from charbound.chern import (
 )
 from charbound.cli import main
 from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
+from determinants import long_side_schur
 
 
 # -- closed-form bound formulas ------------------------------------------------
@@ -387,11 +388,6 @@ def oracle_indices(n):
     return [()] + [parts for total in range(1, n + 1) for parts in partitions_of(total)]
 
 
-def long_side_schur(e, parts):
-    r = len(parts)
-    return bareiss_determinant([[e.chern(parts[i] - i + j) for j in range(r)] for i in range(r)])
-
-
 def sectioned_betti_bound(ci):
     n, d = ci.dimension, ci.degree
     if n == 1:
@@ -427,7 +423,7 @@ def oracle_rows(check, ci):
     if check == "schur-positivity":
         rows = []
         for parts in oracle_indices(n)[1:]:
-            pairing = long_side_schur(twisted, parts) * d
+            pairing = long_side_schur(twisted.multiples, parts) * d
             rows.append((parts, min(pairing, 0), 0, f"pairing={pairing}"))
         return rows
     assert check == "pontryagin"
@@ -464,7 +460,7 @@ MEMO_GRIDS = (
     # 120 of 156 cases have a degree-1 factor
     GridSpec(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8, max_cases=10**6),
     GridSpec(max_ambient_dim=6, max_degree_per_factor=3, max_codim=5, max_cases=10**6),
-    # reaches dimension 11, where Schur shapes need order-6 determinants
+    # reaches dimension 11, where Giambelli matrices have order 3
     GridSpec(max_ambient_dim=12, max_degree_per_factor=3, max_codim=2, max_cases=10**6),
 )
 
@@ -487,6 +483,34 @@ def test_memoized_reports_match_case_by_case_checks(spec):
         assert type(got.satisfied) is bool and type(got.degenerate) is bool
     keys = {(ci.dimension, tuple(d for d in ci.multidegree if d > 1)) for ci in result.cases}
     assert len(keys) < len(result.cases)
+
+
+def test_every_schur_pairing_of_the_p23_quadric_matches_long_side_bareiss():
+    # n = 22: the only key tested here whose Giambelli matrices reach order 4
+    ci = CompleteIntersection(23, (2,))
+    twisted = twist_chern(cotangent_chern(ci), 2).multiples
+    rows = _CHECKS["schur-positivity"](_Variety(22, (2,), {"twisted"}))
+    shapes = [row[1] for row in rows]
+    assert shapes == oracle_indices(22)[1:]
+    assert len(shapes) == 4507
+    durfee = [sum(1 for i, p in enumerate(parts) if p > i) for parts in shapes]
+    assert durfee.count(4) == 131 and max(durfee) == 4
+    for _, parts, shortfall, bound, satisfied, _, _, note in rows:
+        pairing = long_side_schur(twisted, parts) * 2
+        assert note == f"pairing={pairing}"
+        assert (shortfall, bound, satisfied) == (min(pairing, 0), 0, pairing >= 0)
+
+
+def test_root_series_twist_matches_binomial_twist():
+    # Omega(2h) from its Chern roots, per key, against twist_chern of the
+    # cotangent bundle of each case, degree-1 factors and all
+    spec = GridSpec(max_ambient_dim=14, max_degree_per_factor=4, max_codim=13, max_cases=10**6)
+    cases = enumerate_varieties(spec)[0]
+    assert len(cases) == 8554
+    for ci in cases:
+        big = tuple(d for d in ci.multidegree if d > 1)
+        twisted = _Variety(ci.dimension, big, {"twisted"}).twisted
+        assert tuple(twisted) == twist_chern(cotangent_chern(ci), 2).multiples
 
 
 def test_every_check_contributes(small_grid):

@@ -5,8 +5,9 @@ plain list convolution of (1+h)^(m+1) against the geometric series of each
 1/(1+d_j h), written without any of the package's ring machinery. The
 integer twist and Schur paths are also compared with the same computation
 run through a truncated polynomial ring of coefficient lists (``Series``
-in ``series_ring.py``), and the Bareiss determinant with a plain Laplace
-expansion.
+in ``series_ring.py``), and Giambelli's determinants with the long-side
+Jacobi-Trudi determinant by Bareiss elimination (``determinants.py``),
+itself checked against a plain Laplace expansion.
 """
 
 from math import comb
@@ -20,21 +21,23 @@ from charbound.chern import (
     DegreeError,
     ample_class,
     ample_degree_sequence,
-    bareiss_determinant,
     canonical_class,
     chern_number,
+    cofactor_determinant,
     cotangent_chern,
     dual_sequence,
     euler_characteristic,
-    plan_determinant,
+    giambelli,
+    giambelli_plan,
+    hook_classes,
     pontryagin_to_chern_index,
     schur_class,
-    schur_plan,
     squared_chern_pairing,
     tangent_chern,
     twist_chern,
 )
 from charbound.varieties import CompleteIntersection, MultiIndex, Partition, partitions_of
+from determinants import bareiss_determinant, laplace_determinant, long_side_schur
 from series_ring import Series, convolve
 
 
@@ -47,20 +50,6 @@ def oracle_tangent_multiples(ci):
     for d in ci.multidegree:
         series = convolve(series, [(-d) ** i for i in range(cap + 1)], cap)
     return tuple(series)
-
-
-def laplace_determinant(matrix):
-    # expansion along the first row; works for any ring with + - * and zero
-    if len(matrix) == 1:
-        return matrix[0][0]
-    total = None
-    for col, entry in enumerate(matrix[0]):
-        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        term = entry * laplace_determinant(minor)
-        if col % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
 
 
 def ring_classes(e):
@@ -333,30 +322,70 @@ def test_schur_class_matches_ring_jacobi_trudi(case):
     assert schur_class(e, shape) == d
 
 
+def durfee_size(parts):
+    return sum(1 for i, p in enumerate(parts) if p > i)
+
+
+def shapes_of_durfee_size(weight, r):
+    return [parts for parts in partitions_of(weight) if durfee_size(parts) == r]
+
+
 @st.composite
 def sequences_and_shapes(draw):
-    # a_0 = 1 and a_1..a_w for a shape of weight w <= 12; half the shapes are
-    # flipped to their conjugates, so lambda_1 < len(lambda) is common
-    weight = draw(st.integers(min_value=1, max_value=12))
-    parts = draw(st.sampled_from(list(partitions_of(weight))))
-    if draw(st.booleans()):
-        parts = tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
+    # a_0 = 1 and a_1..a_w for a shape of weight w <= 20 and Durfee size r:
+    # r is drawn first, so the order-3 and order-4 Giambelli matrices, which
+    # need w >= 9 and w >= 16, are drawn as often as the others
+    r = draw(st.integers(min_value=1, max_value=4))
+    weight = draw(st.integers(min_value=r * r, max_value=20))
+    parts = draw(st.sampled_from(shapes_of_durfee_size(weight, r)))
     tail = draw(st.lists(st.integers(-9, 9), min_size=weight, max_size=weight))
     return [1, *tail], parts
 
 
 @given(sequences_and_shapes())
-def test_shorter_side_schur_matches_long_side_bareiss(case):
+def test_giambelli_matches_long_side_bareiss(case):
     a, parts = case
-    r = len(parts)
-    entry = lambda k: a[k] if 0 <= k < len(a) else 0
-    long_side = bareiss_determinant(
-        [[entry(parts[i] - i + j) for j in range(r)] for i in range(r)]
-    )
-    plan = schur_plan(parts)
-    assert plan[0] == (parts[0] < r)
-    assert plan[1] == min(parts[0], r)
-    assert plan_determinant(plan, a + [0], dual_sequence(a) + [0]) == long_side
+    plan = giambelli_plan(parts)
+    assert plan[0] == durfee_size(parts)
+    hooks = hook_classes(a, dual_sequence(a))
+    assert giambelli(plan, hooks) == long_side_schur(a, parts)
+
+
+def signed_inverse(a):
+    # b with B(t) * A(-t) = 1, solved term by term
+    b = [1]
+    for k in range(1, len(a)):
+        b.append(-sum((-1) ** i * a[i] * b[k - i] for i in range(1, k + 1)))
+    return b
+
+
+@given(st.lists(st.integers(-9, 9), min_size=0, max_size=14))
+def test_hook_classes_are_the_alternating_sums(tail):
+    a = [1, *tail]
+    b = signed_inverse(a)
+    hooks = hook_classes(a, b)
+    expected = [
+        sum((-1) ** k * a[w - q + k] * b[q - k] for k in range(q + 1))
+        for w in range(1, len(a))
+        for q in range(w)
+    ]
+    assert hooks == expected
+    # s_(p|q) is the Schur class of the hook (p+1, 1^q)
+    for w in range(1, len(a)):
+        for q in range(w):
+            hook = (w - q,) + (1,) * q
+            assert hooks[w * (w - 1) // 2 + q] == long_side_schur(a, hook)
+
+
+def test_schur_class_of_a_durfee_size_six_shape():
+    # (7, 6, 6, 6, 6, 6, 2, 1): Giambelli's matrix has order 6, Jacobi-Trudi's 8
+    shape = Partition((7, 6, 6, 6, 6, 6, 2, 1))
+    assert durfee_size(shape.parts) == 6
+    a = (1, 3, -2, 5, 1, -4, 2, 7)
+    e = ChernVector.from_h_multiples(a, cap=shape.size)
+    expected = long_side_schur(a, shape.parts)
+    assert expected != 0
+    assert schur_class(e, shape) == expected
 
 
 def test_dual_sequence_inverts_the_signed_series():
@@ -383,6 +412,9 @@ def matrices_with_zero_pivots(draw):
 @given(matrices_with_zero_pivots())
 def test_bareiss_matches_laplace(matrix):
     assert bareiss_determinant(matrix) == laplace_determinant(matrix)
+    if len(matrix) > 1:
+        flat = [x for row in matrix for x in row]
+        assert cofactor_determinant(flat, len(matrix)) == bareiss_determinant(matrix)
 
 
 def test_bareiss_swaps_for_zero_pivot():
