@@ -12,7 +12,6 @@ from .bounds import (
     blowup_euler,
     cotangent_chern_bound,
     curve_betti_bound,
-    enumerate_varieties,
     nef_chern_bound,
     pontryagin_bound,
     signature_check,

@@ -262,15 +262,10 @@ def _write(stream, fmt: str, keys, labels, head: str = "") -> None:
     write(ends[lead != first])
 
 
-def _single_keys(reports) -> tuple:
-    """(keys, labels) holding each report as a key with one row and one case."""
-    keys = [(r[1], r[2], (r[:1] + r[4:],)) for r in reports]
-    return keys, [(i, r[3]) for i, r in enumerate(reports)]
-
-
 def write_json(stream, reports) -> None:
-    """``{"reports": [...]}`` for a report list, such as the signature check's."""
-    _write(stream, "json", *_single_keys(reports))
+    """``{"reports": [...]}`` for a report list, each report a one-row key."""
+    keys = [(r[1], r[2], (r[:1] + r[4:],)) for r in reports]
+    _write(stream, "json", keys, [(i, r[3]) for i, r in enumerate(reports)])
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -595,9 +590,9 @@ class GridSpec(Record):
 
     @property
     def case_count(self) -> int:
-        """len(enumerate_varieties(self)[0]) in closed form: k factors of
-        degree at most D, in P^m, make C(D+k-1, k) cases, summed over m and
-        k and capped by max_cases."""
+        """len(verify_grid(self).cases) in closed form: k factors of degree
+        at most D, in P^m, make C(D+k-1, k) cases, summed over m and k and
+        capped by max_cases."""
         total = sum(
             comb(self.max_degree_per_factor + k - 1, k)
             for m in range(2, self.max_ambient_dim + 1)
@@ -630,12 +625,6 @@ def _grid(spec: GridSpec):
     return pairs, False
 
 
-def enumerate_varieties(spec: GridSpec):
-    """All grid varieties in canonical order, capped; returns (cases, truncated)."""
-    pairs, truncated = _grid(spec)
-    return tuple(CompleteIntersection(m, degs) for m, degs in pairs), truncated
-
-
 # the satisfied and degenerate fields of a key's row
 _SATISFIED, _DEGENERATE = itemgetter(4), itemgetter(6)
 
@@ -649,59 +638,36 @@ class GridResult(Record):
     multidegree), one per case in case order. A case's reports are its
     key's rows with n, d and its multidegree put in; ``cases`` and
     ``reports`` are built on first use, while the counts and the writers
-    read the keys and labels. A result made from a case tuple and a report
-    tuple holds each report as a key of its own.
+    read the keys and labels.
     """
 
-    _fields = ("spec", "cases", "truncated", "reports")
-    # no slots for cases and reports: __dict__ holds them, the keys and the
-    # cached properties
-    __slots__ = ("spec", "truncated", "__dict__")
-
-    def __init__(self, spec: GridSpec, cases: tuple, truncated: bool, reports: tuple):
-        super().__init__(spec, cases, truncated, reports)
-
-    @classmethod
-    def _from_keys(cls, spec: GridSpec, truncated: bool, keys, labels):
-        result = cls.__new__(cls)
-        # cases and reports are built from the keys and labels on first use
-        object.__setattr__(result, "spec", spec)
-        object.__setattr__(result, "truncated", truncated)
-        result.__dict__["_keyed"] = keys, labels
-        return result
-
-    @cached_property
-    def _keyed(self) -> tuple:
-        return _single_keys(self.reports)
+    # no __slots__: the fields and the cached views live in __dict__
+    _fields = ("spec", "truncated", "keys", "labels")
 
     @cached_property
     def cases(self) -> tuple:
         # a case of dimension n with k factors lies in P^(n+k)
-        keys, labels = self._keyed
+        keys, labels = self.keys, self.labels
         return tuple(CompleteIntersection(keys[i][0] + len(degs), degs) for i, degs in labels)
 
     @cached_property
     def reports(self) -> tuple:
-        return tuple(_expand(*self._keyed))
+        return tuple(_expand(self.keys, self.labels))
 
     @property
     def case_count(self) -> int:
-        """len(cases), from the labels when cases were not given."""
-        if "cases" in self.__dict__:
-            return len(self.cases)
-        return len(self._keyed[1])
+        return len(self.labels)
 
     @property
     def report_count(self) -> int:
         """len(reports), from each case's key, without building them."""
-        keys, labels = self._keyed
-        return sum(len(keys[i][2]) for i, _ in labels)
+        return sum(len(self.keys[i][2]) for i, _ in self.labels)
 
     def _select(self, select) -> tuple:
         """The reports of the rows ``select(rows)`` keeps of each key, in
         report order."""
-        keys, labels = self._keyed
-        return tuple(_expand([(n, d, select(rows)) for n, d, rows in keys], labels))
+        keys = [(n, d, select(rows)) for n, d, rows in self.keys]
+        return tuple(_expand(keys, self.labels))
 
     @cached_property
     def violations(self) -> tuple:
@@ -736,7 +702,7 @@ class GridResult(Record):
                 f'  "truncated": {"true" if self.truncated else "false"},\n'
                 f'  "violations": {exact_decimal(len(self.violations))},\n'
             )
-        _write(stream, fmt, *self._keyed, head)
+        _write(stream, fmt, self.keys, self.labels, head)
 
     def render(self, fmt: str) -> str:
         """The document ``write`` streams, as one string."""
@@ -780,4 +746,4 @@ def verify_grid(spec: GridSpec) -> GridResult:
                 rows += check(v)
             keys.append((n, v.d, tuple(rows)))
         labels.append((i, degs))
-    return GridResult._from_keys(spec, truncated, keys, labels)
+    return GridResult(spec, truncated, tuple(keys), tuple(labels))

@@ -11,7 +11,9 @@ import argparse
 import json
 import re
 import sys
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .betti import betti_numbers, total_betti
 from .bounds import (
@@ -51,6 +53,10 @@ from .varieties import CompleteIntersection, MultiIndex, Partition
 # `table` takes dimensions up to MAX_BOUND_N too
 MAX_BOUND_N = 256
 MAX_BOUND_D = 10**6
+# `table` takes degrees d <= MAX_TABLE_D. Its values have about n * log10(d)
+# digits, and a hypersurface is the costliest variety of its (n, d): every
+# quantity of P^257 (10^30) takes about 0.6 s in a fresh process, 2 MB of text
+MAX_TABLE_D = 10**30
 # digits of a `schubert --power` index or exponent; longer ones are rejected
 # before they are parsed
 MAX_POWER_DIGITS = 18
@@ -242,6 +248,9 @@ def _cmd_table(args) -> int:
     ci = _variety_from_args(args)
     if ci.dimension > MAX_BOUND_N:
         raise UsageError(f"table needs dimension <= {MAX_BOUND_N}, got {ci.dimension}")
+    # stops at the first factor past the cap, never multiplying out the rest
+    if any(d > MAX_TABLE_D for d in accumulate(ci.multidegree, mul)):
+        raise UsageError(f"table needs degree <= {MAX_TABLE_D}")
     wanted = TABLE_QUANTITIES
     if args.quantities is not None:
         wanted = tuple(args.quantities.split(","))
@@ -250,6 +259,9 @@ def _cmd_table(args) -> int:
             raise UsageError(
                 f"unknown quantities {unknown}; available: {', '.join(TABLE_QUANTITIES)}"
             )
+        repeated = sorted({q for q in wanted if wanted.count(q) > 1})
+        if repeated:
+            raise UsageError(f"quantities named more than once: {repeated}")
     print(f"variety: {ci}")
     for name in wanted:
         print(f"{name}: {exact_repr(TABLE[name](ci))}")

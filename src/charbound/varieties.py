@@ -43,8 +43,8 @@ class Record:
     A record equals only a record of the same type with equal fields,
     hashes as the tuple of its fields, prints as ``Type(field=value, ...)``
     and refuses assignment. A subclass names its fields in ``_fields`` and
-    ``__slots__``, checks its arguments in ``__init__`` and hands the
-    normalized field values, in order, to ``Record.__init__``.
+    ``__slots__`` (or keeps them in ``__dict__``), checks its arguments in
+    ``__init__`` and hands the normalized values, in order, to the base.
     """
 
     __slots__ = ()

@@ -4,6 +4,7 @@ import json
 import sys
 from contextlib import contextmanager
 from decimal import Decimal
+from itertools import islice
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -23,7 +24,6 @@ from charbound.bounds import (
     blowup_euler,
     cotangent_chern_bound,
     curve_betti_bound,
-    enumerate_varieties,
     exact_decimal,
     nef_chern_bound,
     pontryagin_bound,
@@ -145,13 +145,38 @@ def test_blowup_euler_requires_codim_two():
 
 
 # -- grid enumeration ---------------------------------------------------------------
+# The oracle walks the grid on its own, sharing no code with verify_grid:
+# ambient dimension, then codimension, then sorted multidegree, cut by islice
+# at max_cases. Degrees are walked lazily, so a huge max_degree_per_factor
+# costs nothing past the cap.
+
+
+def oracle_multidegrees(k, low, top):
+    """Sorted k-tuples of degrees low..top, in lexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    for d in range(low, top + 1):
+        for rest in oracle_multidegrees(k - 1, d, top):
+            yield (d, *rest)
+
+
+def oracle_grid(spec):
+    """(cases, truncated) of the grid, one case at a time."""
+
+    def cases():
+        for m in range(2, spec.max_ambient_dim + 1):
+            for k in range(1, min(m - 1, spec.max_codim) + 1):
+                for degs in oracle_multidegrees(k, 1, spec.max_degree_per_factor):
+                    yield CompleteIntersection(m, degs)
+
+    found = tuple(islice(cases(), spec.max_cases + 1))
+    return found[: spec.max_cases], len(found) > spec.max_cases
 
 
 def test_enumeration_is_canonical_and_deterministic():
     spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=2, max_cases=1000)
-    cases, truncated = enumerate_varieties(spec)
-    assert not truncated
-    assert cases == (
+    cases = (
         CompleteIntersection(2, (1,)),
         CompleteIntersection(2, (2,)),
         CompleteIntersection(3, (1,)),
@@ -169,19 +194,25 @@ def test_enumeration_is_canonical_and_deterministic():
         CompleteIntersection(4, (1, 2, 2)),
         CompleteIntersection(4, (2, 2, 2)),
     )
+    assert oracle_grid(spec) == (cases, False)
+    result = verify_grid(spec)
+    assert (result.cases, result.truncated) == (cases, False)
+    assert verify_grid(spec) == result
 
 
 def test_enumeration_respects_codim_cap():
     spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=2, max_codim=1)
-    cases, _ = enumerate_varieties(spec)
-    assert all(ci.codimension == 1 for ci in cases)
+    cases = verify_grid(spec).cases
+    assert cases == oracle_grid(spec)[0]
+    assert cases and all(ci.codimension == 1 for ci in cases)
 
 
 def test_enumeration_truncates_with_flag():
     spec = GridSpec(max_ambient_dim=8, max_degree_per_factor=5, max_cases=10)
-    cases, truncated = enumerate_varieties(spec)
-    assert truncated
-    assert len(cases) == 10
+    result = verify_grid(spec)
+    assert result.truncated
+    assert len(result.cases) == 10
+    assert (result.cases, result.truncated) == oracle_grid(spec)
 
 
 @pytest.mark.parametrize("max_degree", (7, 10**6, 10**20))
@@ -191,7 +222,8 @@ def test_enumeration_under_a_degree_cap_past_the_case_cap(max_degree, max_cases)
     # range(1, 10**20 + 1) of degrees used to raise OverflowError
     spec = GridSpec(max_degree_per_factor=max_degree, max_cases=max_cases)
     curves = tuple(CompleteIntersection(2, (d,)) for d in range(1, max_cases + 1))
-    assert enumerate_varieties(spec) == (curves, True)
+    result = verify_grid(spec)
+    assert (result.cases, result.truncated) == oracle_grid(spec) == (curves, True)
 
 
 @pytest.mark.parametrize(
@@ -209,7 +241,10 @@ def test_enumeration_under_a_degree_cap_past_the_case_cap(max_degree, max_cases)
     ),
 )
 def test_case_count_is_the_enumerated_count(spec):
-    assert spec.case_count == len(enumerate_varieties(spec)[0])
+    cases, truncated = oracle_grid(spec)
+    result = verify_grid(spec)
+    assert (result.cases, result.truncated) == (cases, truncated)
+    assert spec.case_count == result.case_count == len(cases)
 
 
 def test_grid_spec_refuses_more_cases_than_the_limit():
@@ -235,7 +270,7 @@ def test_empty_grid():
 
 def test_grid_spec_json_roundtrip():
     spec = GridSpec(max_ambient_dim=5, checks=("betti", "euler"), max_cases=20)
-    empty = GridResult(spec=spec, cases=(), truncated=False, reports=())
+    empty = GridResult(spec, False, (), ())
     assert GridSpec.from_dict(json.loads(empty.render("json"))["grid"]) == spec
     with pytest.raises(ValueError):
         GridSpec.from_dict({"max_cases": 5, "bogus": 1})
@@ -438,7 +473,7 @@ def oracle_rows(check, ci):
 
 def oracle_reports(spec):
     out = []
-    for ci in enumerate_varieties(spec)[0]:
+    for ci in oracle_grid(spec)[0]:
         n, d = ci.dimension, ci.degree
         for check in spec.checks:
             least = ORACLE_LEAST.get(check)
@@ -469,7 +504,7 @@ MEMO_GRIDS = (
 def test_grid_cases_built_from_labels_are_the_enumerated_cases(spec):
     result = verify_grid(spec)
     assert result.case_count == spec.case_count
-    assert result.cases == enumerate_varieties(spec)[0]
+    assert (result.cases, result.truncated) == oracle_grid(spec)
     assert result.case_count == len(result.cases)
 
 
@@ -505,7 +540,7 @@ def test_root_series_twist_matches_binomial_twist():
     # Omega(2h) from its Chern roots, per key, against twist_chern of the
     # cotangent bundle of each case, degree-1 factors and all
     spec = GridSpec(max_ambient_dim=14, max_degree_per_factor=4, max_codim=13, max_cases=10**6)
-    cases = enumerate_varieties(spec)[0]
+    cases = oracle_grid(spec)[0]
     assert len(cases) == 8554
     for ci in cases:
         big = tuple(d for d in ci.multidegree if d > 1)
@@ -583,8 +618,7 @@ def oracle_dict(r):
     }
 
 
-def oracle_json(result):
-    spec = result.spec
+def oracle_json(spec, case_count, truncated, reports):
     payload = {
         "grid": {
             "max_ambient_dim": spec.max_ambient_dim,
@@ -593,10 +627,10 @@ def oracle_json(result):
             "checks": list(spec.checks),
             "max_cases": spec.max_cases,
         },
-        "cases": len(result.cases),
-        "truncated": result.truncated,
-        "violations": sum(not r.satisfied and not r.degenerate for r in result.reports),
-        "reports": [oracle_dict(r) for r in result.reports],
+        "cases": case_count,
+        "truncated": truncated,
+        "violations": sum(not r.satisfied and not r.degenerate for r in reports),
+        "reports": [oracle_dict(r) for r in reports],
     }
     return payload, json.dumps(payload, indent=2) + "\n"
 
@@ -707,29 +741,24 @@ specs = st.builds(
 @settings(phases=tuple(phase for phase in Phase if phase is not Phase.explain))
 @given(specs, st.booleans(), keyed_layouts())
 def test_writers_match_stdlib_serializers(spec, truncated, layout):
-    # the same reports as verify_grid stores them, one case per label, and
-    # as a report tuple
-    reports = layout_reports(*layout)
-    keyed = GridResult._from_keys(spec, truncated, *layout)
-    cases = (None,) * len(layout[1])
-    listed = GridResult(spec=spec, cases=cases, truncated=truncated, reports=reports)
-    assert keyed.reports == reports and keyed.report_count == len(reports)
-    assert keyed.case_count == listed.case_count == len(cases)
+    # the reports as verify_grid stores them: keys x labels, one case per label
+    keys, labels = map(tuple, layout)
+    reports = layout_reports(keys, labels)
+    result = GridResult(spec, truncated, keys, labels)
+    assert result.reports == reports and result.report_count == len(reports)
+    assert result.case_count == len(labels)
     violations = tuple(r for r in reports if not r.satisfied and not r.degenerate)
-    assert keyed.violations == listed.violations == violations
-    assert keyed.flagged == listed.flagged == tuple(r for r in reports if r.degenerate)
-    rendered = [
-        {fmt: result.render(fmt) for fmt in ("json", "csv", "markdown")}
-        for result in (keyed, listed)
-    ]
+    assert result.violations == violations
+    assert result.flagged == tuple(r for r in reports if r.degenerate)
+    rendered = {fmt: result.render(fmt) for fmt in ("json", "csv", "markdown")}
     # the signature check's --out file: a document with the report list alone
     buffer = io.StringIO()
     write_json(buffer, reports)
     with unlimited_int_digits():  # the stdlib oracles print every int with str()
-        payload, expected = oracle_json(listed)
-        assert json.loads(rendered[0]["json"]) == payload
+        payload, expected = oracle_json(spec, len(labels), truncated, reports)
+        assert json.loads(rendered["json"]) == payload
         csv_text, markdown = oracle_csv(reports), oracle_markdown(reports)
-        assert rendered[0] == rendered[1] == {"json": expected, "csv": csv_text, "markdown": markdown}
+        assert rendered == {"json": expected, "csv": csv_text, "markdown": markdown}
         standalone = {"reports": [oracle_dict(r) for r in reports]}
         assert buffer.getvalue() == json.dumps(standalone, indent=2) + "\n"
 
@@ -760,22 +789,21 @@ def test_writers_keep_layouts_of_one_dimension_apart():
     labels = [(0, (3,)), (1, (1, 3)), (0, (1, 1, 3)), (2, None), (3, (2,)), (4, (2,)), (5, ())]
     labels += [(6, (huge,)), (1, (2, 3))]
     reports = layout_reports(keys, labels)
-    keyed = GridResult._from_keys(GridSpec(), False, keys, labels)
-    listed = GridResult(GridSpec(), (None,) * len(labels), False, reports)
+    result = GridResult(GridSpec(), False, tuple(keys), tuple(labels))
     with unlimited_int_digits():
         expected = {
-            "json": oracle_json(listed)[1],
+            "json": oracle_json(GridSpec(), len(labels), False, reports)[1],
             "csv": oracle_csv(reports),
             "markdown": oracle_markdown(reports),
         }
     for fmt, text in expected.items():
-        assert keyed.render(fmt) == text, fmt
+        assert result.render(fmt) == text, fmt
     assert "a\x00b" in expected["csv"] and "50% of {n}" in expected["markdown"]
 
 
 def test_writers_on_an_empty_report_list():
-    result = GridResult(spec=GridSpec(), cases=(), truncated=False, reports=())
-    assert result.render("json") == oracle_json(result)[1]
+    result = GridResult(GridSpec(), False, (), ())
+    assert result.render("json") == oracle_json(GridSpec(), 0, False, ())[1]
     assert result.render("json").endswith('  "violations": 0,\n  "reports": []\n}\n')
     assert result.render("csv") == oracle_csv(()) == ",".join(COLUMNS) + "\n"
     assert result.render("markdown") == oracle_markdown(())
@@ -785,7 +813,10 @@ def test_writers_on_an_empty_report_list():
 
 def test_long_integers_print_in_full_in_every_format():
     exact = 10**4999 + 7  # 5,000 digits, past str()'s default 4,300-digit limit
-    report = BoundReport(
+    row = ("betti", (exact,), exact, 3, False, 3 - exact, False, "")
+    result = GridResult(GridSpec(), False, ((2, exact, (row,)),), ((0, (exact, 2)),))
+    (report,) = result.reports
+    assert report == BoundReport(
         subject="betti",
         n=2,
         d=exact,
@@ -798,7 +829,6 @@ def test_long_integers_print_in_full_in_every_format():
     )
     digits = "1" + "0" * 4998 + "7"
     margin = "-1" + "0" * 4998 + "4"
-    result = GridResult(spec=GridSpec(), cases=(), truncated=False, reports=(report,))
     for fmt in ("json", "csv", "markdown"):
         text = result.render(fmt)
         assert text.count(digits) == 4, fmt

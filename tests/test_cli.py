@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from charbound.bounds import GridResult, GridSpec, verify_grid
-from charbound.cli import _build_parser, main
+from charbound.cli import MAX_BOUND_D, MAX_TABLE_D, _build_parser, main
 from charbound.schubert import grassmannian_degree
 from charbound.varieties import CompleteIntersection
 
@@ -501,6 +501,13 @@ def test_table_refuses_empty_quantities(capsys):
     assert "unknown quantities ['']" in err
 
 
+def test_table_refuses_repeated_quantities(capsys):
+    # as verify refuses --checks betti,betti; chi was once printed twice
+    code, out, err = run(capsys, "table", "-m", "3", "-D", "2", "--quantities", "chi,degree,chi")
+    assert (code, out) == (2, "")
+    assert "quantities named more than once: ['chi']" in err
+
+
 def test_table_invalid_spec(capsys):
     code, _, _ = run(capsys, "table", "-m", "3", "-D", "0")
     assert code == 2
@@ -541,6 +548,38 @@ def test_table_refuses_a_dimension_past_the_cap_before_computing(capsys, monkeyp
     assert "dimension <= 256, got 2999" in err
     code, out, _ = run(capsys, "table", "-m", "257", "-D", "1", "--quantities", "dimension")
     assert (code, out) == (0, "variety: m=257 deg=(1)\ndimension: 256\n")
+
+
+def test_table_refuses_a_huge_degree_before_computing():
+    # twenty 4,000-digit factors; betti_bound alone once ran for over 30 s
+    degrees = ",".join(["9" * 4000] * 20)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for quantity in ("betti_bound", "pontryagin_bound"):
+        argv = ["table", "-m", "276", "-D", degrees, "--quantities", quantity]
+        proc = subprocess.run(
+            [sys.executable, "-m", "charbound", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert f"table needs degree <= 1{'0' * 30}" in proc.stderr
+
+
+def test_table_takes_degrees_up_to_the_cap(capsys):
+    # a grid variety in P^m with factors of degree <= D has degree <= D^(m-1):
+    # the default grid, deep-json (m<=9 D<=2) and wide-csv (m<=5 D<=14)
+    assert max(d ** (m - 1) for m, d in ((8, 5), (9, 2), (5, 14))) <= MAX_BOUND_D
+    assert MAX_BOUND_D < MAX_TABLE_D == 10**30
+    for degrees in (f"{10**30}", f"{10**15},{10**15}", f"1,2,{5 * 10**29}"):
+        code, out, _ = run(capsys, "table", "-m", "4", "-D", degrees, "--quantities", "degree")
+        assert (code, out.splitlines()[1:]) == (0, [f"degree: {10**30}"]), degrees
+    # a first factor past the cap stops the product there
+    for degrees in (f"{10**30 + 1}", f"{10**15},{10**15 + 1}", f"2,{10**4000}"):
+        code, out, err = run(capsys, "table", "-m", "4", "-D", degrees)
+        assert (code, out) == (2, ""), degrees
+        assert f"table needs degree <= {10**30}" in err
 
 
 # -- schubert -----------------------------------------------------------------------

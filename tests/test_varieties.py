@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from charbound.bounds import GridResult, GridSpec
+from charbound.bounds import GridResult, GridSpec, verify_grid
 from charbound.chern import ChernVector
 from charbound.schubert import Grassmannian
 from charbound.varieties import (
@@ -151,6 +151,8 @@ def test_partitions_of():
 # (value, its field tuple, its repr, a value of the same type with other
 # fields); the repr texts are those of the frozen dataclasses these types were.
 _SPEC = GridSpec(3, 2, 1, ["betti"], 4)
+# the betti row of the line P^1 in P^2, as a grid result's key holds it
+_ROW = ("betti", None, 2, 8, True, 6, False, "")
 VALUES = [
     (
         CompleteIntersection(5, (3, 1, 2)),
@@ -175,13 +177,12 @@ VALUES = [
         GridSpec(3, 2, 1, ["euler"], 4),
     ),
     (
-        GridResult(_SPEC, (CompleteIntersection(2, (1,)),), False, ()),
-        (_SPEC, (CompleteIntersection(2, (1,)),), False, ()),
+        GridResult(_SPEC, False, ((1, 1, (_ROW,)),), ((0, (1,)),)),
+        (_SPEC, False, ((1, 1, (_ROW,)),), ((0, (1,)),)),
         "GridResult(spec=GridSpec(max_ambient_dim=3, max_degree_per_factor=2, "
-        "max_codim=1, checks=('betti',), max_cases=4), "
-        "cases=(CompleteIntersection(ambient_dim=2, multidegree=(1,)),), "
-        "truncated=False, reports=())",
-        GridResult(_SPEC, (), True, ()),
+        "max_codim=1, checks=('betti',), max_cases=4), truncated=False, "
+        "keys=((1, 1, (('betti', None, 2, 8, True, 6, False, ''),)),), labels=((0, (1,)),))",
+        GridResult(_SPEC, False, ((1, 1, (_ROW,)),), ((0, (1, 1)),)),
     ),
 ]
 
@@ -207,6 +208,17 @@ def test_value_type_semantics(value, fields, text, other):
     with pytest.raises(AttributeError):
         delattr(value, first)
     assert value == twin
+
+
+def test_grid_result_round_trips_as_keys_and_labels():
+    # 16 cases over 9 keys (dimension, degrees above 1)
+    result = verify_grid(GridSpec(max_ambient_dim=4, max_degree_per_factor=2, max_cases=1000))
+    assert (len(result.keys), len(result.labels)) == (9, 16)
+    documents = {fmt: result.render(fmt) for fmt in ("json", "csv", "markdown")}
+    for copied in (copy.copy(result), copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert copied == result and hash(copied) == hash(result)
+        assert copied.keys == result.keys and len(copied.keys) == 9
+        assert {fmt: copied.render(fmt) for fmt in documents} == documents
 
 
 def test_value_types_differ_across_types():
