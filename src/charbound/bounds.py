@@ -400,28 +400,24 @@ _tables = lru_cache(maxsize=None)(_Tables)
 
 class _Variety:
     """The ints the checks of the grid key (n, degrees above 1) read, for
-    its variety in P^(n + len(degrees)); of twisted, sequence, powers and
-    betti, only those named in ``reads``."""
+    its variety in P^(n + len(degrees)); every key builds all of them,
+    whichever checks are selected."""
 
     __slots__ = ("n", "d", "tables", "tangent", "twisted", "sequence", "powers", "betti")
 
-    def __init__(self, n: int, degrees: tuple, reads):
+    def __init__(self, n: int, degrees: tuple):
         d = prod(degrees)
         self.n, self.d, self.tables = n, d, _tables(n)
         m = n + len(degrees)
         a = self.tangent = tangent_multiples(m, degrees, n)
-        if "twisted" in reads:
-            # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
-            # O(2) - sum_j O(2 - d_j): the tangent series over the roots 2, 2 - d_j
-            self.twisted = tangent_multiples(m, (2, *(2 - e for e in degrees)), n)
-        if "sequence" in reads:
-            # the ample degree sequence, for A = K + (n+2)h with K = -c_1
-            self.sequence = degree_sequence(n + 2 - a[1], d, n)
-        if "powers" in reads:
-            # d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight
-            self.powers = [d * (d + n - 2) ** w for w in range(n + 1)]
-        if "betti" in reads:
-            self.betti = betti_from_euler(n, d * a[n])
+        # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
+        # O(2) - sum_j O(2 - d_j): the tangent series over the roots 2, 2 - d_j
+        self.twisted = tangent_multiples(m, (2, *(2 - e for e in degrees)), n)
+        # the ample degree sequence, for A = K + (n+2)h with K = -c_1
+        self.sequence = degree_sequence(n + 2 - a[1], d, n)
+        # d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight
+        self.powers = [d * (d + n - 2) ** w for w in range(n + 1)]
+        self.betti = betti_from_euler(n, d * a[n])
 
 
 def _chern_numbers(v: _Variety, multiples) -> list:
@@ -459,12 +455,8 @@ def _cotangent_chern_rows(v):
     return v.tables.indices, _chern_numbers(v, cotangent), bounds, repeat("")
 
 
-def _betti_rows(v):
-    return (None,), (sum(v.betti),), (betti_bound(v.n, v.d),), ("",)
-
-
-def _betti_recursive_rows(v):
-    return (None,), (sum(v.betti),), (_recursive_betti_bound(v.n, v.d),), ("",)
+def _total_betti_rows(bound, v):
+    return (None,), (sum(v.betti),), (bound(v.n, v.d),), ("",)
 
 
 def _euler_rows(v):
@@ -492,18 +484,17 @@ def _pontryagin_rows(v):
     return indices, values, [pontryagin_bound(n, d)] * len(values), repeat("")
 
 
-# name -> (rows, least legal exact value or None, bound has the base (d+n-2),
-# the _Variety values the rows read besides n, d, tables and tangent)
+# name -> (rows, least legal exact value or None, bound has the base (d+n-2))
 _RULES = {
-    "degree-sequence": (_degree_sequence_rows, 1, False, ("sequence",)),
-    "log-concavity": (_log_concavity_rows, None, False, ("sequence",)),
-    "nef-chern": (_nef_chern_rows, 0, True, ("twisted", "powers")),
-    "cotangent-chern": (_cotangent_chern_rows, None, True, ("powers",)),
-    "betti": (_betti_rows, None, False, ("betti",)),
-    "betti-recursive": (_betti_recursive_rows, None, False, ("betti",)),
-    "euler": (_euler_rows, None, False, ("betti",)),
-    "schur-positivity": (_schur_positivity_rows, None, False, ("twisted",)),
-    "pontryagin": (_pontryagin_rows, None, True, ("twisted",)),
+    "degree-sequence": (_degree_sequence_rows, 1, False),
+    "log-concavity": (_log_concavity_rows, None, False),
+    "nef-chern": (_nef_chern_rows, 0, True),
+    "cotangent-chern": (_cotangent_chern_rows, None, True),
+    "betti": (partial(_total_betti_rows, betti_bound), None, False),
+    "betti-recursive": (partial(_total_betti_rows, _recursive_betti_bound), None, False),
+    "euler": (_euler_rows, None, False),
+    "schur-positivity": (_schur_positivity_rows, None, False),
+    "pontryagin": (_pontryagin_rows, None, True),
 }
 
 CHECK_NAMES = tuple(_RULES)
@@ -523,7 +514,7 @@ def _reports(name, rows, least, has_base, v: _Variety) -> list:
 
 
 # name -> callable(variety) -> list of finished rows; verify_grid dispatches here
-_CHECKS = {name: partial(_reports, name, *rule[:3]) for name, rule in _RULES.items()}
+_CHECKS = {name: partial(_reports, name, *rule) for name, rule in _RULES.items()}
 
 
 # -- verification grid -----------------------------------------------------
@@ -602,6 +593,8 @@ class GridSpec(Record):
 
     @classmethod
     def from_dict(cls, data) -> "GridSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"grid spec must be an object, got {type(data).__name__}")
         known = set(cls._fields)
         unknown = set(data) - known
         if unknown:
@@ -638,11 +631,15 @@ class GridResult(Record):
     multidegree), one per case in case order. A case's reports are its
     key's rows with n, d and its multidegree put in; ``cases`` and
     ``reports`` are built on first use, while the counts and the writers
-    read the keys and labels.
+    read the keys and labels. Both are stored as tuples, whatever sequences
+    they come in, so a result hashes and prints every int in full.
     """
 
     # no __slots__: the fields and the cached views live in __dict__
     _fields = ("spec", "truncated", "keys", "labels")
+
+    def __init__(self, spec: GridSpec, truncated: bool, keys, labels):
+        super().__init__(spec, truncated, tuple(keys), tuple(labels))
 
     @cached_property
     def cases(self) -> tuple:
@@ -728,12 +725,10 @@ def verify_grid(spec: GridSpec) -> GridResult:
     is the same variety in P^(m-1), with the same n and d. So the checks run
     once per key (dimension, degrees above 1), and each case keeps only its
     key's position and its multidegree. The key is a plain tuple: (n, ()) is
-    P^n, which CompleteIntersection cannot hold. Each key's variety holds
-    only the values the selected checks read.
+    P^n, which CompleteIntersection cannot hold.
     """
     pairs, truncated = _grid(spec)
     checks = [_CHECKS[check] for check in spec.checks]
-    reads = {value for check in spec.checks for value in _RULES[check][3]}
     keys, labels, where = [], [], {}
     for m, degs in pairs:
         n = m - len(degs)
@@ -741,9 +736,9 @@ def verify_grid(spec: GridSpec) -> GridResult:
         i = where.get(key)
         if i is None:
             i = where[key] = len(keys)
-            v, rows = _Variety(*key, reads), []
+            v, rows = _Variety(*key), []
             for check in checks:
                 rows += check(v)
             keys.append((n, v.d, tuple(rows)))
         labels.append((i, degs))
-    return GridResult(spec, truncated, tuple(keys), tuple(labels))
+    return GridResult(spec, truncated, keys, labels)

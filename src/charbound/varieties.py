@@ -219,11 +219,10 @@ class Partition(Record):
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-def partitions_of(total: int, max_part: int | None = None):
+def partitions_of(total: int):
     """Yield all partitions of ``total`` as weakly decreasing tuples."""
     if total < 0:
         raise ValueError("total must be nonnegative")
-    cap = total if max_part is None else min(max_part, total)
 
     def rec(remaining, largest):
         if remaining == 0:
@@ -233,4 +232,4 @@ def partitions_of(total: int, max_part: int | None = None):
             for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    yield from rec(total, cap)
+    yield from rec(total, total)

@@ -358,18 +358,43 @@ def test_degree_sequence_lower_limit_can_fail(monkeypatch):
     assert result.violations == result.reports
 
 
-def test_a_check_computes_only_what_it_reads(monkeypatch, capsys):
+def test_schur_work_runs_only_when_schur_positivity_is_selected(monkeypatch, capsys):
     def refuse(*args):
-        raise AssertionError("computed a value no selected check reads")
+        raise AssertionError("computed the dual sequence without schur-positivity")
 
-    monkeypatch.setattr("charbound.bounds.betti_from_euler", refuse)
     monkeypatch.setattr("charbound.bounds.dual_sequence", refuse)
-    assert main(["verify", "--checks", "degree-sequence"]) == 0
+    others = ",".join(name for name in CHECK_NAMES if name != "schur-positivity")
+    assert main(["verify", "--checks", others]) == 0
     assert "violations=0" in capsys.readouterr().out
-    # the patches bite where a check reads the Betti numbers or the dual sequence
-    for check in ("betti", "schur-positivity"):
-        with pytest.raises(AssertionError, match="no selected check reads"):
-            verify_grid(GridSpec(max_ambient_dim=3, checks=(check,)))
+    # the patch bites where schur-positivity runs
+    with pytest.raises(AssertionError, match="without schur-positivity"):
+        verify_grid(GridSpec(max_ambient_dim=3, checks=("schur-positivity",)))
+
+
+# the deep-json grid: dimensions 1..8, so Pontryagin rows at n = 4 and 8, and
+# the degenerate lines (n, d) = (1, 1)
+DEEP = dict(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8, max_cases=10**6)
+
+
+@pytest.fixture(scope="module")
+def deep_grid():
+    return verify_grid(GridSpec(**DEEP))
+
+
+def test_the_deep_grid_reaches_pontryagin_and_degenerate_rows(deep_grid):
+    pontryagin = {r.n for r in deep_grid.reports if r.subject == "pontryagin"}
+    assert pontryagin == {4, 8}
+    assert {(r.n, r.d) for r in deep_grid.flagged} == {(1, 1)}
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_a_check_alone_gives_its_rows_of_the_full_run(deep_grid, name):
+    alone = verify_grid(GridSpec(**DEEP, checks=(name,)))
+    assert alone.labels == deep_grid.labels
+    assert [key[:2] for key in alone.keys] == [key[:2] for key in deep_grid.keys]
+    assert [key[2] for key in alone.keys] == [
+        tuple(row for row in rows if row[0] == name) for *_, rows in deep_grid.keys
+    ]
 
 
 def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, capsys):
@@ -524,7 +549,7 @@ def test_every_schur_pairing_of_the_p23_quadric_matches_long_side_bareiss():
     # n = 22: the only key tested here whose Giambelli matrices reach order 4
     ci = CompleteIntersection(23, (2,))
     twisted = twist_chern(cotangent_chern(ci), 2).multiples
-    rows = _CHECKS["schur-positivity"](_Variety(22, (2,), {"twisted"}))
+    rows = _CHECKS["schur-positivity"](_Variety(22, (2,)))
     shapes = [row[1] for row in rows]
     assert shapes == oracle_indices(22)[1:]
     assert len(shapes) == 4507
@@ -544,7 +569,7 @@ def test_root_series_twist_matches_binomial_twist():
     assert len(cases) == 8554
     for ci in cases:
         big = tuple(d for d in ci.multidegree if d > 1)
-        twisted = _Variety(ci.dimension, big, {"twisted"}).twisted
+        twisted = _Variety(ci.dimension, big).twisted
         assert tuple(twisted) == twist_chern(cotangent_chern(ci), 2).multiples
 
 
@@ -837,6 +862,18 @@ def test_long_integers_print_in_full_in_every_format():
         f"subject=betti n=2 d={digits} multidegree=({digits}, 2) index=({digits},) "
         f"exact={digits} bound=3 margin={margin}"
     )
+
+
+def test_a_grid_result_built_from_lists_is_the_one_built_from_tuples():
+    big = 10**5000  # 5,001 digits, past str()'s default 4,300-digit limit
+    row = ("betti", None, big, 3, False, 3 - big, False, "")
+    for key in ((2, big, ()), (2, big, (row,))):
+        listed = GridResult(GridSpec(), False, [key], [(0, (2,))])
+        tupled = GridResult(GridSpec(), False, (key,), ((0, (2,)),))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert (listed.keys, listed.labels) == ((key,), ((0, (2,)),))
+        assert repr(listed) == repr(tupled)
+        assert f"keys=((2, 1{'0' * 5000}, (" in repr(listed)
 
 
 def test_bound_report_repr_prints_long_ints_in_full():

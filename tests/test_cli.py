@@ -271,6 +271,28 @@ def test_verify_grid_sizes_must_be_integers(tmp_path, capsys):
         assert "must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("[]", "list"),
+        ('""', "str"),
+        ("null", "NoneType"),
+        ("5", "int"),
+        ("true", "bool"),
+        ('["max_cases"]', "list"),
+        ('"max_cases"', "str"),
+    ],
+)
+def test_verify_grid_spec_must_be_an_object(tmp_path, capsys, text, kind):
+    # an empty list or string once ran the default grid and exited 0
+    grid, report = tmp_path / "grid.json", tmp_path / "report.json"
+    grid.write_text(text)
+    code, out, err = run(capsys, "verify", "--grid", str(grid), "--out", str(report))
+    assert (code, out) == (2, "")
+    assert f"grid spec must be an object, got {kind}" in err and "Traceback" not in err
+    assert not report.exists()
+
+
 def test_verify_csv_format(tmp_path, capsys):
     out = tmp_path / "r.csv"
     code, _, _ = run(

@@ -143,7 +143,6 @@ def test_partitions_of():
         [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     )
     assert list(partitions_of(0)) == [()]
-    assert sorted(partitions_of(4, max_part=2)) == sorted([(2, 2), (2, 1, 1), (1, 1, 1, 1)])
 
 
 # -- value types ---------------------------------------------------------------
