@@ -10,12 +10,13 @@ than special-cased, and the flagged cases are settled by direct inspection.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property, lru_cache, partial
 from io import StringIO
 from itertools import chain, combinations_with_replacement, count, filterfalse, repeat
 from json.encoder import encode_basestring_ascii
 from math import comb, prod
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
 from .betti import betti_from_euler
@@ -98,26 +99,28 @@ CSV_COLUMNS = (
 
 
 # -- report writers ----------------------------------------------------------
-# A report document is written from keys x labels (see GridResult): a key is
-# (n, d, rows), a label (key position, multidegree) per case. The rows of a
-# key render through one %-template, built once per document for each
-# layout, the key's sequence of (subject, index) pairs: the template holds
-# every row's subject and index text, with each "%" doubled, a %s for each
-# number and flag, and a cut mark where the multidegree goes. So a key is one
-# ``template % values`` whose values are flattened in C, cut at the marks
-# into pieces, and each case writes its own multidegree's text between those
-# pieces. The mark is the first control character, or else the first
-# character from U+0080 on, that the template's own text does not hold. No
-# value holds one: values are numbers, true and false, and ASCII-escaped
-# JSON strings. So a subject is never cut, whatever it holds. A key holding
-# None or an int past str()'s digit limit fills the same template with
-# exact_decimal (from varieties, re-exported here) text and the format's
-# blank for None; %s would print None as "None". Only a key's pieces are
-# held, and only while cases of that key remain. The templates live for one
-# document and hold at most one entry per key, and list fields are rendered
-# once per document. The bytes are those the stdlib would give:
-# json.dumps(payload, indent=2) + "\n" with its default ASCII escaping, and
-# csv.writer with lineterminator "\n".
+# A report document is written from keys x labels (see GridResult): a label
+# is (key position, multidegree), one per case, and a key holds its rows as
+# columns, (n, d, layout, exacts, bounds, satisfied, margins, degenerate,
+# notes), over a layout that starts with the rows' subjects and indices. The
+# rows of a key render through one %-template, built once per document for
+# each layout object, so the keys of one grid dimension share it: the
+# template holds every row's subject and index text, with each "%" doubled,
+# a %s for each number and flag, and a mark where the multidegree goes.
+# So a key is one ``template % values`` whose values are flattened in C from
+# its columns, and each case writes that text with its own multidegree's
+# text in place of each mark. The mark is the first control character, or
+# else the first character from U+0080 on, that the template's own text
+# does not hold. No value holds one: values are numbers, true and false, and
+# ASCII-escaped JSON strings. So no subject or value is ever replaced,
+# whatever it holds. A key holding None or an int past str()'s digit limit
+# fills the same template with exact_decimal (from varieties, re-exported
+# here) text and the format's blank for None; %s would print None as
+# "None". Only a key's text is held, and only while cases of that key
+# remain. The templates live for one document and hold at most one entry
+# per layout, and list fields are rendered once per document. The bytes are
+# those the stdlib would give: json.dumps(payload, indent=2) + "\n" with its
+# default ASCII escaping, and csv.writer with lineterminator "\n".
 
 _TRUE_FALSE = ("false", "true").__getitem__
 
@@ -192,9 +195,11 @@ def _fill(template, values, none, n, d, columns) -> str:
     return template % tuple(chain.from_iterable(columns))
 
 
-def _write(stream, fmt: str, keys, labels, head: str = "") -> None:
-    """Stream keys x labels as a ``fmt`` document (json, csv or markdown);
-    ``head`` holds the rendered JSON members before "reports"."""
+def _write(stream, fmt: str, key, labels, head: str = "") -> None:
+    """Stream keys x labels as a ``fmt`` document (json, csv or markdown),
+    ``key(i)`` giving the columns of key i (see above) when a case of it is
+    first written; ``head`` holds the rendered JSON members before
+    "reports"."""
     if fmt == "json":
         label = lru_cache(maxsize=None)(_json_ints)
 
@@ -228,35 +233,34 @@ def _write(stream, fmt: str, keys, labels, head: str = "") -> None:
         values, first, sep, none, ends = _table_values, "", "", "", ("", "")
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    # id(layout) -> (layout, template, mark); holding the layout keeps its id
+    # from going to another object while the document is written
     templates = {}
 
-    def pieces(n, d, rows) -> list:
-        """One key's rows as text, cut where the multidegree goes."""
-        if not rows:
-            return []
-        subjects, indices, *columns = zip(*rows)
-        layout = subjects, indices
-        found = templates.get(layout)
+    def text(n, d, layout, *columns) -> tuple:
+        """(One key's rows as text, the mark where the multidegree goes)."""
+        if not columns[0]:
+            return "", ""
+        found = templates.get(id(layout))
         if found is None:
-            found = templates[layout] = _template(row, sep, subjects, indices)
-        template, mark = found
-        return _fill(template, values, none, n, d, columns).split(mark)
+            found = layout, *_template(row, sep, *layout[:2])
+            templates[id(layout)] = found
+        _, template, mark = found
+        return _fill(template, values, none, n, d, columns), mark
 
     write = stream.write
     write(start)
-    # the cases still to write of each key, and the pieces of those with some
-    left = [0] * len(keys)
-    for i, _ in labels:
-        left[i] += 1
+    # the cases still to write of each key, and the text of those with some
+    left = Counter(map(itemgetter(0), labels))
     held, lead = {}, first
     for i, multidegree in labels:
-        cut = held.pop(i, None) or pieces(*keys[i])
+        rows, mark = found = held.pop(i, None) or text(*key(i))
         left[i] -= 1
         if left[i]:
-            held[i] = cut
-        if cut:
+            held[i] = found
+        if rows:
             write(lead)
-            write(label(multidegree).join(cut))
+            write(rows.replace(mark, label(multidegree)))
             lead = sep
     # lead is no longer first once a row is written
     write(ends[lead != first])
@@ -264,8 +268,8 @@ def _write(stream, fmt: str, keys, labels, head: str = "") -> None:
 
 def write_json(stream, reports) -> None:
     """``{"reports": [...]}`` for a report list, each report a one-row key."""
-    keys = [(r[1], r[2], (r[:1] + r[4:],)) for r in reports]
-    _write(stream, "json", keys, [(i, r[3]) for i, r in enumerate(reports)])
+    keys = [(r[1], r[2], ((r[0],), (r[4],)), *zip(r[5:])) for r in reports]
+    _write(stream, "json", keys.__getitem__, [(i, r[3]) for i, r in enumerate(reports)])
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -366,8 +370,9 @@ def blowup_euler(
 
 # -- checks ----------------------------------------------------------------
 # Each check gives the columns (indices, exact values, bounds, notes) of its
-# rows for one variety, all from plain ints; the table below says which
-# lower limit and which bound base apply to them.
+# rows for one variety, all from plain ints; its indices depend on the
+# dimension alone. The table below says which lower limit and which bound
+# base apply to them.
 
 
 class _Tables:
@@ -433,18 +438,18 @@ def _chern_numbers(v: _Variety, multiples) -> list:
 def _degree_sequence_rows(v):
     d = v.d
     bounds = [d ** (i + 1) for i in range(v.n + 1)]
-    return v.tables.singles, v.sequence, bounds, repeat("")
+    return v.tables.singles, v.sequence, bounds, ("",) * len(bounds)
 
 
 def _log_concavity_rows(v):
     seq = v.sequence
     products = list(map(mul, seq[2:], seq))
-    return v.tables.singles[2:], products, [x * x for x in seq[1:-1]], repeat("")
+    return v.tables.singles[2:], products, [x * x for x in seq[1:-1]], ("",) * len(products)
 
 
 def _nef_chern_rows(v):
     bounds = list(map(v.powers.__getitem__, v.tables.weights))
-    return v.tables.indices, _chern_numbers(v, v.twisted), bounds, repeat("")
+    return v.tables.indices, _chern_numbers(v, v.twisted), bounds, ("",) * len(bounds)
 
 
 def _cotangent_chern_rows(v):
@@ -452,7 +457,7 @@ def _cotangent_chern_rows(v):
     scale = 2 ** (v.n * v.n)
     powers = [scale * power for power in v.powers]
     bounds = list(map(powers.__getitem__, v.tables.weights))
-    return v.tables.indices, _chern_numbers(v, cotangent), bounds, repeat("")
+    return v.tables.indices, _chern_numbers(v, cotangent), bounds, ("",) * len(bounds)
 
 
 def _total_betti_rows(bound, v):
@@ -481,7 +486,7 @@ def _pontryagin_rows(v):
         return (), (), (), ()
     indices = tuple(partitions_of(n // 4))
     values = [d * prod(twisted[2 * j] ** 2 for j in parts) for parts in indices]
-    return indices, values, [pontryagin_bound(n, d)] * len(values), repeat("")
+    return indices, values, [pontryagin_bound(n, d)] * len(values), ("",) * len(values)
 
 
 # name -> (rows, least legal exact value or None, bound has the base (d+n-2))
@@ -499,22 +504,23 @@ _RULES = {
 
 CHECK_NAMES = tuple(_RULES)
 
-
-def _reports(name, rows, least, has_base, v: _Variety) -> list:
-    """The finished rows (subject, index, exact, bound, satisfied, margin,
-    degenerate, note) of one check; rows with a non-empty index whose bound
-    base (d+n-2) vanishes are flagged degenerate."""
-    out = [
-        (name, i, e, b, (m := b - abs(e)) >= 0 and (least is None or e >= least), m, False, note)
-        for i, e, b, note in zip(*rows(v))
-    ]
-    if has_base and v.d + v.n == 2:
-        out = [row[:6] + (True, DEGENERATE_NOTE) if row[1] else row for row in out]
-    return out
+# name -> callable(variety) -> its rows' columns; verify_grid dispatches here
+_CHECKS = {name: rule[0] for name, rule in _RULES.items()}
 
 
-# name -> callable(variety) -> list of finished rows; verify_grid dispatches here
-_CHECKS = {name: partial(_reports, name, *rule) for name, rule in _RULES.items()}
+def _layout(names, columns) -> tuple:
+    """(subjects, indices, lower limits, based): the rows that the checks
+    ``names`` gave as ``columns`` for a variety, and so for every variety of
+    its dimension. A row is based when its bound has the base (d+n-2) as a
+    factor: the rows of a check with that base whose index is not empty."""
+    subjects, indices, limits, based = [], [], [], []
+    for name, (index_column, values, _, _) in zip(names, columns):
+        _, least, has_base = _RULES[name]
+        subjects += repeat(name, len(values))
+        indices += index_column
+        limits += repeat(least, len(values))
+        based += [has_base and bool(index) for index in index_column]
+    return tuple(subjects), tuple(indices), tuple(limits), tuple(based)
 
 
 # -- verification grid -----------------------------------------------------
@@ -618,21 +624,53 @@ def _grid(spec: GridSpec):
     return pairs, False
 
 
-# the satisfied and degenerate fields of a key's row
-_SATISFIED, _DEGENERATE = itemgetter(4), itemgetter(6)
+def _columns(key) -> tuple:
+    """The columns the writers read of a grid key (n, d, layout, exacts,
+    bounds, notes): (n, d, layout, exacts, bounds, satisfied, margins,
+    degenerate, notes). A row is satisfied when |exact| <= bound and exact
+    is at least the row's lower limit, and its margin is bound - |exact|.
+    Where the base (d+n-2) vanishes, the based rows are degenerate and their
+    note is DEGENERATE_NOTE."""
+    n, d, layout, exacts, bounds, notes = key
+    margins = list(map(sub, bounds, map(abs, exacts)))
+    satisfied = [
+        margin >= 0 and (least is None or exact >= least)
+        for margin, exact, least in zip(margins, exacts, layout[2])
+    ]
+    degenerate = layout[3]
+    if d + n == 2:
+        notes = [DEGENERATE_NOTE if flag else note for flag, note in zip(degenerate, notes)]
+    else:
+        degenerate = (False,) * len(exacts)
+    return n, d, layout, exacts, bounds, satisfied, margins, degenerate, notes
+
+
+def _rows(key):
+    """A grid key's rows (subject, index, exact, bound, satisfied, margin,
+    degenerate, note): a report without n, d and multidegree."""
+    _, _, (subjects, indices, *_), *columns = _columns(key)
+    return zip(subjects, indices, *columns)
+
+
+# the degenerate field of a row
+_DEGENERATE = itemgetter(6)
 
 
 class GridResult(Record):
     """Outcome of one grid sweep, deterministically ordered.
 
-    The sweep is held as keys x labels. A key is (n, d, rows): the finished
-    rows of one variety, every selected check in order, each row a report
-    without n, d and multidegree (see _reports). A label is (key position,
-    multidegree), one per case in case order. A case's reports are its
-    key's rows with n, d and its multidegree put in; ``cases`` and
-    ``reports`` are built on first use, while the counts and the writers
-    read the keys and labels. Both are stored as tuples, whatever sequences
-    they come in, so a result hashes and prints every int in full.
+    The sweep is held as keys x labels. A key is (n, d, layout, exacts,
+    bounds, notes), what one variety's selected checks compute: its exact
+    values, bounds and notes, one per row, over the layout that every key
+    of dimension n shares (see _layout). A label is (key position,
+    multidegree), one per case in case order. Each row's satisfied, margin
+    and degenerate fields, and the note of a degenerate row, are derived
+    from these wherever rows are read (see _columns). A case's reports are
+    its key's rows with n, d and its multidegree put in; ``cases``,
+    ``reports``, ``violations`` and ``flagged`` are built on first use,
+    while ``report_count`` and the writers read the keys and labels. Both
+    are stored as tuples, whatever sequences they come in, so a result
+    hashes and prints every int in full.
     """
 
     # no __slots__: the fields and the cached views live in __dict__
@@ -647,10 +685,6 @@ class GridResult(Record):
         keys, labels = self.keys, self.labels
         return tuple(CompleteIntersection(keys[i][0] + len(degs), degs) for i, degs in labels)
 
-    @cached_property
-    def reports(self) -> tuple:
-        return tuple(_expand(self.keys, self.labels))
-
     @property
     def case_count(self) -> int:
         return len(self.labels)
@@ -658,24 +692,43 @@ class GridResult(Record):
     @property
     def report_count(self) -> int:
         """len(reports), from each case's key, without building them."""
-        return sum(len(self.keys[i][2]) for i, _ in self.labels)
+        return sum(len(self.keys[i][3]) for i, _ in self.labels)
 
-    def _select(self, select) -> tuple:
-        """The reports of the rows ``select(rows)`` keeps of each key, in
-        report order."""
-        keys = [(n, d, select(rows)) for n, d, rows in self.keys]
-        return tuple(_expand(keys, self.labels))
+    def _expand(self, rows) -> tuple:
+        """The reports of ``rows[i]``, rows of key i (none where i is not in
+        ``rows``), for every case of key i, in case order."""
+        new, keys = partial(tuple.__new__, BoundReport), self.keys
+        return tuple(
+            new(row[:1] + (keys[i][0], keys[i][1], multidegree) + row[1:])
+            for i, multidegree in self.labels
+            for row in rows.get(i, ())
+        )
+
+    @cached_property
+    def reports(self) -> tuple:
+        return self._expand({i: [*_rows(key)] for i, key in enumerate(self.keys)})
+
+    @cached_property
+    def _exceptions(self) -> dict:
+        """Key position -> the rows of that key that are unsatisfied or
+        degenerate, for the few keys with any."""
+        found = {}
+        for i, key in enumerate(self.keys):
+            rows = [row for row in _rows(key) if row[6] or not row[4]]
+            if rows:
+                found[i] = rows
+        return found
 
     @cached_property
     def violations(self) -> tuple:
         # the unsatisfied rows, less the few flagged degenerate
-        return self._select(
-            lambda rows: [*filterfalse(_DEGENERATE, filterfalse(_SATISFIED, rows))]
-        )
+        rows = self._exceptions.items()
+        return self._expand({i: [*filterfalse(_DEGENERATE, found)] for i, found in rows})
 
     @cached_property
     def flagged(self) -> tuple:
-        return self._select(lambda rows: [*filter(_DEGENERATE, rows)])
+        rows = self._exceptions.items()
+        return self._expand({i: [*filter(_DEGENERATE, found)] for i, found in rows})
 
     @property
     def all_satisfied(self) -> bool:
@@ -699,23 +752,14 @@ class GridResult(Record):
                 f'  "truncated": {"true" if self.truncated else "false"},\n'
                 f'  "violations": {exact_decimal(len(self.violations))},\n'
             )
-        _write(stream, fmt, self.keys, self.labels, head)
+        keys = self.keys
+        _write(stream, fmt, lambda i: _columns(keys[i]), self.labels, head)
 
     def render(self, fmt: str) -> str:
         """The document ``write`` streams, as one string."""
         buffer = StringIO()
         self.write(buffer, fmt)
         return buffer.getvalue()
-
-
-def _expand(keys, labels):
-    """The BoundReports of keys x labels, in case order."""
-    new = partial(tuple.__new__, BoundReport)
-    for i, multidegree in labels:
-        n, d, rows = keys[i]
-        middle = n, d, multidegree
-        for row in rows:
-            yield new(row[:1] + middle + row[1:])
 
 
 def verify_grid(spec: GridSpec) -> GridResult:
@@ -725,20 +769,25 @@ def verify_grid(spec: GridSpec) -> GridResult:
     is the same variety in P^(m-1), with the same n and d. So the checks run
     once per key (dimension, degrees above 1), and each case keeps only its
     key's position and its multidegree. The key is a plain tuple: (n, ()) is
-    P^n, which CompleteIntersection cannot hold.
+    P^n, which CompleteIntersection cannot hold. The first key of each
+    dimension gives the layout that every key of that dimension shares.
     """
     pairs, truncated = _grid(spec)
     checks = [_CHECKS[check] for check in spec.checks]
-    keys, labels, where = [], [], {}
+    keys, labels, where, layouts = [], [], {}, {}
     for m, degs in pairs:
         n = m - len(degs)
         key = n, degs[degs.count(1) :]
         i = where.get(key)
         if i is None:
             i = where[key] = len(keys)
-            v, rows = _Variety(*key), []
-            for check in checks:
-                rows += check(v)
-            keys.append((n, v.d, tuple(rows)))
+            v = _Variety(*key)
+            columns = [check(v) for check in checks]
+            layout = layouts.get(n)
+            if layout is None:
+                layout = layouts[n] = _layout(spec.checks, columns)
+            # the exact values, bounds and notes of every check, in check order
+            _, *values = zip(*columns)
+            keys.append((n, v.d, layout, *map(tuple, map(chain.from_iterable, values))))
         labels.append((i, degs))
     return GridResult(spec, truncated, keys, labels)

@@ -274,11 +274,25 @@ def giambelli(plan: tuple, hooks) -> int:
 
 def cofactor_determinant(values, order: int) -> int:
     """The determinant of the order x order matrix (order >= 2) laid out row
-    by row in ``values``: order 2 directly, larger ones by cofactor
-    expansion along the first row."""
+    by row in ``values``: orders 2 and 3 written out, order 4 as a Laplace
+    expansion over the six 2 x 2 minors of its last two rows, larger ones
+    by cofactor expansion along the first row."""
     if order == 2:
         w, x, y, z = values
         return w * z - x * y
+    if order == 3:
+        a, b, c, d, e, f, g, h, i = values
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if order == 4:
+        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = values
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+        )
     rest = values[order:]
     minors = ([x for k, x in enumerate(rest) if k % order != j] for j in range(order))
     return sum(

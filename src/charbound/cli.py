@@ -432,6 +432,14 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # a legal grid can hold more rows than memory; exit 1 means a violation
+        print(
+            "error: out of memory; lower --max-ambient-dim, --max-degree, "
+            "--max-codim or --max-cases",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 import csv
+import gc
 import io
 import json
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from decimal import Decimal
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -13,6 +16,7 @@ from charbound.betti import betti_numbers, total_betti
 from charbound.bounds import (
     _CHECKS,
     _Variety,
+    _write,
     CHECK_NAMES,
     DEGENERATE_NOTE,
     MAX_GRID_CASES,
@@ -387,14 +391,46 @@ def test_the_deep_grid_reaches_pontryagin_and_degenerate_rows(deep_grid):
     assert {(r.n, r.d) for r in deep_grid.flagged} == {(1, 1)}
 
 
+def key_rows(key) -> tuple:
+    """A grid key's rows as it holds them: (subject, index, lower limit,
+    based, exact, bound, note)."""
+    _, _, layout, *values = key
+    return tuple(zip(*layout, *values))
+
+
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_a_check_alone_gives_its_rows_of_the_full_run(deep_grid, name):
     alone = verify_grid(GridSpec(**DEEP, checks=(name,)))
     assert alone.labels == deep_grid.labels
     assert [key[:2] for key in alone.keys] == [key[:2] for key in deep_grid.keys]
-    assert [key[2] for key in alone.keys] == [
-        tuple(row for row in rows if row[0] == name) for *_, rows in deep_grid.keys
+    assert [key_rows(key) for key in alone.keys] == [
+        tuple(row for row in key_rows(key) if row[0] == name) for key in deep_grid.keys
     ]
+    # every key of one dimension holds the same layout object
+    for result in (alone, deep_grid):
+        layouts = {}
+        for n, _, layout, *_ in result.keys:
+            assert layouts.setdefault(n, layout) is layout
+
+
+def test_a_grid_result_holds_its_values_not_a_tuple_per_row():
+    # m<=20 D<=2: 209 keys, 120,025 distinct rows and 1,520 cases; each key
+    # holds its exact values, bounds and notes over one layout per dimension,
+    # about 9.5 MB in all, where a tuple per row held 23.1 MB
+    spec = GridSpec(max_ambient_dim=20, max_degree_per_factor=2, max_codim=19, max_cases=10**6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = verify_grid(spec)
+        gc.collect()
+        with_result = tracemalloc.get_traced_memory()[0]
+        assert (len(result.keys), result.case_count) == (209, 1520)
+        del result
+        gc.collect()
+        held = with_result - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 11.5e6, f"the result holds {held / 1e6:.1f} MB"
 
 
 def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, capsys):
@@ -549,16 +585,20 @@ def test_every_schur_pairing_of_the_p23_quadric_matches_long_side_bareiss():
     # n = 22: the only key tested here whose Giambelli matrices reach order 4
     ci = CompleteIntersection(23, (2,))
     twisted = twist_chern(cotangent_chern(ci), 2).multiples
-    rows = _CHECKS["schur-positivity"](_Variety(22, (2,)))
-    shapes = [row[1] for row in rows]
+    spec = GridSpec(
+        max_ambient_dim=23, max_degree_per_factor=2, max_codim=1, checks=("schur-positivity",)
+    )
+    reports = [r for r in verify_grid(spec).reports if (r.n, r.multidegree) == (22, (2,))]
+    shapes = [r.index for r in reports]
     assert shapes == oracle_indices(22)[1:]
     assert len(shapes) == 4507
     durfee = [sum(1 for i, p in enumerate(parts) if p > i) for parts in shapes]
     assert durfee.count(4) == 131 and max(durfee) == 4
-    for _, parts, shortfall, bound, satisfied, _, _, note in rows:
-        pairing = long_side_schur(twisted, parts) * 2
-        assert note == f"pairing={pairing}"
-        assert (shortfall, bound, satisfied) == (min(pairing, 0), 0, pairing >= 0)
+    for report in reports:
+        pairing = long_side_schur(twisted, report.index) * 2
+        assert report.note == f"pairing={pairing}"
+        expected = (min(pairing, 0), 0, pairing >= 0)
+        assert (report.exact_value, report.bound_value, report.satisfied) == expected
 
 
 def test_root_series_twist_matches_binomial_twist():
@@ -711,14 +751,15 @@ maybe_ints = st.none() | st.lists(
     st.integers(min_value=-(10**12), max_value=10**12) | long_ints, max_size=4
 ).map(tuple)
 # csv.writer quotes on "," '"' and "\n" only, so a subject needs no "\r";
-# "%" is literal template text, and "\x00" the writers' first cut mark
+# "%" is literal template text, and "\x00" the writers' first mark
 subjects = st.sampled_from(CHECK_NAMES + ("signature",)) | st.text(
     alphabet='ab -,"\n\\%{}\x00', max_size=8
 )
 notes = st.text(
     alphabet=st.sampled_from('a "\\\n\r\t,%\x00\x7fé€\U0001d11e') | st.characters(), max_size=12
 )
-# a report without n, d and multidegree, as a key holds it
+# a report without n, d and multidegree, with any values, as a key of the
+# writer core holds it
 rows_strategy = st.tuples(
     subjects, maybe_ints, maybe_int, some_int, st.booleans(), maybe_int, st.booleans(), notes
 )
@@ -726,10 +767,53 @@ rows_strategy = st.tuples(
 multidegrees = maybe_ints | st.sampled_from(((2, 3), (1, 1, 2)))
 
 
+def writer_keys(keys):
+    """Keys (n, d, rows) of report rows without n, d and multidegree, as the
+    writer core takes them: (n, d, layout, exacts, bounds, satisfied,
+    margins, degenerate, notes). Keys given the same rows object share one
+    layout object."""
+    layouts, out = {}, []
+    for n, d, rows in keys:
+        subjects, indices, *columns = zip(*rows) if rows else ((),) * 8
+        layout = layouts.setdefault(id(rows), (subjects, indices))
+        out.append((n, d, layout, *columns))
+    return out
+
+
+def row_reports(keys, labels):
+    """The reports of keys (n, d, rows) x labels, one case and one row at a time."""
+    return tuple(
+        BoundReport(row[0], keys[i][0], keys[i][1], multidegree, *row[1:])
+        for i, multidegree in labels
+        for row in keys[i][2]
+    )
+
+
+def render_core(keys, labels) -> dict:
+    """The writer core's document of keys (n, d, rows) x labels in each format."""
+    core = writer_keys(keys)
+    rendered = {}
+    for fmt in ("json", "csv", "markdown"):
+        buffer = io.StringIO()
+        _write(buffer, fmt, core.__getitem__, labels)
+        rendered[fmt] = buffer.getvalue()
+    return rendered
+
+
+def oracle_documents(reports) -> dict:
+    """What the stdlib gives for the report list alone, in each format."""
+    standalone = {"reports": [oracle_dict(r) for r in reports]}
+    return {
+        "json": json.dumps(standalone, indent=2) + "\n",
+        "csv": oracle_csv(reports),
+        "markdown": oracle_markdown(reports),
+    }
+
+
 @st.composite
-def keyed_layouts(draw):
-    """(keys, labels) as verify_grid lays a grid out: a few keys (n, d, rows),
-    each shared by several cases that carry their own multidegrees."""
+def keyed_rows(draw):
+    """(keys, labels) for the writer core: a few keys (n, d, rows) of any
+    values, each shared by several cases that carry their own multidegrees."""
     keys = draw(
         st.lists(
             st.tuples(maybe_int, maybe_int, st.lists(rows_strategy, max_size=2).map(tuple)),
@@ -741,13 +825,48 @@ def keyed_layouts(draw):
     return keys, draw(st.lists(labels, max_size=4))
 
 
+# a layout row's lower limit; n and d near 1, where the base d+n-2 vanishes
+limits = st.none() | st.integers(min_value=-2, max_value=2)
+sizes = st.integers(min_value=-1, max_value=3) | some_int
+
+
+@st.composite
+def grid_layouts(draw):
+    """(keys, labels) as verify_grid lays a grid out: a few keys (n, d,
+    layout, exacts, bounds, notes) over one or two layouts that keys share,
+    each key shared by several cases that carry their own multidegrees."""
+    layouts = []
+    for size in draw(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=2)):
+        column = partial(st.lists, min_size=size, max_size=size)
+        columns = draw(st.tuples(*map(column, (subjects, maybe_ints, limits, st.booleans()))))
+        layouts.append(tuple(map(tuple, columns)))
+    keys = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        layout = draw(st.sampled_from(layouts))
+        column = partial(st.lists, min_size=len(layout[0]), max_size=len(layout[0]))
+        values = draw(st.tuples(column(some_int), column(some_int), column(notes)))
+        keys.append((draw(sizes), draw(sizes), layout, *map(tuple, values)))
+    labels = st.tuples(st.integers(min_value=0, max_value=len(keys) - 1), multidegrees)
+    return keys, draw(st.lists(labels, max_size=4))
+
+
 def layout_reports(keys, labels):
-    """The reports of a layout, one case and one row at a time."""
-    return tuple(
-        BoundReport(row[0], keys[i][0], keys[i][1], multidegree, *row[1:])
-        for i, multidegree in labels
-        for row in keys[i][2]
-    )
+    """The reports of a grid layout, one case and one row at a time, each
+    derived field from its definition."""
+    reports = []
+    for i, multidegree in labels:
+        n, d, layout, exacts, bounds, notes = keys[i]
+        for subject, index, least, based, exact, bound, note in zip(*layout, exacts, bounds, notes):
+            degenerate = based and d + n - 2 == 0
+            satisfied = abs(exact) <= bound and (least is None or exact >= least)
+            note = DEGENERATE_NOTE if degenerate else note
+            reports.append(
+                BoundReport(
+                    subject, n, d, multidegree, index, exact, bound, satisfied,
+                    bound - abs(exact), degenerate, note,
+                )
+            )
+    return tuple(reports)
 
 
 specs = st.builds(
@@ -764,7 +883,7 @@ specs = st.builds(
 # with each part varied, and pytest formats a traceback for every rerun that
 # fails. That took a broken writer 50-100 s to report, shrinking itself 5-13 s.
 @settings(phases=tuple(phase for phase in Phase if phase is not Phase.explain))
-@given(specs, st.booleans(), keyed_layouts())
+@given(specs, st.booleans(), grid_layouts())
 def test_writers_match_stdlib_serializers(spec, truncated, layout):
     # the reports as verify_grid stores them: keys x labels, one case per label
     keys, labels = map(tuple, layout)
@@ -782,16 +901,33 @@ def test_writers_match_stdlib_serializers(spec, truncated, layout):
     with unlimited_int_digits():  # the stdlib oracles print every int with str()
         payload, expected = oracle_json(spec, len(labels), truncated, reports)
         assert json.loads(rendered["json"]) == payload
-        csv_text, markdown = oracle_csv(reports), oracle_markdown(reports)
-        assert rendered == {"json": expected, "csv": csv_text, "markdown": markdown}
-        standalone = {"reports": [oracle_dict(r) for r in reports]}
-        assert buffer.getvalue() == json.dumps(standalone, indent=2) + "\n"
+        documents = oracle_documents(reports)
+        assert rendered == {**documents, "json": expected}
+        assert buffer.getvalue() == documents["json"]
+
+
+# Without the explain phase, as above.
+@settings(phases=tuple(phase for phase in Phase if phase is not Phase.explain))
+@given(keyed_rows())
+def test_writer_core_renders_any_values(layout):
+    # None n, d, exact, margin, index and multidegree, and flags that no
+    # derivation gives, as write_json takes them in a report list
+    keys, labels = layout
+    reports = row_reports(keys, labels)
+    rendered = render_core(keys, labels)
+    buffer = io.StringIO()
+    write_json(buffer, reports)
+    with unlimited_int_digits():
+        documents = oracle_documents(reports)
+        assert rendered == documents
+        assert buffer.getvalue() == documents["json"]
 
 
 def test_writers_keep_layouts_of_one_dimension_apart():
     # keys of dimension 2: the first two have layouts of their own, the rest
-    # the first one's; "%" and "{}" are literal text, and "\x00", the first
-    # cut mark a layout may take, is part of a subject
+    # the first one's, as one object or as an equal copy; "%" and "{}" are
+    # literal text, and "\x00", the first mark a layout may take, is
+    # part of a subject
     first = (
         ("50% of {n}", (1,), 5, 9, True, 4, False, "p%s"),
         ("euler", None, 0, 0, True, 0, False, ""),
@@ -813,16 +949,11 @@ def test_writers_keep_layouts_of_one_dimension_apart():
     ]
     labels = [(0, (3,)), (1, (1, 3)), (0, (1, 1, 3)), (2, None), (3, (2,)), (4, (2,)), (5, ())]
     labels += [(6, (huge,)), (1, (2, 3))]
-    reports = layout_reports(keys, labels)
-    result = GridResult(GridSpec(), False, tuple(keys), tuple(labels))
+    rendered = render_core(keys, labels)
     with unlimited_int_digits():
-        expected = {
-            "json": oracle_json(GridSpec(), len(labels), False, reports)[1],
-            "csv": oracle_csv(reports),
-            "markdown": oracle_markdown(reports),
-        }
+        expected = oracle_documents(row_reports(keys, labels))
     for fmt, text in expected.items():
-        assert result.render(fmt) == text, fmt
+        assert rendered[fmt] == text, fmt
     assert "a\x00b" in expected["csv"] and "50% of {n}" in expected["markdown"]
 
 
@@ -838,8 +969,9 @@ def test_writers_on_an_empty_report_list():
 
 def test_long_integers_print_in_full_in_every_format():
     exact = 10**4999 + 7  # 5,000 digits, past str()'s default 4,300-digit limit
-    row = ("betti", (exact,), exact, 3, False, 3 - exact, False, "")
-    result = GridResult(GridSpec(), False, ((2, exact, (row,)),), ((0, (exact, 2)),))
+    layout = (("betti",), ((exact,),), (None,), (False,))
+    key = 2, exact, layout, (exact,), (3,), ("",)
+    result = GridResult(GridSpec(), False, (key,), ((0, (exact, 2)),))
     (report,) = result.reports
     assert report == BoundReport(
         subject="betti",
@@ -866,14 +998,14 @@ def test_long_integers_print_in_full_in_every_format():
 
 def test_a_grid_result_built_from_lists_is_the_one_built_from_tuples():
     big = 10**5000  # 5,001 digits, past str()'s default 4,300-digit limit
-    row = ("betti", None, big, 3, False, 3 - big, False, "")
-    for key in ((2, big, ()), (2, big, (row,))):
+    layout = (("betti",), (None,), (None,), (False,))
+    for key in ((2, big, ((),) * 4, (), (), ()), (2, big, layout, (big,), (3,), ("",))):
         listed = GridResult(GridSpec(), False, [key], [(0, (2,))])
         tupled = GridResult(GridSpec(), False, (key,), ((0, (2,)),))
         assert listed == tupled and hash(listed) == hash(tupled)
         assert (listed.keys, listed.labels) == ((key,), ((0, (2,)),))
         assert repr(listed) == repr(tupled)
-        assert f"keys=((2, 1{'0' * 5000}, (" in repr(listed)
+        assert f"keys=((2, 1{'0' * 5000}, ((" in repr(listed)
 
 
 def test_bound_report_repr_prints_long_ints_in_full():

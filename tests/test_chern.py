@@ -399,7 +399,9 @@ def matrices_with_zero_pivots(draw):
     r = draw(st.integers(min_value=1, max_value=7))
     rows = draw(
         st.lists(
-            st.lists(st.integers(-5, 5), min_size=r, max_size=r), min_size=r, max_size=r
+            st.lists(st.integers(-(2**70), 2**70), min_size=r, max_size=r),
+            min_size=r,
+            max_size=r,
         )
     )
     # zero some leading entries, so elimination meets zero pivots and has

@@ -221,6 +221,20 @@ def test_verify_refuses_a_grid_past_the_case_limit(sizes):
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_out_of_memory_exits_two_with_one_error_line(capsys, monkeypatch):
+    # a legal grid that outgrows memory, as m<=24 D<=5 does under a 2 GB
+    # address-space limit; exit 1 would claim a violation
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr("charbound.cli.verify_grid", exhausted)
+    code, out, err = run(capsys, "verify", "--max-ambient-dim", "24", "--max-degree", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    for flag in ("--max-ambient-dim", "--max-degree", "--max-codim", "--max-cases"):
+        assert flag in err
+
+
 def test_verify_builds_reports_only_for_violations_and_flags(tmp_path, capsys, monkeypatch):
     # 6 of the 439 reports, those of lines, are flagged; the rest are only
     # counted and rendered

@@ -98,23 +98,26 @@ def sha256_file(path) -> str:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_json_report_memory_does_not_grow_with_the_document(tmp_path):
     # 67,168 reports, 23.8 MB of JSON; building the document as one string
-    # peaked at about 255 MB
+    # peaked at about 255 MB, a tuple per distinct row at 27.5 MB, and the
+    # keys' value columns peak at about 24 MB
     out = tmp_path / "m12d3.json"
     argv = "verify --max-ambient-dim 12 --max-degree 3 --max-codim 11"
     peak_mb = peak_rss_mb(argv + f" --max-cases 1000000 --format json --out {out}")
     digest = sha256_file(out)
     assert digest == "03b10e704677b04b3fd4d18b5e046c8e85c80d9e976242248ae5e227a6e1468b"
-    assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 28, f"peak RSS {peak_mb:.0f} MB"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_frontier_csv_memory_grows_with_keys_not_reports(tmp_path):
     # 429,953 reports of 1,520 cases from 120,025 rows of 209 keys, and
-    # 47.6 MB of CSV; one report tuple per case and row peaked at 93 MB
+    # 47.6 MB of CSV; one report tuple per case and row peaked at 93 MB, a
+    # tuple per distinct row at 63 MB, and the keys' value columns peak at
+    # about 43 MB
     out = tmp_path / "m20d2.csv"
     argv = "verify --max-ambient-dim 20 --max-degree 2 --max-codim 19"
     peak_mb = peak_rss_mb(argv + f" --max-cases 1000000 --format csv --out {out}")
     assert out.stat().st_size == 47_590_163
     digest = sha256_file(out)
     assert digest == "4845be49eab6fa788c2b08dd39997ab98a27e1c410ce9d15baa85320b462715b"
-    assert peak_mb < 75, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 50, f"peak RSS {peak_mb:.0f} MB"

@@ -150,8 +150,8 @@ def test_partitions_of():
 # (value, its field tuple, its repr, a value of the same type with other
 # fields); the repr texts are those of the frozen dataclasses these types were.
 _SPEC = GridSpec(3, 2, 1, ["betti"], 4)
-# the betti row of the line P^1 in P^2, as a grid result's key holds it
-_ROW = ("betti", None, 2, 8, True, 6, False, "")
+# the key of the line P^1 in P^2, with its betti row alone
+_KEY = (1, 1, (("betti",), (None,), (None,), (False,)), (2,), (8,), ("",))
 VALUES = [
     (
         CompleteIntersection(5, (3, 1, 2)),
@@ -176,12 +176,13 @@ VALUES = [
         GridSpec(3, 2, 1, ["euler"], 4),
     ),
     (
-        GridResult(_SPEC, False, ((1, 1, (_ROW,)),), ((0, (1,)),)),
-        (_SPEC, False, ((1, 1, (_ROW,)),), ((0, (1,)),)),
+        GridResult(_SPEC, False, (_KEY,), ((0, (1,)),)),
+        (_SPEC, False, (_KEY,), ((0, (1,)),)),
         "GridResult(spec=GridSpec(max_ambient_dim=3, max_degree_per_factor=2, "
         "max_codim=1, checks=('betti',), max_cases=4), truncated=False, "
-        "keys=((1, 1, (('betti', None, 2, 8, True, 6, False, ''),)),), labels=((0, (1,)),))",
-        GridResult(_SPEC, False, ((1, 1, (_ROW,)),), ((0, (1, 1)),)),
+        "keys=((1, 1, (('betti',), (None,), (None,), (False,)), (2,), (8,), ('',)),), "
+        "labels=((0, (1,)),))",
+        GridResult(_SPEC, False, (_KEY,), ((0, (1, 1)),)),
     ),
 ]
 
