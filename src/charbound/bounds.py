@@ -10,7 +10,7 @@ than special-cased, and the flagged cases are settled by direct inspection.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from functools import cached_property, lru_cache, partial
 from io import StringIO
 from itertools import chain, combinations_with_replacement, count, filterfalse, repeat
@@ -99,28 +99,31 @@ CSV_COLUMNS = (
 
 
 # -- report writers ----------------------------------------------------------
-# A report document is written from keys x labels (see GridResult): a label
-# is (key position, multidegree), one per case, and a key holds its rows as
-# columns, (n, d, layout, exacts, bounds, satisfied, margins, degenerate,
-# notes), over a layout that starts with the rows' subjects and indices. The
-# rows of a key render through one %-template, built once per document for
-# each layout object, so the keys of one grid dimension share it: the
-# template holds every row's subject and index text, with each "%" doubled,
-# a %s for each number and flag, and a mark where the multidegree goes.
-# So a key is one ``template % values`` whose values are flattened in C from
-# its columns, and each case writes that text with its own multidegree's
-# text in place of each mark. The mark is the first control character, or
-# else the first character from U+0080 on, that the template's own text
-# does not hold. No value holds one: values are numbers, true and false, and
-# ASCII-escaped JSON strings. So no subject or value is ever replaced,
-# whatever it holds. A key holding None or an int past str()'s digit limit
-# fills the same template with exact_decimal (from varieties, re-exported
-# here) text and the format's blank for None; %s would print None as
-# "None". Only a key's text is held, and only while cases of that key
-# remain. The templates live for one document and hold at most one entry
-# per layout, and list fields are rendered once per document. The bytes are
-# those the stdlib would give: json.dumps(payload, indent=2) + "\n" with its
-# default ASCII escaping, and csv.writer with lineterminator "\n".
+# A report document is written from a case stream: one (key position,
+# multidegree, columns, last) per case, in case order (see _cases). A key
+# holds its rows as columns, (n, d, layout, exacts, bounds, satisfied,
+# margins, degenerate, notes), over a layout that starts with the rows'
+# subjects and indices; the stream gives them at the key's first case only,
+# and last says that no case of the key follows. The rows of a key render
+# through one %-template, built once per document for each layout object,
+# so the keys of one grid dimension share it: the template holds every
+# row's subject and index text, with each "%" doubled, a %s for each number
+# and flag, and a mark where the multidegree goes. So a key is one
+# ``template % values`` whose values are flattened in C from its columns,
+# and each case writes that text with its own multidegree's text in place
+# of each mark. The mark is the first control character, or else the first
+# character from U+0080 on, that the template's own text does not hold. No
+# value holds one: values are numbers, true and false, and ASCII-escaped
+# JSON strings. So no subject or value is ever replaced, whatever it holds.
+# A key holding None or an int past str()'s digit limit fills the same
+# template with exact_decimal (from varieties, re-exported here) text and
+# the format's blank for None; %s would print None as "None". A key's text
+# is rendered at its first case and held only until its last, and its
+# columns not at all; only JSON reads the notes. The templates live for one
+# document and hold at most one entry per layout, and list fields are
+# rendered once per document. The bytes are those the stdlib would give:
+# json.dumps(payload, indent=2) + "\n" with its default ASCII escaping, and
+# csv.writer with lineterminator "\n".
 
 _TRUE_FALSE = ("false", "true").__getitem__
 
@@ -195,11 +198,24 @@ def _fill(template, values, none, n, d, columns) -> str:
     return template % tuple(chain.from_iterable(columns))
 
 
-def _write(stream, fmt: str, key, labels, head: str = "") -> None:
-    """Stream keys x labels as a ``fmt`` document (json, csv or markdown),
-    ``key(i)`` giving the columns of key i (see above) when a case of it is
-    first written; ``head`` holds the rendered JSON members before
-    "reports"."""
+def _cases(labels, columns):
+    """The case stream of labels (key position i, multidegree), in their
+    order: (i, multidegree, columns(i) at the first case of key i and None
+    at its others, whether no case of key i follows)."""
+    left = Counter(map(itemgetter(0), labels))
+    started = set()
+    for i, multidegree in labels:
+        left[i] -= 1
+        if i in started:
+            yield i, multidegree, None, not left[i]
+        else:
+            started.add(i)
+            yield i, multidegree, columns(i), not left[i]
+
+
+def _write(stream, fmt: str, cases, head: str = "") -> None:
+    """Stream a case stream (see above) as a ``fmt`` document (json, csv or
+    markdown); ``head`` holds the rendered JSON members before "reports"."""
     if fmt == "json":
         label = lru_cache(maxsize=None)(_json_ints)
 
@@ -250,14 +266,12 @@ def _write(stream, fmt: str, key, labels, head: str = "") -> None:
 
     write = stream.write
     write(start)
-    # the cases still to write of each key, and the text of those with some
-    left = Counter(map(itemgetter(0), labels))
+    # the text of each key with cases still to write
     held, lead = {}, first
-    for i, multidegree in labels:
-        rows, mark = found = held.pop(i, None) or text(*key(i))
-        left[i] -= 1
-        if left[i]:
-            held[i] = found
+    for i, multidegree, columns, last in cases:
+        if columns is not None:
+            held[i] = text(*columns)
+        rows, mark = held.pop(i) if last else held[i]
         if rows:
             write(lead)
             write(rows.replace(mark, label(multidegree)))
@@ -268,8 +282,11 @@ def _write(stream, fmt: str, key, labels, head: str = "") -> None:
 
 def write_json(stream, reports) -> None:
     """``{"reports": [...]}`` for a report list, each report a one-row key."""
-    keys = [(r[1], r[2], ((r[0],), (r[4],)), *zip(r[5:])) for r in reports]
-    _write(stream, "json", keys.__getitem__, [(i, r[3]) for i, r in enumerate(reports)])
+    cases = (
+        (i, r[3], (r[1], r[2], ((r[0],), (r[4],)), *zip(r[5:])), True)
+        for i, r in enumerate(reports)
+    )
+    _write(stream, "json", cases)
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -369,10 +386,11 @@ def blowup_euler(
 
 
 # -- checks ----------------------------------------------------------------
-# Each check gives the columns (indices, exact values, bounds, notes) of its
-# rows for one variety, all from plain ints; its indices depend on the
-# dimension alone. The table below says which lower limit and which bound
-# base apply to them.
+# Each check gives the columns (indices, values, bounds, notes) of its rows
+# for one variety, all from plain ints; its indices depend on the dimension
+# alone. A row's value is its exact value, except that a Schur row holds its
+# pairing (see _columns). The table below says which lower limit and which
+# bound base apply to them, and which check's values are pairings.
 
 
 class _Tables:
@@ -471,13 +489,11 @@ def _euler_rows(v):
 
 
 def _schur_positivity_rows(v):
-    # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the check is
-    # one-sided, so the row carries the shortfall min(pairing, 0)
+    # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the rows hold
+    # the pairings, and their readers derive the one-sided check from them
     hooks, d = hook_classes(v.twisted, dual_sequence(v.twisted)), v.d
     pairings = [giambelli(plan, hooks) * d for plan in v.tables.plans]
-    shortfalls = [pairing if pairing < 0 else 0 for pairing in pairings]
-    notes = [f"pairing={pairing}" for pairing in pairings]
-    return v.tables.indices[1:], shortfalls, [0] * len(pairings), notes
+    return v.tables.indices[1:], pairings, [0] * len(pairings), ("",) * len(pairings)
 
 
 def _pontryagin_rows(v):
@@ -489,17 +505,18 @@ def _pontryagin_rows(v):
     return indices, values, [pontryagin_bound(n, d)] * len(values), ("",) * len(values)
 
 
-# name -> (rows, least legal exact value or None, bound has the base (d+n-2))
+# name -> (rows, least legal exact value or None, bound has the base (d+n-2),
+# values are Schur pairings)
 _RULES = {
-    "degree-sequence": (_degree_sequence_rows, 1, False),
-    "log-concavity": (_log_concavity_rows, None, False),
-    "nef-chern": (_nef_chern_rows, 0, True),
-    "cotangent-chern": (_cotangent_chern_rows, None, True),
-    "betti": (partial(_total_betti_rows, betti_bound), None, False),
-    "betti-recursive": (partial(_total_betti_rows, _recursive_betti_bound), None, False),
-    "euler": (_euler_rows, None, False),
-    "schur-positivity": (_schur_positivity_rows, None, False),
-    "pontryagin": (_pontryagin_rows, None, True),
+    "degree-sequence": (_degree_sequence_rows, 1, False, False),
+    "log-concavity": (_log_concavity_rows, None, False, False),
+    "nef-chern": (_nef_chern_rows, 0, True, False),
+    "cotangent-chern": (_cotangent_chern_rows, None, True, False),
+    "betti": (partial(_total_betti_rows, betti_bound), None, False, False),
+    "betti-recursive": (partial(_total_betti_rows, _recursive_betti_bound), None, False, False),
+    "euler": (_euler_rows, None, False, False),
+    "schur-positivity": (_schur_positivity_rows, None, False, True),
+    "pontryagin": (_pontryagin_rows, None, True, False),
 }
 
 CHECK_NAMES = tuple(_RULES)
@@ -509,18 +526,23 @@ _CHECKS = {name: rule[0] for name, rule in _RULES.items()}
 
 
 def _layout(names, columns) -> tuple:
-    """(subjects, indices, lower limits, based): the rows that the checks
-    ``names`` gave as ``columns`` for a variety, and so for every variety of
-    its dimension. A row is based when its bound has the base (d+n-2) as a
-    factor: the rows of a check with that base whose index is not empty."""
+    """(subjects, indices, lower limits, based, paired): the rows that the
+    checks ``names`` gave as ``columns`` for a variety, and so for every
+    variety of its dimension. A row is based when its bound has the base
+    (d+n-2) as a factor: the rows of a check with that base whose index is
+    not empty. ``paired`` is the range of the rows whose values are Schur
+    pairings, those of schur-positivity; a check's rows are contiguous."""
     subjects, indices, limits, based = [], [], [], []
+    paired = range(0)
     for name, (index_column, values, _, _) in zip(names, columns):
-        _, least, has_base = _RULES[name]
+        _, least, has_base, pairings = _RULES[name]
+        if pairings:
+            paired = range(len(subjects), len(subjects) + len(values))
         subjects += repeat(name, len(values))
         indices += index_column
         limits += repeat(least, len(values))
         based += [has_base and bool(index) for index in index_column]
-    return tuple(subjects), tuple(indices), tuple(limits), tuple(based)
+    return tuple(subjects), tuple(indices), tuple(limits), tuple(based), paired
 
 
 # -- verification grid -----------------------------------------------------
@@ -624,24 +646,41 @@ def _grid(spec: GridSpec):
     return pairs, False
 
 
-def _columns(key) -> tuple:
-    """The columns the writers read of a grid key (n, d, layout, exacts,
+def _columns(key, noted: bool = True) -> tuple:
+    """The columns the writers read of a grid key (n, d, layout, values,
     bounds, notes): (n, d, layout, exacts, bounds, satisfied, margins,
     degenerate, notes). A row is satisfied when |exact| <= bound and exact
     is at least the row's lower limit, and its margin is bound - |exact|.
-    Where the base (d+n-2) vanishes, the based rows are degenerate and their
-    note is DEGENERATE_NOTE."""
+    A Schur row holds its pairing; the check is one-sided with bound 0, so
+    its exact value is the shortfall min(pairing, 0) and its note
+    "pairing=<pairing>". Where the base (d+n-2) vanishes, the based rows are
+    degenerate and their note is DEGENERATE_NOTE. The notes are built only
+    if ``noted``; else the notes column is None."""
     n, d, layout, exacts, bounds, notes = key
+    _, _, limits, degenerate, paired = layout
+    if paired:
+        cut = slice(paired.start, paired.stop)
+        pairings = exacts[cut]
+        exacts = list(exacts)
+        exacts[cut] = [pairing if pairing < 0 else 0 for pairing in pairings]
     margins = list(map(sub, bounds, map(abs, exacts)))
     satisfied = [
         margin >= 0 and (least is None or exact >= least)
-        for margin, exact, least in zip(margins, exacts, layout[2])
+        for margin, exact, least in zip(margins, exacts, limits)
     ]
-    degenerate = layout[3]
-    if d + n == 2:
-        notes = [DEGENERATE_NOTE if flag else note for flag, note in zip(degenerate, notes)]
-    else:
+    if d + n != 2:
         degenerate = (False,) * len(exacts)
+    if not noted:
+        notes = None
+    else:
+        if paired:
+            notes = list(notes)
+            try:
+                notes[cut] = map("pairing=%d".__mod__, pairings)
+            except ValueError:  # an int past str()'s digit limit
+                notes[cut] = ["pairing=" + exact_decimal(pairing) for pairing in pairings]
+        if d + n == 2:
+            notes = [DEGENERATE_NOTE if flag else note for flag, note in zip(degenerate, notes)]
     return n, d, layout, exacts, bounds, satisfied, margins, degenerate, notes
 
 
@@ -652,25 +691,104 @@ def _rows(key):
     return zip(subjects, indices, *columns)
 
 
+def _exception_rows(key, columns) -> list:
+    """The rows (see _rows) of a key that are unsatisfied or degenerate,
+    given the key's columns; only a key with some builds its notes."""
+    if False not in columns[5] and True not in columns[7]:
+        return []
+    return [row for row in _rows(key) if row[6] or not row[4]]
+
+
 # the degenerate field of a row
 _DEGENERATE = itemgetter(6)
+
+
+class GridSweep:
+    """The checks of a grid run one case at a time, in case order.
+
+    Iterated once, it gives the grid's case stream (see _cases): at the
+    first case of each key it computes the key (n, d, layout, values,
+    bounds, notes) and derives its columns, without notes. From that one
+    derivation it tallies what a run prints: ``report_count`` and the
+    ``violations`` and ``flagged`` reports, in case order. ``truncated``,
+    ``labels`` (key position, multidegree) and ``case_count`` are known
+    from the start. Between the first and last case of a key it holds only
+    the key's row count and its unsatisfied or degenerate rows; ``keys``,
+    if given, is a list that each key is appended to as it is computed.
+
+    A degree-1 factor is a linear re-embedding: X cut by a hyperplane of P^m
+    is the same variety in P^(m-1), with the same n and d. So the checks run
+    once per key (dimension, degrees above 1), a plain tuple: (n, ()) is
+    P^n, which CompleteIntersection cannot hold. The first key of each
+    dimension gives the layout that every key of that dimension shares.
+    """
+
+    def __init__(self, spec: GridSpec, keys: list | None = None):
+        self.spec, self._keys = spec, keys
+        pairs, self.truncated = _grid(spec)
+        where = {}  # (n, degrees above 1) -> key position
+        self.labels = [
+            (where.setdefault((m - len(degs), degs[degs.count(1) :]), len(where)), degs)
+            for m, degs in pairs
+        ]
+        self._varieties = list(where)
+        self.report_count = 0
+        self.violations, self.flagged = [], []
+
+    @property
+    def case_count(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        names, keys, varieties = self.spec.checks, self._keys, self._varieties
+        checks = [_CHECKS[name] for name in names]
+        # key position -> (n, d, row count, exception rows), first case to last
+        layouts, held = {}, {}
+
+        def compute(i):
+            n, degrees = varieties[i]
+            v = _Variety(n, degrees)
+            rows = [check(v) for check in checks]
+            layout = layouts.get(n)
+            if layout is None:
+                layout = layouts[n] = _layout(names, rows)
+            # the values, bounds and notes of every check, in check order
+            _, *values = zip(*rows)
+            key = (n, v.d, layout, *map(tuple, map(chain.from_iterable, values)))
+            if keys is not None:
+                keys.append(key)
+            columns = _columns(key, noted=False)
+            held[i] = n, v.d, len(key[3]), _exception_rows(key, columns)
+            return columns
+
+        new = partial(tuple.__new__, BoundReport)
+        for case in _cases(self.labels, compute):
+            i, multidegree, _, last = case
+            n, d, count, rows = held.pop(i) if last else held[i]
+            self.report_count += count
+            for row in rows:
+                report = new(row[:1] + (n, d, multidegree) + row[1:])
+                (self.flagged if row[6] else self.violations).append(report)
+            yield case
 
 
 class GridResult(Record):
     """Outcome of one grid sweep, deterministically ordered.
 
-    The sweep is held as keys x labels. A key is (n, d, layout, exacts,
-    bounds, notes), what one variety's selected checks compute: its exact
-    values, bounds and notes, one per row, over the layout that every key
-    of dimension n shares (see _layout). A label is (key position,
-    multidegree), one per case in case order. Each row's satisfied, margin
-    and degenerate fields, and the note of a degenerate row, are derived
-    from these wherever rows are read (see _columns). A case's reports are
-    its key's rows with n, d and its multidegree put in; ``cases``,
-    ``reports``, ``violations`` and ``flagged`` are built on first use,
-    while ``report_count`` and the writers read the keys and labels. Both
-    are stored as tuples, whatever sequences they come in, so a result
-    hashes and prints every int in full.
+    The sweep is held as keys x labels. A key is (n, d, layout, values,
+    bounds, notes), what one variety's selected checks compute: its row
+    values (exact values, and pairings for Schur rows), bounds and notes,
+    one per row, over the layout that every key of dimension n shares (see
+    _layout). A label is (key position, multidegree), one per case in case
+    order. Each row's exact value, satisfied, margin and degenerate fields,
+    and the notes of Schur and degenerate rows, are derived from these
+    wherever rows are read (see _columns). A case's reports are its key's
+    rows with n, d and its multidegree put in; ``cases``, ``reports``,
+    ``violations`` and ``flagged`` are built on first use (verify_grid
+    gives the last two from its sweep), while ``report_count`` and the
+    writers read the keys and labels. Both are stored as tuples, whatever
+    sequences they come in, so a result hashes and prints every int in
+    full. The whole record is held; GridSweep reads a run case by case.
     """
 
     # no __slots__: the fields and the cached views live in __dict__
@@ -714,7 +832,7 @@ class GridResult(Record):
         degenerate, for the few keys with any."""
         found = {}
         for i, key in enumerate(self.keys):
-            rows = [row for row in _rows(key) if row[6] or not row[4]]
+            rows = _exception_rows(key, _columns(key, noted=False))
             if rows:
                 found[i] = rows
         return found
@@ -752,8 +870,8 @@ class GridResult(Record):
                 f'  "truncated": {"true" if self.truncated else "false"},\n'
                 f'  "violations": {exact_decimal(len(self.violations))},\n'
             )
-        keys = self.keys
-        _write(stream, fmt, lambda i: _columns(keys[i]), self.labels, head)
+        keys, noted = self.keys, fmt == "json"
+        _write(stream, fmt, _cases(self.labels, lambda i: _columns(keys[i], noted)), head)
 
     def render(self, fmt: str) -> str:
         """The document ``write`` streams, as one string."""
@@ -763,31 +881,30 @@ class GridResult(Record):
 
 
 def verify_grid(spec: GridSpec) -> GridResult:
-    """Run every selected check over every grid variety.
+    """Run every selected check over every grid variety and hold the whole
+    run as one GridResult: its sweep (see GridSweep) gives the keys, the
+    labels, and the violations and flagged reports."""
+    keys = []
+    sweep = GridSweep(spec, keys)
+    deque(sweep, maxlen=0)
+    result = GridResult(spec, sweep.truncated, keys, sweep.labels)
+    # the cached views, as GridResult would build them from the keys
+    vars(result).update(violations=tuple(sweep.violations), flagged=tuple(sweep.flagged))
+    return result
 
-    A degree-1 factor is a linear re-embedding: X cut by a hyperplane of P^m
-    is the same variety in P^(m-1), with the same n and d. So the checks run
-    once per key (dimension, degrees above 1), and each case keeps only its
-    key's position and its multidegree. The key is a plain tuple: (n, ()) is
-    P^n, which CompleteIntersection cannot hold. The first key of each
-    dimension gives the layout that every key of that dimension shares.
-    """
-    pairs, truncated = _grid(spec)
-    checks = [_CHECKS[check] for check in spec.checks]
-    keys, labels, where, layouts = [], [], {}, {}
-    for m, degs in pairs:
-        n = m - len(degs)
-        key = n, degs[degs.count(1) :]
-        i = where.get(key)
-        if i is None:
-            i = where[key] = len(keys)
-            v = _Variety(*key)
-            columns = [check(v) for check in checks]
-            layout = layouts.get(n)
-            if layout is None:
-                layout = layouts[n] = _layout(spec.checks, columns)
-            # the exact values, bounds and notes of every check, in check order
-            _, *values = zip(*columns)
-            keys.append((n, v.d, layout, *map(tuple, map(chain.from_iterable, values))))
-        labels.append((i, degs))
-    return GridResult(spec, truncated, keys, labels)
+
+def sweep_grid(spec: GridSpec, stream=None, fmt: str = "csv") -> GridSweep:
+    """Run every selected check over every grid variety, one case at a time,
+    and return the finished GridSweep with its tallies. With a ``stream``,
+    the ``fmt`` document (csv or markdown) is written to it as the cases are
+    reached, so a key's text is held only while cases of it remain. JSON is
+    refused: its head counts the violations before the first report, which
+    takes the whole run (verify_grid)."""
+    sweep = GridSweep(spec)
+    if stream is None:
+        deque(sweep, maxlen=0)
+    elif fmt == "json":
+        raise ValueError("a JSON document counts its violations first; use verify_grid")
+    else:
+        _write(stream, fmt, sweep)
+    return sweep

@@ -9,7 +9,6 @@ pipeline only as a (dimension, degree) pair.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from math import prod
 
 # str(int) refuses past sys.get_int_max_str_digits(), which can be set as low
@@ -19,7 +18,12 @@ _SHORT_INT = 10**639
 
 def exact_decimal(value: int) -> str:
     """Exact decimal text of any int, however many digits it has."""
-    return str(value if -_SHORT_INT < value < _SHORT_INT else Decimal(value))
+    if -_SHORT_INT < value < _SHORT_INT:
+        return str(value)
+    # decimal costs about 2 ms to import, so only a long int loads it
+    from decimal import Decimal
+
+    return str(Decimal(value))
 
 
 def exact_repr(value) -> str:

@@ -7,7 +7,7 @@ import tracemalloc
 from contextlib import contextmanager
 from decimal import Decimal
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -16,6 +16,7 @@ from charbound.betti import betti_numbers, total_betti
 from charbound.bounds import (
     _CHECKS,
     _Variety,
+    _cases,
     _write,
     CHECK_NAMES,
     DEGENERATE_NOTE,
@@ -32,6 +33,7 @@ from charbound.bounds import (
     nef_chern_bound,
     pontryagin_bound,
     signature_check,
+    sweep_grid,
     verify_grid,
     write_json,
 )
@@ -272,6 +274,14 @@ def test_empty_grid():
     assert result.cases == ()
 
 
+def test_a_grid_read_case_by_case_writes_no_json():
+    # a JSON head counts the violations before the first report
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match="use verify_grid"):
+        sweep_grid(GridSpec(max_ambient_dim=3), stream, "json")
+    assert stream.getvalue() == ""
+
+
 def test_grid_spec_json_roundtrip():
     spec = GridSpec(max_ambient_dim=5, checks=("betti", "euler"), max_cases=20)
     empty = GridResult(spec, False, (), ())
@@ -393,9 +403,9 @@ def test_the_deep_grid_reaches_pontryagin_and_degenerate_rows(deep_grid):
 
 def key_rows(key) -> tuple:
     """A grid key's rows as it holds them: (subject, index, lower limit,
-    based, exact, bound, note)."""
-    _, _, layout, *values = key
-    return tuple(zip(*layout, *values))
+    based, whether the value is a Schur pairing, value, bound, note)."""
+    _, _, (*layout, paired), *values = key
+    return tuple(zip(*layout, map(paired.__contains__, range(len(values[0]))), *values))
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
@@ -406,6 +416,9 @@ def test_a_check_alone_gives_its_rows_of_the_full_run(deep_grid, name):
     assert [key_rows(key) for key in alone.keys] == [
         tuple(row for row in key_rows(key) if row[0] == name) for key in deep_grid.keys
     ]
+    # the pairings are Schur's rows and no others
+    for n, _, (subjects, *_, paired), *_ in deep_grid.keys:
+        assert [j for j, s in enumerate(subjects) if s == "schur-positivity"] == [*paired]
     # every key of one dimension holds the same layout object
     for result in (alone, deep_grid):
         layouts = {}
@@ -415,8 +428,9 @@ def test_a_check_alone_gives_its_rows_of_the_full_run(deep_grid, name):
 
 def test_a_grid_result_holds_its_values_not_a_tuple_per_row():
     # m<=20 D<=2: 209 keys, 120,025 distinct rows and 1,520 cases; each key
-    # holds its exact values, bounds and notes over one layout per dimension,
-    # about 9.5 MB in all, where a tuple per row held 23.1 MB
+    # holds its values, bounds and notes over one layout per dimension, about
+    # 8.2 MB in all, where a tuple per row held 23.1 MB, and values with a
+    # pairing=<int> note per Schur row 9.5 MB
     spec = GridSpec(max_ambient_dim=20, max_degree_per_factor=2, max_codim=19, max_cases=10**6)
     gc.collect()
     tracemalloc.start()
@@ -430,7 +444,7 @@ def test_a_grid_result_holds_its_values_not_a_tuple_per_row():
         held = with_result - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 11.5e6, f"the result holds {held / 1e6:.1f} MB"
+    assert held < 9.3e6, f"the result holds {held / 1e6:.1f} MB"
 
 
 def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, capsys):
@@ -795,7 +809,7 @@ def render_core(keys, labels) -> dict:
     rendered = {}
     for fmt in ("json", "csv", "markdown"):
         buffer = io.StringIO()
-        _write(buffer, fmt, core.__getitem__, labels)
+        _write(buffer, fmt, _cases(labels, core.__getitem__))
         rendered[fmt] = buffer.getvalue()
     return rendered
 
@@ -833,13 +847,15 @@ sizes = st.integers(min_value=-1, max_value=3) | some_int
 @st.composite
 def grid_layouts(draw):
     """(keys, labels) as verify_grid lays a grid out: a few keys (n, d,
-    layout, exacts, bounds, notes) over one or two layouts that keys share,
+    layout, values, bounds, notes) over one or two layouts that keys share,
     each key shared by several cases that carry their own multidegrees."""
     layouts = []
     for size in draw(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=2)):
         column = partial(st.lists, min_size=size, max_size=size)
         columns = draw(st.tuples(*map(column, (subjects, maybe_ints, limits, st.booleans()))))
-        layouts.append(tuple(map(tuple, columns)))
+        # the rows holding Schur pairings: a run of them, maybe empty
+        ends = st.lists(st.integers(min_value=0, max_value=size), min_size=2, max_size=2)
+        layouts.append((*map(tuple, columns), range(*sorted(draw(ends)))))
     keys = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         layout = draw(st.sampled_from(layouts))
@@ -855,8 +871,12 @@ def layout_reports(keys, labels):
     derived field from its definition."""
     reports = []
     for i, multidegree in labels:
-        n, d, layout, exacts, bounds, notes = keys[i]
-        for subject, index, least, based, exact, bound, note in zip(*layout, exacts, bounds, notes):
+        n, d, (*layout, paired), values, bounds, notes = keys[i]
+        rows = zip(count(), *layout, values, bounds, notes)
+        for j, subject, index, least, based, exact, bound, note in rows:
+            if j in paired:
+                # a one-sided Schur row holds its pairing
+                exact, note = min(exact, 0), f"pairing={exact}"
             degenerate = based and d + n - 2 == 0
             satisfied = abs(exact) <= bound and (least is None or exact >= least)
             note = DEGENERATE_NOTE if degenerate else note
@@ -887,7 +907,8 @@ specs = st.builds(
 def test_writers_match_stdlib_serializers(spec, truncated, layout):
     # the reports as verify_grid stores them: keys x labels, one case per label
     keys, labels = map(tuple, layout)
-    reports = layout_reports(keys, labels)
+    with unlimited_int_digits():  # a pairing note prints its pairing with str()
+        reports = layout_reports(keys, labels)
     result = GridResult(spec, truncated, keys, labels)
     assert result.reports == reports and result.report_count == len(reports)
     assert result.case_count == len(labels)
@@ -969,7 +990,7 @@ def test_writers_on_an_empty_report_list():
 
 def test_long_integers_print_in_full_in_every_format():
     exact = 10**4999 + 7  # 5,000 digits, past str()'s default 4,300-digit limit
-    layout = (("betti",), ((exact,),), (None,), (False,))
+    layout = (("betti",), ((exact,),), (None,), (False,), range(0))
     key = 2, exact, layout, (exact,), (3,), ("",)
     result = GridResult(GridSpec(), False, (key,), ((0, (exact, 2)),))
     (report,) = result.reports
@@ -998,8 +1019,9 @@ def test_long_integers_print_in_full_in_every_format():
 
 def test_a_grid_result_built_from_lists_is_the_one_built_from_tuples():
     big = 10**5000  # 5,001 digits, past str()'s default 4,300-digit limit
-    layout = (("betti",), (None,), (None,), (False,))
-    for key in ((2, big, ((),) * 4, (), (), ()), (2, big, layout, (big,), (3,), ("",))):
+    layout = (("betti",), (None,), (None,), (False,), range(0))
+    empty = ((),) * 4 + (range(0),)
+    for key in ((2, big, empty, (), (), ()), (2, big, layout, (big,), (3,), ("",))):
         listed = GridResult(GridSpec(), False, [key], [(0, (2,))])
         tupled = GridResult(GridSpec(), False, (key,), ((0, (2,)),))
         assert listed == tupled and hash(listed) == hash(tupled)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from charbound.bounds import GridResult, GridSpec, verify_grid
-from charbound.cli import MAX_BOUND_D, MAX_TABLE_D, _build_parser, main
+from charbound.chern import degree_sequence
+from charbound.cli import MAX_BOUND_D, MAX_TABLE_D, _build_parser, _grid_spec_from_args, main
 from charbound.schubert import grassmannian_degree
 from charbound.varieties import CompleteIntersection
 
@@ -223,37 +224,95 @@ def test_verify_refuses_a_grid_past_the_case_limit(sizes):
 
 def test_verify_out_of_memory_exits_two_with_one_error_line(capsys, monkeypatch):
     # a legal grid that outgrows memory, as m<=24 D<=5 does under a 2 GB
-    # address-space limit; exit 1 would claim a violation
-    def exhausted(spec):
+    # address-space limit; exit 1 would claim a violation. JSON runs hold
+    # the grid (verify_grid), the others read it case by case (sweep_grid)
+    def exhausted(*args):
         raise MemoryError
 
     monkeypatch.setattr("charbound.cli.verify_grid", exhausted)
-    code, out, err = run(capsys, "verify", "--max-ambient-dim", "24", "--max-degree", "5")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: out of memory") and err.count("\n") == 1
-    for flag in ("--max-ambient-dim", "--max-degree", "--max-codim", "--max-cases"):
-        assert flag in err
+    monkeypatch.setattr("charbound.cli.sweep_grid", exhausted)
+    argv = ["verify", "--max-ambient-dim", "24", "--max-degree", "5"]
+    for fmt in ((), ("--format", "csv"), ("--format", "markdown"), ("--format", "json")):
+        code, out, err = run(capsys, *argv, *fmt)
+        assert (code, out) == (2, ""), fmt
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        for flag in ("--max-ambient-dim", "--max-degree", "--max-codim", "--max-cases"):
+            assert flag in err
+
+
+def one_past_the_quadric_surface(a, d, n):
+    """degree_sequence, with the values of the quadric surface key (n, d) =
+    (2, 2) one past their bounds d^(i+1)."""
+    if (n, d) == (2, 2):
+        return tuple(d ** (i + 1) + 1 for i in range(n + 1))
+    return degree_sequence(a, d, n)
+
+
+# grids where a run read case by case could part from the held one, with
+# their (cases, truncated, reports, flagged, violations)
+STREAMED_GRIDS = {
+    # 6 of the 439 reports, those of lines, are flagged
+    "flagged lines": (("--max-ambient-dim", "4", "--max-degree", "3"), (31, False, 439, 6, 0)),
+    # the cap stops at the 9th of the 34 cases in P^5
+    "cut mid-dimension": (
+        ("--max-ambient-dim", "6", "--max-degree", "3", "--max-cases", "40"),
+        (40, True, 754, 6, 0),
+    ),
+    "no cases": (("--max-cases", "0"), (0, True, 0, 0, 0)),
+    # only 4 of the 27 keys, those of dimension 4, have rows
+    "keys without rows": (
+        ("--max-ambient-dim", "7", "--max-degree", "2", "--checks", "pontryagin"),
+        (77, False, 9, 0, 0),
+    ),
+    # three cases share the violating key, with the degree sequence above
+    "one past the bound": (
+        ("--max-ambient-dim", "5", "--max-degree", "3", "--checks", "degree-sequence"),
+        (65, False, 176, 0, 9),
+    ),
+}
 
 
 def test_verify_builds_reports_only_for_violations_and_flags(tmp_path, capsys, monkeypatch):
-    # 6 of the 439 reports, those of lines, are flagged; the rest are only
-    # counted and rendered
-    flags = ["--max-ambient-dim", "4", "--max-degree", "3"]
-    grid = verify_grid(GridSpec(max_ambient_dim=4, max_degree_per_factor=3))
-    assert (len(grid.reports), len(grid.flagged)) == (439, 6)
-
+    # the held record's documents, counts, witnesses and exit code, its
+    # violations and flags derived from its keys anew, against every run of
+    # the CLI: JSON holds the grid, the other runs read it case by case
     def refuse(self):
         raise AssertionError("GridResult.reports was built")
 
     monkeypatch.setattr(GridResult, "reports", property(refuse))
-    code, out, _ = run(capsys, "verify", *flags)
-    assert code == 0
-    assert f"reports={grid.report_count} flagged={len(grid.flagged)} violations=0" in out
-    for fmt in ("json", "csv", "markdown"):
-        path = tmp_path / f"reports.{fmt}"
-        code, _, _ = run(capsys, "verify", *flags, "--format", fmt, "--out", str(path))
-        assert code == 0
-        assert path.read_text() == grid.render(fmt)
+    # one row per report, counted from the keys and labels
+    rows = {
+        "json": lambda text: len(json.loads(text)["reports"]),
+        "csv": lambda text: text.count("\n") - 1,
+        "markdown": lambda text: text.count("\n") - 2,
+    }
+    for name, (flags, expected) in STREAMED_GRIDS.items():
+        with monkeypatch.context() as patched:
+            if name == "one past the bound":
+                patched.setattr("charbound.bounds.degree_sequence", one_past_the_quadric_surface)
+            args = _build_parser().parse_args(["verify", *flags])
+            held = verify_grid(_grid_spec_from_args(args))
+            grid = GridResult(held.spec, held.truncated, held.keys, held.labels)
+            counts = (grid.case_count, grid.truncated, grid.report_count, len(grid.flagged))
+            assert (*counts, len(grid.violations)) == expected, name
+            assert (held.violations, held.flagged) == (grid.violations, grid.flagged), name
+            summary = (
+                f"cases={grid.case_count} truncated={str(grid.truncated).lower()} "
+                f"reports={grid.report_count} flagged={len(grid.flagged)} "
+                f"violations={len(grid.violations)}\n"
+            )
+            witnesses = "".join(f"VIOLATION {r.witness()}\n" for r in grid.violations)
+            code = 1 if grid.violations else 0
+            assert run(capsys, "verify", *flags) == (code, summary + witnesses, ""), name
+            for fmt, count in rows.items():
+                path = tmp_path / f"reports.{fmt}"
+                argv = ["verify", *flags, "--format", fmt, "--out", str(path)]
+                assert run(capsys, *argv) == (code, summary + witnesses, ""), (name, fmt)
+                assert path.read_text() == grid.render(fmt), (name, fmt)
+                assert count(path.read_text()) == grid.report_count, (name, fmt)
+                # a document on stdout sends the witnesses to stderr
+                on_stdout = (code, grid.render(fmt), witnesses)
+                assert run(capsys, *argv[:-2]) == on_stdout, (name, fmt)
 
 
 def test_verify_builds_no_variety_per_case(tmp_path, capsys, monkeypatch):
@@ -779,9 +838,8 @@ def test_module_entry_point():
     assert proc.stdout == "512\n"
 
 
-def test_cli_import_needs_no_dataclasses():
-    # dataclasses pulls in inspect, ast, dis and tokenize at start-up, which
-    # no command uses; compare the modules before and after the import
+def modules_loaded_by_cli_import() -> set:
+    """The modules that ``import charbound.cli`` adds, in a fresh interpreter."""
     script = (
         "import sys; before = set(sys.modules); import charbound.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
@@ -793,7 +851,19 @@ def test_cli_import_needs_no_dataclasses():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "charbound.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    return added
+
+
+def test_cli_import_needs_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at start-up, which
+    # no command uses
+    assert not modules_loaded_by_cli_import() & {"dataclasses", "inspect"}
+
+
+def test_cli_import_leaves_decimal_unloaded():
+    # decimal, _decimal and numbers cost about 2 ms at every start; only an
+    # int past 639 digits loads them (see varieties.exact_decimal)
+    assert not modules_loaded_by_cli_import() & {"decimal", "_decimal", "numbers"}
 
 
 # -- argv fuzz ------------------------------------------------------------------

@@ -75,8 +75,9 @@ sys.exit(code)
 """
 
 
-def peak_rss_mb(argv: str) -> float:
-    """Run the CLI in a child through the probe; its peak RSS in MB."""
+def peak_rss_mb(argv: str) -> tuple:
+    """Run the CLI in a child through the probe: (its stdout, its peak RSS
+    in MB)."""
     proc = subprocess.run(
         [sys.executable, "-c", PEAK_RSS_PROBE, *argv.split()],
         capture_output=True,
@@ -84,7 +85,7 @@ def peak_rss_mb(argv: str) -> float:
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    return int(proc.stderr.decode().split()[-1]) / 1024
+    return proc.stdout.decode(), int(proc.stderr.decode().split()[-1]) / 1024
 
 
 def sha256_file(path) -> str:
@@ -102,7 +103,7 @@ def test_json_report_memory_does_not_grow_with_the_document(tmp_path):
     # keys' value columns peak at about 24 MB
     out = tmp_path / "m12d3.json"
     argv = "verify --max-ambient-dim 12 --max-degree 3 --max-codim 11"
-    peak_mb = peak_rss_mb(argv + f" --max-cases 1000000 --format json --out {out}")
+    _, peak_mb = peak_rss_mb(argv + f" --max-cases 1000000 --format json --out {out}")
     digest = sha256_file(out)
     assert digest == "03b10e704677b04b3fd4d18b5e046c8e85c80d9e976242248ae5e227a6e1468b"
     assert peak_mb < 28, f"peak RSS {peak_mb:.0f} MB"
@@ -112,12 +113,25 @@ def test_json_report_memory_does_not_grow_with_the_document(tmp_path):
 def test_frontier_csv_memory_grows_with_keys_not_reports(tmp_path):
     # 429,953 reports of 1,520 cases from 120,025 rows of 209 keys, and
     # 47.6 MB of CSV; one report tuple per case and row peaked at 93 MB, a
-    # tuple per distinct row at 63 MB, and the keys' value columns peak at
-    # about 43 MB
+    # tuple per distinct row at 63 MB, and the keys' value columns at about
+    # 43 MB; read case by case, holding the text of keys with cases left,
+    # it peaks at about 34 MB
     out = tmp_path / "m20d2.csv"
     argv = "verify --max-ambient-dim 20 --max-degree 2 --max-codim 19"
-    peak_mb = peak_rss_mb(argv + f" --max-cases 1000000 --format csv --out {out}")
+    _, peak_mb = peak_rss_mb(argv + f" --max-cases 1000000 --format csv --out {out}")
     assert out.stat().st_size == 47_590_163
     digest = sha256_file(out)
     assert digest == "4845be49eab6fa788c2b08dd39997ab98a27e1c410ce9d15baa85320b462715b"
-    assert peak_mb < 50, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 38, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_frontier_summary_memory_holds_only_keys_with_cases_left():
+    # 1,474,549 reports of 2,576 cases from 299 keys; holding every key's
+    # value columns peaked at about 52 MB, and holding the counts and
+    # unsatisfied or degenerate rows of keys with cases left peaks at about
+    # 26 MB, some 15 MB of it the interpreter and its imports
+    argv = "verify --max-ambient-dim 24 --max-degree 2 --max-codim 23 --max-cases 1000000"
+    out, peak_mb = peak_rss_mb(argv)
+    assert out == "cases=2576 truncated=false reports=1474549 flagged=46 violations=0\n"
+    assert peak_mb < 32, f"peak RSS {peak_mb:.0f} MB"

@@ -219,6 +219,8 @@ def test_grid_result_round_trips_as_keys_and_labels():
         assert copied == result and hash(copied) == hash(result)
         assert copied.keys == result.keys and len(copied.keys) == 9
         assert {fmt: copied.render(fmt) for fmt in documents} == documents
+        # derived from the keys anew, where verify_grid took them from its sweep
+        assert (copied.violations, copied.flagged) == (result.violations, result.flagged)
 
 
 def test_value_types_differ_across_types():
