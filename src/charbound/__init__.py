@@ -1,7 +1,7 @@
 """Exact characteristic-class calculator and bound-verification harness for
 complete intersections in projective space."""
 
-from .betti import betti_numbers, genus_plane_curve, total_betti
+from .betti import betti_numbers, total_betti
 from .bounds import (
     CHECK_NAMES,
     BoundReport,
@@ -17,21 +17,7 @@ from .bounds import (
     signature_check,
     verify_grid,
 )
-from .chern import (
-    ChernVector,
-    DegreeError,
-    ample_class,
-    ample_degree_sequence,
-    canonical_class,
-    chern_number,
-    cotangent_chern,
-    euler_characteristic,
-    pontryagin_to_chern_index,
-    schur_class,
-    squared_chern_pairing,
-    tangent_chern,
-    twist_chern,
-)
+from .chern import DegreeError, euler_characteristic, tangent_chern
 from .schubert import (
     BoxError,
     GradingError,

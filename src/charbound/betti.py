@@ -13,14 +13,8 @@ from .chern import euler_characteristic
 from .varieties import CompleteIntersection
 
 
-def genus_plane_curve(d: int) -> int:
-    """Genus of a smooth plane curve of degree d."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    return (d - 1) * (d - 2) // 2
-
-
-# one entry per variety a caller asks about; verify_grid reads betti_from_euler
+# one entry per variety a caller asks about; verify_grid and `table` read
+# betti_from_euler
 @lru_cache(maxsize=None)
 def betti_numbers(ci: CompleteIntersection) -> tuple:
     """b_0..b_2n: projective-space values off the middle, middle from chi."""

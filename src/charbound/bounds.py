@@ -318,23 +318,20 @@ def curve_betti_bound(d: int) -> int:
 
 # one entry per (n, d) reached: the recursion fills n = 1 up to the n asked,
 # so a degree d holds as many entries as its largest n (below
-# MAX_AMBIENT_DIM on a grid, up to cli.MAX_BOUND_N through `bound`). A verify
+# MAX_AMBIENT_DIM on a grid, up to cli.MAX_BOUND_N through `table`). A verify
 # run asks for one d per grid key, so its grid bounds what it adds; a library
 # process that asks for ever new degrees grows the cache for its lifetime
 @lru_cache(maxsize=None)
-def _recursive_betti_bound(n: int, d: int) -> int:
-    if n == 1:
-        return curve_betti_bound(d)
-    return 4 * _recursive_betti_bound(n - 1, d) + 2 * 2 ** (n * n) * d ** (n + 1)
-
-
-def betti_bound_recursive(ci: CompleteIntersection) -> int:
+def betti_bound_recursive(n: int, d: int) -> int:
     """Recurse through hyperplane sections: 4*b(H) + 2*2^(n^2)*d^(n+1).
 
     A hyperplane section keeps the degree d and lowers n by one, so the
     recursion runs on (n, d) alone and ends at the plane-curve bound.
     """
-    return _recursive_betti_bound(ci.dimension, ci.degree)
+    _validate_nd(n, d)
+    if n == 1:
+        return curve_betti_bound(d)
+    return 4 * betti_bound_recursive(n - 1, d) + 2 * 2 ** (n * n) * d ** (n + 1)
 
 
 def nef_chern_bound(n: int, d: int, index: MultiIndex) -> int:
@@ -353,14 +350,20 @@ def cotangent_chern_bound(n: int, d: int, index: MultiIndex) -> int:
     return 2 ** (n * n) * d * (d + n - 2) ** index.weight
 
 
-def signature_check(c2_squared: int, sigma: int) -> BoundReport:
-    """Report on |3*sigma| <= c2^2 with an externally supplied signature."""
-    exact = 3 * sigma
+def signature_check(ci: CompleteIntersection, sigma: int) -> BoundReport:
+    """Report on |3*sigma| <= c2^2 for a 4-dimensional variety, with an
+    externally supplied signature; c2^2 = d * a_2^2 from its tangent
+    multiples."""
+    n = ci.dimension
+    if n != 4:
+        raise ValueError(f"signature check needs a 4-dimensional variety, got dimension {n}")
+    v = _Variety(n, ci.multidegree)
+    c2_squared, exact = v.d * v.tangent[2] ** 2, 3 * sigma
     return BoundReport(
         subject="signature",
-        n=None,
-        d=None,
-        multidegree=None,
+        n=n,
+        d=v.d,
+        multidegree=ci.multidegree,
         index=None,
         exact_value=exact,
         bound_value=c2_squared,
@@ -387,10 +390,11 @@ def blowup_euler(
 
 # -- checks ----------------------------------------------------------------
 # Each check gives the columns (indices, values, bounds, notes) of its rows
-# for one variety, all from plain ints; its indices depend on the dimension
-# alone. A row's value is its exact value, except that a Schur row holds its
-# pairing (see _columns). The table below says which lower limit and which
-# bound base apply to them, and which check's values are pairings.
+# for one variety, all from plain ints: the variety's _Variety record and
+# the _Tables of its dimension, from which its indices come. A row's value
+# is its exact value, except that a Schur row holds its pairing (see
+# _columns). The table below says which lower limit and which bound base
+# apply to them, and which check's values are pairings.
 
 
 class _Tables:
@@ -422,15 +426,17 @@ _tables = lru_cache(maxsize=None)(_Tables)
 
 
 class _Variety:
-    """The ints the checks of the grid key (n, degrees above 1) read, for
-    its variety in P^(n + len(degrees)); every key builds all of them,
-    whichever checks are selected."""
+    """The Chern and Betti ints of the n-dimensional complete intersection
+    of the given degrees in P^(n + len(degrees)): every value a grid check,
+    `table` or the signature check reads. A grid key builds one for its
+    degrees above 1, whichever checks are selected; the partitions of its
+    dimension are in _tables(n), which no record builds."""
 
-    __slots__ = ("n", "d", "tables", "tangent", "twisted", "sequence", "powers", "betti")
+    __slots__ = ("n", "d", "tangent", "twisted", "sequence", "powers", "betti")
 
     def __init__(self, n: int, degrees: tuple):
         d = prod(degrees)
-        self.n, self.d, self.tables = n, d, _tables(n)
+        self.n, self.d = n, d
         m = n + len(degrees)
         a = self.tangent = tangent_multiples(m, degrees, n)
         # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
@@ -443,60 +449,60 @@ class _Variety:
         self.betti = betti_from_euler(n, d * a[n])
 
 
-def _chern_numbers(v: _Variety, multiples) -> list:
-    """d * prod(multiples[i] for i in I) for every index I of v's tables,
+def _chern_numbers(t: _Tables, d: int, multiples) -> list:
+    """d * prod(multiples[i] for i in I) for every index I of the tables t,
     each one the product of its parent's by its last part's multiple."""
-    values = [v.d]
+    values = [d]
     append = values.append
-    for parent, last in v.tables.steps:
+    for parent, last in t.steps:
         append(values[parent] * multiples[last])
     return values
 
 
-def _degree_sequence_rows(v):
+def _degree_sequence_rows(v, t):
     d = v.d
     bounds = [d ** (i + 1) for i in range(v.n + 1)]
-    return v.tables.singles, v.sequence, bounds, ("",) * len(bounds)
+    return t.singles, v.sequence, bounds, ("",) * len(bounds)
 
 
-def _log_concavity_rows(v):
+def _log_concavity_rows(v, t):
     seq = v.sequence
     products = list(map(mul, seq[2:], seq))
-    return v.tables.singles[2:], products, [x * x for x in seq[1:-1]], ("",) * len(products)
+    return t.singles[2:], products, [x * x for x in seq[1:-1]], ("",) * len(products)
 
 
-def _nef_chern_rows(v):
-    bounds = list(map(v.powers.__getitem__, v.tables.weights))
-    return v.tables.indices, _chern_numbers(v, v.twisted), bounds, ("",) * len(bounds)
+def _nef_chern_rows(v, t):
+    bounds = list(map(v.powers.__getitem__, t.weights))
+    return t.indices, _chern_numbers(t, v.d, v.twisted), bounds, ("",) * len(bounds)
 
 
-def _cotangent_chern_rows(v):
+def _cotangent_chern_rows(v, t):
     cotangent = [-a if i % 2 else a for i, a in enumerate(v.tangent)]
     scale = 2 ** (v.n * v.n)
     powers = [scale * power for power in v.powers]
-    bounds = list(map(powers.__getitem__, v.tables.weights))
-    return v.tables.indices, _chern_numbers(v, cotangent), bounds, ("",) * len(bounds)
+    bounds = list(map(powers.__getitem__, t.weights))
+    return t.indices, _chern_numbers(t, v.d, cotangent), bounds, ("",) * len(bounds)
 
 
-def _total_betti_rows(bound, v):
+def _total_betti_rows(bound, v, _):
     return (None,), (sum(v.betti),), (bound(v.n, v.d),), ("",)
 
 
-def _euler_rows(v):
+def _euler_rows(v, _):
     chi = v.d * v.tangent[v.n]
     alternating = sum(v.betti[::2]) - sum(v.betti[1::2])
     return (None,), (chi - alternating,), (0,), (f"chi={chi} alternating_betti={alternating}",)
 
 
-def _schur_positivity_rows(v):
+def _schur_positivity_rows(v, t):
     # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the rows hold
     # the pairings, and their readers derive the one-sided check from them
     hooks, d = hook_classes(v.twisted, dual_sequence(v.twisted)), v.d
-    pairings = [giambelli(plan, hooks) * d for plan in v.tables.plans]
-    return v.tables.indices[1:], pairings, [0] * len(pairings), ("",) * len(pairings)
+    pairings = [giambelli(plan, hooks) * d for plan in t.plans]
+    return t.indices[1:], pairings, [0] * len(pairings), ("",) * len(pairings)
 
 
-def _pontryagin_rows(v):
+def _pontryagin_rows(v, _):
     n, d, twisted = v.n, v.d, v.twisted
     if n % 4 != 0:
         return (), (), (), ()
@@ -513,7 +519,7 @@ _RULES = {
     "nef-chern": (_nef_chern_rows, 0, True, False),
     "cotangent-chern": (_cotangent_chern_rows, None, True, False),
     "betti": (partial(_total_betti_rows, betti_bound), None, False, False),
-    "betti-recursive": (partial(_total_betti_rows, _recursive_betti_bound), None, False, False),
+    "betti-recursive": (partial(_total_betti_rows, betti_bound_recursive), None, False, False),
     "euler": (_euler_rows, None, False, False),
     "schur-positivity": (_schur_positivity_rows, None, False, True),
     "pontryagin": (_pontryagin_rows, None, True, False),
@@ -521,7 +527,7 @@ _RULES = {
 
 CHECK_NAMES = tuple(_RULES)
 
-# name -> callable(variety) -> its rows' columns; verify_grid dispatches here
+# name -> callable(variety, tables) -> its rows' columns; verify_grid dispatches here
 _CHECKS = {name: rule[0] for name, rule in _RULES.items()}
 
 
@@ -747,8 +753,8 @@ class GridSweep:
 
         def compute(i):
             n, degrees = varieties[i]
-            v = _Variety(n, degrees)
-            rows = [check(v) for check in checks]
+            v, t = _Variety(n, degrees), _tables(n)
+            rows = [check(v, t) for check in checks]
             layout = layouts.get(n)
             if layout is None:
                 layout = layouts[n] = _layout(names, rows)

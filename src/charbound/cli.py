@@ -15,10 +15,10 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .betti import betti_numbers, total_betti
 from .bounds import (
     CHECK_NAMES,
     GridSpec,
+    _Variety,
     betti_bound,
     betti_bound_recursive,
     cotangent_chern_bound,
@@ -30,14 +30,6 @@ from .bounds import (
     sweep_grid,
     verify_grid,
     write_json,
-)
-from .chern import (
-    ample_class,
-    ample_degree_sequence,
-    canonical_class,
-    euler_characteristic,
-    squared_chern_pairing,
-    tangent_chern,
 )
 from .schubert import (
     Grassmannian,
@@ -211,13 +203,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_signature(args) -> int:
     ci = _variety_from_args(args)
-    if ci.dimension != 4:
-        raise UsageError(
-            f"signature check needs a 4-dimensional variety, got dimension {ci.dimension}"
-        )
-    c2_squared = squared_chern_pairing(ci, tangent_chern(ci), MultiIndex((1,)))
-    report = signature_check(c2_squared, args.sigma)
-    report = report._replace(n=ci.dimension, d=ci.degree, multidegree=ci.multidegree)
+    report = signature_check(ci, args.sigma)
     status = "satisfied" if report.satisfied else "violated"
     print(
         f"signature check on {ci}: |3*sigma|={exact_decimal(abs(report.exact_value))} "
@@ -234,20 +220,22 @@ def _cmd_verify_signature(args) -> int:
 
 # -- table -----------------------------------------------------------------
 
-# quantity -> its value on a variety; each function is looked up when called
+# quantity -> its value, read from the variety's bounds._Variety record: the
+# tangent multiples a_0..a_n give K = -a_1, the ample class A = K + (n+2)h
+# and chi = d * a_n
 TABLE = {
-    "dimension": lambda ci: ci.dimension,
-    "degree": lambda ci: ci.degree,
-    "canonical": lambda ci: canonical_class(ci),
-    "ample": lambda ci: ample_class(ci),
-    "chi": lambda ci: euler_characteristic(ci),
-    "betti": lambda ci: betti_numbers(ci),
-    "total_betti": lambda ci: total_betti(ci),
-    "degree_sequence": lambda ci: ample_degree_sequence(ci),
-    "tangent_chern": lambda ci: tangent_chern(ci).h_multiples(),
-    "betti_bound": lambda ci: betti_bound(ci.dimension, ci.degree),
-    "betti_bound_recursive": lambda ci: betti_bound_recursive(ci),
-    "pontryagin_bound": lambda ci: pontryagin_bound(ci.dimension, ci.degree),
+    "dimension": lambda v: v.n,
+    "degree": lambda v: v.d,
+    "canonical": lambda v: -v.tangent[1],
+    "ample": lambda v: v.n + 2 - v.tangent[1],
+    "chi": lambda v: v.d * v.tangent[v.n],
+    "betti": lambda v: v.betti,
+    "total_betti": lambda v: sum(v.betti),
+    "degree_sequence": lambda v: v.sequence,
+    "tangent_chern": lambda v: tuple(v.tangent),
+    "betti_bound": lambda v: betti_bound(v.n, v.d),
+    "betti_bound_recursive": lambda v: betti_bound_recursive(v.n, v.d),
+    "pontryagin_bound": lambda v: pontryagin_bound(v.n, v.d),
 }
 TABLE_QUANTITIES = tuple(TABLE)
 
@@ -261,7 +249,7 @@ def _cmd_table(args) -> int:
         raise UsageError(f"table needs degree <= {MAX_TABLE_D}")
     wanted = TABLE_QUANTITIES
     if args.quantities is not None:
-        wanted = tuple(args.quantities.split(","))
+        wanted = tuple(name.strip() for name in args.quantities.split(","))
         unknown = [q for q in wanted if q not in TABLE]
         if unknown:
             raise UsageError(
@@ -270,9 +258,10 @@ def _cmd_table(args) -> int:
         repeated = sorted({q for q in wanted if wanted.count(q) > 1})
         if repeated:
             raise UsageError(f"quantities named more than once: {repeated}")
+    v = _Variety(ci.dimension, ci.multidegree)
     print(f"variety: {ci}")
     for name in wanted:
-        print(f"{name}: {exact_repr(TABLE[name](ci))}")
+        print(f"{name}: {exact_repr(TABLE[name](v))}")
     return 0
 
 

@@ -18,11 +18,7 @@ from charbound.bounds import (
     signature_check,
     verify_grid,
 )
-from charbound.chern import (
-    euler_characteristic,
-    squared_chern_pairing,
-    tangent_chern,
-)
+from charbound.chern import euler_characteristic
 from charbound.cli import main
 from charbound.schubert import (
     Grassmannian,
@@ -31,7 +27,7 @@ from charbound.schubert import (
     grassmannian_degree,
     intersection_number,
 )
-from charbound.varieties import CompleteIntersection, MultiIndex, Partition
+from charbound.varieties import CompleteIntersection, Partition
 
 
 def verdict(num, label, ok, detail=""):
@@ -189,11 +185,8 @@ def test_criterion_07_blowup_euler_bookkeeping():
 
 
 def test_criterion_08_signature_corollary(capsys):
-    quadric_fourfold = CompleteIntersection(5, (2,))
-    c2_squared = squared_chern_pairing(
-        quadric_fourfold, tangent_chern(quadric_fourfold), MultiIndex((1,))
-    )
-    report = signature_check(c2_squared, 0)
+    report = signature_check(CompleteIntersection(5, (2,)), 0)
+    c2_squared = report.bound_value
     ok = c2_squared == 98 and report.satisfied and report.margin == 98
     code_ok = main(["verify", "--sigma", "0", "-m", "5", "-D", "2"])
     out_ok = capsys.readouterr().out

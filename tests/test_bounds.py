@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import tracemalloc
+import types
 from contextlib import contextmanager
 from decimal import Decimal
 from functools import partial
@@ -12,7 +13,6 @@ from itertools import count, islice
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from charbound.betti import betti_numbers, total_betti
 from charbound.bounds import (
     _CHECKS,
     _Variety,
@@ -37,18 +37,10 @@ from charbound.bounds import (
     verify_grid,
     write_json,
 )
-from charbound.chern import (
-    DegreeError,
-    ample_degree_sequence,
-    chern_number,
-    cotangent_chern,
-    degree_sequence,
-    euler_characteristic,
-    squared_chern_pairing,
-    twist_chern,
-)
+from charbound.chern import DegreeError, degree_sequence
 from charbound.cli import main
 from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
+import chern_oracle as oracle
 from determinants import long_side_schur
 
 
@@ -75,14 +67,16 @@ def test_bounds_reject_bad_input():
 
 
 def test_recursive_betti_bound_curve_base():
-    assert betti_bound_recursive(CompleteIntersection(2, (3,))) == 4
+    assert betti_bound_recursive(1, 3) == 4
     for d in range(1, 8):
-        assert betti_bound_recursive(CompleteIntersection(2, (d,))) == curve_betti_bound(d)
+        assert betti_bound_recursive(1, d) == curve_betti_bound(d)
+    with pytest.raises(ValueError):
+        betti_bound_recursive(0, 2)
 
 
 def test_recursive_betti_bound_quadric_surface():
     # hand recursion: conic section gives 2 + 1*0 = 2, then 4*2 + 2*2^4*2^3 = 264
-    assert betti_bound_recursive(CompleteIntersection(3, (2,))) == 264
+    assert betti_bound_recursive(2, 2) == 264
 
 
 def test_nef_chern_bound_values():
@@ -116,23 +110,33 @@ def test_bounds_monotone_in_degree(n, d):
 # -- signature and blow-up plumbing ----------------------------------------------
 
 
+# c2 = 7h on the quadric fourfold, so c2^2 = 2 * 7^2 = 98
+QUADRIC_FOURFOLD = CompleteIntersection(5, (2,))
+
+
 def test_signature_check_satisfied():
-    report = signature_check(98, 0)
+    report = signature_check(QUADRIC_FOURFOLD, 0)
+    assert (report.n, report.d, report.multidegree) == (4, 2, (2,))
+    assert report.bound_value == 98
     assert report.satisfied
     assert report.margin == 98
     assert "supplied" in report.note
 
 
 def test_signature_check_violated():
-    report = signature_check(98, 33)
+    report = signature_check(QUADRIC_FOURFOLD, 33)
     assert not report.satisfied
     assert report.exact_value == 99
 
 
 def test_signature_check_boundary():
-    report = signature_check(0, 0)
-    assert report.satisfied
-    assert report.margin == 0
+    # the cubic fourfold has c2 = 6h, so c2^2 = 3 * 6^2 = 108 = 3 * 36
+    for sigma in (36, -36):
+        report = signature_check(CompleteIntersection(5, (3,)), sigma)
+        assert report.bound_value == 108
+        assert report.satisfied
+        assert report.margin == 0
+    assert not signature_check(CompleteIntersection(5, (3,)), 37).satisfied
 
 
 def test_blowup_euler_complex_side():
@@ -352,7 +356,7 @@ def test_check_table_lists_every_name_once():
 def test_nef_chern_lower_limit_can_fail(monkeypatch):
     # a negative pairing is within |exact| <= bound but below the limit 0
     monkeypatch.setattr(
-        "charbound.bounds._chern_numbers", lambda v, multiples: [-1] * len(v.tables.indices)
+        "charbound.bounds._chern_numbers", lambda t, d, multiples: [-1] * len(t.indices)
     )
     spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=3, checks=("nef-chern",))
     result = verify_grid(spec)
@@ -485,10 +489,13 @@ def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, 
 
 
 # -- the grid kernel against a case-by-case oracle -------------------------------
-# Built from the public per-variety functions, one case and one index at a
-# time, with no reduced-key memo: chern_number on ChernVectors, Schur classes
-# as long-side Jacobi-Trudi determinants, and the recursive Betti bound
-# through CompleteIntersection hyperplane sections.
+# Built from the test oracles of chern_oracle.py, one case and one index at a
+# time, with no reduced-key memo: each case's tangent series, its cotangent
+# classes and their binomial twist by 2h, Chern numbers as products, Betti
+# numbers by Lefschetz, the ample class by adjunction, Schur classes as
+# long-side Jacobi-Trudi determinants, and the recursive Betti bound through
+# CompleteIntersection hyperplane sections. It reads nothing from
+# charbound.chern or charbound.betti, whose values it checks.
 
 ORACLE_LEAST = {"degree-sequence": 1, "nef-chern": 0}
 ORACLE_HAS_BASE = {"nef-chern", "cotangent-chern", "pontryagin"}
@@ -507,9 +514,13 @@ def sectioned_betti_bound(ci):
 
 def oracle_rows(check, ci):
     n, d = ci.dimension, ci.degree
-    twisted = twist_chern(cotangent_chern(ci), 2)
+    tangent = oracle.tangent(ci.ambient_dim, ci.multidegree, n)
+    cotangent = oracle.cotangent(tangent)
+    twisted = oracle.twist(cotangent, 2)
     if check in ("degree-sequence", "log-concavity"):
-        seq = ample_degree_sequence(ci)
+        # A = K + (n+2)h, with K = (sum d_j - m - 1)h by adjunction
+        ample = sum(ci.multidegree) - ci.ambient_dim - 1 + n + 2
+        seq = [ample**i * d for i in range(n + 1)]
         if check == "degree-sequence":
             return [((i,), value, d ** (i + 1), "") for i, value in enumerate(seq)]
         return [((i,), seq[i] * seq[i - 2], seq[i - 1] ** 2, "") for i in range(2, n + 1)]
@@ -517,33 +528,70 @@ def oracle_rows(check, ci):
         if check == "nef-chern":
             e, bound = twisted, nef_chern_bound
         else:
-            e, bound = cotangent_chern(ci), cotangent_chern_bound
+            e, bound = cotangent, cotangent_chern_bound
         return [
-            (parts, chern_number(ci, e, MultiIndex(parts)), bound(n, d, MultiIndex(parts)), "")
+            (parts, oracle.chern_number(d, e, parts), bound(n, d, MultiIndex(parts)), "")
             for parts in oracle_indices(n)
         ]
+    chi = oracle.chern_number(d, tangent, (n,))
+    betti = oracle.betti(n, chi)
     if check == "betti":
-        return [(None, total_betti(ci), betti_bound(n, d), "")]
+        return [(None, sum(betti), betti_bound(n, d), "")]
     if check == "betti-recursive":
-        return [(None, total_betti(ci), sectioned_betti_bound(ci), "")]
+        return [(None, sum(betti), sectioned_betti_bound(ci), "")]
     if check == "euler":
-        chi = euler_characteristic(ci)
-        alternating = sum((-1) ** i * b for i, b in enumerate(betti_numbers(ci)))
+        alternating = sum((-1) ** i * b for i, b in enumerate(betti))
         return [(None, chi - alternating, 0, f"chi={chi} alternating_betti={alternating}")]
     if check == "schur-positivity":
         rows = []
         for parts in oracle_indices(n)[1:]:
-            pairing = long_side_schur(twisted.multiples, parts) * d
+            pairing = long_side_schur(twisted, parts) * d
             rows.append((parts, min(pairing, 0), 0, f"pairing={pairing}"))
         return rows
     assert check == "pontryagin"
     if n % 4:
         return []
     bound = pontryagin_bound(n, d)
+    # the Pontryagin index j reads the squared class c_2j^2
     return [
-        (parts, squared_chern_pairing(ci, twisted, MultiIndex(parts)), bound, "")
+        (parts, oracle.chern_number(d, twisted, [2 * j for j in parts] * 2), bound, "")
         for parts in partitions_of(n // 4)
     ]
+
+
+def globals_reached(fn) -> dict:
+    """name -> value of each module global that ``fn`` reads, and that the
+    functions of its own module which it reads read, transitively."""
+    found, todo, seen = {}, [fn], set()
+    while todo:
+        f = todo.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        codes = [f.__code__]
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            for name in code.co_names:
+                if name in f.__globals__:
+                    value = found[name] = f.__globals__[name]
+                    if isinstance(value, types.FunctionType) and value.__module__ == f.__module__:
+                        todo.append(value)
+    return found
+
+
+def test_oracle_rows_reads_nothing_from_chern_or_betti():
+    # an oracle built on the values it checks could not catch their faults
+    reached = globals_reached(oracle_rows)
+    assert {"oracle", "long_side_schur", "sectioned_betti_bound", "curve_betti_bound"} <= set(
+        reached
+    )
+    homes = {
+        name: getattr(value, "__module__", None) or getattr(value, "__name__", None)
+        for name, value in reached.items()
+    }
+    assert homes["oracle"] == "chern_oracle"
+    assert not {n: h for n, h in homes.items() if h in ("charbound.chern", "charbound.betti")}
 
 
 def oracle_reports(spec):
@@ -598,7 +646,7 @@ def test_memoized_reports_match_case_by_case_checks(spec):
 def test_every_schur_pairing_of_the_p23_quadric_matches_long_side_bareiss():
     # n = 22: the only key tested here whose Giambelli matrices reach order 4
     ci = CompleteIntersection(23, (2,))
-    twisted = twist_chern(cotangent_chern(ci), 2).multiples
+    twisted = oracle.twist(oracle.cotangent(oracle.tangent(23, (2,), ci.dimension)), 2)
     spec = GridSpec(
         max_ambient_dim=23, max_degree_per_factor=2, max_codim=1, checks=("schur-positivity",)
     )
@@ -616,15 +664,16 @@ def test_every_schur_pairing_of_the_p23_quadric_matches_long_side_bareiss():
 
 
 def test_root_series_twist_matches_binomial_twist():
-    # Omega(2h) from its Chern roots, per key, against twist_chern of the
-    # cotangent bundle of each case, degree-1 factors and all
+    # Omega(2h) from its Chern roots, per key, against the binomial twist of
+    # the cotangent bundle of each case, degree-1 factors and all
     spec = GridSpec(max_ambient_dim=14, max_degree_per_factor=4, max_codim=13, max_cases=10**6)
     cases = oracle_grid(spec)[0]
     assert len(cases) == 8554
     for ci in cases:
         big = tuple(d for d in ci.multidegree if d > 1)
         twisted = _Variety(ci.dimension, big).twisted
-        assert tuple(twisted) == twist_chern(cotangent_chern(ci), 2).multiples
+        cotangent = oracle.cotangent(oracle.tangent(ci.ambient_dim, ci.multidegree, ci.dimension))
+        assert tuple(twisted) == oracle.twist(cotangent, 2)
 
 
 def test_every_check_contributes(small_grid):

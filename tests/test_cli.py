@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -465,6 +466,15 @@ def test_verify_signature_satisfied(capsys):
     assert "margin=98" in out
 
 
+def test_verify_signature_prints_the_pinned_bytes(capsys):
+    code, out, err = run(capsys, "verify", "--sigma", "0", "-m", "5", "-D", "2")
+    assert (code, err) == (0, "")
+    assert out == "signature check on m=5 deg=(2): |3*sigma|=0 c2^2=98 margin=98 satisfied\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0a61a75eec4a0f078ecaef07db6ad6ccc8182ae5229f8aea9137f5e833cbd852"
+    )
+
+
 def test_verify_signature_violation_exits_one(capsys):
     code, out, _ = run(capsys, "verify", "--sigma", "33", "-m", "5", "-D", "2")
     assert code == 1
@@ -589,6 +599,13 @@ def test_table_quantity_selection(capsys):
     assert "betti_bound" not in out
 
 
+def test_table_quantities_take_spaces_after_the_commas(capsys):
+    # as verify --checks "betti, euler" does; " degree" was once unknown
+    code, out, err = run(capsys, "table", "-m", "3", "-D", "2", "--quantities", "chi, degree")
+    assert (code, err) == (0, "")
+    assert out == "variety: m=3 deg=(2)\nchi: 4\ndegree: 2\n"
+
+
 def test_table_refuses_empty_quantities(capsys):
     # an empty list once printed every quantity, as if the flag were absent
     code, out, err = run(capsys, "table", "-m", "3", "-D", "2", "--quantities", "")
@@ -635,12 +652,12 @@ def test_variety_files_reject_non_integer_sizes_and_unknown_keys(tmp_path, capsy
 
 
 def test_table_refuses_a_dimension_past_the_cap_before_computing(capsys, monkeypatch):
-    for name in ("canonical_class", "euler_characteristic", "betti_numbers", "tangent_chern"):
-        monkeypatch.setattr(f"charbound.cli.{name}", lambda ci: pytest.fail("computed"))
+    monkeypatch.setattr("charbound.cli._Variety", lambda n, degrees: pytest.fail("computed"))
     code, out, err = run(capsys, "table", "-m", "3000", "-D", "2")
     assert code == 2
     assert out == ""
     assert "dimension <= 256, got 2999" in err
+    monkeypatch.undo()
     code, out, _ = run(capsys, "table", "-m", "257", "-D", "1", "--quantities", "dimension")
     assert (code, out) == (0, "variety: m=257 deg=(1)\ndimension: 256\n")
 
@@ -660,6 +677,22 @@ def test_table_refuses_a_huge_degree_before_computing():
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert f"table needs degree <= 1{'0' * 30}" in proc.stderr
+
+
+def test_table_at_both_caps_prints_the_pinned_bytes():
+    # a hypersurface of degree 10^30 in P^257, every quantity; about 0.6 s
+    argv = ["table", "-m", "257", "-D", str(MAX_TABLE_D)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "charbound", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(proc.stdout) == 2_090_408
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "d73101d7053ea4e9bdf1c8cca820220010650f129d87fbaf4d72c71568d0ad5d"
+    )
 
 
 def test_table_takes_degrees_up_to_the_cap(capsys):

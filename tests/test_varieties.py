@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charbound.bounds import GridResult, GridSpec, verify_grid
-from charbound.chern import ChernVector
 from charbound.schubert import Grassmannian
 from charbound.varieties import (
     CompleteIntersection,
@@ -76,13 +75,10 @@ def test_constructor_takes_integer_sizes_only():
         pytest.param(Partition, ((2, True),), "got True", id="Partition-bool"),
         pytest.param(Grassmannian, (2.5, 4), "got q=2.5", id="Grassmannian-float"),
         pytest.param(Grassmannian, (1, True), "N=True", id="Grassmannian-bool"),
-        pytest.param(ChernVector, (1, (1, 2.0), 1), "got float", id="ChernVector-float"),
-        pytest.param(ChernVector, (1, (True, 2), 1), "got bool", id="ChernVector-bool"),
     ],
 )
 def test_value_types_take_exact_ints_only(build, args, message):
-    error = TypeError if build is ChernVector else ValueError
-    with pytest.raises(error, match=r"must be int.*" + re.escape(message)):
+    with pytest.raises(ValueError, match=r"must be int.*" + re.escape(message)):
         build(*args)
 
 
@@ -161,12 +157,6 @@ VALUES = [
     ),
     (MultiIndex((2, 1)), ((2, 1),), "MultiIndex(entries=(2, 1))", MultiIndex((1, 2))),
     (Partition((2, 1, 0)), ((2, 1),), "Partition(parts=(2, 1))", Partition((2,))),
-    (
-        ChernVector(2, (1, 0, 6), 2),
-        (2, (1, 0, 6), 2),
-        "ChernVector(rank=2, multiples=(1, 0, 6), cap=2)",
-        ChernVector(2, (1, 0, 6), 1),
-    ),
     (Grassmannian(2, 4), (2, 4), "Grassmannian(q=2, N=4)", Grassmannian(2, 5)),
     (
         _SPEC,
@@ -226,14 +216,14 @@ def test_grid_result_round_trips_as_keys_and_labels():
 def test_value_types_differ_across_types():
     assert Partition((1,)) != MultiIndex((1,))
     assert hash(Partition((1,))) == hash(MultiIndex((1,)))
-    assert Grassmannian(2, 4) != ChernVector(1, (1, 4), 1)
+    assert Grassmannian(2, 4) != CompleteIntersection(4, (2,))
 
 
 def test_value_repr_prints_long_ints_in_full():
     # str() refuses ints past 4,300 digits; repr must not
     big = 10**4999 + 7
     digits = "1" + "0" * 4998 + "7"
-    assert repr(ChernVector(1, (1, big), 1)) == (
-        f"ChernVector(rank=1, multiples=(1, {digits}), cap=1)"
+    assert repr(CompleteIntersection(5, (1, big))) == (
+        f"CompleteIntersection(ambient_dim=5, multidegree=(1, {digits}))"
     )
     assert repr(GridSpec(max_cases=big)).endswith(f"max_cases={digits})")
