@@ -8,29 +8,12 @@ Exit codes: 0 all checks pass, 1 a mathematical violation was found,
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .bounds import (
-    CHECK_NAMES,
-    GridSpec,
-    _Variety,
-    betti_bound,
-    betti_bound_recursive,
-    cotangent_chern_bound,
-    exact_decimal,
-    exact_repr,
-    nef_chern_bound,
-    pontryagin_bound,
-    signature_check,
-    sweep_grid,
-    verify_grid,
-    write_json,
-)
 from .schubert import (
     Grassmannian,
     GradingError,
@@ -38,8 +21,49 @@ from .schubert import (
     giambelli_expand,
     grassmannian_degree,
     pieri,
+    special_intersection_number,
 )
-from .varieties import CompleteIntersection, MultiIndex, Partition
+from .varieties import CompleteIntersection, MultiIndex, Partition, exact_decimal, exact_repr
+
+# The names of charbound.bounds that `bound`, `verify` and `table` read.
+# `schubert` never reads them, so they are bound here on first use: the
+# bounds module and the json it imports cost about 4 ms of every start.
+_GRID_NAMES = (
+    "CHECK_NAMES",
+    "GridSpec",
+    "_Variety",
+    "betti_bound",
+    "betti_bound_recursive",
+    "cotangent_chern_bound",
+    "nef_chern_bound",
+    "pontryagin_bound",
+    "signature_check",
+    "sweep_grid",
+    "verify_grid",
+    "write_json",
+)
+
+
+def _load_grid_layer() -> None:
+    """Bind the grid names in this module, keeping any name already bound.
+
+    A name set from outside (a test's patch, a profiler's wrapper) stays, so
+    the commands call what this module holds.
+    """
+    from . import bounds
+
+    names = globals()
+    for name in _GRID_NAMES:
+        names.setdefault(name, getattr(bounds, name))
+
+
+def __getattr__(name):
+    # PEP 562: reading a grid name from outside loads the grid layer
+    if name in _GRID_NAMES:
+        _load_grid_layer()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # `bound` accepts 1 <= n <= MAX_BOUND_N and 1 <= d <= MAX_BOUND_D; the largest
 # value, the Pontryagin cap at the corner, has about 21,000 decimal digits.
@@ -55,7 +79,10 @@ MAX_TABLE_D = 10**30
 MAX_POWER_DIGITS = 18
 # `schubert --power` and `--giambelli` work on the shapes of the q x (N-q)
 # box, each a q-tuple, so both the shape count C(N, q) and the cell count
-# q(N-q) are capped; the slowest accepted queries found take about 2 s
+# q(N-q) are capped. The slowest accepted queries found take about 2.3 s in a
+# fresh process: `-q 5 -N 30 --power sigma5^24`, one factor short of the box,
+# walks the whole forward product; a product that fills the box is paired by
+# duality and takes about half that (`sigma5^25`, 1.2 s)
 MAX_SCHUBERT_SHAPES = 150_000
 MAX_SCHUBERT_CELLS = 200
 # `schubert --degree` computes (q(N-q))!; at the cap it takes under a second
@@ -80,6 +107,8 @@ def _parse_int_list(text: str) -> tuple:
 
 
 def _read_json(path: str, what: str):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -102,22 +131,24 @@ def _variety_from_args(args) -> CompleteIntersection:
 # -- bound -----------------------------------------------------------------
 
 
-# flag -> (formula, whether it takes a multi-index)
+# flag -> (the formula's name among _GRID_NAMES, whether it takes a multi-index)
 BOUNDS = {
-    "pontryagin": (pontryagin_bound, False),
-    "betti": (betti_bound, False),
-    "ci": (nef_chern_bound, True),
-    "cin": (cotangent_chern_bound, True),
+    "pontryagin": ("pontryagin_bound", False),
+    "betti": ("betti_bound", False),
+    "ci": ("nef_chern_bound", True),
+    "cin": ("cotangent_chern_bound", True),
 }
 
 
 def _cmd_bound(args) -> int:
+    _load_grid_layer()
     n, d = args.n, args.d
     if not (1 <= n <= MAX_BOUND_N and 1 <= d <= MAX_BOUND_D):
         raise UsageError(
             f"need 1 <= n <= {MAX_BOUND_N} and 1 <= d <= {MAX_BOUND_D}, got n={n}, d={d}"
         )
-    formula, takes_index = BOUNDS[args.formula]
+    name, takes_index = BOUNDS[args.formula]
+    formula = globals()[name]
     if takes_index != (args.index is not None):
         need = "needs a multi-index via -I" if takes_index else "takes no multi-index"
         raise UsageError(f"--{args.formula} {need}")
@@ -170,6 +201,7 @@ def _write_out(write, out_path):
 
 
 def _cmd_verify(args) -> int:
+    _load_grid_layer()
     if args.sigma is not None:
         _refuse(args, args.grid_flags, "with --sigma")
         return _cmd_verify_signature(args)
@@ -241,6 +273,7 @@ TABLE_QUANTITIES = tuple(TABLE)
 
 
 def _cmd_table(args) -> int:
+    _load_grid_layer()
     ci = _variety_from_args(args)
     if ci.dimension > MAX_BOUND_N:
         raise UsageError(f"table needs dimension <= {MAX_BOUND_N}, got {ci.dimension}")
@@ -319,12 +352,15 @@ def _cmd_schubert(args) -> int:
     if total > cells:
         print(0)
         return 0
+    # in the top codimension the product is a multiple of the point class
+    if total == cells:
+        print(exact_decimal(special_intersection_number(gr, factors)))
+        return 0
     cls = SchubertClass.one(gr)
     for k, exponent in factors:
         for _ in range(exponent):
             cls = pieri(cls, k)
-    # in the top codimension the product is a multiple of the point class
-    print(exact_decimal(cls.coefficient(gr.point_partition)) if total == cells else cls)
+    print(cls)
     return 0
 
 
@@ -341,22 +377,16 @@ def _add_variety_flags(parser) -> list:
     ]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="charbound",
-        description=(
-            "Exact characteristic-class bounds for complete intersections: "
-            "evaluate bound formulas, verify them against exact values on "
-            "variety grids, print invariant tables, and query Schubert calculus."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    bound = sub.add_parser("bound", help="evaluate one bound formula exactly")
+def _bound_flags(bound) -> None:
+    _load_grid_layer()  # the formulas' docstrings are their help
     formulas = bound.add_mutually_exclusive_group(required=True)
-    for flag, (formula, _) in BOUNDS.items():
+    for flag, (name, _) in BOUNDS.items():
         formulas.add_argument(
-            f"--{flag}", dest="formula", action="store_const", const=flag, help=formula.__doc__
+            f"--{flag}",
+            dest="formula",
+            action="store_const",
+            const=flag,
+            help=globals()[name].__doc__,
         )
     bound.add_argument("-n", type=int, required=True, help=f"dimension, 1..{MAX_BOUND_N}")
     bound.add_argument("-d", type=int, required=True, help=f"degree, 1..{MAX_BOUND_D}")
@@ -365,9 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bound.set_defaults(func=_cmd_bound)
 
-    verify = sub.add_parser(
-        "verify", help="run bound checks over a variety grid, or a signature check"
-    )
+
+def _verify_flags(verify) -> None:
+    _load_grid_layer()  # --checks lists CHECK_NAMES
     grid = verify.add_argument_group("grid run")
     grid_file = grid.add_argument("--grid", help="path to a grid-spec JSON file")
     spec_flags = [  # each dest is a GridSpec field
@@ -398,14 +428,16 @@ def _build_parser() -> argparse.ArgumentParser:
         signature_flags=_add_variety_flags(signature),
     )
 
-    table = sub.add_parser("table", help="print exact invariants of one variety")
+
+def _table_flags(table) -> None:
     _add_variety_flags(table)
     table.add_argument(
         "--quantities", help=f"comma-separated subset of: {','.join(TABLE_QUANTITIES)}"
     )
     table.set_defaults(func=_cmd_table)
 
-    schubert = sub.add_parser("schubert", help="Schubert calculus on G_q(C^N)")
+
+def _schubert_flags(schubert) -> None:
     schubert.add_argument("-q", type=int, required=True, help="subspace dimension")
     schubert.add_argument("-N", type=int, required=True, help="ambient dimension")
     modes = schubert.add_mutually_exclusive_group(required=True)
@@ -416,12 +448,45 @@ def _build_parser() -> argparse.ArgumentParser:
     modes.add_argument("--degree", action="store_true", help="degree of the Grassmannian")
     schubert.set_defaults(func=_cmd_schubert)
 
+
+# subcommand -> (its line in the top-level help, the function adding its flags)
+COMMANDS = {
+    "bound": ("evaluate one bound formula exactly", _bound_flags),
+    "verify": ("run bound checks over a variety grid, or a signature check", _verify_flags),
+    "table": ("print exact invariants of one variety", _table_flags),
+    "schubert": ("Schubert calculus on G_q(C^N)", _schubert_flags),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a subcommand name, only that one gets its flags.
+
+    Every subcommand is still named, so the top-level help and the errors
+    before a subcommand read the same either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="charbound",
+        description=(
+            "Exact characteristic-class bounds for complete intersections: "
+            "evaluate bound formulas, verify them against exact values on "
+            "variety grids, print invariant tables, and query Schubert calculus."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_flags) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            add_flags(subparser)
     return parser
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # the first word names the subcommand; any other start gets every flag
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -7,8 +7,10 @@ corner rows (row 0 up to N-q, row i up to part i-1) can take boxes.
 General products expand the Jacobi-Trudi determinant det(sigma_{l_i-i+j})
 of one factor row by row over subsets of used columns, keeping only subsets
 the remaining rows can complete, so an r-part shape costs at most r*2^(r-1)
-Pieri steps. The classical factorial formula for the degree of the
-Grassmannian serves as an independent cross-check on the whole machine.
+Pieri steps. A product of special classes that fills the box needs only
+its point coefficient, which Poincare duality reads off two half-products.
+The classical factorial formula for the degree of the Grassmannian serves as
+an independent cross-check on the whole machine.
 """
 
 from __future__ import annotations
@@ -350,6 +352,43 @@ def intersection_number(classes) -> int:
     for c in classes[1:]:
         product = multiply(product, c)
     return product.coefficient(gr.point_partition)
+
+
+def special_intersection_number(grassmannian: Grassmannian, factors) -> int:
+    """Coefficient of the point class in prod sigma_k^e over (k, e) pairs.
+
+    The codimensions k*e must fill the box exactly. By Poincare duality,
+    sigma_lam * sigma_mu in complementary codimensions is the point class if
+    mu is the box complement lam^v of lam, lam^v_i = (N-q) - lam_{q-1-i}, and
+    0 otherwise; so the point coefficient of A*B is the sum of A_lam *
+    B_{lam^v}. Both A and B start from the product P of every exponent
+    halved, built once, and the factors of odd exponent go one each, largest
+    first, to the side with fewer boxes. Pieri steps then reach only about
+    half the box, where a forward product walks every codimension.
+    """
+    gr = grassmannian
+    factors = tuple(factors)
+    if any(e < 0 for _, e in factors):
+        raise ValueError(f"exponents must be non-negative, got {factors}")
+    total = sum(k * e for k, e in factors)
+    if total != gr.total_codim:
+        raise GradingError(f"total codimension {total} != dim {gr.total_codim} of {gr}")
+    shared = SchubertClass.one(gr)
+    for k, e in factors:
+        for _ in range(e // 2):
+            shared = pieri(shared, k)
+    half = sum(k * (e // 2) for k, e in factors)
+    sides, boxes = [shared, shared], [half, half]
+    for k in sorted((k for k, e in factors if e % 2), reverse=True):
+        side = boxes[1] < boxes[0]
+        sides[side] = pieri(sides[side], k)
+        boxes[side] += k
+    a, b = sides[0].terms, sides[1].terms
+    q, cols = gr.q, gr.cols
+    return sum(
+        coeff * b.get(tuple(cols - lam[q - 1 - i] for i in range(q)), 0)
+        for lam, coeff in a.items()
+    )
 
 
 def grassmannian_degree(q: int, N: int) -> int:

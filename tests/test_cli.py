@@ -893,10 +893,84 @@ def test_cli_import_needs_no_dataclasses():
     assert not modules_loaded_by_cli_import() & {"dataclasses", "inspect"}
 
 
+def modules_loaded_by_run(*argv) -> set:
+    """The modules loaded once ``python -m charbound *argv`` has run."""
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = ['charbound', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('charbound', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(*sorted(sys.modules), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_schubert_starts_without_the_grid_layer():
+    # charbound.bounds and json cost about 4 ms of every start, and only
+    # `bound`, `verify` and `table` read them
+    loaded = modules_loaded_by_run("schubert", "-q", "2", "-N", "4", "--degree")
+    assert "charbound.schubert" in loaded
+    assert not loaded & {"charbound.bounds", "json"}
+    assert "charbound.bounds" in modules_loaded_by_run("verify", "--max-cases", "1")
+
+
 def test_cli_import_leaves_decimal_unloaded():
     # decimal, _decimal and numbers cost about 2 ms at every start; only an
     # int past 639 digits loads them (see varieties.exact_decimal)
     assert not modules_loaded_by_cli_import() & {"decimal", "_decimal", "numbers"}
+
+
+def subparsers_of(parser) -> dict:
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def action_facts(parser) -> list:
+    return [
+        (a.option_strings, a.dest, a.type, a.choices, a.required, a.help)
+        for a in parser._actions
+    ]
+
+
+def test_each_subcommand_parser_matches_the_full_parser():
+    full = subparsers_of(_build_parser())
+    for command in full:
+        alone = subparsers_of(_build_parser(command))
+        assert list(alone) == list(full)
+        assert action_facts(alone[command]) == action_facts(full[command]), command
+        groups = [g.required for g in alone[command]._mutually_exclusive_groups]
+        assert groups == [g.required for g in full[command]._mutually_exclusive_groups]
+        # the other subcommands are named but get no flags
+        for other in set(full) - {command}:
+            assert [a.dest for a in alone[other]._actions] == ["help"], (command, other)
+
+
+# sha256 and length of the help text at 80 columns, as the parser that built
+# every flag printed it (argparse of Python 3.11; other versions lay help out
+# differently)
+HELP_PINS = {
+    (): ("bbe7ae83df6e3b2cbaafb5d21866149e57e33097406b8919b5d2bf2c3fdb4f96", 651),
+    ("bound",): ("e84029ba81ff40df8e84f8d68cb3f01aaabc3af89d6b28931ea33bd839bdaf4d", 823),
+    ("verify",): ("88c6ad1bdb8ec0e7fdba865ad09d6d9954cea39ed964e4a01145116a52969219", 1310),
+    ("table",): ("d4734f60ed9e822fcf370e697bcad7ce3c328891b20055eec3c80d5280c67107", 695),
+    ("schubert",): ("5159493e97c0c0c8c169f98a1d51bacf463654682e4f6c85a57fd2f743226b4f", 460),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_PINS))
+def test_help_prints_the_pinned_bytes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *command, "--help")
+    assert (code, err) == (0, "")
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == HELP_PINS[command]
 
 
 # -- argv fuzz ------------------------------------------------------------------

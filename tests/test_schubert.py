@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charbound.schubert import (
     BoxError,
@@ -25,8 +26,10 @@ from charbound.schubert import (
     intersection_number,
     multiply,
     pieri,
+    special_intersection_number,
 )
 from charbound.varieties import Partition
+from kostka import rectangle_kostka
 
 
 def basis(q, N, *parts):
@@ -146,6 +149,67 @@ def test_poincare_duality_kronecker_delta(q, N):
                 [SchubertClass.basis(gr, lam), SchubertClass.basis(gr, mu)]
             )
             assert actual == expected, (lam, mu)
+
+
+@st.composite
+def special_products(draw):
+    """A Grassmannian up to G(4,9) and (k, e) pairs whose k*e fill its box."""
+    q = draw(st.integers(min_value=1, max_value=4))
+    N = draw(st.integers(min_value=q + 1, max_value=9))
+    cols, left, factors = N - q, q * (N - q), []
+    while left:
+        k = draw(st.integers(min_value=1, max_value=min(cols, left)))
+        e = draw(st.integers(min_value=1, max_value=left // k))
+        factors.append((k, e))
+        left -= k * e
+    return Grassmannian(q, N), factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(special_products())
+@example((Grassmannian(2, 5), [(1, 1), (2, 1), (3, 1)]))  # three odd leftovers
+@example((Grassmannian(3, 7), [(2, 3), (3, 1), (1, 3)]))  # two odd exponents above 1
+@example((Grassmannian(1, 5), [(4, 1)]))  # a single factor, sigma_{N-q}
+@example((Grassmannian(3, 6), [(3, 3)]))  # sigma_{N-q} to an odd power
+@example((Grassmannian(4, 9), [(1, 20)]))  # the degree of G(4,9)
+def test_duality_split_matches_forward_product_and_kostka(case):
+    gr, factors = case
+    reached = []
+
+    def counted_pieri(cls, k):
+        product = pieri(cls, k)
+        reached.extend(product.codimensions())
+        return product
+
+    with mock.patch("charbound.schubert.pieri", counted_pieri):
+        got = special_intersection_number(gr, factors)
+    # the odd factors are dealt so that neither side passes the middle of the
+    # box by more than half the largest index
+    assert 2 * max(reached, default=0) <= gr.total_codim + max(k for k, _ in factors)
+    classes = [
+        SchubertClass.basis(gr, Partition((k,))) for k, e in factors for _ in range(e)
+    ]
+    assert got == intersection_number(classes), factors
+    if gr.total_codim <= 12:
+        content = [k for k, e in factors for _ in range(e)]
+        assert got == rectangle_kostka(gr.q, gr.cols, content), factors
+
+
+def test_kostka_oracle_hand_values():
+    # standard tableaux of the 2x2 and 2x3 rectangles, the Catalan numbers 2 and 5
+    assert rectangle_kostka(2, 2, [1, 1, 1, 1]) == 2
+    assert rectangle_kostka(2, 3, [1] * 6) == 5
+    assert rectangle_kostka(2, 2, [2, 1, 1]) == rectangle_kostka(2, 2, [1, 1, 2]) == 1
+    assert rectangle_kostka(2, 2, [3, 1]) == 0  # three equal entries in a row of 2
+    assert rectangle_kostka(2, 2, [1, 1, 1]) == 0  # too few entries
+
+
+def test_duality_split_needs_the_top_codimension():
+    gr = Grassmannian(2, 4)
+    with pytest.raises(GradingError):
+        special_intersection_number(gr, [(1, 3)])
+    with pytest.raises(ValueError):
+        special_intersection_number(gr, [(2, 3), (1, -2)])
 
 
 # -- degree formula ------------------------------------------------------------------
