@@ -22,8 +22,8 @@ from .varieties import (
     partitions_of,
 )
 
-# charbound.bounds (and the json it imports) loads on the first read of one of
-# these names, so `charbound schubert` starts without the grid layer
+# charbound.bounds loads on the first read of one of these names, so
+# `charbound schubert` starts without the grid layer
 _BOUNDS_NAMES = (
     "CHECK_NAMES",
     "BoundReport",

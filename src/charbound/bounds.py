@@ -14,20 +14,21 @@ from collections import Counter, deque
 from functools import cached_property, lru_cache, partial
 from io import StringIO
 from itertools import chain, combinations_with_replacement, count, filterfalse, repeat
-from json.encoder import encode_basestring_ascii
 from math import comb, prod
-from operator import itemgetter, mul, sub
+from operator import and_, ge, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .betti import betti_from_euler
 from .chern import (
     DegreeError,
+    binomial_row,
     degree_sequence,
     dual_sequence,
     giambelli,
     giambelli_plan,
     hook_classes,
-    tangent_multiples,
+    quotient_series,
+    scaled_powers,
 )
 from .varieties import (
     CompleteIntersection,
@@ -40,7 +41,7 @@ from .varieties import (
 
 # every check of a dimension-n case walks all partitions of weight <= n, a
 # count that grows exponentially in n; the 23 hypersurfaces of the grid
-# max_ambient_dim=24, max_degree_per_factor=1, max_codim=1 take about 0.4 s
+# max_ambient_dim=24, max_degree_per_factor=1, max_codim=1 take about 0.25 s
 # in a fresh process
 MAX_AMBIENT_DIM = 24
 # a grid may hold at most this many cases after its max_cases cap; counted in
@@ -107,9 +108,11 @@ CSV_COLUMNS = (
 # and last says that no case of the key follows. The rows of a key render
 # through one %-template, built once per document for each layout object,
 # so the keys of one grid dimension share it: the template holds every
-# row's subject and index text, with each "%" doubled, a %s for each number
-# and flag, and a mark where the multidegree goes. So a key is one
-# ``template % values`` whose values are flattened in C from its columns,
+# row's subject and index text, with each "%" doubled, a %s for each value,
+# and a mark where the multidegree goes. In CSV and markdown a row's n and
+# d are one %s, filled with the key's one pre-rendered cell ("n,d" or
+# "n | d"); JSON keeps a %s for each. So a key is one ``template % values``,
+# its values one flat tuple that each column fills by a slice assignment,
 # and each case writes that text with its own multidegree's text in place
 # of each mark. The mark is the first control character, or else the first
 # character from U+0080 on, that the template's own text does not hold. No
@@ -132,15 +135,23 @@ def _opt(value, none: str) -> str:
     return none if value is None else exact_decimal(value)
 
 
+def _decimals(sep: str, values) -> str:
+    """The ints ``values`` in full, joined by ``sep``."""
+    try:
+        return sep.join(map(str, values))
+    except ValueError:  # an int past str()'s digit limit
+        return sep.join(map(exact_decimal, values))
+
+
 def _json_ints(values) -> str:
     """An int list or null, as the value of a report member."""
     if not values:
         return "null" if values is None else "[]"
-    return "[\n        " + ",\n        ".join(map(exact_decimal, values)) + "\n      ]"
+    return "[\n        " + _decimals(",\n        ", values) + "\n      ]"
 
 
 def _joined(values) -> str:
-    return "" if values is None else ",".join(map(exact_decimal, values))
+    return "" if values is None else _decimals(",", values)
 
 
 def _csv_cell(text: str) -> str:
@@ -164,17 +175,30 @@ def _template(row, sep: str, subjects, indices) -> tuple:
     return sep.join(map(mark.join, zip(heads, tails))), mark
 
 
-def _json_values(n, d, exacts, bounds, oks, margins, flags, notes):
-    """The values of a key's JSON rows, row by row."""
-    return zip(
-        repeat(n), repeat(d), exacts, bounds, map(_TRUE_FALSE, oks), margins,
-        map(_TRUE_FALSE, flags), map(encode_basestring_ascii, notes),
+def _interleaved(lead: tuple, columns: tuple, rows: int) -> tuple:
+    """Row by row, the items of ``lead`` and then the row's value of each
+    column: one flat tuple of ``rows`` rows, filled a column at a time."""
+    step, width = len(lead) + len(columns), len(lead)
+    flat = [*lead, *columns] * rows
+    for j, column in enumerate(columns, width):
+        flat[j::step] = column
+    return tuple(flat)
+
+
+def _json_values(quoted, n, d, exacts, bounds, oks, margins, flags, notes) -> tuple:
+    """The values of a key's JSON rows, flattened row by row, each note a
+    ``quoted`` JSON string."""
+    columns = (
+        exacts, bounds, map(_TRUE_FALSE, oks), margins, map(_TRUE_FALSE, flags), map(quoted, notes)
     )
+    return _interleaved((n, d), columns, len(oks))
 
 
-def _table_values(n, d, exacts, bounds, oks, margins, _, __):
-    """The values of a key's CSV or markdown rows, row by row."""
-    return zip(repeat(n), repeat(d), exacts, bounds, map(_TRUE_FALSE, oks), margins)
+def _table_values(pair, n, d, exacts, bounds, oks, margins, _, __) -> tuple:
+    """The values of a key's CSV or markdown rows, flattened row by row:
+    n and d as one cell, ``pair % (n, d)``."""
+    columns = exacts, bounds, map(_TRUE_FALSE, oks), margins
+    return _interleaved((pair % (n, d),), columns, len(oks))
 
 
 def _fill(template, values, none, n, d, columns) -> str:
@@ -189,13 +213,12 @@ def _fill(template, values, none, n, d, columns) -> str:
     exacts, bounds, oks, margins, flags, notes = columns
     if not (n is None or d is None or None in exacts or None in margins):
         try:
-            return template % tuple(chain.from_iterable(values(n, d, *columns)))
+            return template % values(n, d, *columns)
         except ValueError:  # an int past str()'s digit limit
             pass
     text = partial(_opt, none=none)
     exacts, margins, bounds = map(text, exacts), map(text, margins), map(exact_decimal, bounds)
-    columns = values(text(n), text(d), exacts, bounds, oks, margins, flags, notes)
-    return template % tuple(chain.from_iterable(columns))
+    return template % values(text(n), text(d), exacts, bounds, oks, margins, flags, notes)
 
 
 def _cases(labels, columns):
@@ -217,11 +240,14 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
     """Stream a case stream (see above) as a ``fmt`` document (json, csv or
     markdown); ``head`` holds the rendered JSON members before "reports"."""
     if fmt == "json":
+        # json loads only where a JSON document is written
+        from json.encoder import encode_basestring_ascii as quoted
+
         label = lru_cache(maxsize=None)(_json_ints)
 
         def row(subject, index):
             return (
-                f'    {{\n      "subject": {_escaped(encode_basestring_ascii(subject))},\n'
+                f'    {{\n      "subject": {_escaped(quoted(subject))},\n'
                 '      "n": %s,\n      "d": %s,\n      "multidegree": ',
                 f',\n      "index": {label(index)},\n      "exact": %s,\n      "bound": %s,\n'
                 '      "satisfied": %s,\n      "margin": %s,\n'
@@ -229,24 +255,25 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
             )
 
         start, first, sep, none = "{\n" + head + '  "reports": [', "\n", ",\n", "null"
-        values, ends = _json_values, ("]\n}\n", "\n  ]\n}\n")
+        values, ends = partial(_json_values, quoted), ("]\n}\n", "\n  ]\n}\n")
     elif fmt == "csv":
         label = lru_cache(maxsize=None)(lambda t: _csv_cell(_joined(t)))
 
         def row(subject, index):
-            return f"{_escaped(_csv_cell(subject))},%s,%s,", f",{label(index)},%s,%s,%s,%s\n"
+            return f"{_escaped(_csv_cell(subject))},%s,", f",{label(index)},%s,%s,%s,%s\n"
 
         start, first, sep, none, ends = ",".join(CSV_COLUMNS) + "\n", "", "", "", ("", "")
-        values = _table_values
+        values = partial(_table_values, "%s,%s")
     elif fmt == "markdown":
         label = lru_cache(maxsize=None)(_joined)
 
         def row(subject, index):
             tail = f" | {label(index)} | %s | %s | %s | %s |\n"
-            return f"| {_escaped(subject)} | %s | %s | ", tail
+            return f"| {_escaped(subject)} | %s | ", tail
 
         start = f"| {' | '.join(CSV_COLUMNS)} |\n|{'---|' * len(CSV_COLUMNS)}\n"
-        values, first, sep, none, ends = _table_values, "", "", "", ("", "")
+        values, first, sep, none = partial(_table_values, "%s | %s"), "", "", ""
+        ends = "", ""
     else:
         raise ValueError(f"unknown format {fmt!r}")
     # id(layout) -> (layout, template, mark); holding the layout keeps its id
@@ -273,8 +300,7 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
             held[i] = text(*columns)
         rows, mark = held.pop(i) if last else held[i]
         if rows:
-            write(lead)
-            write(rows.replace(mark, label(multidegree)))
+            write(lead + rows.replace(mark, label(multidegree)))
             lead = sep
     # lead is no longer first once a row is written
     write(ends[lead != first])
@@ -437,15 +463,16 @@ class _Variety:
     def __init__(self, n: int, degrees: tuple):
         d = prod(degrees)
         self.n, self.d = n, d
-        m = n + len(degrees)
-        a = self.tangent = tangent_multiples(m, degrees, n)
+        # C(m+1, i), the multiples of (1+h)^(m+1) on P^m, m = n + len(degrees)
+        row = binomial_row(n + len(degrees) + 1, n)
+        a = self.tangent = quotient_series(row[:], degrees)
         # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
-        # O(2) - sum_j O(2 - d_j): the tangent series over the roots 2, 2 - d_j
-        self.twisted = tangent_multiples(m, (2, *(2 - e for e in degrees)), n)
+        # O(2) - sum_j O(2 - d_j): the same series over the roots 2, 2 - d_j
+        self.twisted = quotient_series(row, (2, *(2 - e for e in degrees)))
         # the ample degree sequence, for A = K + (n+2)h with K = -c_1
         self.sequence = degree_sequence(n + 2 - a[1], d, n)
         # d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight
-        self.powers = [d * (d + n - 2) ** w for w in range(n + 1)]
+        self.powers = scaled_powers(d + n - 2, d, n)
         self.betti = betti_from_euler(n, d * a[n])
 
 
@@ -460,8 +487,7 @@ def _chern_numbers(t: _Tables, d: int, multiples) -> list:
 
 
 def _degree_sequence_rows(v, t):
-    d = v.d
-    bounds = [d ** (i + 1) for i in range(v.n + 1)]
+    bounds = scaled_powers(v.d, v.d, v.n)
     return t.singles, v.sequence, bounds, ("",) * len(bounds)
 
 
@@ -477,7 +503,8 @@ def _nef_chern_rows(v, t):
 
 
 def _cotangent_chern_rows(v, t):
-    cotangent = [-a if i % 2 else a for i, a in enumerate(v.tangent)]
+    cotangent = v.tangent[:]
+    cotangent[1::2] = [-a for a in cotangent[1::2]]
     scale = 2 ** (v.n * v.n)
     powers = [scale * power for power in v.powers]
     bounds = list(map(powers.__getitem__, t.weights))
@@ -532,21 +559,24 @@ _CHECKS = {name: rule[0] for name, rule in _RULES.items()}
 
 
 def _layout(names, columns) -> tuple:
-    """(subjects, indices, lower limits, based, paired): the rows that the
-    checks ``names`` gave as ``columns`` for a variety, and so for every
-    variety of its dimension. A row is based when its bound has the base
-    (d+n-2) as a factor: the rows of a check with that base whose index is
-    not empty. ``paired`` is the range of the rows whose values are Schur
-    pairings, those of schur-positivity; a check's rows are contiguous."""
+    """(subjects, indices, limits, based, paired): the rows that the checks
+    ``names`` gave as ``columns`` for a variety, and so for every variety of
+    its dimension. A check's rows are contiguous. ``limits`` holds (start,
+    stop, least) for the rows of each check with a lower limit. A row is
+    based when its bound has the base (d+n-2) as a factor: the rows of a
+    check with that base whose index is not empty. ``paired`` is the range
+    of the rows whose values are Schur pairings, those of schur-positivity."""
     subjects, indices, limits, based = [], [], [], []
     paired = range(0)
     for name, (index_column, values, _, _) in zip(names, columns):
         _, least, has_base, pairings = _RULES[name]
+        start, stop = len(subjects), len(subjects) + len(values)
         if pairings:
-            paired = range(len(subjects), len(subjects) + len(values))
+            paired = range(start, stop)
+        if least is not None and values:
+            limits.append((start, stop, least))
         subjects += repeat(name, len(values))
         indices += index_column
-        limits += repeat(least, len(values))
         based += [has_base and bool(index) for index in index_column]
     return tuple(subjects), tuple(indices), tuple(limits), tuple(based), paired
 
@@ -652,7 +682,7 @@ def _grid(spec: GridSpec):
     return pairs, False
 
 
-def _columns(key, noted: bool = True) -> tuple:
+def _columns(key, noted: bool = True, owned: bool = False) -> tuple:
     """The columns the writers read of a grid key (n, d, layout, values,
     bounds, notes): (n, d, layout, exacts, bounds, satisfied, margins,
     degenerate, notes). A row is satisfied when |exact| <= bound and exact
@@ -661,19 +691,24 @@ def _columns(key, noted: bool = True) -> tuple:
     its exact value is the shortfall min(pairing, 0) and its note
     "pairing=<pairing>". Where the base (d+n-2) vanishes, the based rows are
     degenerate and their note is DEGENERATE_NOTE. The notes are built only
-    if ``noted``; else the notes column is None."""
+    if ``noted``; else the notes column is None. An ``owned`` key's values
+    are a list of the caller's own, which takes the shortfall in place."""
     n, d, layout, exacts, bounds, notes = key
     _, _, limits, degenerate, paired = layout
     if paired:
         cut = slice(paired.start, paired.stop)
         pairings = exacts[cut]
-        exacts = list(exacts)
+        if not owned:
+            exacts = list(exacts)
         exacts[cut] = [pairing if pairing < 0 else 0 for pairing in pairings]
     margins = list(map(sub, bounds, map(abs, exacts)))
-    satisfied = [
-        margin >= 0 and (least is None or exact >= least)
-        for margin, exact, least in zip(margins, exacts, limits)
-    ]
+    satisfied = [margin >= 0 for margin in margins]
+    # a lower limit fails only where a value of its run lies below it
+    for start, stop, least in limits:
+        values = exacts[start:stop]
+        if min(values) < least:
+            kept = map(ge, values, repeat(least))
+            satisfied[start:stop] = map(and_, satisfied[start:stop], kept)
     if d + n != 2:
         degenerate = (False,) * len(exacts)
     if not noted:
@@ -688,6 +723,13 @@ def _columns(key, noted: bool = True) -> tuple:
         if d + n == 2:
             notes = [DEGENERATE_NOTE if flag else note for flag, note in zip(degenerate, notes)]
     return n, d, layout, exacts, bounds, satisfied, margins, degenerate, notes
+
+
+def _key(n: int, d: int, layout: tuple, rows) -> tuple:
+    """The grid key (n, d, layout, values, bounds, notes) of the checks'
+    ``rows``, its columns as tuples, in check order."""
+    _, *columns = zip(*rows)
+    return (n, d, layout, *map(tuple, map(chain.from_iterable, columns)))
 
 
 def _rows(key):
@@ -713,14 +755,17 @@ class GridSweep:
     """The checks of a grid run one case at a time, in case order.
 
     Iterated once, it gives the grid's case stream (see _cases): at the
-    first case of each key it computes the key (n, d, layout, values,
-    bounds, notes) and derives its columns, without notes. From that one
-    derivation it tallies what a run prints: ``report_count`` and the
-    ``violations`` and ``flagged`` reports, in case order. ``truncated``,
-    ``labels`` (key position, multidegree) and ``case_count`` are known
-    from the start. Between the first and last case of a key it holds only
-    the key's row count and its unsatisfied or degenerate rows; ``keys``,
-    if given, is a list that each key is appended to as it is computed.
+    first case of each key it runs the checks, extends the key's values
+    and bounds check by check into two flat lists, and derives its columns
+    from them in place, without notes. From that one derivation it tallies
+    what a run prints: ``report_count`` and the ``violations`` and
+    ``flagged`` reports, in case order. ``truncated``, ``labels`` (key
+    position, multidegree) and ``case_count`` are known from the start.
+    Between the first and last case of a key it holds only the key's row
+    count and its unsatisfied or degenerate rows. ``keys``, if given, is a
+    list that each key (n, d, layout, values, bounds, notes) is appended to
+    as it is computed; only those keys, and a key with unsatisfied or
+    degenerate rows, are built as tuples with their notes.
 
     A degree-1 factor is a linear re-embedding: X cut by a hyperplane of P^m
     is the same variety in P^(m-1), with the same n and d. So the checks run
@@ -755,16 +800,24 @@ class GridSweep:
             n, degrees = varieties[i]
             v, t = _Variety(n, degrees), _tables(n)
             rows = [check(v, t) for check in checks]
-            layout = layouts.get(n)
+            d, layout = v.d, layouts.get(n)
             if layout is None:
                 layout = layouts[n] = _layout(names, rows)
-            # the values, bounds and notes of every check, in check order
-            _, *values = zip(*rows)
-            key = (n, v.d, layout, *map(tuple, map(chain.from_iterable, values)))
+            # the values and bounds of every check, in check order
+            exacts, bounds = [], []
+            for _, values, caps, _ in rows:
+                exacts += values
+                bounds += caps
+            key = None
             if keys is not None:
+                key = _key(n, d, layout, rows)
                 keys.append(key)
-            columns = _columns(key, noted=False)
-            held[i] = n, v.d, len(key[3]), _exception_rows(key, columns)
+            columns = _columns((n, d, layout, exacts, bounds, None), False, True)
+            exceptions = []
+            if False in columns[5] or True in columns[7]:
+                # only a key with exception rows builds its notes
+                exceptions = _exception_rows(key or _key(n, d, layout, rows), columns)
+            held[i] = n, d, len(exacts), exceptions
             return columns
 
         new = partial(tuple.__new__, BoundReport)
@@ -862,6 +915,8 @@ class GridResult(Record):
         """Stream the report document in ``fmt`` (json, csv or markdown)."""
         head = ""
         if fmt == "json":
+            from json.encoder import encode_basestring_ascii
+
             spec = self.spec
             checks = ",\n      ".join(map(encode_basestring_ascii, spec.checks))
             head = (

@@ -24,6 +24,7 @@ for one variety, cached for library callers.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import comb
 from operator import itemgetter, mul
 
@@ -41,19 +42,24 @@ class DegreeError(ValueError):
 def tangent_chern(ci: CompleteIntersection) -> tuple:
     """a_0..a_n with c_i(T) = a_i * h^i, via the ambient/normal quotient:
     the coefficients of (1+h)^(m+1) / prod_j (1 + d_j h) up to h^n."""
-    return tuple(tangent_multiples(ci.ambient_dim, ci.multidegree, ci.dimension))
+    row = binomial_row(ci.ambient_dim + 1, ci.dimension)
+    return tuple(quotient_series(row, ci.multidegree))
 
 
-def tangent_multiples(ambient_dim: int, degrees, n: int) -> list:
-    """a_0..a_n of (1+h)^(ambient_dim+1) / prod_j (1 + d_j h): the bundle
-    (ambient_dim+1)*O(1) less the O(d_j), whose Chern roots d_j * h may be
-    any ints. For the degrees of an n-dimensional complete intersection in
-    P^ambient_dim, its tangent bundle. Dividing by (1 + d h) is the
-    recursion b_k = a_k - d * b_(k-1)."""
-    series = [comb(ambient_dim + 1, i) for i in range(n + 1)]
-    for d in degrees:
-        for k in range(1, n + 1):
-            series[k] -= d * series[k - 1]
+def binomial_row(top: int, n: int) -> list:
+    """C(top, 0..n): the multiples of (1+h)^top up to h^n."""
+    return [*map(comb, repeat(top, n + 1), range(n + 1))]
+
+
+def quotient_series(series: list, roots) -> list:
+    """``series`` divided by prod_r (1 + r h) over the ints ``roots``, in
+    place, to its own length: from the binomial row of P^m, the multiples of
+    the bundle (m+1)*O(1) less the O(r), whose Chern roots r * h may be any
+    ints. Dividing by (1 + r h) is the recursion b_k = a_k - r * b_(k-1)."""
+    top = len(series)
+    for r in roots:
+        for k in range(1, top):
+            series[k] -= r * series[k - 1]
     return series
 
 
@@ -63,10 +69,21 @@ def euler_characteristic(ci: CompleteIntersection) -> int:
     return ci.degree * tangent_chern(ci)[ci.dimension]
 
 
+def scaled_powers(base: int, scale: int, n: int) -> list:
+    """[scale, scale*base, ..., scale*base^n], each the one before it times
+    base."""
+    powers = [scale]
+    append = powers.append
+    for _ in range(n):
+        scale *= base
+        append(scale)
+    return powers
+
+
 def degree_sequence(a: int, d: int, n: int) -> tuple:
     """(d, a*d, ..., a^n*d): the pairings h^(n-i) * (a*h)^i on a degree-d
-    n-fold."""
-    return tuple([a**i * d for i in range(n + 1)])
+    n-fold, as running products."""
+    return tuple(scaled_powers(a, d, n))
 
 
 def conjugate(parts: tuple) -> tuple:

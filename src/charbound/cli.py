@@ -27,7 +27,8 @@ from .varieties import CompleteIntersection, MultiIndex, Partition, exact_decima
 
 # The names of charbound.bounds that `bound`, `verify` and `table` read.
 # `schubert` never reads them, so they are bound here on first use: the
-# bounds module and the json it imports cost about 4 ms of every start.
+# bounds module costs about 1.5 ms of every start, and it loads json only to
+# write a JSON document.
 _GRID_NAMES = (
     "CHECK_NAMES",
     "GridSpec",
@@ -72,7 +73,7 @@ MAX_BOUND_N = 256
 MAX_BOUND_D = 10**6
 # `table` takes degrees d <= MAX_TABLE_D. Its values have about n * log10(d)
 # digits, and a hypersurface is the costliest variety of its (n, d): every
-# quantity of P^257 (10^30) takes about 0.6 s in a fresh process, 2 MB of text
+# quantity of P^257 (10^30) takes about 0.4 s in a fresh process, 2 MB of text
 MAX_TABLE_D = 10**30
 # digits of a `schubert --power` index or exponent; longer ones are rejected
 # before they are parsed

@@ -5,14 +5,16 @@ import json
 import sys
 import tracemalloc
 import types
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from decimal import Decimal
 from functools import partial
-from itertools import count, islice
+from itertools import count, groupby, islice
+from unittest.mock import patch
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
+import charbound.bounds
 from charbound.bounds import (
     _CHECKS,
     _Variety,
@@ -286,6 +288,56 @@ def test_a_grid_read_case_by_case_writes_no_json():
     assert stream.getvalue() == ""
 
 
+# small grids: dimensions up to 6, so Pontryagin rows at n = 4 and the
+# degenerate lines (n, d) = (1, 1), cut anywhere
+small_specs = st.builds(
+    GridSpec,
+    max_ambient_dim=st.integers(min_value=2, max_value=7),
+    max_degree_per_factor=st.integers(min_value=1, max_value=4),
+    max_codim=st.integers(min_value=1, max_value=6),
+    checks=st.lists(st.sampled_from(CHECK_NAMES), min_size=1, unique=True).map(tuple),
+    max_cases=st.integers(min_value=0, max_value=600),
+)
+
+
+def negated_values():
+    """Patches under which every nef-chern number and Schur pairing flips
+    sign: nef-chern rows fall below their limit 0, and Schur rows with a
+    positive pairing fail with a "pairing=<int>" note."""
+    chern_numbers, schur = charbound.bounds._chern_numbers, charbound.bounds.giambelli
+    return {
+        "_chern_numbers": lambda t, d, multiples: [-x for x in chern_numbers(t, d, multiples)],
+        "giambelli": lambda plan, hooks: -schur(plan, hooks),
+    }
+
+
+# Without the explain phase, as below.
+@settings(max_examples=50, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(small_specs, st.booleans())
+@example(GridSpec(max_ambient_dim=7, max_degree_per_factor=4, max_codim=6, max_cases=600), True)
+def test_a_grid_read_case_by_case_gives_what_the_held_grid_gives(spec, negative):
+    # the sweep extends each key's values into flat lists and builds notes
+    # only for a key with exceptions; the held record keeps tuples and
+    # derives every row, notes included, from them
+    patched = patch.multiple(charbound.bounds, **negated_values()) if negative else nullcontext()
+    with patched:
+        kept = verify_grid(spec)
+        sweeps = {}
+        for fmt in ("csv", "markdown"):
+            stream = io.StringIO()
+            sweeps[fmt] = sweep_grid(spec, stream, fmt), stream.getvalue()
+    held = GridResult(spec, kept.truncated, kept.keys, kept.labels)
+    reports = held.reports
+    violations = tuple(r for r in reports if not r.satisfied and not r.degenerate)
+    flagged = tuple(r for r in reports if r.degenerate)
+    assert (held.violations, held.flagged) == (violations, flagged)
+    assert (kept.violations, kept.flagged) == (violations, flagged)
+    for fmt, (sweep, document) in sweeps.items():
+        assert document == held.render(fmt)
+        assert sweep.report_count == held.report_count == len(reports)
+        assert (tuple(sweep.violations), tuple(sweep.flagged)) == (violations, flagged)
+
+
 def test_grid_spec_json_roundtrip():
     spec = GridSpec(max_ambient_dim=5, checks=("betti", "euler"), max_cases=20)
     empty = GridResult(spec, False, (), ())
@@ -405,11 +457,23 @@ def test_the_deep_grid_reaches_pontryagin_and_degenerate_rows(deep_grid):
     assert {(r.n, r.d) for r in deep_grid.flagged} == {(1, 1)}
 
 
+def row_limits(layout) -> list:
+    """Each row's lower limit, or None, from a layout's (start, stop, least)
+    runs."""
+    subjects, _, limits, *_ = layout
+    least = [None] * len(subjects)
+    for start, stop, limit in limits:
+        least[start:stop] = [limit] * (stop - start)
+    return least
+
+
 def key_rows(key) -> tuple:
     """A grid key's rows as it holds them: (subject, index, lower limit,
     based, whether the value is a Schur pairing, value, bound, note)."""
-    _, _, (*layout, paired), *values = key
-    return tuple(zip(*layout, map(paired.__contains__, range(len(values[0]))), *values))
+    _, _, layout, *values = key
+    subjects, indices, _, based, paired = layout
+    pairings = map(paired.__contains__, range(len(subjects)))
+    return tuple(zip(subjects, indices, row_limits(layout), based, pairings, *values))
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
@@ -901,10 +965,20 @@ def grid_layouts(draw):
     layouts = []
     for size in draw(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=2)):
         column = partial(st.lists, min_size=size, max_size=size)
-        columns = draw(st.tuples(*map(column, (subjects, maybe_ints, limits, st.booleans()))))
+        rows, indices, least, based = draw(
+            st.tuples(*map(column, (subjects, maybe_ints, limits, st.booleans())))
+        )
+        # each run of rows with one lower limit, as (start, stop, least)
+        runs, start = [], 0
+        for limit, run in groupby(least):
+            stop = start + len(list(run))
+            if limit is not None:
+                runs.append((start, stop, limit))
+            start = stop
         # the rows holding Schur pairings: a run of them, maybe empty
         ends = st.lists(st.integers(min_value=0, max_value=size), min_size=2, max_size=2)
-        layouts.append((*map(tuple, columns), range(*sorted(draw(ends)))))
+        paired = range(*sorted(draw(ends)))
+        layouts.append((tuple(rows), tuple(indices), tuple(runs), tuple(based), paired))
     keys = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         layout = draw(st.sampled_from(layouts))
@@ -920,8 +994,9 @@ def layout_reports(keys, labels):
     derived field from its definition."""
     reports = []
     for i, multidegree in labels:
-        n, d, (*layout, paired), values, bounds, notes = keys[i]
-        rows = zip(count(), *layout, values, bounds, notes)
+        n, d, layout, values, bounds, notes = keys[i]
+        subjects, indices, _, based, paired = layout
+        rows = zip(count(), subjects, indices, row_limits(layout), based, values, bounds, notes)
         for j, subject, index, least, based, exact, bound, note in rows:
             if j in paired:
                 # a one-sided Schur row holds its pairing
@@ -1039,7 +1114,7 @@ def test_writers_on_an_empty_report_list():
 
 def test_long_integers_print_in_full_in_every_format():
     exact = 10**4999 + 7  # 5,000 digits, past str()'s default 4,300-digit limit
-    layout = (("betti",), ((exact,),), (None,), (False,), range(0))
+    layout = (("betti",), ((exact,),), (), (False,), range(0))
     key = 2, exact, layout, (exact,), (3,), ("",)
     result = GridResult(GridSpec(), False, (key,), ((0, (exact, 2)),))
     (report,) = result.reports
@@ -1068,7 +1143,7 @@ def test_long_integers_print_in_full_in_every_format():
 
 def test_a_grid_result_built_from_lists_is_the_one_built_from_tuples():
     big = 10**5000  # 5,001 digits, past str()'s default 4,300-digit limit
-    layout = (("betti",), (None,), (None,), (False,), range(0))
+    layout = (("betti",), (None,), (), (False,), range(0))
     empty = ((),) * 4 + (range(0),)
     for key in ((2, big, empty, (), (), ()), (2, big, layout, (big,), (3,), ("",))):
         listed = GridResult(GridSpec(), False, [key], [(0, (2,))])

@@ -12,11 +12,18 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from charbound.bounds import GridResult, GridSpec, verify_grid
+from charbound.bounds import GridResult, GridSpec, _Variety, verify_grid
 from charbound.chern import degree_sequence
-from charbound.cli import MAX_BOUND_D, MAX_TABLE_D, _build_parser, _grid_spec_from_args, main
+from charbound.cli import (
+    MAX_BOUND_D,
+    MAX_TABLE_D,
+    TABLE,
+    _build_parser,
+    _grid_spec_from_args,
+    main,
+)
 from charbound.schubert import grassmannian_degree
-from charbound.varieties import CompleteIntersection
+from charbound.varieties import CompleteIntersection, exact_repr
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -680,7 +687,7 @@ def test_table_refuses_a_huge_degree_before_computing():
 
 
 def test_table_at_both_caps_prints_the_pinned_bytes():
-    # a hypersurface of degree 10^30 in P^257, every quantity; about 0.6 s
+    # a hypersurface of degree 10^30 in P^257, every quantity; about 0.4 s
     argv = ["table", "-m", "257", "-D", str(MAX_TABLE_D)]
     proc = subprocess.run(
         [sys.executable, "-m", "charbound", *argv],
@@ -693,6 +700,19 @@ def test_table_at_both_caps_prints_the_pinned_bytes():
     assert hashlib.sha256(proc.stdout).hexdigest() == (
         "d73101d7053ea4e9bdf1c8cca820220010650f129d87fbaf4d72c71568d0ad5d"
     )
+
+
+def test_every_table_quantity_of_a_long_record_prints_in_full(capsys):
+    # a hypersurface of degree 10^30 in P^146: its degree sequence ends at
+    # 10^4380, past str()'s 4,300-digit limit, and repr() of a list would
+    # raise on it; exact_repr prints a tuple item by item
+    v = _Variety(145, (MAX_TABLE_D,))
+    assert type(v.sequence) is tuple
+    printed = {name: exact_repr(quantity(v)) for name, quantity in TABLE.items()}
+    assert printed["degree_sequence"].endswith(f", 1{'0' * 4380})")
+    code, out, _ = run(capsys, "table", "-m", "146", "-D", str(MAX_TABLE_D))
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{name}: {text}" for name, text in printed.items()]
 
 
 def test_table_takes_degrees_up_to_the_cap(capsys):
