@@ -10,15 +10,15 @@ than special-cased, and the flagged cases are settled by direct inspection.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from functools import cached_property, lru_cache, partial
+from collections import deque
+from functools import cached_property, lru_cache, partial, reduce
 from io import StringIO
 from itertools import chain, combinations_with_replacement, count, filterfalse, repeat
 from math import comb, prod
-from operator import and_, ge, itemgetter, mul, sub
+from operator import add, and_, ge, iconcat, itemgetter, mul, sub
 from typing import NamedTuple
 
-from .betti import betti_from_euler
+from .betti import middle_betti
 from .chern import (
     DegreeError,
     binomial_row,
@@ -30,6 +30,7 @@ from .chern import (
     quotient_series,
     scaled_powers,
 )
+from .report import _cases, _write, write_json  # write_json: the verify --sigma document
 from .varieties import (
     CompleteIntersection,
     MultiIndex,
@@ -84,235 +85,6 @@ class BoundReport(NamedTuple):
             f"exact={exact_repr(self.exact_value)} bound={exact_repr(self.bound_value)} "
             f"margin={exact_repr(self.margin)}"
         )
-
-
-CSV_COLUMNS = (
-    "subject",
-    "n",
-    "d",
-    "multidegree",
-    "index",
-    "exact",
-    "bound",
-    "satisfied",
-    "margin",
-)
-
-
-# -- report writers ----------------------------------------------------------
-# A report document is written from a case stream: one (key position,
-# multidegree, columns, last) per case, in case order (see _cases). A key
-# holds its rows as columns, (n, d, layout, exacts, bounds, satisfied,
-# margins, degenerate, notes), over a layout that starts with the rows'
-# subjects and indices; the stream gives them at the key's first case only,
-# and last says that no case of the key follows. The rows of a key render
-# through one %-template, built once per document for each layout object,
-# so the keys of one grid dimension share it: the template holds every
-# row's subject and index text, with each "%" doubled, a %s for each value,
-# and a mark where the multidegree goes. In CSV and markdown a row's n and
-# d are one %s, filled with the key's one pre-rendered cell ("n,d" or
-# "n | d"); JSON keeps a %s for each. So a key is one ``template % values``,
-# its values one flat tuple that each column fills by a slice assignment,
-# and each case writes that text with its own multidegree's text in place
-# of each mark. The mark is the first control character, or else the first
-# character from U+0080 on, that the template's own text does not hold. No
-# value holds one: values are numbers, true and false, and ASCII-escaped
-# JSON strings. So no subject or value is ever replaced, whatever it holds.
-# A key holding None or an int past str()'s digit limit fills the same
-# template with exact_decimal (from varieties, re-exported here) text and
-# the format's blank for None; %s would print None as "None". A key's text
-# is rendered at its first case and held only until its last, and its
-# columns not at all; only JSON reads the notes. The templates live for one
-# document and hold at most one entry per layout, and list fields are
-# rendered once per document. The bytes are those the stdlib would give:
-# json.dumps(payload, indent=2) + "\n" with its default ASCII escaping, and
-# csv.writer with lineterminator "\n".
-
-_TRUE_FALSE = ("false", "true").__getitem__
-
-
-def _opt(value, none: str) -> str:
-    return none if value is None else exact_decimal(value)
-
-
-def _decimals(sep: str, values) -> str:
-    """The ints ``values`` in full, joined by ``sep``."""
-    try:
-        return sep.join(map(str, values))
-    except ValueError:  # an int past str()'s digit limit
-        return sep.join(map(exact_decimal, values))
-
-
-def _json_ints(values) -> str:
-    """An int list or null, as the value of a report member."""
-    if not values:
-        return "null" if values is None else "[]"
-    return "[\n        " + _decimals(",\n        ", values) + "\n      ]"
-
-
-def _joined(values) -> str:
-    return "" if values is None else _decimals(",", values)
-
-
-def _csv_cell(text: str) -> str:
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _escaped(text: str) -> str:
-    """``text`` as literal %-template text."""
-    return text.replace("%", "%%")
-
-
-def _template(row, sep: str, subjects, indices) -> tuple:
-    """(template, mark) for one layout. ``row(subject, index)`` gives a
-    row's template text before and after its multidegree; the rows are
-    joined by ``sep``, with the mark between each row's two halves."""
-    heads, tails = zip(*map(row, subjects, indices))
-    text = "".join(heads + tails)
-    mark = next(c for c in map(chr, chain(range(32), count(0x80))) if c not in text)
-    return sep.join(map(mark.join, zip(heads, tails))), mark
-
-
-def _interleaved(lead: tuple, columns: tuple, rows: int) -> tuple:
-    """Row by row, the items of ``lead`` and then the row's value of each
-    column: one flat tuple of ``rows`` rows, filled a column at a time."""
-    step, width = len(lead) + len(columns), len(lead)
-    flat = [*lead, *columns] * rows
-    for j, column in enumerate(columns, width):
-        flat[j::step] = column
-    return tuple(flat)
-
-
-def _json_values(quoted, n, d, exacts, bounds, oks, margins, flags, notes) -> tuple:
-    """The values of a key's JSON rows, flattened row by row, each note a
-    ``quoted`` JSON string."""
-    columns = (
-        exacts, bounds, map(_TRUE_FALSE, oks), margins, map(_TRUE_FALSE, flags), map(quoted, notes)
-    )
-    return _interleaved((n, d), columns, len(oks))
-
-
-def _table_values(pair, n, d, exacts, bounds, oks, margins, _, __) -> tuple:
-    """The values of a key's CSV or markdown rows, flattened row by row:
-    n and d as one cell, ``pair % (n, d)``."""
-    columns = exacts, bounds, map(_TRUE_FALSE, oks), margins
-    return _interleaved((pair % (n, d),), columns, len(oks))
-
-
-def _fill(template, values, none, n, d, columns) -> str:
-    """``template`` filled with one key's n, d and row columns (exact
-    values, bounds, satisfied, margins, degenerate, notes), every number in
-    full.
-
-    The ints go into the template as they are. A None number, or an int
-    past str()'s digit limit (ValueError), fills it again with the numbers
-    as ``exact_decimal`` text, and ``none`` for None.
-    """
-    exacts, bounds, oks, margins, flags, notes = columns
-    if not (n is None or d is None or None in exacts or None in margins):
-        try:
-            return template % values(n, d, *columns)
-        except ValueError:  # an int past str()'s digit limit
-            pass
-    text = partial(_opt, none=none)
-    exacts, margins, bounds = map(text, exacts), map(text, margins), map(exact_decimal, bounds)
-    return template % values(text(n), text(d), exacts, bounds, oks, margins, flags, notes)
-
-
-def _cases(labels, columns):
-    """The case stream of labels (key position i, multidegree), in their
-    order: (i, multidegree, columns(i) at the first case of key i and None
-    at its others, whether no case of key i follows)."""
-    left = Counter(map(itemgetter(0), labels))
-    started = set()
-    for i, multidegree in labels:
-        left[i] -= 1
-        if i in started:
-            yield i, multidegree, None, not left[i]
-        else:
-            started.add(i)
-            yield i, multidegree, columns(i), not left[i]
-
-
-def _write(stream, fmt: str, cases, head: str = "") -> None:
-    """Stream a case stream (see above) as a ``fmt`` document (json, csv or
-    markdown); ``head`` holds the rendered JSON members before "reports"."""
-    if fmt == "json":
-        # json loads only where a JSON document is written
-        from json.encoder import encode_basestring_ascii as quoted
-
-        label = lru_cache(maxsize=None)(_json_ints)
-
-        def row(subject, index):
-            return (
-                f'    {{\n      "subject": {_escaped(quoted(subject))},\n'
-                '      "n": %s,\n      "d": %s,\n      "multidegree": ',
-                f',\n      "index": {label(index)},\n      "exact": %s,\n      "bound": %s,\n'
-                '      "satisfied": %s,\n      "margin": %s,\n'
-                '      "degenerate": %s,\n      "note": %s\n    }',
-            )
-
-        start, first, sep, none = "{\n" + head + '  "reports": [', "\n", ",\n", "null"
-        values, ends = partial(_json_values, quoted), ("]\n}\n", "\n  ]\n}\n")
-    elif fmt == "csv":
-        label = lru_cache(maxsize=None)(lambda t: _csv_cell(_joined(t)))
-
-        def row(subject, index):
-            return f"{_escaped(_csv_cell(subject))},%s,", f",{label(index)},%s,%s,%s,%s\n"
-
-        start, first, sep, none, ends = ",".join(CSV_COLUMNS) + "\n", "", "", "", ("", "")
-        values = partial(_table_values, "%s,%s")
-    elif fmt == "markdown":
-        label = lru_cache(maxsize=None)(_joined)
-
-        def row(subject, index):
-            tail = f" | {label(index)} | %s | %s | %s | %s |\n"
-            return f"| {_escaped(subject)} | %s | ", tail
-
-        start = f"| {' | '.join(CSV_COLUMNS)} |\n|{'---|' * len(CSV_COLUMNS)}\n"
-        values, first, sep, none = partial(_table_values, "%s | %s"), "", "", ""
-        ends = "", ""
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    # id(layout) -> (layout, template, mark); holding the layout keeps its id
-    # from going to another object while the document is written
-    templates = {}
-
-    def text(n, d, layout, *columns) -> tuple:
-        """(One key's rows as text, the mark where the multidegree goes)."""
-        if not columns[0]:
-            return "", ""
-        found = templates.get(id(layout))
-        if found is None:
-            found = layout, *_template(row, sep, *layout[:2])
-            templates[id(layout)] = found
-        _, template, mark = found
-        return _fill(template, values, none, n, d, columns), mark
-
-    write = stream.write
-    write(start)
-    # the text of each key with cases still to write
-    held, lead = {}, first
-    for i, multidegree, columns, last in cases:
-        if columns is not None:
-            held[i] = text(*columns)
-        rows, mark = held.pop(i) if last else held[i]
-        if rows:
-            write(lead + rows.replace(mark, label(multidegree)))
-            lead = sep
-    # lead is no longer first once a row is written
-    write(ends[lead != first])
-
-
-def write_json(stream, reports) -> None:
-    """``{"reports": [...]}`` for a report list, each report a one-row key."""
-    cases = (
-        (i, r[3], (r[1], r[2], ((r[0],), (r[4],)), *zip(r[5:])), True)
-        for i, r in enumerate(reports)
-    )
-    _write(stream, "json", cases)
 
 
 # -- closed-form bounds ----------------------------------------------------
@@ -383,12 +155,13 @@ def signature_check(ci: CompleteIntersection, sigma: int) -> BoundReport:
     n = ci.dimension
     if n != 4:
         raise ValueError(f"signature check needs a 4-dimensional variety, got dimension {n}")
-    v = _Variety(n, ci.multidegree)
-    c2_squared, exact = v.d * v.tangent[2] ** 2, 3 * sigma
+    c = _Chunk(n, [ci.multidegree])
+    d = c.ds[0]
+    c2_squared, exact = d * c.tangent[0][2] ** 2, 3 * sigma
     return BoundReport(
         subject="signature",
         n=n,
-        d=v.d,
+        d=d,
         multidegree=ci.multidegree,
         index=None,
         exact_value=exact,
@@ -415,19 +188,28 @@ def blowup_euler(
 
 
 # -- checks ----------------------------------------------------------------
-# Each check gives the columns (indices, values, bounds, notes) of its rows
-# for one variety, all from plain ints: the variety's _Variety record and
-# the _Tables of its dimension, from which its indices come. A row's value
+# The grid computes its keys a chunk at a time (see GridSweep), and each
+# check gives the columns (indices, values, bounds, notes) of its rows for
+# every key of a _Chunk, all from plain ints. ``indices`` is one tuple for
+# every key of the dimension, from its _Tables. ``values`` and ``bounds``
+# hold one sequence per key: the key's row values and bounds. A row's value
 # is its exact value, except that a Schur row holds its pairing (see
-# _columns). The table below says which lower limit and which bound base
-# apply to them, and which check's values are pairings.
+# _columns). ``notes`` is None where every note is "", else a function of a
+# key's place in the chunk that gives its rows' notes, so a note is built
+# only for a key whose notes are read. A check works on all of the chunk's
+# keys at once: a number per key is a column built by C-level map passes,
+# a series or running product a list per key built by a loop inside one
+# call, and the partition-indexed rows (Chern numbers, Schur pairings) a
+# loop over each key's rows, so a chunk of one key does the big-int work of
+# one key. The table below says which lower limit and which bound base
+# apply to the rows, and which check's values are pairings.
 
 
 class _Tables:
     """What every variety of dimension n shares; build it through _tables(n),
     which extends the tables one dimension down."""
 
-    __slots__ = ("indices", "weights", "steps", "plans", "singles")
+    __slots__ = ("indices", "weights", "by_weight", "steps", "plans", "singles")
 
     def __init__(self, n: int):
         if n == 0:
@@ -440,6 +222,8 @@ class _Tables:
         # () and the partitions of 1..n by weight: the multi-indices
         self.indices = below.indices + new
         self.weights = below.weights + (n,) * len(new)
+        # a tuple of each index's item of a sequence by weight
+        self.by_weight = itemgetter(*self.weights)
         # (position of I minus its last part, that part) for each I != ()
         self.steps = below.steps + tuple((where[parts[:-1]], parts[-1]) for parts in new)
         # chern.giambelli_plan of each shape, the indices after ()
@@ -451,29 +235,70 @@ class _Tables:
 _tables = lru_cache(maxsize=None)(_Tables)
 
 
-class _Variety:
-    """The Chern and Betti ints of the n-dimensional complete intersection
-    of the given degrees in P^(n + len(degrees)): every value a grid check,
-    `table` or the signature check reads. A grid key builds one for its
-    degrees above 1, whichever checks are selected; the partitions of its
-    dimension are in _tables(n), which no record builds."""
+class _built:
+    """A method read as an attribute: its value is built on the first read
+    and stored on the instance. functools.cached_property does the same
+    behind a lock, which costs several times more per chunk."""
 
-    __slots__ = ("n", "d", "tangent", "twisted", "sequence", "powers", "betti")
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
 
-    def __init__(self, n: int, degrees: tuple):
-        d = prod(degrees)
-        self.n, self.d = n, d
-        # C(m+1, i), the multiples of (1+h)^(m+1) on P^m, m = n + len(degrees)
-        row = binomial_row(n + len(degrees) + 1, n)
-        a = self.tangent = quotient_series(row[:], degrees)
+    def __get__(self, chunk, owner=None):
+        value = chunk.__dict__[self.name] = self.method(chunk)
+        return value
+
+
+class _Chunk:
+    """The Chern and Betti ints of some complete intersections of one
+    dimension n, those of the given multidegrees, all of one length k, in
+    P^(n + k): every value a grid check, `table` or the signature check
+    reads. A series or running product is one list per variety, a number
+    one column: a list with one int per variety, in the chunk's order. The
+    degrees and the tangent series are built at once and the rest on first
+    read, so `table` and the signature check build only what they print."""
+
+    def __init__(self, n: int, multidegrees: list):
+        self.n, self.multidegrees, self.size = n, multidegrees, len(multidegrees)
+        self.ds = [*map(prod, multidegrees)]
+        # C(m+1, i), the multiples of (1+h)^(m+1) on P^m, m = n + k
+        self._row = binomial_row(n + len(multidegrees[0]) + 1, n)
+        self.tangent = quotient_series(self._row, multidegrees)
+
+    @_built
+    def twisted(self) -> list:
         # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
         # O(2) - sum_j O(2 - d_j): the same series over the roots 2, 2 - d_j
-        self.twisted = quotient_series(row, (2, *(2 - e for e in degrees)))
+        roots = map(map, repeat(sub), repeat(repeat(2)), self.multidegrees)
+        return quotient_series(self._row, map(chain, repeat((2,)), roots))
+
+    @_built
+    def sequence(self) -> list:
         # the ample degree sequence, for A = K + (n+2)h with K = -c_1
-        self.sequence = degree_sequence(n + 2 - a[1], d, n)
-        # d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight
-        self.powers = scaled_powers(d + n - 2, d, n)
-        self.betti = betti_from_euler(n, d * a[n])
+        amples = map(sub, repeat(self.n + 2), map(itemgetter(1), self.tangent))
+        return degree_sequence(amples, self.ds, self.n)
+
+    @_built
+    def degree_powers(self) -> list:
+        """d^(i+1) for i = 0..n, the degree-sequence bounds."""
+        return scaled_powers(self.ds, self.ds, self.n)
+
+    @_built
+    def powers(self) -> list:
+        """d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight."""
+        return scaled_powers(map(add, self.ds, repeat(self.n - 2)), self.ds, self.n)
+
+    @_built
+    def chi(self) -> list:
+        return [*map(mul, self.ds, map(itemgetter(self.n), self.tangent))]
+
+    @_built
+    def betti_sums(self) -> tuple:
+        """The columns (sum_i b_i, sum_i (-1)^i b_i): off the middle the
+        numbers add up to n + n % 2 either way, and the middle one counts
+        with sign (-1)^n in the alternating sum."""
+        off, middles = self.n + self.n % 2, middle_betti(self.n, self.chi)
+        total = [*map(add, repeat(off), middles)]
+        return total, total if self.n % 2 == 0 else [*map(sub, repeat(off), middles)]
 
 
 def _chern_numbers(t: _Tables, d: int, multiples) -> list:
@@ -486,56 +311,79 @@ def _chern_numbers(t: _Tables, d: int, multiples) -> list:
     return values
 
 
-def _degree_sequence_rows(v, t):
-    bounds = scaled_powers(v.d, v.d, v.n)
-    return t.singles, v.sequence, bounds, ("",) * len(bounds)
+def _products(left, right) -> list:
+    """Row by row, the products of two sequences, one tuple per key."""
+    return [*map(tuple, map(map, repeat(mul), left, right))]
 
 
-def _log_concavity_rows(v, t):
-    seq = v.sequence
-    products = list(map(mul, seq[2:], seq))
-    return t.singles[2:], products, [x * x for x in seq[1:-1]], ("",) * len(products)
+def _degree_sequence_rows(c):
+    return _tables(c.n).singles, c.sequence, c.degree_powers, None
 
 
-def _nef_chern_rows(v, t):
-    bounds = list(map(v.powers.__getitem__, t.weights))
-    return t.indices, _chern_numbers(t, v.d, v.twisted), bounds, ("",) * len(bounds)
+def _log_concavity_rows(c):
+    seq = c.sequence
+    middle = [*map(itemgetter(slice(1, -1)), seq)]
+    products = _products(map(itemgetter(slice(2, None)), seq), seq)
+    return _tables(c.n).singles[2:], products, _products(middle, middle), None
 
 
-def _cotangent_chern_rows(v, t):
-    cotangent = v.tangent[:]
-    cotangent[1::2] = [-a for a in cotangent[1::2]]
-    scale = 2 ** (v.n * v.n)
-    powers = [scale * power for power in v.powers]
-    bounds = list(map(powers.__getitem__, t.weights))
-    return t.indices, _chern_numbers(t, v.d, cotangent), bounds, ("",) * len(bounds)
+def _nef_chern_rows(c):
+    t = _tables(c.n)
+    values = [*map(_chern_numbers, repeat(t), c.ds, c.twisted)]
+    return t.indices, values, [*map(t.by_weight, c.powers)], None
 
 
-def _total_betti_rows(bound, v, _):
-    return (None,), (sum(v.betti),), (bound(v.n, v.d),), ("",)
+def _cotangent_chern_rows(c):
+    t, scale = _tables(c.n), 2 ** (c.n * c.n)
+    # c_i of the cotangent bundle is (-1)^i times c_i of the tangent bundle
+    signs = (1, -1) * (c.n // 2 + 1)
+    values = [*map(_chern_numbers, repeat(t), c.ds, _products(c.tangent, repeat(signs)))]
+    bounds = map(t.by_weight, _products(c.powers, repeat(repeat(scale))))
+    return t.indices, values, [*bounds], None
 
 
-def _euler_rows(v, _):
-    chi = v.d * v.tangent[v.n]
-    alternating = sum(v.betti[::2]) - sum(v.betti[1::2])
-    return (None,), (chi - alternating,), (0,), (f"chi={chi} alternating_betti={alternating}",)
+def _betti_rows(c):
+    # betti_bound(n, d) = 2^(n^2+2) * d^(n+1)
+    bounds = map(mul, map(itemgetter(c.n), c.degree_powers), repeat(2 ** (c.n * c.n + 2)))
+    return (None,), [*zip(c.betti_sums[0])], [*zip(bounds)], None
 
 
-def _schur_positivity_rows(v, t):
+def _recursive_betti_rows(c):
+    bounds = map(betti_bound_recursive, repeat(c.n), c.ds)
+    return (None,), [*zip(c.betti_sums[0])], [*zip(bounds)], None
+
+
+def _euler_rows(c):
+    chi, alternating = c.chi, c.betti_sums[1]
+
+    def notes(j):
+        return (f"chi={chi[j]} alternating_betti={alternating[j]}",)
+
+    return (None,), [*zip(map(sub, chi, alternating))], [(0,)] * c.size, notes
+
+
+def _schur_positivity_rows(c):
     # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the rows hold
     # the pairings, and their readers derive the one-sided check from them
-    hooks, d = hook_classes(v.twisted, dual_sequence(v.twisted)), v.d
-    pairings = [giambelli(plan, hooks) * d for plan in t.plans]
-    return t.indices[1:], pairings, [0] * len(pairings), ("",) * len(pairings)
+    t, twisted = _tables(c.n), c.twisted
+    hooks = map(hook_classes, twisted, map(dual_sequence, twisted))
+    pairings = [[giambelli(plan, found) * d for plan in t.plans] for d, found in zip(c.ds, hooks)]
+    return t.indices[1:], pairings, [(0,) * len(t.plans)] * c.size, None
 
 
-def _pontryagin_rows(v, _):
-    n, d, twisted = v.n, v.d, v.twisted
+def _pontryagin_rows(c):
+    n = c.n
     if n % 4 != 0:
-        return (), (), (), ()
+        return (), [()] * c.size, [()] * c.size, None
     indices = tuple(partitions_of(n // 4))
-    values = [d * prod(twisted[2 * j] ** 2 for j in parts) for parts in indices]
-    return indices, values, [pontryagin_bound(n, d)] * len(values), ("",) * len(values)
+    # the Pontryagin index j reads the squared class c_2j of the nef twist;
+    # pontryagin_bound(n, d) = 2^(n^2+3n) * d * (d+n-2)^n
+    values = [
+        [d * prod(twisted[2 * j] ** 2 for j in parts) for parts in indices]
+        for d, twisted in zip(c.ds, c.twisted)
+    ]
+    bounds = [[2 ** (n * n + 3 * n) * powers[n]] * len(indices) for powers in c.powers]
+    return indices, values, bounds, None
 
 
 # name -> (rows, least legal exact value or None, bound has the base (d+n-2),
@@ -545,8 +393,8 @@ _RULES = {
     "log-concavity": (_log_concavity_rows, None, False, False),
     "nef-chern": (_nef_chern_rows, 0, True, False),
     "cotangent-chern": (_cotangent_chern_rows, None, True, False),
-    "betti": (partial(_total_betti_rows, betti_bound), None, False, False),
-    "betti-recursive": (partial(_total_betti_rows, betti_bound_recursive), None, False, False),
+    "betti": (_betti_rows, None, False, False),
+    "betti-recursive": (_recursive_betti_rows, None, False, False),
     "euler": (_euler_rows, None, False, False),
     "schur-positivity": (_schur_positivity_rows, None, False, True),
     "pontryagin": (_pontryagin_rows, None, True, False),
@@ -554,13 +402,13 @@ _RULES = {
 
 CHECK_NAMES = tuple(_RULES)
 
-# name -> callable(variety, tables) -> its rows' columns; verify_grid dispatches here
+# name -> callable(chunk) -> its rows' columns; GridSweep dispatches here
 _CHECKS = {name: rule[0] for name, rule in _RULES.items()}
 
 
 def _layout(names, columns) -> tuple:
     """(subjects, indices, limits, based, paired): the rows that the checks
-    ``names`` gave as ``columns`` for a variety, and so for every variety of
+    ``names`` gave as ``columns`` for a chunk, and so for every variety of
     its dimension. A check's rows are contiguous. ``limits`` holds (start,
     stop, least) for the rows of each check with a lower limit. A row is
     based when its bound has the base (d+n-2) as a factor: the rows of a
@@ -568,14 +416,14 @@ def _layout(names, columns) -> tuple:
     of the rows whose values are Schur pairings, those of schur-positivity."""
     subjects, indices, limits, based = [], [], [], []
     paired = range(0)
-    for name, (index_column, values, _, _) in zip(names, columns):
+    for name, (index_column, *_) in zip(names, columns):
         _, least, has_base, pairings = _RULES[name]
-        start, stop = len(subjects), len(subjects) + len(values)
+        start, stop = len(subjects), len(subjects) + len(index_column)
         if pairings:
             paired = range(start, stop)
-        if least is not None and values:
+        if least is not None and index_column:
             limits.append((start, stop, least))
-        subjects += repeat(name, len(values))
+        subjects += repeat(name, len(index_column))
         indices += index_column
         based += [has_base and bool(index) for index in index_column]
     return tuple(subjects), tuple(indices), tuple(limits), tuple(based), paired
@@ -682,68 +530,121 @@ def _grid(spec: GridSpec):
     return pairs, False
 
 
-def _columns(key, noted: bool = True, owned: bool = False) -> tuple:
-    """The columns the writers read of a grid key (n, d, layout, values,
-    bounds, notes): (n, d, layout, exacts, bounds, satisfied, margins,
-    degenerate, notes). A row is satisfied when |exact| <= bound and exact
-    is at least the row's lower limit, and its margin is bound - |exact|.
-    A Schur row holds its pairing; the check is one-sided with bound 0, so
-    its exact value is the shortfall min(pairing, 0) and its note
-    "pairing=<pairing>". Where the base (d+n-2) vanishes, the based rows are
-    degenerate and their note is DEGENERATE_NOTE. The notes are built only
-    if ``noted``; else the notes column is None. An ``owned`` key's values
-    are a list of the caller's own, which takes the shortfall in place."""
-    n, d, layout, exacts, bounds, notes = key
-    _, _, limits, degenerate, paired = layout
+# keys computed together: a chunk is at most this many keys of one block
+CHUNK_KEYS = 24
+
+
+def _columns(batch, noted: bool = True, owned: bool = False) -> tuple:
+    """The columns the writers read of a batch (n, ds, layout, values,
+    bounds, notes) of keys of one layout, the last three one sequence per
+    key: (n, ds, layout, exacts, bounds, satisfied, margins, degenerate,
+    notes), again one sequence per key. A row is satisfied when |exact| <=
+    bound and exact is at least the row's lower limit, and its margin is
+    bound - |exact|. A Schur row holds its pairing; the check is one-sided
+    with bound 0, so its exact value is the shortfall min(pairing, 0) and
+    its note "pairing=<pairing>". Where the base (d+n-2) vanishes, the based
+    rows are degenerate and their note is DEGENERATE_NOTE. The notes are
+    built only if ``noted``; else the notes column is None. The values of
+    an ``owned`` batch are lists of the caller's own, which take the
+    shortfalls in place. Each step is a C-level pass over the keys, or over
+    a key's rows; where every row passes, the keys share one satisfied
+    tuple."""
+    n, ds, layout, exacts, bounds, notes = batch
+    _, _, limits, based, paired = layout
     if paired:
         cut = slice(paired.start, paired.stop)
-        pairings = exacts[cut]
+        pairings = [*map(itemgetter(cut), exacts)]
         if not owned:
-            exacts = list(exacts)
-        exacts[cut] = [pairing if pairing < 0 else 0 for pairing in pairings]
-    margins = list(map(sub, bounds, map(abs, exacts)))
-    satisfied = [margin >= 0 for margin in margins]
+            exacts = [*map(list, exacts)]
+        # nearly every pairing is >= 0, so its shortfall is 0
+        zeros = (0,) * len(paired)
+        for values in exacts:
+            values[cut] = zeros
+        if min(map(min, pairings)) < 0:
+            for values, found in zip(exacts, pairings):
+                values[cut] = [pairing if pairing < 0 else 0 for pairing in found]
+    margins = [*map(list, map(map, repeat(sub), bounds, map(map, repeat(abs), exacts)))]
+    satisfied = [(True,) * len(based)] * len(margins)
+    if based and min(map(min, margins)) < 0:
+        satisfied = [[margin >= 0 for margin in row] for row in margins]
     # a lower limit fails only where a value of its run lies below it
     for start, stop, least in limits:
-        values = exacts[start:stop]
-        if min(values) < least:
-            kept = map(ge, values, repeat(least))
-            satisfied[start:stop] = map(and_, satisfied[start:stop], kept)
-    if d + n != 2:
-        degenerate = (False,) * len(exacts)
+        run = itemgetter(slice(start, stop))
+        if min(map(min, map(run, exacts))) < least:
+            for j, values in enumerate(exacts):
+                ok = satisfied[j] = [*satisfied[j]]
+                ok[start:stop] = map(and_, run(ok), map(ge, run(values), repeat(least)))
+    # only a key with d + n = 2 has degenerate rows
+    plain = (False,) * len(based)
+    degenerate = [based if d + n == 2 else plain for d in ds]
     if not noted:
         notes = None
     else:
         if paired:
-            notes = list(notes)
-            try:
-                notes[cut] = map("pairing=%d".__mod__, pairings)
-            except ValueError:  # an int past str()'s digit limit
-                notes[cut] = ["pairing=" + exact_decimal(pairing) for pairing in pairings]
-        if d + n == 2:
-            notes = [DEGENERATE_NOTE if flag else note for flag, note in zip(degenerate, notes)]
-    return n, d, layout, exacts, bounds, satisfied, margins, degenerate, notes
+            notes = [*map(list, notes)]
+            for note, found in zip(notes, pairings):
+                try:
+                    note[cut] = map("pairing=%d".__mod__, found)
+                except ValueError:  # an int past str()'s digit limit
+                    note[cut] = ["pairing=" + exact_decimal(pairing) for pairing in found]
+        notes = [
+            [DEGENERATE_NOTE if flag else text for flag, text in zip(flags, note)]
+            if flags is based
+            else note
+            for flags, note in zip(degenerate, notes)
+        ]
+    return n, ds, layout, exacts, bounds, satisfied, margins, degenerate, notes
 
 
-def _key(n: int, d: int, layout: tuple, rows) -> tuple:
-    """The grid key (n, d, layout, values, bounds, notes) of the checks'
-    ``rows``, its columns as tuples, in check order."""
-    _, *columns = zip(*rows)
-    return (n, d, layout, *map(tuple, map(chain.from_iterable, columns)))
+def _batch(keys) -> tuple:
+    """The batch (n, ds, layout, values, bounds, notes) of grid keys (n, d,
+    layout, values, bounds, notes) of one layout."""
+    ns, ds, layouts, *columns = zip(*keys)
+    return (ns[0], ds, layouts[0], *columns)
+
+
+def _runs(labels, blocks) -> dict:
+    """Key position -> the slice of keys computed or rendered with it: runs
+    of at most CHUNK_KEYS keys of one block, ``blocks`` giving each key's,
+    whose first cases come one after another in ``labels``."""
+    runs, seen, start, stop = {}, bytearray(len(blocks)), 0, -1
+    for i, _ in labels:
+        if seen[i]:
+            stop = -1  # a later case of a key ends the run
+        else:
+            seen[i] = True
+            if i == stop and blocks[i] == blocks[start] and stop - start < CHUNK_KEYS:
+                stop += 1
+            else:
+                start, stop = i, i + 1
+            runs[start] = slice(start, stop)
+    return runs
+
+
+def _joined_rows(rows, column: int, size: int) -> list:
+    """Each of ``size`` keys' items of one column of the checks' ``rows``
+    (values or bounds), joined over the checks into a new list: every
+    check's sequence extends it in C."""
+    keys = zip(*map(itemgetter(column), rows))
+    return [*map(reduce, repeat(iconcat), keys, map(list, repeat((), size)))]
+
+
+def _exceptions(columns) -> list:
+    """The places in a batch of the keys with unsatisfied or degenerate
+    rows, given the batch's columns."""
+    oks, degenerate = columns[5], columns[7]
+    return [j for j, ok, flags in zip(count(), oks, degenerate) if not all(ok) or any(flags)]
 
 
 def _rows(key):
     """A grid key's rows (subject, index, exact, bound, satisfied, margin,
     degenerate, note): a report without n, d and multidegree."""
-    _, _, (subjects, indices, *_), *columns = _columns(key)
-    return zip(subjects, indices, *columns)
+    _, _, (subjects, indices, *_), *columns = _columns(_batch((key,)))
+    return zip(subjects, indices, *map(itemgetter(0), columns))
 
 
-def _exception_rows(key, columns) -> list:
-    """The rows (see _rows) of a key that are unsatisfied or degenerate,
-    given the key's columns; only a key with some builds its notes."""
-    if False not in columns[5] and True not in columns[7]:
-        return []
+def _exception_rows(key) -> list:
+    """The rows (see _rows) of a key that are unsatisfied or degenerate."""
     return [row for row in _rows(key) if row[6] or not row[4]]
 
 
@@ -754,24 +655,29 @@ _DEGENERATE = itemgetter(6)
 class GridSweep:
     """The checks of a grid run one case at a time, in case order.
 
-    Iterated once, it gives the grid's case stream (see _cases): at the
-    first case of each key it runs the checks, extends the key's values
-    and bounds check by check into two flat lists, and derives its columns
-    from them in place, without notes. From that one derivation it tallies
-    what a run prints: ``report_count`` and the ``violations`` and
-    ``flagged`` reports, in case order. ``truncated``, ``labels`` (key
-    position, multidegree) and ``case_count`` are known from the start.
-    Between the first and last case of a key it holds only the key's row
-    count and its unsatisfied or degenerate rows. ``keys``, if given, is a
-    list that each key (n, d, layout, values, bounds, notes) is appended to
-    as it is computed; only those keys, and a key with unsatisfied or
-    degenerate rows, are built as tuples with their notes.
+    Iterated once, it gives the grid's case stream (see _cases). The keys
+    are computed a chunk at a time (see _Chunk): a block is the keys whose
+    first case has the same ambient dimension m and codimension k, every
+    k-multiset of degrees >= 2 (and P^(m-1) for k = 1), so one dimension
+    n = m - k and one layout. Their first cases come one after another, and
+    at the first of them the sweep runs the checks over a chunk of at most
+    CHUNK_KEYS of them, joins each key's values and bounds over the checks,
+    and derives the chunk's columns from them, without notes. From that one
+    derivation it tallies what a run prints: ``report_count`` and the
+    ``violations`` and ``flagged`` reports, in case order. ``truncated``,
+    ``labels`` (key position, multidegree) and ``case_count`` are known from
+    the start. Between the first and last case of a key it holds only the
+    key's row count and its unsatisfied or degenerate rows. ``keys``, if
+    given, is a list that each key (n, d, layout, values, bounds, notes) is
+    appended to as it is computed; only those keys, and a key with
+    unsatisfied or degenerate rows, are built as tuples with their notes.
 
     A degree-1 factor is a linear re-embedding: X cut by a hyperplane of P^m
     is the same variety in P^(m-1), with the same n and d. So the checks run
     once per key (dimension, degrees above 1), a plain tuple: (n, ()) is
-    P^n, which CompleteIntersection cannot hold. The first key of each
-    dimension gives the layout that every key of that dimension shares.
+    P^n, which CompleteIntersection cannot hold; its first case is P^(n+1)
+    cut by (1). The first chunk of each dimension gives the layout that
+    every key of that dimension shares.
     """
 
     def __init__(self, spec: GridSpec, keys: list | None = None):
@@ -793,37 +699,50 @@ class GridSweep:
     def __iter__(self):
         names, keys, varieties = self.spec.checks, self._keys, self._varieties
         checks = [_CHECKS[name] for name in names]
-        # key position -> (n, d, row count, exception rows), first case to last
-        layouts, held = {}, {}
+        # a key's block: its n and the codimension of its first case
+        chunks = _runs(self.labels, [(n, len(degrees) or 1) for n, degrees in varieties])
+        # by key position: (n, d, row count, exception rows), first case to last
+        layouts, held = {}, [None] * len(varieties)
 
         def compute(i):
-            n, degrees = varieties[i]
-            v, t = _Variety(n, degrees), _tables(n)
-            rows = [check(v, t) for check in checks]
-            d, layout = v.d, layouts.get(n)
+            positions = chunks.get(i)
+            if positions is None:
+                return None  # an earlier key's chunk holds it
+            # each key's multidegree at its first case
+            n = varieties[i][0]
+            c = _Chunk(n, [degrees or (1,) for _, degrees in varieties[positions]])
+            rows = [check(c) for check in checks]
+            ds, layout = c.ds, layouts.get(n)
             if layout is None:
                 layout = layouts[n] = _layout(names, rows)
-            # the values and bounds of every check, in check order
-            exacts, bounds = [], []
-            for _, values, caps, _ in rows:
-                exacts += values
-                bounds += caps
-            key = None
+            # each key's values and bounds over every check, in check order
+            exacts, bounds = _joined_rows(rows, 1, c.size), _joined_rows(rows, 2, c.size)
+
+            def notes(j) -> tuple:
+                """The chunk's j-th key's notes."""
+                found = (("",) * len(r[0]) if r[3] is None else r[3](j) for r in rows)
+                return tuple(chain.from_iterable(found))
+
             if keys is not None:
-                key = _key(n, d, layout, rows)
-                keys.append(key)
-            columns = _columns((n, d, layout, exacts, bounds, None), False, True)
-            exceptions = []
-            if False in columns[5] or True in columns[7]:
+                # the keys hold the Schur pairings, which _columns replaces
+                columns = map(tuple, exacts), map(tuple, bounds), map(notes, range(c.size))
+                keys.extend(zip(repeat(n), ds, repeat(layout), *columns))
+            columns = _columns((n, ds, layout, exacts, bounds, None), False, True)
+            size = len(layout[0])
+            held[positions] = zip(repeat(n), ds, repeat(size), repeat(()))
+            for j in _exceptions(columns):
                 # only a key with exception rows builds its notes
-                exceptions = _exception_rows(key or _key(n, d, layout, rows), columns)
-            held[i] = n, d, len(exacts), exceptions
+                values = tuple(chain.from_iterable(r[1][j] for r in rows))
+                key = n, ds[j], layout, values, tuple(bounds[j]), notes(j)
+                held[i + j] = n, ds[j], size, _exception_rows(key)
             return columns
 
         new = partial(tuple.__new__, BoundReport)
         for case in _cases(self.labels, compute):
             i, multidegree, _, last = case
-            n, d, count, rows = held.pop(i) if last else held[i]
+            n, d, count, rows = held[i]
+            if last:
+                held[i] = None
             self.report_count += count
             for row in rows:
                 report = new(row[:1] + (n, d, multidegree) + row[1:])
@@ -889,12 +808,11 @@ class GridResult(Record):
     def _exceptions(self) -> dict:
         """Key position -> the rows of that key that are unsatisfied or
         degenerate, for the few keys with any."""
-        found = {}
-        for i, key in enumerate(self.keys):
-            rows = _exception_rows(key, _columns(key, noted=False))
-            if rows:
-                found[i] = rows
-        return found
+        return {
+            i: _exception_rows(key)
+            for i, key in enumerate(self.keys)
+            if _exceptions(_columns(_batch((key,)), noted=False))
+        }
 
     @cached_property
     def violations(self) -> tuple:
@@ -932,7 +850,13 @@ class GridResult(Record):
                 f'  "violations": {exact_decimal(len(self.violations))},\n'
             )
         keys, noted = self.keys, fmt == "json"
-        _write(stream, fmt, _cases(self.labels, lambda i: _columns(keys[i], noted)), head)
+        runs = _runs(self.labels, [(key[0], id(key[2])) for key in keys])
+
+        def columns(i):
+            run = runs.get(i)
+            return None if run is None else _columns(_batch(keys[run]), noted)
+
+        _write(stream, fmt, _cases(self.labels, columns), head)
 
     def render(self, fmt: str) -> str:
         """The document ``write`` streams, as one string."""

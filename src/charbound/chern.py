@@ -15,10 +15,12 @@ a_0..a_n, and every computation is plain integer arithmetic on it:
   its Durfee size. The hook classes s_(p|q) come from the multiples a and
   their dual sequence b, B(t) = 1 / A(-t), by a two-term recursion.
 
-These helpers are the one value path: ``bounds._Variety`` builds every
-value that the grid checks, ``table`` and ``verify --sigma`` read from
-them. ``tangent_chern`` and ``euler_characteristic`` are the same series
-for one variety, cached for library callers.
+These helpers are the one value path: ``bounds._Chunk`` builds from them
+every value that the grid checks, ``table`` and ``verify --sigma`` read, for
+a chunk of varieties at a time. The series and running products below take
+one argument per variety and give one list per variety, looping over the
+varieties inside one call. ``tangent_chern`` and ``euler_characteristic``
+are the same series for one variety, cached for library callers.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def tangent_chern(ci: CompleteIntersection) -> tuple:
     """a_0..a_n with c_i(T) = a_i * h^i, via the ambient/normal quotient:
     the coefficients of (1+h)^(m+1) / prod_j (1 + d_j h) up to h^n."""
     row = binomial_row(ci.ambient_dim + 1, ci.dimension)
-    return tuple(quotient_series(row, ci.multidegree))
+    return tuple(quotient_series(row, [ci.multidegree])[0])
 
 
 def binomial_row(top: int, n: int) -> list:
@@ -51,16 +53,21 @@ def binomial_row(top: int, n: int) -> list:
     return [*map(comb, repeat(top, n + 1), range(n + 1))]
 
 
-def quotient_series(series: list, roots) -> list:
-    """``series`` divided by prod_r (1 + r h) over the ints ``roots``, in
-    place, to its own length: from the binomial row of P^m, the multiples of
-    the bundle (m+1)*O(1) less the O(r), whose Chern roots r * h may be any
-    ints. Dividing by (1 + r h) is the recursion b_k = a_k - r * b_(k-1)."""
-    top = len(series)
-    for r in roots:
-        for k in range(1, top):
-            series[k] -= r * series[k - 1]
-    return series
+def quotient_series(row: list, roots) -> list:
+    """For each variety's ints in ``roots``, ``row`` divided by prod_r
+    (1 + r h) over them, to its own length, one list per variety: from the
+    binomial row of P^m, the multiples of the bundle (m+1)*O(1) less the
+    O(r), whose Chern roots r * h may be any ints. Dividing by (1 + r h) is
+    the recursion b_k = a_k - r * b_(k-1)."""
+    steps, out = range(1, len(row)), []
+    append = out.append
+    for variety in roots:
+        series = row[:]
+        for r in variety:
+            for k in steps:
+                series[k] -= r * series[k - 1]
+        append(series)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -69,21 +76,25 @@ def euler_characteristic(ci: CompleteIntersection) -> int:
     return ci.degree * tangent_chern(ci)[ci.dimension]
 
 
-def scaled_powers(base: int, scale: int, n: int) -> list:
-    """[scale, scale*base, ..., scale*base^n], each the one before it times
-    base."""
-    powers = [scale]
-    append = powers.append
-    for _ in range(n):
-        scale *= base
-        append(scale)
-    return powers
+def scaled_powers(bases, scales, n: int) -> list:
+    """For each base and scale, the list [scale, scale*base, ...,
+    scale*base^n], each the one before it times base."""
+    out, steps = [], range(n)
+    append = out.append
+    for base, scale in zip(bases, scales):
+        powers = [scale]
+        push = powers.append
+        for _ in steps:
+            scale *= base
+            push(scale)
+        append(powers)
+    return out
 
 
-def degree_sequence(a: int, d: int, n: int) -> tuple:
-    """(d, a*d, ..., a^n*d): the pairings h^(n-i) * (a*h)^i on a degree-d
-    n-fold, as running products."""
-    return tuple(scaled_powers(a, d, n))
+def degree_sequence(amples, ds, n: int) -> list:
+    """For each ample multiple a and degree d, (d, a*d, ..., a^n*d): the
+    pairings h^(n-i) * (a*h)^i on a degree-d n-fold, as running products."""
+    return scaled_powers(amples, ds, n)
 
 
 def conjugate(parts: tuple) -> tuple:

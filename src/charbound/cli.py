@@ -14,6 +14,7 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
+from .betti import betti_from_euler
 from .schubert import (
     Grassmannian,
     GradingError,
@@ -32,7 +33,7 @@ from .varieties import CompleteIntersection, MultiIndex, Partition, exact_decima
 _GRID_NAMES = (
     "CHECK_NAMES",
     "GridSpec",
-    "_Variety",
+    "_Chunk",
     "betti_bound",
     "betti_bound_recursive",
     "cotangent_chern_bound",
@@ -253,22 +254,22 @@ def _cmd_verify_signature(args) -> int:
 
 # -- table -----------------------------------------------------------------
 
-# quantity -> its value, read from the variety's bounds._Variety record: the
+# quantity -> its value, read from a bounds._Chunk of the one variety: the
 # tangent multiples a_0..a_n give K = -a_1, the ample class A = K + (n+2)h
-# and chi = d * a_n
+# and chi = d * a_n; each quantity builds only the columns it reads
 TABLE = {
-    "dimension": lambda v: v.n,
-    "degree": lambda v: v.d,
-    "canonical": lambda v: -v.tangent[1],
-    "ample": lambda v: v.n + 2 - v.tangent[1],
-    "chi": lambda v: v.d * v.tangent[v.n],
-    "betti": lambda v: v.betti,
-    "total_betti": lambda v: sum(v.betti),
-    "degree_sequence": lambda v: v.sequence,
-    "tangent_chern": lambda v: tuple(v.tangent),
-    "betti_bound": lambda v: betti_bound(v.n, v.d),
-    "betti_bound_recursive": lambda v: betti_bound_recursive(v.n, v.d),
-    "pontryagin_bound": lambda v: pontryagin_bound(v.n, v.d),
+    "dimension": lambda c: c.n,
+    "degree": lambda c: c.ds[0],
+    "canonical": lambda c: -c.tangent[0][1],
+    "ample": lambda c: c.n + 2 - c.tangent[0][1],
+    "chi": lambda c: c.chi[0],
+    "betti": lambda c: betti_from_euler(c.n, c.chi[0]),
+    "total_betti": lambda c: c.betti_sums[0][0],
+    "degree_sequence": lambda c: tuple(c.sequence[0]),
+    "tangent_chern": lambda c: tuple(c.tangent[0]),
+    "betti_bound": lambda c: betti_bound(c.n, c.ds[0]),
+    "betti_bound_recursive": lambda c: betti_bound_recursive(c.n, c.ds[0]),
+    "pontryagin_bound": lambda c: pontryagin_bound(c.n, c.ds[0]),
 }
 TABLE_QUANTITIES = tuple(TABLE)
 
@@ -292,10 +293,10 @@ def _cmd_table(args) -> int:
         repeated = sorted({q for q in wanted if wanted.count(q) > 1})
         if repeated:
             raise UsageError(f"quantities named more than once: {repeated}")
-    v = _Variety(ci.dimension, ci.multidegree)
+    c = _Chunk(ci.dimension, [ci.multidegree])
     print(f"variety: {ci}")
     for name in wanted:
-        print(f"{name}: {exact_repr(TABLE[name](v))}")
+        print(f"{name}: {exact_repr(TABLE[name](c))}")
     return 0
 
 

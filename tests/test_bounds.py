@@ -8,7 +8,8 @@ import types
 from contextlib import contextmanager, nullcontext
 from decimal import Decimal
 from functools import partial
-from itertools import count, groupby, islice
+from itertools import combinations_with_replacement, count, groupby, islice
+from math import comb
 from unittest.mock import patch
 
 import pytest
@@ -17,9 +18,8 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import charbound.bounds
 from charbound.bounds import (
     _CHECKS,
-    _Variety,
-    _cases,
-    _write,
+    _Chunk,
+    CHUNK_KEYS,
     CHECK_NAMES,
     DEGENERATE_NOTE,
     MAX_GRID_CASES,
@@ -41,6 +41,7 @@ from charbound.bounds import (
 )
 from charbound.chern import DegreeError, degree_sequence
 from charbound.cli import main
+from charbound.report import _cases, _write
 from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
 import chern_oracle as oracle
 from determinants import long_side_schur
@@ -420,7 +421,9 @@ def test_nef_chern_lower_limit_can_fail(monkeypatch):
 
 
 def test_degree_sequence_lower_limit_can_fail(monkeypatch):
-    monkeypatch.setattr("charbound.bounds.degree_sequence", lambda a, d, n: (0,) * (n + 1))
+    monkeypatch.setattr(
+        "charbound.bounds.degree_sequence", lambda amples, ds, n: [(0,) * (n + 1) for _ in ds]
+    )
     spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=3, checks=("degree-sequence",))
     result = verify_grid(spec)
     assert result.reports
@@ -518,10 +521,11 @@ def test_a_grid_result_holds_its_values_not_a_tuple_per_row():
 def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, capsys):
     # the quadric surface key, (n, d) = (2, 2), gets degree sequence values
     # one past their bounds d^(i+1); every other key keeps its own
-    def one_past(a, d, n):
-        if (n, d) == (2, 2):
-            return tuple(d ** (i + 1) + 1 for i in range(n + 1))
-        return degree_sequence(a, d, n)
+    def one_past(amples, ds, n):
+        return [
+            tuple(d ** (i + 1) + 1 for i in range(n + 1)) if (n, d) == (2, 2) else row
+            for d, row in zip(ds, degree_sequence(amples, ds, n))
+        ]
 
     monkeypatch.setattr("charbound.bounds.degree_sequence", one_past)
     spec = GridSpec(max_ambient_dim=5, max_degree_per_factor=3, checks=("degree-sequence",))
@@ -658,24 +662,27 @@ def test_oracle_rows_reads_nothing_from_chern_or_betti():
     assert not {n: h for n, h in homes.items() if h in ("charbound.chern", "charbound.betti")}
 
 
-def oracle_reports(spec):
-    out = []
-    for ci in oracle_grid(spec)[0]:
-        n, d = ci.dimension, ci.degree
-        for check in spec.checks:
-            least = ORACLE_LEAST.get(check)
-            for index, exact, bound, note in oracle_rows(check, ci):
-                degenerate = check in ORACLE_HAS_BASE and d + n - 2 == 0 and bool(index)
-                satisfied = abs(exact) <= bound and (least is None or exact >= least)
-                note = DEGENERATE_NOTE if degenerate else note
-                margin = bound - abs(exact)
-                out.append(
-                    BoundReport(
-                        check, n, d, ci.multidegree, index, exact, bound, satisfied, margin,
-                        degenerate, note,
-                    )
+def oracle_case_reports(ci, checks):
+    """The reports of one case, each derived field from its definition."""
+    n, d, out = ci.dimension, ci.degree, []
+    for check in checks:
+        least = ORACLE_LEAST.get(check)
+        for index, exact, bound, note in oracle_rows(check, ci):
+            degenerate = check in ORACLE_HAS_BASE and d + n - 2 == 0 and bool(index)
+            satisfied = abs(exact) <= bound and (least is None or exact >= least)
+            note = DEGENERATE_NOTE if degenerate else note
+            margin = bound - abs(exact)
+            out.append(
+                BoundReport(
+                    check, n, d, ci.multidegree, index, exact, bound, satisfied, margin,
+                    degenerate, note,
                 )
+            )
     return out
+
+
+def oracle_reports(spec):
+    return [r for ci in oracle_grid(spec)[0] for r in oracle_case_reports(ci, spec.checks)]
 
 
 MEMO_GRIDS = (
@@ -707,6 +714,110 @@ def test_memoized_reports_match_case_by_case_checks(spec):
     assert len(keys) < len(result.cases)
 
 
+# -- the block kernel: chunks of one block against the oracle --------------------
+# The new keys whose first case has ambient dimension m and codimension k
+# form a block: every k-multiset of degrees >= 2, all of dimension m - k.
+# The sweep computes a block CHUNK_KEYS keys at a time.
+
+
+def block_grid(n, size):
+    """(spec, block degree): a grid whose last block, the complete
+    intersections of two factors of degree 2..D of dimension n, first met
+    in P^(n+2), the case cap cuts to its first ``size`` keys."""
+    # the 2-multisets of top - 1 degrees, one more than a chunk at least
+    top = next(top for top in count(3) if comb(top, 2) > CHUNK_KEYS)
+    grid = dict(max_ambient_dim=n + 2, max_degree_per_factor=top, max_codim=2)
+    # the block's keys are the last cases of the uncapped grid
+    whole = GridSpec(**grid, max_cases=10**6).case_count
+    return GridSpec(**grid, max_cases=whole - comb(top, 2) + size), top
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_a_block_chunk_by_chunk_matches_the_case_by_case_oracle(n):
+    # chunks of 1, CHUNK_KEYS - 1 and CHUNK_KEYS keys, and of CHUNK_KEYS + 1
+    # keys, which the sweep splits in two, each the last block of its grid
+    expected = {}
+    for size in (1, CHUNK_KEYS - 1, CHUNK_KEYS, CHUNK_KEYS + 1):
+        spec, top = block_grid(n, size)
+        result = verify_grid(spec)
+        block = result.cases[-size:]
+        assert result.truncated and len(block) == size
+        assert {(ci.dimension, ci.codimension) for ci in block} == {(n, 2)}
+        assert all(2 <= min(ci.multidegree) <= max(ci.multidegree) <= top for ci in block)
+        # the block's cases are the first cases of keys of their own
+        keys = len(result.keys)
+        assert [i for i, _ in result.labels[-size:]] == [*range(keys - size, keys)]
+        rows = len(result.keys[-1][2][0])
+        want = []
+        for ci in block:
+            if ci.multidegree not in expected:
+                expected[ci.multidegree] = oracle_case_reports(ci, CHECK_NAMES)
+            want += expected[ci.multidegree]
+        assert list(result.reports[-size * rows :]) == want
+        assert result.violations == ()
+        stream = io.StringIO()
+        sweep = sweep_grid(spec, stream, "csv")
+        assert stream.getvalue() == result.render("csv")
+        assert (sweep.violations, sweep.flagged) == (list(result.violations), list(result.flagged))
+
+
+def test_a_seam_failing_one_key_mid_chunk_fails_that_key_alone(monkeypatch):
+    # the wide-csv grid; the surface cut by (3, 5) in P^4 is a key of the
+    # 91-key block of P^4 with two factors, in the middle of its chunk; its
+    # Schur pairings are negated, so each positive one fails with its own
+    # note, at both of its cases: (3, 5) in P^4 and (1, 3, 5) in P^5
+    spec = GridSpec(max_ambient_dim=5, max_degree_per_factor=14, max_cases=10**6)
+    clean = verify_grid(spec)
+    block = [*combinations_with_replacement(range(2, 15), 2)]
+    assert 0 < block.index((3, 5)) % CHUNK_KEYS < CHUNK_KEYS - 1
+    twisted = _Chunk(2, [(3, 5)]).twisted[0]
+    hooks = charbound.bounds.hook_classes(twisted, charbound.bounds.dual_sequence(twisted))
+    schur = charbound.bounds.giambelli
+    monkeypatch.setattr(
+        "charbound.bounds.giambelli",
+        lambda plan, found: -schur(plan, found) if found == hooks else schur(plan, found),
+    )
+    expected = []
+    for r in clean.reports:
+        if (r.n, r.d, r.subject) == (2, 15, "schur-positivity"):
+            pairing = -int(r.note.removeprefix("pairing="))
+            if pairing < 0:
+                failed = dict(exact_value=pairing, satisfied=False, margin=pairing)
+                expected.append(r._replace(**failed, note=f"pairing={pairing}"))
+    assert {r.multidegree for r in expected} == {(3, 5), (1, 3, 5)}
+    result = verify_grid(spec)
+    assert result.violations == tuple(expected) and result.flagged == clean.flagged
+    for fmt in ("csv", "markdown"):
+        stream = io.StringIO()
+        sweep = sweep_grid(spec, stream, fmt)
+        assert (sweep.violations, sweep.flagged) == (expected, list(clean.flagged))
+        assert stream.getvalue() == result.render(fmt)
+    # every other row is as it was
+    assert [b for a, b in zip(clean.reports, result.reports) if a != b] == expected
+
+
+def test_a_failing_euler_row_keeps_its_own_note(monkeypatch):
+    # chi and the alternating Betti sum agree by construction; a middle Betti
+    # number one too large fails the euler row of each surface with chi = 8,
+    # with a note that gives both sides
+    spec = GridSpec(max_ambient_dim=5, max_degree_per_factor=4, max_cases=10**6)
+    clean = verify_grid(spec)
+    middle_betti = charbound.bounds.middle_betti
+
+    def one_more(n, chis):
+        return [b + ((n, chi) == (2, 8)) for b, chi in zip(middle_betti(n, chis), chis)]
+
+    monkeypatch.setattr("charbound.bounds.middle_betti", one_more)
+    expected = [
+        r._replace(exact_value=-1, satisfied=False, margin=-1, note="chi=8 alternating_betti=9")
+        for r in clean.reports
+        if r.subject == "euler" and r.n == 2 and r.note.startswith("chi=8 ")
+    ]
+    assert len({r.multidegree for r in expected}) > 1
+    assert verify_grid(spec).violations == tuple(expected)
+    assert sweep_grid(spec, io.StringIO(), "csv").violations == expected
+
+
 def test_every_schur_pairing_of_the_p23_quadric_matches_long_side_bareiss():
     # n = 22: the only key tested here whose Giambelli matrices reach order 4
     ci = CompleteIntersection(23, (2,))
@@ -735,7 +846,7 @@ def test_root_series_twist_matches_binomial_twist():
     assert len(cases) == 8554
     for ci in cases:
         big = tuple(d for d in ci.multidegree if d > 1)
-        twisted = _Variety(ci.dimension, big).twisted
+        twisted = _Chunk(ci.dimension, [big]).twisted[0]
         cotangent = oracle.cotangent(oracle.tangent(ci.ambient_dim, ci.multidegree, ci.dimension))
         assert tuple(twisted) == oracle.twist(cotangent, 2)
 
@@ -885,25 +996,29 @@ subjects = st.sampled_from(CHECK_NAMES + ("signature",)) | st.text(
 notes = st.text(
     alphabet=st.sampled_from('a "\\\n\r\t,%\x00\x7fé€\U0001d11e') | st.characters(), max_size=12
 )
-# a report without n, d and multidegree, with any values, as a key of the
-# writer core holds it
-rows_strategy = st.tuples(
-    subjects, maybe_ints, maybe_int, some_int, st.booleans(), maybe_int, st.booleans(), notes
-)
+
+
+def rows_strategy(numbers):
+    """A report without n, d and multidegree, with any values, its exact
+    value and margin drawn from ``numbers``."""
+    return st.tuples(
+        subjects, maybe_ints, numbers, some_int, st.booleans(), numbers, st.booleans(), notes
+    )
+
 # "2,3" needs CSV quoting
 multidegrees = maybe_ints | st.sampled_from(((2, 3), (1, 1, 2)))
 
 
 def writer_keys(keys):
-    """Keys (n, d, rows) of report rows without n, d and multidegree, as the
-    writer core takes them: (n, d, layout, exacts, bounds, satisfied,
-    margins, degenerate, notes). Keys given the same rows object share one
-    layout object."""
+    """Keys (n, d, rows) of report rows without n, d and multidegree, each
+    as the writer core takes a batch of one key: (n, (d,), layout, (exacts,),
+    (bounds,), (satisfied,), (margins,), (degenerate,), (notes,)). Keys given
+    the same rows object share one layout object."""
     layouts, out = {}, []
     for n, d, rows in keys:
         subjects, indices, *columns = zip(*rows) if rows else ((),) * 8
         layout = layouts.setdefault(id(rows), (subjects, indices))
-        out.append((n, d, layout, *columns))
+        out.append((n, (d,), layout, *zip(columns)))
     return out
 
 
@@ -938,16 +1053,12 @@ def oracle_documents(reports) -> dict:
 
 
 @st.composite
-def keyed_rows(draw):
+def keyed_rows(draw, numbers):
     """(keys, labels) for the writer core: a few keys (n, d, rows) of any
-    values, each shared by several cases that carry their own multidegrees."""
-    keys = draw(
-        st.lists(
-            st.tuples(maybe_int, maybe_int, st.lists(rows_strategy, max_size=2).map(tuple)),
-            min_size=1,
-            max_size=3,
-        )
-    )
+    values, n, d, exact values and margins drawn from ``numbers``, each key
+    shared by several cases that carry their own multidegrees."""
+    rows = st.lists(rows_strategy(numbers), max_size=2).map(tuple)
+    keys = draw(st.lists(st.tuples(numbers, numbers, rows), min_size=1, max_size=3))
     labels = st.tuples(st.integers(min_value=0, max_value=len(keys) - 1), multidegrees)
     return keys, draw(st.lists(labels, max_size=4))
 
@@ -1053,19 +1164,31 @@ def test_writers_match_stdlib_serializers(spec, truncated, layout):
 
 # Without the explain phase, as above.
 @settings(phases=tuple(phase for phase in Phase if phase is not Phase.explain))
-@given(keyed_rows())
-def test_writer_core_renders_any_values(layout):
-    # None n, d, exact, margin, index and multidegree, and flags that no
-    # derivation gives, as write_json takes them in a report list
+@given(keyed_rows(some_int), keyed_rows(maybe_int))
+def test_writer_core_renders_any_values(layout, listed):
+    # any ints, long ones too, None index and multidegree, and flags that no
+    # derivation gives; a grid key holds no None number, so None n, d, exact
+    # and margin come only in a report list, as write_json takes them
     keys, labels = layout
     reports = row_reports(keys, labels)
     rendered = render_core(keys, labels)
+    listed = row_reports(*listed)
     buffer = io.StringIO()
-    write_json(buffer, reports)
+    write_json(buffer, listed)
     with unlimited_int_digits():
-        documents = oracle_documents(reports)
-        assert rendered == documents
-        assert buffer.getvalue() == documents["json"]
+        assert rendered == oracle_documents(reports)
+        assert buffer.getvalue() == oracle_documents(listed)["json"]
+
+
+def test_a_report_list_writes_a_none_number_as_null():
+    report = BoundReport("signature", None, None, (4,), None, None, 7, True, None)
+    buffer = io.StringIO()
+    write_json(buffer, [report, report._replace(n=4, exact_value=-3, margin=4)])
+    first, second = json.loads(buffer.getvalue())["reports"]
+    assert first == {**oracle_dict(report), "n": None, "exact": None, "margin": None}
+    assert (second["n"], second["exact"], second["margin"]) == (4, -3, 4)
+    assert '"exact": null,\n      "bound": 7,' in buffer.getvalue()
+    assert '"margin": null,' in buffer.getvalue()
 
 
 def test_writers_keep_layouts_of_one_dimension_apart():
@@ -1085,11 +1208,11 @@ def test_writers_keep_layouts_of_one_dimension_apart():
     keys = [
         (2, 3, first),
         (2, 3, second),
-        # each number that may be None is None in one key
-        (2, 3, (a[:2] + (None,) + a[3:], b)),
-        (2, 3, (a, b[:5] + (None,) + b[6:])),
-        (None, 3, first),
-        (2, None, first),
+        # each number differs from the first key's in one key
+        (2, 3, (a[:2] + (-6,) + a[3:], b)),
+        (2, 3, (a, b[:5] + (-8,) + b[6:])),
+        (7, 3, first),
+        (2, 0, first),
         (2, huge, (a[:2] + (huge, huge) + a[4:], b)),
     ]
     labels = [(0, (3,)), (1, (1, 3)), (0, (1, 1, 3)), (2, None), (3, (2,)), (4, (2,)), (5, ())]

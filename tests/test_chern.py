@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charbound.bounds import (
-    _Variety,
+    _Chunk,
     _chern_numbers,
     _cotangent_chern_rows,
     _nef_chern_rows,
@@ -52,14 +52,14 @@ def oracle_tangent(ci):
 
 
 def record(ci):
-    # the grid kernel's record of the variety's values, as `table` builds it
-    return _Variety(ci.dimension, ci.multidegree)
+    # the grid kernel's chunk of the one variety, as `table` builds it
+    return _Chunk(ci.dimension, [ci.multidegree])
 
 
 def kernel_rows(check, ci):
     """index -> value of a grid check's rows on the variety."""
-    indices, values, _, _ = check(record(ci), _tables(ci.dimension))
-    return dict(zip(indices, values))
+    indices, values, _, _ = check(record(ci))
+    return dict(zip(indices, values[0]))
 
 
 def table(ci, name):
@@ -148,7 +148,7 @@ varieties = st.integers(min_value=2, max_value=7).flatmap(
 @given(varieties)
 def test_tangent_chern_matches_series_oracle(ci):
     assert tangent_chern(ci) == oracle_tangent(ci)
-    assert tuple(record(ci).tangent) == oracle_tangent(ci)
+    assert tuple(record(ci).tangent[0]) == oracle_tangent(ci)
 
 
 @given(varieties)
@@ -213,7 +213,7 @@ def test_twist_by_zero_is_identity():
 def test_twisted_cotangent_of_quadric_surface():
     ci = CompleteIntersection(3, (2,))
     assert oracle.twist(oracle.cotangent(oracle_tangent(ci)), 2) == (1, 2, 2)
-    assert record(ci).twisted == [1, 2, 2]
+    assert record(ci).twisted[0] == [1, 2, 2]
 
 
 @given(varieties, st.integers(min_value=-5, max_value=5))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from charbound.bounds import GridResult, GridSpec, _Variety, verify_grid
+from charbound.bounds import GridResult, GridSpec, _Chunk, verify_grid
 from charbound.chern import degree_sequence
 from charbound.cli import (
     MAX_BOUND_D,
@@ -248,12 +248,13 @@ def test_verify_out_of_memory_exits_two_with_one_error_line(capsys, monkeypatch)
             assert flag in err
 
 
-def one_past_the_quadric_surface(a, d, n):
+def one_past_the_quadric_surface(amples, ds, n):
     """degree_sequence, with the values of the quadric surface key (n, d) =
     (2, 2) one past their bounds d^(i+1)."""
-    if (n, d) == (2, 2):
-        return tuple(d ** (i + 1) + 1 for i in range(n + 1))
-    return degree_sequence(a, d, n)
+    return [
+        tuple(d ** (i + 1) + 1 for i in range(n + 1)) if (n, d) == (2, 2) else row
+        for d, row in zip(ds, degree_sequence(amples, ds, n))
+    ]
 
 
 # grids where a run read case by case could part from the held one, with
@@ -659,7 +660,7 @@ def test_variety_files_reject_non_integer_sizes_and_unknown_keys(tmp_path, capsy
 
 
 def test_table_refuses_a_dimension_past_the_cap_before_computing(capsys, monkeypatch):
-    monkeypatch.setattr("charbound.cli._Variety", lambda n, degrees: pytest.fail("computed"))
+    monkeypatch.setattr("charbound.cli._Chunk", lambda n, multidegrees: pytest.fail("computed"))
     code, out, err = run(capsys, "table", "-m", "3000", "-D", "2")
     assert code == 2
     assert out == ""
@@ -706,9 +707,9 @@ def test_every_table_quantity_of_a_long_record_prints_in_full(capsys):
     # a hypersurface of degree 10^30 in P^146: its degree sequence ends at
     # 10^4380, past str()'s 4,300-digit limit, and repr() of a list would
     # raise on it; exact_repr prints a tuple item by item
-    v = _Variety(145, (MAX_TABLE_D,))
-    assert type(v.sequence) is tuple
-    printed = {name: exact_repr(quantity(v)) for name, quantity in TABLE.items()}
+    c = _Chunk(145, [(MAX_TABLE_D,)])
+    assert type(TABLE["degree_sequence"](c)) is tuple
+    printed = {name: exact_repr(quantity(c)) for name, quantity in TABLE.items()}
     assert printed["degree_sequence"].endswith(f", 1{'0' * 4380})")
     code, out, _ = run(capsys, "table", "-m", "146", "-D", str(MAX_TABLE_D))
     assert code == 0

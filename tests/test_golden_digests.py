@@ -15,6 +15,9 @@ from pathlib import Path
 
 import pytest
 
+import charbound.bounds
+from charbound.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
 PINNED = {
@@ -59,6 +62,21 @@ def test_fresh_process_output_matches_golden_digest(entry):
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert len(proc.stdout) == golden["bytes"]
     assert hashlib.sha256(proc.stdout).hexdigest() == golden["sha256"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_output_does_not_depend_on_how_many_keys_a_chunk_holds(monkeypatch, capsysbinary, chunk):
+    # the sweep computes up to CHUNK_KEYS keys of a block together, and a
+    # held grid renders in runs as long; chunks of 1, 2 and 3 keys split
+    # wide-csv's blocks of 14, 91, 455 and 1,820 keys and default-json's
+    # blocks of 5 to 56 keys at other places
+    monkeypatch.setattr(charbound.bounds, "CHUNK_KEYS", chunk)
+    for entry in ("wide-csv", "default-json"):
+        golden = GOLDEN[entry]
+        assert main(golden["argv"].split()) == 0, entry
+        out = capsysbinary.readouterr().out
+        assert len(out) == golden["bytes"], entry
+        assert hashlib.sha256(out).hexdigest() == golden["sha256"], entry
 
 
 # Runs the CLI and prints the interpreter's own peak RSS (VmHWM, in kB) to
@@ -135,3 +153,16 @@ def test_frontier_summary_memory_holds_only_keys_with_cases_left():
     out, peak_mb = peak_rss_mb(argv)
     assert out == "cases=2576 truncated=false reports=1474549 flagged=46 violations=0\n"
     assert peak_mb < 32, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_wide_csv_memory_holds_a_chunk_of_keys_not_a_block():
+    # 3,059 keys, 1,820 of them one block (the curves cut by four factors in
+    # P^5). Run alternately, computing one key at a time peaked at 17.4 MB
+    # and chunks of 24 keys at 17.6 MB (17.2-17.5 and 17.4-17.75 MB across
+    # batches of runs); one chunk for a whole block peaked at 22.0 MB. The
+    # bound is the one-key reading plus 0.5 MB
+    golden = GOLDEN["wide-csv"]
+    out, peak_mb = peak_rss_mb(golden["argv"])
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"]
+    assert peak_mb < 17.9, f"peak RSS {peak_mb:.2f} MB"
