@@ -30,7 +30,7 @@ from .chern import (
     quotient_series,
     scaled_powers,
 )
-from .report import _cases, _write, write_json  # write_json: the verify --sigma document
+from .report import _cases, _write
 from .varieties import (
     CompleteIntersection,
     MultiIndex,
@@ -824,10 +824,6 @@ class GridResult(Record):
     def flagged(self) -> tuple:
         rows = self._exceptions.items()
         return self._expand({i: [*filter(_DEGENERATE, found)] for i, found in rows})
-
-    @property
-    def all_satisfied(self) -> bool:
-        return not self.violations
 
     def write(self, stream, fmt: str) -> None:
         """Stream the report document in ``fmt`` (json, csv or markdown)."""

@@ -26,47 +26,6 @@ from .schubert import (
 )
 from .varieties import CompleteIntersection, MultiIndex, Partition, exact_decimal, exact_repr
 
-# The names of charbound.bounds that `bound`, `verify` and `table` read.
-# `schubert` never reads them, so they are bound here on first use: the
-# bounds module costs about 1.5 ms of every start, and it loads json only to
-# write a JSON document.
-_GRID_NAMES = (
-    "CHECK_NAMES",
-    "GridSpec",
-    "_Chunk",
-    "betti_bound",
-    "betti_bound_recursive",
-    "cotangent_chern_bound",
-    "nef_chern_bound",
-    "pontryagin_bound",
-    "signature_check",
-    "sweep_grid",
-    "verify_grid",
-    "write_json",
-)
-
-
-def _load_grid_layer() -> None:
-    """Bind the grid names in this module, keeping any name already bound.
-
-    A name set from outside (a test's patch, a profiler's wrapper) stays, so
-    the commands call what this module holds.
-    """
-    from . import bounds
-
-    names = globals()
-    for name in _GRID_NAMES:
-        names.setdefault(name, getattr(bounds, name))
-
-
-def __getattr__(name):
-    # PEP 562: reading a grid name from outside loads the grid layer
-    if name in _GRID_NAMES:
-        _load_grid_layer()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # `bound` accepts 1 <= n <= MAX_BOUND_N and 1 <= d <= MAX_BOUND_D; the largest
 # value, the Pontryagin cap at the corner, has about 21,000 decimal digits.
 # `table` takes dimensions up to MAX_BOUND_N too
@@ -133,7 +92,7 @@ def _variety_from_args(args) -> CompleteIntersection:
 # -- bound -----------------------------------------------------------------
 
 
-# flag -> (the formula's name among _GRID_NAMES, whether it takes a multi-index)
+# flag -> (its formula's name in charbound.bounds, whether it takes a multi-index)
 BOUNDS = {
     "pontryagin": ("pontryagin_bound", False),
     "betti": ("betti_bound", False),
@@ -142,15 +101,21 @@ BOUNDS = {
 }
 
 
+def _formula(name: str):
+    """The bound formula of charbound.bounds named ``name``."""
+    from . import bounds
+
+    return getattr(bounds, name)
+
+
 def _cmd_bound(args) -> int:
-    _load_grid_layer()
     n, d = args.n, args.d
     if not (1 <= n <= MAX_BOUND_N and 1 <= d <= MAX_BOUND_D):
         raise UsageError(
             f"need 1 <= n <= {MAX_BOUND_N} and 1 <= d <= {MAX_BOUND_D}, got n={n}, d={d}"
         )
     name, takes_index = BOUNDS[args.formula]
-    formula = globals()[name]
+    formula = _formula(name)
     if takes_index != (args.index is not None):
         need = "needs a multi-index via -I" if takes_index else "takes no multi-index"
         raise UsageError(f"--{args.formula} {need}")
@@ -179,6 +144,8 @@ def _refuse(args, actions, when: str) -> None:
 
 
 def _grid_spec_from_args(args) -> GridSpec:
+    from .bounds import GridSpec
+
     if args.grid is None:
         given = vars(args)
         return GridSpec(**{f: given[f] for f in GridSpec._fields if given[f] is not None})
@@ -203,7 +170,8 @@ def _write_out(write, out_path):
 
 
 def _cmd_verify(args) -> int:
-    _load_grid_layer()
+    from .bounds import sweep_grid, verify_grid
+
     if args.sigma is not None:
         _refuse(args, args.grid_flags, "with --sigma")
         return _cmd_verify_signature(args)
@@ -213,8 +181,12 @@ def _cmd_verify(args) -> int:
     if fmt == "json":
         # the head counts the violations before the first report, so the
         # whole run is held; the other runs read the grid case by case
-        result = verify_grid(spec)
-        _write_out(lambda out: result.write(out, fmt), args.out)
+        def run(out):
+            held = verify_grid(spec)
+            held.write(out, fmt)
+            return held
+
+        result = _write_out(run, args.out)
     elif fmt is None:
         result = sweep_grid(spec)
     else:
@@ -236,16 +208,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_signature(args) -> int:
+    from .bounds import signature_check
+    from .report import write_json
+
     ci = _variety_from_args(args)
-    report = signature_check(ci, args.sigma)
+
+    def check(out):
+        report = signature_check(ci, args.sigma)
+        if out is not None:
+            write_json(out, (report,))
+        return report
+
+    # an --out file is opened before the check runs, as for a grid
+    report = check(None) if args.out is None else _write_out(check, args.out)
     status = "satisfied" if report.satisfied else "violated"
     print(
         f"signature check on {ci}: |3*sigma|={exact_decimal(abs(report.exact_value))} "
         f"c2^2={exact_decimal(report.bound_value)} "
         f"margin={exact_decimal(report.margin)} {status}"
     )
-    if args.out is not None:
-        _write_out(lambda out: write_json(out, (report,)), args.out)
     if not report.satisfied:
         print(f"VIOLATION {report.witness()}")
         return 1
@@ -267,15 +248,16 @@ TABLE = {
     "total_betti": lambda c: c.betti_sums[0][0],
     "degree_sequence": lambda c: tuple(c.sequence[0]),
     "tangent_chern": lambda c: tuple(c.tangent[0]),
-    "betti_bound": lambda c: betti_bound(c.n, c.ds[0]),
-    "betti_bound_recursive": lambda c: betti_bound_recursive(c.n, c.ds[0]),
-    "pontryagin_bound": lambda c: pontryagin_bound(c.n, c.ds[0]),
+    "betti_bound": lambda c: _formula("betti_bound")(c.n, c.ds[0]),
+    "betti_bound_recursive": lambda c: _formula("betti_bound_recursive")(c.n, c.ds[0]),
+    "pontryagin_bound": lambda c: _formula("pontryagin_bound")(c.n, c.ds[0]),
 }
 TABLE_QUANTITIES = tuple(TABLE)
 
 
 def _cmd_table(args) -> int:
-    _load_grid_layer()
+    from .bounds import _Chunk
+
     ci = _variety_from_args(args)
     if ci.dimension > MAX_BOUND_N:
         raise UsageError(f"table needs dimension <= {MAX_BOUND_N}, got {ci.dimension}")
@@ -380,7 +362,6 @@ def _add_variety_flags(parser) -> list:
 
 
 def _bound_flags(bound) -> None:
-    _load_grid_layer()  # the formulas' docstrings are their help
     formulas = bound.add_mutually_exclusive_group(required=True)
     for flag, (name, _) in BOUNDS.items():
         formulas.add_argument(
@@ -388,7 +369,7 @@ def _bound_flags(bound) -> None:
             dest="formula",
             action="store_const",
             const=flag,
-            help=globals()[name].__doc__,
+            help=_formula(name).__doc__,
         )
     bound.add_argument("-n", type=int, required=True, help=f"dimension, 1..{MAX_BOUND_N}")
     bound.add_argument("-d", type=int, required=True, help=f"degree, 1..{MAX_BOUND_D}")
@@ -399,7 +380,8 @@ def _bound_flags(bound) -> None:
 
 
 def _verify_flags(verify) -> None:
-    _load_grid_layer()  # --checks lists CHECK_NAMES
+    from .bounds import CHECK_NAMES
+
     grid = verify.add_argument_group("grid run")
     grid_file = grid.add_argument("--grid", help="path to a grid-spec JSON file")
     spec_flags = [  # each dest is a GridSpec field

@@ -37,11 +37,10 @@ from charbound.bounds import (
     signature_check,
     sweep_grid,
     verify_grid,
-    write_json,
 )
 from charbound.chern import DegreeError, degree_sequence
 from charbound.cli import main
-from charbound.report import _cases, _write
+from charbound.report import _cases, _write, write_json
 from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
 import chern_oracle as oracle
 from determinants import long_side_schur
@@ -372,7 +371,7 @@ def small_grid():
 
 
 def test_small_grid_has_no_violations(small_grid):
-    assert small_grid.all_satisfied
+    assert not small_grid.violations
     assert small_grid.violations == ()
     assert small_grid.violations is small_grid.violations
     assert small_grid.flagged is small_grid.flagged
@@ -1314,7 +1313,7 @@ def test_default_grid_has_no_violations():
     result = verify_grid(GridSpec())
     assert result.truncated  # the full family exceeds the 500-case cap
     assert len(result.cases) == 500
-    assert result.all_satisfied
+    assert not result.violations
     subjects = {r.subject for r in result.reports}
     assert subjects == set(CHECK_NAMES)
 

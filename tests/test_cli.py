@@ -201,7 +201,7 @@ def test_verify_rejects_ambient_dim_above_limit(tmp_path, capsys, monkeypatch):
     def never(spec):
         raise AssertionError("the grid must not run")
 
-    monkeypatch.setattr("charbound.cli.verify_grid", never)
+    monkeypatch.setattr("charbound.bounds.verify_grid", never)
     argv = ["--max-ambient-dim", "60", "--max-degree", "1", "--max-codim", "1"]
     argv += ["--max-cases", "60", "--checks", "nef-chern"]
     code, out, err = run(capsys, "verify", *argv)
@@ -237,8 +237,8 @@ def test_verify_out_of_memory_exits_two_with_one_error_line(capsys, monkeypatch)
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr("charbound.cli.verify_grid", exhausted)
-    monkeypatch.setattr("charbound.cli.sweep_grid", exhausted)
+    monkeypatch.setattr("charbound.bounds.verify_grid", exhausted)
+    monkeypatch.setattr("charbound.bounds.sweep_grid", exhausted)
     argv = ["verify", "--max-ambient-dim", "24", "--max-degree", "5"]
     for fmt in ((), ("--format", "csv"), ("--format", "markdown"), ("--format", "json")):
         code, out, err = run(capsys, *argv, *fmt)
@@ -373,6 +373,32 @@ def test_verify_grid_spec_must_be_an_object(tmp_path, capsys, text, kind):
     assert (code, out) == (2, "")
     assert f"grid spec must be an object, got {kind}" in err and "Traceback" not in err
     assert not report.exists()
+
+
+def test_verify_opens_out_before_computing_and_after_reading_inputs(tmp_path, capsys, monkeypatch):
+    # a JSON grid once ran to the end, and --sigma printed its verdict,
+    # before an unwritable --out exited 2
+    def never(*args):
+        raise AssertionError("nothing may run")
+
+    monkeypatch.setattr("charbound.bounds.verify_grid", never)
+    monkeypatch.setattr("charbound.bounds.signature_check", never)
+    unwritable = str(tmp_path / "missing" / "x.json")
+    grid = ["--max-ambient-dim", "24", "--max-degree", "2", "--max-codim", "23"]
+    for argv in (
+        (*grid, "--max-cases", "1000000", "--format", "json"),
+        ("--sigma", "0", "-m", "6", "-D", "2,2"),
+    ):
+        code, out, err = run(capsys, "verify", *argv, "--out", unwritable)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+    monkeypatch.undo()
+    # the spec is read from the file before the report is written over it
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps({"max_ambient_dim": 3}))
+    code, _, _ = run(capsys, "verify", "--grid", str(spec), "--out", str(spec))
+    assert code == 0
+    assert json.loads(spec.read_text())["grid"]["max_ambient_dim"] == 3
 
 
 def test_verify_csv_format(tmp_path, capsys):
@@ -561,8 +587,8 @@ def test_verify_refuses_the_flags_of_the_other_mode(capsys, monkeypatch, argv, f
     def never(*args):
         raise AssertionError("nothing may run")
 
-    monkeypatch.setattr("charbound.cli.verify_grid", never)
-    monkeypatch.setattr("charbound.cli.signature_check", never)
+    monkeypatch.setattr("charbound.bounds.verify_grid", never)
+    monkeypatch.setattr("charbound.bounds.signature_check", never)
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (2, "")
     assert f"error: {flags} cannot be used" in err
@@ -660,7 +686,7 @@ def test_variety_files_reject_non_integer_sizes_and_unknown_keys(tmp_path, capsy
 
 
 def test_table_refuses_a_dimension_past_the_cap_before_computing(capsys, monkeypatch):
-    monkeypatch.setattr("charbound.cli._Chunk", lambda n, multidegrees: pytest.fail("computed"))
+    monkeypatch.setattr("charbound.bounds._Chunk", lambda n, multidegrees: pytest.fail("computed"))
     code, out, err = run(capsys, "table", "-m", "3000", "-D", "2")
     assert code == 2
     assert out == ""
@@ -912,6 +938,19 @@ def test_cli_import_needs_no_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize at start-up, which
     # no command uses
     assert not modules_loaded_by_cli_import() & {"dataclasses", "inspect"}
+    # the package binds every name it exports at import, and neither import
+    # form loads the grid layer or json
+    script = (
+        "import sys, charbound\n"
+        "assert set(charbound.__all__) <= set(vars(charbound))\n"
+        "from charbound import *\n"
+        "print(*sorted({'charbound.bounds', 'json'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 def modules_loaded_by_run(*argv) -> set:
