@@ -11,9 +11,8 @@ than special-cased, and the flagged cases are settled by direct inspection.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property, lru_cache, partial, reduce
-from io import StringIO
-from itertools import chain, combinations_with_replacement, count, filterfalse, repeat
+from functools import lru_cache, partial, reduce
+from itertools import chain, combinations_with_replacement, count, repeat
 from math import comb, prod
 from operator import add, and_, ge, iconcat, itemgetter, mul, sub
 from typing import NamedTuple
@@ -493,7 +492,7 @@ class GridSpec(Record):
 
     @property
     def case_count(self) -> int:
-        """len(verify_grid(self).cases) in closed form: k factors of degree
+        """verify_grid(self).case_count in closed form: k factors of degree
         at most D, in P^m, make C(D+k-1, k) cases, summed over m and k and
         capped by max_cases."""
         total = sum(
@@ -534,7 +533,7 @@ def _grid(spec: GridSpec):
 CHUNK_KEYS = 24
 
 
-def _columns(batch, noted: bool = True, owned: bool = False) -> tuple:
+def _columns(batch, noted: bool = True) -> tuple:
     """The columns the writers read of a batch (n, ds, layout, values,
     bounds, notes) of keys of one layout, the last three one sequence per
     key: (n, ds, layout, exacts, bounds, satisfied, margins, degenerate,
@@ -544,18 +543,15 @@ def _columns(batch, noted: bool = True, owned: bool = False) -> tuple:
     with bound 0, so its exact value is the shortfall min(pairing, 0) and
     its note "pairing=<pairing>". Where the base (d+n-2) vanishes, the based
     rows are degenerate and their note is DEGENERATE_NOTE. The notes are
-    built only if ``noted``; else the notes column is None. The values of
-    an ``owned`` batch are lists of the caller's own, which take the
-    shortfalls in place. Each step is a C-level pass over the keys, or over
-    a key's rows; where every row passes, the keys share one satisfied
-    tuple."""
+    built only if ``noted``; else the notes column is None. Each key's
+    values are a list of the caller's own, which takes the shortfalls in
+    place. Each step is a C-level pass over the keys, or over a key's rows;
+    where every row passes, the keys share one satisfied tuple."""
     n, ds, layout, exacts, bounds, notes = batch
     _, _, limits, based, paired = layout
     if paired:
         cut = slice(paired.start, paired.stop)
         pairings = [*map(itemgetter(cut), exacts)]
-        if not owned:
-            exacts = [*map(list, exacts)]
         # nearly every pairing is >= 0, so its shortfall is 0
         zeros = (0,) * len(paired)
         for values in exacts:
@@ -596,15 +592,8 @@ def _columns(batch, noted: bool = True, owned: bool = False) -> tuple:
     return n, ds, layout, exacts, bounds, satisfied, margins, degenerate, notes
 
 
-def _batch(keys) -> tuple:
-    """The batch (n, ds, layout, values, bounds, notes) of grid keys (n, d,
-    layout, values, bounds, notes) of one layout."""
-    ns, ds, layouts, *columns = zip(*keys)
-    return (ns[0], ds, layouts[0], *columns)
-
-
 def _runs(labels, blocks) -> dict:
-    """Key position -> the slice of keys computed or rendered with it: runs
+    """Key position -> the slice of keys computed with it: runs
     of at most CHUNK_KEYS keys of one block, ``blocks`` giving each key's,
     whose first cases come one after another in ``labels``."""
     runs, seen, start, stop = {}, bytearray(len(blocks)), 0, -1
@@ -636,20 +625,15 @@ def _exceptions(columns) -> list:
     return [j for j, ok, flags in zip(count(), oks, degenerate) if not all(ok) or any(flags)]
 
 
-def _rows(key):
-    """A grid key's rows (subject, index, exact, bound, satisfied, margin,
-    degenerate, note): a report without n, d and multidegree."""
-    _, _, (subjects, indices, *_), *columns = _columns(_batch((key,)))
-    return zip(subjects, indices, *map(itemgetter(0), columns))
-
-
-def _exception_rows(key) -> list:
-    """The rows (see _rows) of a key that are unsatisfied or degenerate."""
-    return [row for row in _rows(key) if row[6] or not row[4]]
-
-
-# the degenerate field of a row
-_DEGENERATE = itemgetter(6)
+def _exception_rows(n, d, layout, values, bounds, notes) -> list:
+    """The rows (subject, index, exact, bound, satisfied, margin,
+    degenerate, note) of a key, each a report without n, d and
+    multidegree, that are unsatisfied or degenerate. ``values`` is a list
+    that takes the shortfalls in place (see _columns)."""
+    batch = n, (d,), layout, (values,), (bounds,), (notes,)
+    _, _, (subjects, indices, *_), *columns = _columns(batch)
+    rows = zip(subjects, indices, *map(itemgetter(0), columns))
+    return [row for row in rows if row[6] or not row[4]]
 
 
 class GridSweep:
@@ -662,15 +646,13 @@ class GridSweep:
     n = m - k and one layout. Their first cases come one after another, and
     at the first of them the sweep runs the checks over a chunk of at most
     CHUNK_KEYS of them, joins each key's values and bounds over the checks,
-    and derives the chunk's columns from them, without notes. From that one
-    derivation it tallies what a run prints: ``report_count`` and the
-    ``violations`` and ``flagged`` reports, in case order. ``truncated``,
-    ``labels`` (key position, multidegree) and ``case_count`` are known from
-    the start. Between the first and last case of a key it holds only the
-    key's row count and its unsatisfied or degenerate rows. ``keys``, if
-    given, is a list that each key (n, d, layout, values, bounds, notes) is
-    appended to as it is computed; only those keys, and a key with
-    unsatisfied or degenerate rows, are built as tuples with their notes.
+    and derives the chunk's columns from them, with notes only if
+    ``noted``, as a JSON document reads them. From that one derivation it
+    tallies what a run prints: ``report_count`` and the ``violations`` and
+    ``flagged`` reports, in case order. ``truncated``, ``labels`` (key
+    position, multidegree) and ``case_count`` are known from the start.
+    Between the first and last case of a key it holds only the key's row
+    count and its unsatisfied or degenerate rows, with their notes.
 
     A degree-1 factor is a linear re-embedding: X cut by a hyperplane of P^m
     is the same variety in P^(m-1), with the same n and d. So the checks run
@@ -680,8 +662,8 @@ class GridSweep:
     every key of that dimension shares.
     """
 
-    def __init__(self, spec: GridSpec, keys: list | None = None):
-        self.spec, self._keys = spec, keys
+    def __init__(self, spec: GridSpec, noted: bool = False):
+        self.spec, self._noted = spec, noted
         pairs, self.truncated = _grid(spec)
         where = {}  # (n, degrees above 1) -> key position
         self.labels = [
@@ -697,7 +679,7 @@ class GridSweep:
         return len(self.labels)
 
     def __iter__(self):
-        names, keys, varieties = self.spec.checks, self._keys, self._varieties
+        names, noted, varieties = self.spec.checks, self._noted, self._varieties
         checks = [_CHECKS[name] for name in names]
         # a key's block: its n and the codimension of its first case
         chunks = _runs(self.labels, [(n, len(degrees) or 1) for n, degrees in varieties])
@@ -723,18 +705,16 @@ class GridSweep:
                 found = (("",) * len(r[0]) if r[3] is None else r[3](j) for r in rows)
                 return tuple(chain.from_iterable(found))
 
-            if keys is not None:
-                # the keys hold the Schur pairings, which _columns replaces
-                columns = map(tuple, exacts), map(tuple, bounds), map(notes, range(c.size))
-                keys.extend(zip(repeat(n), ds, repeat(layout), *columns))
-            columns = _columns((n, ds, layout, exacts, bounds, None), False, True)
+            # _columns reads the notes only if noted
+            batch = n, ds, layout, exacts, bounds, map(notes, range(c.size))
+            columns = _columns(batch, noted)
             size = len(layout[0])
             held[positions] = zip(repeat(n), ds, repeat(size), repeat(()))
             for j in _exceptions(columns):
-                # only a key with exception rows builds its notes
-                values = tuple(chain.from_iterable(r[1][j] for r in rows))
-                key = n, ds[j], layout, values, tuple(bounds[j]), notes(j)
-                held[i + j] = n, ds[j], size, _exception_rows(key)
+                # the key's values with its Schur pairings, which _columns replaced
+                values = [*chain.from_iterable(r[1][j] for r in rows)]
+                found = _exception_rows(n, ds[j], layout, values, bounds[j], notes(j))
+                held[i + j] = n, ds[j], size, found
             return columns
 
         new = partial(tuple.__new__, BoundReport)
@@ -750,142 +730,41 @@ class GridSweep:
             yield case
 
 
-class GridResult(Record):
-    """Outcome of one grid sweep, deterministically ordered.
+def _json_head(spec: GridSpec, cases: int, truncated: bool, violations: int) -> str:
+    """The members of a grid's JSON document before "reports"."""
+    from json.encoder import encode_basestring_ascii
 
-    The sweep is held as keys x labels. A key is (n, d, layout, values,
-    bounds, notes), what one variety's selected checks compute: its row
-    values (exact values, and pairings for Schur rows), bounds and notes,
-    one per row, over the layout that every key of dimension n shares (see
-    _layout). A label is (key position, multidegree), one per case in case
-    order. Each row's exact value, satisfied, margin and degenerate fields,
-    and the notes of Schur and degenerate rows, are derived from these
-    wherever rows are read (see _columns). A case's reports are its key's
-    rows with n, d and its multidegree put in; ``cases``, ``reports``,
-    ``violations`` and ``flagged`` are built on first use (verify_grid
-    gives the last two from its sweep), while ``report_count`` and the
-    writers read the keys and labels. Both are stored as tuples, whatever
-    sequences they come in, so a result hashes and prints every int in
-    full. The whole record is held; GridSweep reads a run case by case.
-    """
-
-    # no __slots__: the fields and the cached views live in __dict__
-    _fields = ("spec", "truncated", "keys", "labels")
-
-    def __init__(self, spec: GridSpec, truncated: bool, keys, labels):
-        super().__init__(spec, truncated, tuple(keys), tuple(labels))
-
-    @cached_property
-    def cases(self) -> tuple:
-        # a case of dimension n with k factors lies in P^(n+k)
-        keys, labels = self.keys, self.labels
-        return tuple(CompleteIntersection(keys[i][0] + len(degs), degs) for i, degs in labels)
-
-    @property
-    def case_count(self) -> int:
-        return len(self.labels)
-
-    @property
-    def report_count(self) -> int:
-        """len(reports), from each case's key, without building them."""
-        return sum(len(self.keys[i][3]) for i, _ in self.labels)
-
-    def _expand(self, rows) -> tuple:
-        """The reports of ``rows[i]``, rows of key i (none where i is not in
-        ``rows``), for every case of key i, in case order."""
-        new, keys = partial(tuple.__new__, BoundReport), self.keys
-        return tuple(
-            new(row[:1] + (keys[i][0], keys[i][1], multidegree) + row[1:])
-            for i, multidegree in self.labels
-            for row in rows.get(i, ())
-        )
-
-    @cached_property
-    def reports(self) -> tuple:
-        return self._expand({i: [*_rows(key)] for i, key in enumerate(self.keys)})
-
-    @cached_property
-    def _exceptions(self) -> dict:
-        """Key position -> the rows of that key that are unsatisfied or
-        degenerate, for the few keys with any."""
-        return {
-            i: _exception_rows(key)
-            for i, key in enumerate(self.keys)
-            if _exceptions(_columns(_batch((key,)), noted=False))
-        }
-
-    @cached_property
-    def violations(self) -> tuple:
-        # the unsatisfied rows, less the few flagged degenerate
-        rows = self._exceptions.items()
-        return self._expand({i: [*filterfalse(_DEGENERATE, found)] for i, found in rows})
-
-    @cached_property
-    def flagged(self) -> tuple:
-        rows = self._exceptions.items()
-        return self._expand({i: [*filter(_DEGENERATE, found)] for i, found in rows})
-
-    def write(self, stream, fmt: str) -> None:
-        """Stream the report document in ``fmt`` (json, csv or markdown)."""
-        head = ""
-        if fmt == "json":
-            from json.encoder import encode_basestring_ascii
-
-            spec = self.spec
-            checks = ",\n      ".join(map(encode_basestring_ascii, spec.checks))
-            head = (
-                '  "grid": {\n'
-                f'    "max_ambient_dim": {exact_decimal(spec.max_ambient_dim)},\n'
-                f'    "max_degree_per_factor": {exact_decimal(spec.max_degree_per_factor)},\n'
-                f'    "max_codim": {exact_decimal(spec.max_codim)},\n'
-                f'    "checks": [\n      {checks}\n    ],\n'
-                f'    "max_cases": {exact_decimal(spec.max_cases)}\n'
-                "  },\n"
-                f'  "cases": {exact_decimal(self.case_count)},\n'
-                f'  "truncated": {"true" if self.truncated else "false"},\n'
-                f'  "violations": {exact_decimal(len(self.violations))},\n'
-            )
-        keys, noted = self.keys, fmt == "json"
-        runs = _runs(self.labels, [(key[0], id(key[2])) for key in keys])
-
-        def columns(i):
-            run = runs.get(i)
-            return None if run is None else _columns(_batch(keys[run]), noted)
-
-        _write(stream, fmt, _cases(self.labels, columns), head)
-
-    def render(self, fmt: str) -> str:
-        """The document ``write`` streams, as one string."""
-        buffer = StringIO()
-        self.write(buffer, fmt)
-        return buffer.getvalue()
+    checks = ",\n      ".join(map(encode_basestring_ascii, spec.checks))
+    return (
+        '  "grid": {\n'
+        f'    "max_ambient_dim": {exact_decimal(spec.max_ambient_dim)},\n'
+        f'    "max_degree_per_factor": {exact_decimal(spec.max_degree_per_factor)},\n'
+        f'    "max_codim": {exact_decimal(spec.max_codim)},\n'
+        f'    "checks": [\n      {checks}\n    ],\n'
+        f'    "max_cases": {exact_decimal(spec.max_cases)}\n'
+        "  },\n"
+        f'  "cases": {exact_decimal(cases)},\n'
+        f'  "truncated": {"true" if truncated else "false"},\n'
+        f'  "violations": {exact_decimal(violations)},\n'
+    )
 
 
-def verify_grid(spec: GridSpec) -> GridResult:
-    """Run every selected check over every grid variety and hold the whole
-    run as one GridResult: its sweep (see GridSweep) gives the keys, the
-    labels, and the violations and flagged reports."""
-    keys = []
-    sweep = GridSweep(spec, keys)
-    deque(sweep, maxlen=0)
-    result = GridResult(spec, sweep.truncated, keys, sweep.labels)
-    # the cached views, as GridResult would build them from the keys
-    vars(result).update(violations=tuple(sweep.violations), flagged=tuple(sweep.flagged))
-    return result
-
-
-def sweep_grid(spec: GridSpec, stream=None, fmt: str = "csv") -> GridSweep:
+def verify_grid(spec: GridSpec, stream=None, fmt: str | None = None) -> GridSweep:
     """Run every selected check over every grid variety, one case at a time,
     and return the finished GridSweep with its tallies. With a ``stream``,
-    the ``fmt`` document (csv or markdown) is written to it as the cases are
-    reached, so a key's text is held only while cases of it remain. JSON is
-    refused: its head counts the violations before the first report, which
-    takes the whole run (verify_grid)."""
-    sweep = GridSweep(spec)
+    the ``fmt`` document (json, csv or markdown) is written to it. CSV and
+    markdown are written as the cases are reached, so a key's text is held
+    only while cases of it remain. A JSON head counts the violations before
+    the first report, so a JSON run holds its case stream, each chunk's
+    columns with their notes, until the sweep ends, then writes the head and
+    drains the stream into the document."""
+    sweep = GridSweep(spec, noted=fmt == "json")
     if stream is None:
         deque(sweep, maxlen=0)
     elif fmt == "json":
-        raise ValueError("a JSON document counts its violations first; use verify_grid")
+        cases = deque(sweep)
+        head = _json_head(spec, sweep.case_count, sweep.truncated, len(sweep.violations))
+        _write(stream, fmt, map(deque.popleft, repeat(cases, len(cases))), head)
     else:
         _write(stream, fmt, sweep)
     return sweep

@@ -170,7 +170,7 @@ def _write_out(write, out_path):
 
 
 def _cmd_verify(args) -> int:
-    from .bounds import sweep_grid, verify_grid
+    from .bounds import verify_grid
 
     if args.sigma is not None:
         _refuse(args, args.grid_flags, "with --sigma")
@@ -178,19 +178,12 @@ def _cmd_verify(args) -> int:
     _refuse(args, args.signature_flags, "without --sigma")
     spec = _grid_spec_from_args(args)
     fmt = args.format or ("json" if args.out is not None else None)
-    if fmt == "json":
-        # the head counts the violations before the first report, so the
-        # whole run is held; the other runs read the grid case by case
-        def run(out):
-            held = verify_grid(spec)
-            held.write(out, fmt)
-            return held
 
-        result = _write_out(run, args.out)
-    elif fmt is None:
-        result = sweep_grid(spec)
-    else:
-        result = _write_out(lambda out: sweep_grid(spec, out, fmt), args.out)
+    def run(out):
+        return verify_grid(spec, out, fmt)
+
+    # a summary run writes no document
+    result = run(None) if fmt is None else _write_out(run, args.out)
     document_on_stdout = fmt is not None and args.out is None
     if not document_on_stdout:
         counts = (result.case_count, result.report_count, len(result.flagged))

@@ -16,7 +16,6 @@ from charbound.bounds import (
     blowup_euler,
     curve_betti_bound,
     signature_check,
-    verify_grid,
 )
 from charbound.chern import euler_characteristic
 from charbound.cli import main
@@ -28,6 +27,7 @@ from charbound.schubert import (
     intersection_number,
 )
 from charbound.varieties import CompleteIntersection, Partition
+from grid_run import document, grid_cases, json_run
 
 
 def verdict(num, label, ok, detail=""):
@@ -39,7 +39,7 @@ def verdict(num, label, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def full_grid():
-    return verify_grid(GridSpec())
+    return json_run(GridSpec())
 
 
 def all_box_partitions(gr):
@@ -56,10 +56,11 @@ def all_box_partitions(gr):
 
 def test_criterion_01_degree_sequence_chain():
     started = time.perf_counter()
-    result = verify_grid(GridSpec(checks=("degree-sequence",)))
+    result = json_run(GridSpec(checks=("degree-sequence",)))
     elapsed = time.perf_counter() - started
+    cases = grid_cases(result.sweep)
     reports = [r for r in result.reports if r.subject == "degree-sequence"]
-    ok = len(result.cases) == 500
+    ok = len(cases) == 500
     ok = ok and all(r.satisfied for r in reports)
     ok = ok and all(
         r.margin == 0 for r in reports if len(r.multidegree) == 1
@@ -69,7 +70,7 @@ def test_criterion_01_degree_sequence_chain():
         1,
         "degree-sequence chain 1 <= h^(n-i)A^i <= d^(i+1), tight for hypersurfaces",
         ok,
-        f"{len(reports)} inequalities over {len(result.cases)} varieties in {elapsed:.2f}s",
+        f"{len(reports)} inequalities over {len(cases)} varieties in {elapsed:.2f}s",
     )
 
 
@@ -216,9 +217,8 @@ def test_criterion_09_bound_goldens_in_cli(capsys):
 
 
 def test_criterion_10_grid_determinism(full_grid):
-    again = verify_grid(GridSpec())
-    ok = full_grid.render("json") == again.render("json")
-    ok = ok and full_grid.render("csv") == again.render("csv")
+    ok = full_grid.document == document(GridSpec())[1]
+    ok = ok and document(GridSpec(), "csv")[1] == document(GridSpec(), "csv")[1]
     verdict(
         10,
         "two full verification runs produce byte-identical reports",

@@ -1,15 +1,15 @@
 import csv
-import gc
+import hashlib
 import io
 import json
 import sys
-import tracemalloc
 import types
 from contextlib import contextmanager, nullcontext
 from decimal import Decimal
 from functools import partial
 from itertools import combinations_with_replacement, count, groupby, islice
 from math import comb
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -19,12 +19,15 @@ import charbound.bounds
 from charbound.bounds import (
     _CHECKS,
     _Chunk,
+    _columns,
+    _exception_rows,
+    _json_head,
+    _runs,
     CHUNK_KEYS,
     CHECK_NAMES,
     DEGENERATE_NOTE,
     MAX_GRID_CASES,
     BoundReport,
-    GridResult,
     GridSpec,
     betti_bound,
     betti_bound_recursive,
@@ -35,7 +38,6 @@ from charbound.bounds import (
     nef_chern_bound,
     pontryagin_bound,
     signature_check,
-    sweep_grid,
     verify_grid,
 )
 from charbound.chern import DegreeError, degree_sequence
@@ -44,6 +46,9 @@ from charbound.report import _cases, _write, write_json
 from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
 import chern_oracle as oracle
 from determinants import long_side_schur
+from grid_run import document, grid_cases, json_reports, json_run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- closed-form bound formulas ------------------------------------------------
@@ -207,24 +212,24 @@ def test_enumeration_is_canonical_and_deterministic():
         CompleteIntersection(4, (2, 2, 2)),
     )
     assert oracle_grid(spec) == (cases, False)
-    result = verify_grid(spec)
-    assert (result.cases, result.truncated) == (cases, False)
-    assert verify_grid(spec) == result
+    sweep, text = document(spec)
+    assert (grid_cases(sweep), sweep.truncated) == (cases, False)
+    assert document(spec)[1] == text
 
 
 def test_enumeration_respects_codim_cap():
     spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=2, max_codim=1)
-    cases = verify_grid(spec).cases
+    cases = grid_cases(verify_grid(spec))
     assert cases == oracle_grid(spec)[0]
     assert cases and all(ci.codimension == 1 for ci in cases)
 
 
 def test_enumeration_truncates_with_flag():
     spec = GridSpec(max_ambient_dim=8, max_degree_per_factor=5, max_cases=10)
-    result = verify_grid(spec)
-    assert result.truncated
-    assert len(result.cases) == 10
-    assert (result.cases, result.truncated) == oracle_grid(spec)
+    sweep = verify_grid(spec)
+    assert sweep.truncated
+    assert len(grid_cases(sweep)) == 10
+    assert (grid_cases(sweep), sweep.truncated) == oracle_grid(spec)
 
 
 @pytest.mark.parametrize("max_degree", (7, 10**6, 10**20))
@@ -234,8 +239,8 @@ def test_enumeration_under_a_degree_cap_past_the_case_cap(max_degree, max_cases)
     # range(1, 10**20 + 1) of degrees used to raise OverflowError
     spec = GridSpec(max_degree_per_factor=max_degree, max_cases=max_cases)
     curves = tuple(CompleteIntersection(2, (d,)) for d in range(1, max_cases + 1))
-    result = verify_grid(spec)
-    assert (result.cases, result.truncated) == oracle_grid(spec) == (curves, True)
+    sweep = verify_grid(spec)
+    assert (grid_cases(sweep), sweep.truncated) == oracle_grid(spec) == (curves, True)
 
 
 @pytest.mark.parametrize(
@@ -254,9 +259,9 @@ def test_enumeration_under_a_degree_cap_past_the_case_cap(max_degree, max_cases)
 )
 def test_case_count_is_the_enumerated_count(spec):
     cases, truncated = oracle_grid(spec)
-    result = verify_grid(spec)
-    assert (result.cases, result.truncated) == (cases, truncated)
-    assert spec.case_count == result.case_count == len(cases)
+    sweep = verify_grid(spec)
+    assert (grid_cases(sweep), sweep.truncated) == (cases, truncated)
+    assert spec.case_count == sweep.case_count == len(cases)
 
 
 def test_grid_spec_refuses_more_cases_than_the_limit():
@@ -275,17 +280,33 @@ def test_grid_spec_refuses_more_cases_than_the_limit():
 
 
 def test_empty_grid():
-    result = verify_grid(GridSpec(max_cases=0))
-    assert result.reports == ()
-    assert result.cases == ()
+    sweep, _, reports = json_run(GridSpec(max_cases=0))
+    assert reports == []
+    assert grid_cases(sweep) == ()
+    assert sweep.report_count == 0 and sweep.violations == sweep.flagged == []
 
 
-def test_a_grid_read_case_by_case_writes_no_json():
-    # a JSON head counts the violations before the first report
-    stream = io.StringIO()
-    with pytest.raises(ValueError, match="use verify_grid"):
-        sweep_grid(GridSpec(max_ambient_dim=3), stream, "json")
-    assert stream.getvalue() == ""
+def test_a_library_json_run_gives_the_default_json_golden():
+    # the one grid entry point writes JSON as it writes CSV, no CLI involved
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+    golden = golden["default-json"]
+    assert golden["argv"] == "verify --format json"
+    _, text = document(GridSpec())
+    data = text.encode()
+    assert len(data) == golden["bytes"]
+    assert hashlib.sha256(data).hexdigest() == golden["sha256"]
+
+
+def test_a_json_run_derives_each_chunk_as_often_as_a_csv_run():
+    # a JSON run once held its keys and derived every chunk's columns again
+    # to write them: 45 derivations on the default grid against CSV's 23
+    for spec in (GridSpec(), GridSpec(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8)):
+        calls = {}
+        for fmt in ("json", "csv"):
+            with patch.object(charbound.bounds, "_columns", wraps=_columns) as spy:
+                document(spec, fmt)
+            calls[fmt] = spy.call_count
+        assert calls["json"] == calls["csv"] > 0, spec
 
 
 # small grids: dimensions up to 6, so Pontryagin rows at n = 4 and the
@@ -316,32 +337,30 @@ def negated_values():
 @given(small_specs, st.booleans())
 @example(GridSpec(max_ambient_dim=7, max_degree_per_factor=4, max_codim=6, max_cases=600), True)
 def test_a_grid_read_case_by_case_gives_what_the_held_grid_gives(spec, negative):
-    # the sweep extends each key's values into flat lists and builds notes
-    # only for a key with exceptions; the held record keeps tuples and
-    # derives every row, notes included, from them
+    # a JSON run holds its case stream until the sweep ends and derives the
+    # notes with each chunk's columns; CSV and markdown runs render each
+    # chunk as it comes, without notes. The sweep tallies each key's
+    # exception rows, derived anew with their notes
     patched = patch.multiple(charbound.bounds, **negated_values()) if negative else nullcontext()
     with patched:
-        kept = verify_grid(spec)
-        sweeps = {}
-        for fmt in ("csv", "markdown"):
-            stream = io.StringIO()
-            sweeps[fmt] = sweep_grid(spec, stream, fmt), stream.getvalue()
-    held = GridResult(spec, kept.truncated, kept.keys, kept.labels)
-    reports = held.reports
-    violations = tuple(r for r in reports if not r.satisfied and not r.degenerate)
-    flagged = tuple(r for r in reports if r.degenerate)
-    assert (held.violations, held.flagged) == (violations, flagged)
-    assert (kept.violations, kept.flagged) == (violations, flagged)
-    for fmt, (sweep, document) in sweeps.items():
-        assert document == held.render(fmt)
-        assert sweep.report_count == held.report_count == len(reports)
-        assert (tuple(sweep.violations), tuple(sweep.flagged)) == (violations, flagged)
+        runs = {fmt: document(spec, fmt) for fmt in ("json", "csv", "markdown")}
+    reports = json_reports(runs["json"][1])
+    violations = [r for r in reports if not r.satisfied and not r.degenerate]
+    flagged = [r for r in reports if r.degenerate]
+    for sweep, _ in runs.values():
+        assert (sweep.violations, sweep.flagged) == (violations, flagged)
+        assert sweep.report_count == len(reports)
+    # the CSV and markdown rows are the JSON document's, row for row
+    sweep = runs["json"][0]
+    expected = oracle_json(spec, sweep.case_count, sweep.truncated, reports)[1]
+    assert runs["json"][1] == expected
+    assert runs["csv"][1] == oracle_csv(reports)
+    assert runs["markdown"][1] == oracle_markdown(reports)
 
 
 def test_grid_spec_json_roundtrip():
     spec = GridSpec(max_ambient_dim=5, checks=("betti", "euler"), max_cases=20)
-    empty = GridResult(spec, False, (), ())
-    assert GridSpec.from_dict(json.loads(empty.render("json"))["grid"]) == spec
+    assert GridSpec.from_dict(json.loads(document(spec)[1])["grid"]) == spec
     with pytest.raises(ValueError):
         GridSpec.from_dict({"max_cases": 5, "bogus": 1})
     with pytest.raises(ValueError):
@@ -365,20 +384,21 @@ def test_grid_spec_sizes_must_be_integers():
 # -- verification runs -----------------------------------------------------------------
 
 
+SMALL = GridSpec(max_ambient_dim=4, max_degree_per_factor=3, max_cases=100)
+
+
 @pytest.fixture(scope="module")
 def small_grid():
-    return verify_grid(GridSpec(max_ambient_dim=4, max_degree_per_factor=3, max_cases=100))
+    return json_run(SMALL)
 
 
 def test_small_grid_has_no_violations(small_grid):
-    assert not small_grid.violations
-    assert small_grid.violations == ()
-    assert small_grid.violations is small_grid.violations
-    assert small_grid.flagged is small_grid.flagged
+    assert small_grid.sweep.violations == []
+    assert small_grid.sweep.flagged == [r for r in small_grid.reports if r.degenerate]
 
 
 def test_small_grid_flags_only_degenerate_lines(small_grid):
-    for report in small_grid.flagged:
+    for report in small_grid.sweep.flagged:
         assert (report.n, report.d) == (1, 1)
     # the known formula failure outside its regime: lines, untwisted cotangent
     unsatisfied = [r for r in small_grid.reports if not r.satisfied]
@@ -411,12 +431,12 @@ def test_nef_chern_lower_limit_can_fail(monkeypatch):
         "charbound.bounds._chern_numbers", lambda t, d, multiples: [-1] * len(t.indices)
     )
     spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=3, checks=("nef-chern",))
-    result = verify_grid(spec)
-    plain = [r for r in result.reports if not r.degenerate]
+    sweep, _, reports = json_run(spec)
+    plain = [r for r in reports if not r.degenerate]
     assert plain
     assert all(r.exact_value == -1 and r.margin >= 0 for r in plain)
     assert not any(r.satisfied for r in plain)
-    assert result.violations == tuple(plain)
+    assert sweep.violations == plain
 
 
 def test_degree_sequence_lower_limit_can_fail(monkeypatch):
@@ -424,10 +444,10 @@ def test_degree_sequence_lower_limit_can_fail(monkeypatch):
         "charbound.bounds.degree_sequence", lambda amples, ds, n: [(0,) * (n + 1) for _ in ds]
     )
     spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=3, checks=("degree-sequence",))
-    result = verify_grid(spec)
-    assert result.reports
-    assert not any(r.satisfied for r in result.reports)
-    assert result.violations == result.reports
+    sweep, _, reports = json_run(spec)
+    assert reports
+    assert not any(r.satisfied for r in reports)
+    assert sweep.violations == reports
 
 
 def test_schur_work_runs_only_when_schur_positivity_is_selected(monkeypatch, capsys):
@@ -448,15 +468,29 @@ def test_schur_work_runs_only_when_schur_positivity_is_selected(monkeypatch, cap
 DEEP = dict(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8, max_cases=10**6)
 
 
+def spied_run(spec) -> tuple:
+    """(a JSON run of ``spec``, the (n, layout) of each batch whose columns
+    it derives)."""
+    batches, columns = [], charbound.bounds._columns
+
+    def spy(batch, noted=True):
+        batches.append((batch[0], batch[2]))
+        return columns(batch, noted)
+
+    with patch.object(charbound.bounds, "_columns", spy):
+        return json_run(spec), batches
+
+
 @pytest.fixture(scope="module")
 def deep_grid():
-    return verify_grid(GridSpec(**DEEP))
+    return spied_run(GridSpec(**DEEP))
 
 
 def test_the_deep_grid_reaches_pontryagin_and_degenerate_rows(deep_grid):
-    pontryagin = {r.n for r in deep_grid.reports if r.subject == "pontryagin"}
+    grid, _ = deep_grid
+    pontryagin = {r.n for r in grid.reports if r.subject == "pontryagin"}
     assert pontryagin == {4, 8}
-    assert {(r.n, r.d) for r in deep_grid.flagged} == {(1, 1)}
+    assert {(r.n, r.d) for r in grid.sweep.flagged} == {(1, 1)}
 
 
 def row_limits(layout) -> list:
@@ -469,52 +503,20 @@ def row_limits(layout) -> list:
     return least
 
 
-def key_rows(key) -> tuple:
-    """A grid key's rows as it holds them: (subject, index, lower limit,
-    based, whether the value is a Schur pairing, value, bound, note)."""
-    _, _, layout, *values = key
-    subjects, indices, _, based, paired = layout
-    pairings = map(paired.__contains__, range(len(subjects)))
-    return tuple(zip(subjects, indices, row_limits(layout), based, pairings, *values))
-
-
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_a_check_alone_gives_its_rows_of_the_full_run(deep_grid, name):
-    alone = verify_grid(GridSpec(**DEEP, checks=(name,)))
-    assert alone.labels == deep_grid.labels
-    assert [key[:2] for key in alone.keys] == [key[:2] for key in deep_grid.keys]
-    assert [key_rows(key) for key in alone.keys] == [
-        tuple(row for row in key_rows(key) if row[0] == name) for key in deep_grid.keys
-    ]
+    full, full_batches = deep_grid
+    alone, alone_batches = spied_run(GridSpec(**DEEP, checks=(name,)))
+    assert alone.sweep.labels == full.sweep.labels
+    assert alone.reports == [r for r in full.reports if r.subject == name]
     # the pairings are Schur's rows and no others
-    for n, _, (subjects, *_, paired), *_ in deep_grid.keys:
+    for _, (subjects, *_, paired) in full_batches:
         assert [j for j, s in enumerate(subjects) if s == "schur-positivity"] == [*paired]
     # every key of one dimension holds the same layout object
-    for result in (alone, deep_grid):
+    for batches in (alone_batches, full_batches):
         layouts = {}
-        for n, _, layout, *_ in result.keys:
+        for n, layout in batches:
             assert layouts.setdefault(n, layout) is layout
-
-
-def test_a_grid_result_holds_its_values_not_a_tuple_per_row():
-    # m<=20 D<=2: 209 keys, 120,025 distinct rows and 1,520 cases; each key
-    # holds its values, bounds and notes over one layout per dimension, about
-    # 8.2 MB in all, where a tuple per row held 23.1 MB, and values with a
-    # pairing=<int> note per Schur row 9.5 MB
-    spec = GridSpec(max_ambient_dim=20, max_degree_per_factor=2, max_codim=19, max_cases=10**6)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = verify_grid(spec)
-        gc.collect()
-        with_result = tracemalloc.get_traced_memory()[0]
-        assert (len(result.keys), result.case_count) == (209, 1520)
-        del result
-        gc.collect()
-        held = with_result - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 9.3e6, f"the result holds {held / 1e6:.1f} MB"
 
 
 def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, capsys):
@@ -528,21 +530,22 @@ def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, 
 
     monkeypatch.setattr("charbound.bounds.degree_sequence", one_past)
     spec = GridSpec(max_ambient_dim=5, max_degree_per_factor=3, checks=("degree-sequence",))
-    result = verify_grid(spec)
+    sweep, _, found = json_run(spec)
+    cases = grid_cases(sweep)
     # P^3 (2), P^4 (1,2) and P^5 (1,1,2): three cases share the key
-    quadrics = [ci.multidegree for ci in result.cases if (ci.dimension, ci.degree) == (2, 2)]
+    quadrics = [ci.multidegree for ci in cases if (ci.dimension, ci.degree) == (2, 2)]
     assert quadrics == [(2,), (1, 2), (1, 1, 2)]
-    expected = tuple(
+    expected = [
         BoundReport("degree-sequence", 2, 2, degs, (i,), 2 ** (i + 1) + 1, 2 ** (i + 1), False, -1)
         for degs in quadrics
         for i in range(3)
-    )
-    assert result.violations == expected
-    assert result.flagged == ()
-    assert all(r.satisfied for r in result.reports if (r.n, r.d) != (2, 2))
+    ]
+    assert sweep.violations == expected
+    assert sweep.flagged == []
+    assert all(r.satisfied for r in found if (r.n, r.d) != (2, 2))
     # degree-sequence has n + 1 rows per case
-    reports = sum(ci.dimension + 1 for ci in result.cases)
-    assert reports == len(result.reports)
+    reports = sum(ci.dimension + 1 for ci in cases)
+    assert reports == len(found) == sweep.report_count
     # the summary line and the JSON head count each case of the key
     flags = ["--max-ambient-dim", "5", "--max-degree", "3", "--checks", "degree-sequence"]
     assert main(["verify", *flags]) == 1
@@ -695,22 +698,23 @@ MEMO_GRIDS = (
 
 @pytest.mark.parametrize("spec", MEMO_GRIDS)
 def test_grid_cases_built_from_labels_are_the_enumerated_cases(spec):
-    result = verify_grid(spec)
-    assert result.case_count == spec.case_count
-    assert (result.cases, result.truncated) == oracle_grid(spec)
-    assert result.case_count == len(result.cases)
+    sweep = verify_grid(spec)
+    assert sweep.case_count == spec.case_count
+    assert (grid_cases(sweep), sweep.truncated) == oracle_grid(spec)
+    assert sweep.case_count == len(grid_cases(sweep))
 
 
 @pytest.mark.parametrize("spec", MEMO_GRIDS)
 def test_memoized_reports_match_case_by_case_checks(spec):
-    result = verify_grid(spec)
+    sweep, _, reports = json_run(spec)
     expected = oracle_reports(spec)
-    assert len(result.reports) == len(expected)
-    for got, want in zip(result.reports, expected):
+    assert len(reports) == len(expected) == sweep.report_count
+    for got, want in zip(reports, expected):
         assert got._asdict() == want._asdict()
         assert type(got.satisfied) is bool and type(got.degenerate) is bool
-    keys = {(ci.dimension, tuple(d for d in ci.multidegree if d > 1)) for ci in result.cases}
-    assert len(keys) < len(result.cases)
+    cases = grid_cases(sweep)
+    keys = {(ci.dimension, tuple(d for d in ci.multidegree if d > 1)) for ci in cases}
+    assert len(keys) < len(cases)
 
 
 # -- the block kernel: chunks of one block against the oracle --------------------
@@ -738,26 +742,24 @@ def test_a_block_chunk_by_chunk_matches_the_case_by_case_oracle(n):
     expected = {}
     for size in (1, CHUNK_KEYS - 1, CHUNK_KEYS, CHUNK_KEYS + 1):
         spec, top = block_grid(n, size)
-        result = verify_grid(spec)
-        block = result.cases[-size:]
-        assert result.truncated and len(block) == size
+        sweep, _, reports = json_run(spec)
+        block = grid_cases(sweep)[-size:]
+        assert sweep.truncated and len(block) == size
         assert {(ci.dimension, ci.codimension) for ci in block} == {(n, 2)}
         assert all(2 <= min(ci.multidegree) <= max(ci.multidegree) <= top for ci in block)
         # the block's cases are the first cases of keys of their own
-        keys = len(result.keys)
-        assert [i for i, _ in result.labels[-size:]] == [*range(keys - size, keys)]
-        rows = len(result.keys[-1][2][0])
+        keys = max(i for i, _ in sweep.labels) + 1
+        assert [i for i, _ in sweep.labels[-size:]] == [*range(keys - size, keys)]
         want = []
         for ci in block:
             if ci.multidegree not in expected:
                 expected[ci.multidegree] = oracle_case_reports(ci, CHECK_NAMES)
             want += expected[ci.multidegree]
-        assert list(result.reports[-size * rows :]) == want
-        assert result.violations == ()
-        stream = io.StringIO()
-        sweep = sweep_grid(spec, stream, "csv")
-        assert stream.getvalue() == result.render("csv")
-        assert (sweep.violations, sweep.flagged) == (list(result.violations), list(result.flagged))
+        assert reports[-len(want) :] == want
+        assert sweep.violations == []
+        csv_sweep, text = document(spec, "csv")
+        assert text == oracle_csv(reports)
+        assert (csv_sweep.violations, csv_sweep.flagged) == (sweep.violations, sweep.flagged)
 
 
 def test_a_seam_failing_one_key_mid_chunk_fails_that_key_alone(monkeypatch):
@@ -766,7 +768,7 @@ def test_a_seam_failing_one_key_mid_chunk_fails_that_key_alone(monkeypatch):
     # Schur pairings are negated, so each positive one fails with its own
     # note, at both of its cases: (3, 5) in P^4 and (1, 3, 5) in P^5
     spec = GridSpec(max_ambient_dim=5, max_degree_per_factor=14, max_cases=10**6)
-    clean = verify_grid(spec)
+    clean = json_run(spec)
     block = [*combinations_with_replacement(range(2, 15), 2)]
     assert 0 < block.index((3, 5)) % CHUNK_KEYS < CHUNK_KEYS - 1
     twisted = _Chunk(2, [(3, 5)]).twisted[0]
@@ -784,13 +786,14 @@ def test_a_seam_failing_one_key_mid_chunk_fails_that_key_alone(monkeypatch):
                 failed = dict(exact_value=pairing, satisfied=False, margin=pairing)
                 expected.append(r._replace(**failed, note=f"pairing={pairing}"))
     assert {r.multidegree for r in expected} == {(3, 5), (1, 3, 5)}
-    result = verify_grid(spec)
-    assert result.violations == tuple(expected) and result.flagged == clean.flagged
-    for fmt in ("csv", "markdown"):
-        stream = io.StringIO()
-        sweep = sweep_grid(spec, stream, fmt)
-        assert (sweep.violations, sweep.flagged) == (expected, list(clean.flagged))
-        assert stream.getvalue() == result.render(fmt)
+    result = json_run(spec)
+    assert result.sweep.violations == expected
+    assert result.sweep.flagged == clean.sweep.flagged
+    oracles = {"csv": oracle_csv, "markdown": oracle_markdown}
+    for fmt, oracle_document in oracles.items():
+        sweep, text = document(spec, fmt)
+        assert (sweep.violations, sweep.flagged) == (expected, clean.sweep.flagged)
+        assert text == oracle_document(result.reports)
     # every other row is as it was
     assert [b for a, b in zip(clean.reports, result.reports) if a != b] == expected
 
@@ -800,7 +803,7 @@ def test_a_failing_euler_row_keeps_its_own_note(monkeypatch):
     # number one too large fails the euler row of each surface with chi = 8,
     # with a note that gives both sides
     spec = GridSpec(max_ambient_dim=5, max_degree_per_factor=4, max_cases=10**6)
-    clean = verify_grid(spec)
+    clean = json_run(spec)
     middle_betti = charbound.bounds.middle_betti
 
     def one_more(n, chis):
@@ -813,8 +816,9 @@ def test_a_failing_euler_row_keeps_its_own_note(monkeypatch):
         if r.subject == "euler" and r.n == 2 and r.note.startswith("chi=8 ")
     ]
     assert len({r.multidegree for r in expected}) > 1
-    assert verify_grid(spec).violations == tuple(expected)
-    assert sweep_grid(spec, io.StringIO(), "csv").violations == expected
+    assert verify_grid(spec).violations == expected
+    assert verify_grid(spec, io.StringIO(), "csv").violations == expected
+    assert json_run(spec).sweep.violations == expected
 
 
 def test_every_schur_pairing_of_the_p23_quadric_matches_long_side_bareiss():
@@ -824,7 +828,7 @@ def test_every_schur_pairing_of_the_p23_quadric_matches_long_side_bareiss():
     spec = GridSpec(
         max_ambient_dim=23, max_degree_per_factor=2, max_codim=1, checks=("schur-positivity",)
     )
-    reports = [r for r in verify_grid(spec).reports if (r.n, r.multidegree) == (22, (2,))]
+    reports = [r for r in json_run(spec).reports if (r.n, r.multidegree) == (22, (2,))]
     shapes = [r.index for r in reports]
     assert shapes == oracle_indices(22)[1:]
     assert len(shapes) == 4507
@@ -857,22 +861,21 @@ def test_every_check_contributes(small_grid):
 
 
 def test_json_output_is_deterministic(small_grid):
-    again = verify_grid(small_grid.spec)
-    assert small_grid.render("json") == again.render("json")
-    payload = json.loads(small_grid.render("json"))
-    assert payload["cases"] == len(small_grid.cases)
+    assert document(SMALL)[1] == small_grid.document
+    payload = json.loads(small_grid.document)
+    assert payload["cases"] == len(grid_cases(small_grid.sweep))
     assert payload["violations"] == 0
     assert len(payload["reports"]) == len(small_grid.reports)
 
 
 def test_csv_output_shape(small_grid):
-    lines = small_grid.render("csv").splitlines()
+    lines = document(SMALL, "csv")[1].splitlines()
     assert lines[0] == "subject,n,d,multidegree,index,exact,bound,satisfied,margin"
     assert len(lines) == len(small_grid.reports) + 1
 
 
 def test_markdown_output_shape(small_grid):
-    lines = small_grid.render("markdown").splitlines()
+    lines = document(SMALL, "markdown")[1].splitlines()
     assert lines[0].startswith("| subject |")
     assert len(lines) == len(small_grid.reports) + 2
 
@@ -1069,7 +1072,7 @@ sizes = st.integers(min_value=-1, max_value=3) | some_int
 
 @st.composite
 def grid_layouts(draw):
-    """(keys, labels) as verify_grid lays a grid out: a few keys (n, d,
+    """(keys, labels) as a sweep lays a grid out: a few keys (n, d,
     layout, values, bounds, notes) over one or two layouts that keys share,
     each key shared by several cases that carry their own multidegrees."""
     layouts = []
@@ -1120,7 +1123,35 @@ def layout_reports(keys, labels):
                     bound - abs(exact), degenerate, note,
                 )
             )
-    return tuple(reports)
+    return reports
+
+
+def layout_cases(keys, labels, noted: bool = True):
+    """The case stream of a grid layout, as a sweep gives it: the columns of
+    each run of keys of one n and one layout object, derived at the run's
+    first case (see bounds._runs and bounds._columns)."""
+    runs = _runs(labels, [(n, id(layout)) for n, _, layout, *_ in keys])
+
+    def columns(i):
+        run = runs.get(i)
+        if run is None:
+            return None
+        ns, ds, layouts, values, bounds, notes = zip(*keys[run])
+        return _columns((ns[0], ds, layouts[0], [*map(list, values)], bounds, notes), noted)
+
+    return _cases(labels, columns)
+
+
+def render_layout(keys, labels, head: str = "") -> dict:
+    """A grid layout's document in each format, ``head`` before a JSON
+    document's reports; only JSON derives the notes."""
+    rendered = {}
+    for fmt in ("json", "csv", "markdown"):
+        buffer = io.StringIO()
+        json = fmt == "json"
+        _write(buffer, fmt, layout_cases(keys, labels, json), head if json else "")
+        rendered[fmt] = buffer.getvalue()
+    return rendered
 
 
 specs = st.builds(
@@ -1139,17 +1170,20 @@ specs = st.builds(
 @settings(phases=tuple(phase for phase in Phase if phase is not Phase.explain))
 @given(specs, st.booleans(), grid_layouts())
 def test_writers_match_stdlib_serializers(spec, truncated, layout):
-    # the reports as verify_grid stores them: keys x labels, one case per label
-    keys, labels = map(tuple, layout)
+    # the reports of a grid layout: keys x labels, one case per label
+    keys, labels = layout
     with unlimited_int_digits():  # a pairing note prints its pairing with str()
         reports = layout_reports(keys, labels)
-    result = GridResult(spec, truncated, keys, labels)
-    assert result.reports == reports and result.report_count == len(reports)
-    assert result.case_count == len(labels)
-    violations = tuple(r for r in reports if not r.satisfied and not r.degenerate)
-    assert result.violations == violations
-    assert result.flagged == tuple(r for r in reports if r.degenerate)
-    rendered = {fmt: result.render(fmt) for fmt in ("json", "csv", "markdown")}
+    violations = [r for r in reports if not r.satisfied and not r.degenerate]
+    # each case's unsatisfied or degenerate rows, as a sweep tallies them
+    exceptions = [
+        BoundReport(row[0], n, d, multidegree, *row[1:])
+        for i, multidegree in labels
+        for n, d, layout, values, bounds, notes in (keys[i],)
+        for row in _exception_rows(n, d, layout, [*values], bounds, notes)
+    ]
+    assert exceptions == [r for r in reports if r.degenerate or not r.satisfied]
+    rendered = render_layout(keys, labels, _json_head(spec, len(labels), truncated, len(violations)))
     # the signature check's --out file: a document with the report list alone
     buffer = io.StringIO()
     write_json(buffer, reports)
@@ -1159,6 +1193,7 @@ def test_writers_match_stdlib_serializers(spec, truncated, layout):
         documents = oracle_documents(reports)
         assert rendered == {**documents, "json": expected}
         assert buffer.getvalue() == documents["json"]
+    assert json_reports(rendered["json"]) == reports
 
 
 # Without the explain phase, as above.
@@ -1225,21 +1260,24 @@ def test_writers_keep_layouts_of_one_dimension_apart():
 
 
 def test_writers_on_an_empty_report_list():
-    result = GridResult(GridSpec(), False, (), ())
-    assert result.render("json") == oracle_json(GridSpec(), 0, False, ())[1]
-    assert result.render("json").endswith('  "violations": 0,\n  "reports": []\n}\n')
-    assert result.render("csv") == oracle_csv(()) == ",".join(COLUMNS) + "\n"
-    assert result.render("markdown") == oracle_markdown(())
+    spec = GridSpec(max_cases=0)
+    rendered = {fmt: document(spec, fmt)[1] for fmt in ("json", "csv", "markdown")}
+    assert rendered["json"] == oracle_json(spec, 0, True, ())[1]
+    assert rendered["json"].endswith('  "violations": 0,\n  "reports": []\n}\n')
+    assert rendered["csv"] == oracle_csv(()) == ",".join(COLUMNS) + "\n"
+    assert rendered["markdown"] == oracle_markdown(())
+    stream = io.StringIO()
     with pytest.raises(ValueError, match="unknown format"):
-        result.render("yaml")
+        verify_grid(spec, stream, "yaml")
+    assert stream.getvalue() == ""
 
 
 def test_long_integers_print_in_full_in_every_format():
     exact = 10**4999 + 7  # 5,000 digits, past str()'s default 4,300-digit limit
     layout = (("betti",), ((exact,),), (), (False,), range(0))
     key = 2, exact, layout, (exact,), (3,), ("",)
-    result = GridResult(GridSpec(), False, (key,), ((0, (exact, 2)),))
-    (report,) = result.reports
+    rendered = render_layout([key], [(0, (exact, 2))])
+    (report,) = json_reports(rendered["json"])
     assert report == BoundReport(
         subject="betti",
         n=2,
@@ -1253,27 +1291,13 @@ def test_long_integers_print_in_full_in_every_format():
     )
     digits = "1" + "0" * 4998 + "7"
     margin = "-1" + "0" * 4998 + "4"
-    for fmt in ("json", "csv", "markdown"):
-        text = result.render(fmt)
+    for fmt, text in rendered.items():
         assert text.count(digits) == 4, fmt
         assert margin in text, fmt
     assert report.witness() == (
         f"subject=betti n=2 d={digits} multidegree=({digits}, 2) index=({digits},) "
         f"exact={digits} bound=3 margin={margin}"
     )
-
-
-def test_a_grid_result_built_from_lists_is_the_one_built_from_tuples():
-    big = 10**5000  # 5,001 digits, past str()'s default 4,300-digit limit
-    layout = (("betti",), (None,), (), (False,), range(0))
-    empty = ((),) * 4 + (range(0),)
-    for key in ((2, big, empty, (), (), ()), (2, big, layout, (big,), (3,), ("",))):
-        listed = GridResult(GridSpec(), False, [key], [(0, (2,))])
-        tupled = GridResult(GridSpec(), False, (key,), ((0, (2,)),))
-        assert listed == tupled and hash(listed) == hash(tupled)
-        assert (listed.keys, listed.labels) == ((key,), ((0, (2,)),))
-        assert repr(listed) == repr(tupled)
-        assert f"keys=((2, 1{'0' * 5000}, ((" in repr(listed)
 
 
 def test_bound_report_repr_prints_long_ints_in_full():
@@ -1310,11 +1334,11 @@ def test_exact_decimal_under_the_lowest_digit_limit():
 
 
 def test_default_grid_has_no_violations():
-    result = verify_grid(GridSpec())
-    assert result.truncated  # the full family exceeds the 500-case cap
-    assert len(result.cases) == 500
-    assert not result.violations
-    subjects = {r.subject for r in result.reports}
+    sweep, _, reports = json_run(GridSpec())
+    assert sweep.truncated  # the full family exceeds the 500-case cap
+    assert len(grid_cases(sweep)) == 500
+    assert not sweep.violations
+    subjects = {r.subject for r in reports}
     assert subjects == set(CHECK_NAMES)
 
 
@@ -1325,8 +1349,7 @@ def test_pontryagin_check_runs_on_fourfolds():
         checks=("pontryagin",),
         max_cases=500,
     )
-    result = verify_grid(spec)
-    reports = [r for r in result.reports if r.subject == "pontryagin"]
+    reports = [r for r in json_run(spec).reports if r.subject == "pontryagin"]
     assert reports, "grid contains quadric/cubic fourfolds"
     assert all(r.n % 4 == 0 for r in reports)
     assert all(r.satisfied for r in reports)

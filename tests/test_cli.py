@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from charbound.bounds import GridResult, GridSpec, _Chunk, verify_grid
+from charbound.bounds import _Chunk
 from charbound.chern import degree_sequence
 from charbound.cli import (
     MAX_BOUND_D,
@@ -24,6 +25,7 @@ from charbound.cli import (
 )
 from charbound.schubert import grassmannian_degree
 from charbound.varieties import CompleteIntersection, exact_repr
+from grid_run import document, json_reports
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -198,7 +200,7 @@ def test_verify_writes_deterministic_json(tmp_path, capsys):
 
 
 def test_verify_rejects_ambient_dim_above_limit(tmp_path, capsys, monkeypatch):
-    def never(spec):
+    def never(*args):
         raise AssertionError("the grid must not run")
 
     monkeypatch.setattr("charbound.bounds.verify_grid", never)
@@ -232,13 +234,12 @@ def test_verify_refuses_a_grid_past_the_case_limit(sizes):
 
 def test_verify_out_of_memory_exits_two_with_one_error_line(capsys, monkeypatch):
     # a legal grid that outgrows memory, as m<=24 D<=5 does under a 2 GB
-    # address-space limit; exit 1 would claim a violation. JSON runs hold
-    # the grid (verify_grid), the others read it case by case (sweep_grid)
+    # address-space limit; exit 1 would claim a violation. Every format
+    # runs the grid through verify_grid
     def exhausted(*args):
         raise MemoryError
 
     monkeypatch.setattr("charbound.bounds.verify_grid", exhausted)
-    monkeypatch.setattr("charbound.bounds.sweep_grid", exhausted)
     argv = ["verify", "--max-ambient-dim", "24", "--max-degree", "5"]
     for fmt in ((), ("--format", "csv"), ("--format", "markdown"), ("--format", "json")):
         code, out, err = run(capsys, *argv, *fmt)
@@ -281,15 +282,20 @@ STREAMED_GRIDS = {
 }
 
 
-def test_verify_builds_reports_only_for_violations_and_flags(tmp_path, capsys, monkeypatch):
-    # the held record's documents, counts, witnesses and exit code, its
-    # violations and flags derived from its keys anew, against every run of
-    # the CLI: JSON holds the grid, the other runs read it case by case
-    def refuse(self):
-        raise AssertionError("GridResult.reports was built")
+def table_cells(report) -> list:
+    """A report's CSV or markdown cells."""
+    joined = lambda values: "" if values is None else ",".join(map(str, values))
+    numbers = report.n, report.d, report.exact_value, report.bound_value
+    n, d, exact, bound = map(str, numbers)
+    satisfied = "true" if report.satisfied else "false"
+    cells = [report.subject, n, d, joined(report.multidegree), joined(report.index)]
+    return cells + [exact, bound, satisfied, str(report.margin)]
 
-    monkeypatch.setattr(GridResult, "reports", property(refuse))
-    # one row per report, counted from the keys and labels
+
+def test_verify_builds_reports_only_for_violations_and_flags(tmp_path, capsys, monkeypatch):
+    # the sweep tallies the violations and flags from its exception rows
+    # alone; they must be those of the JSON document's reports, and every
+    # run of the CLI must print and write what the library's runs give
     rows = {
         "json": lambda text: len(json.loads(text)["reports"]),
         "csv": lambda text: text.count("\n") - 1,
@@ -300,28 +306,38 @@ def test_verify_builds_reports_only_for_violations_and_flags(tmp_path, capsys, m
             if name == "one past the bound":
                 patched.setattr("charbound.bounds.degree_sequence", one_past_the_quadric_surface)
             args = _build_parser().parse_args(["verify", *flags])
-            held = verify_grid(_grid_spec_from_args(args))
-            grid = GridResult(held.spec, held.truncated, held.keys, held.labels)
+            spec = _grid_spec_from_args(args)
+            runs = {fmt: document(spec, fmt) for fmt in rows}
+            grid = runs["json"][0]
+            reports = json_reports(runs["json"][1])
+            violations = [r for r in reports if not r.satisfied and not r.degenerate]
+            assert (grid.violations, grid.flagged) == (
+                violations, [r for r in reports if r.degenerate]
+            ), name
             counts = (grid.case_count, grid.truncated, grid.report_count, len(grid.flagged))
-            assert (*counts, len(grid.violations)) == expected, name
-            assert (held.violations, held.flagged) == (grid.violations, grid.flagged), name
+            assert (*counts, len(violations)) == expected, name
             summary = (
                 f"cases={grid.case_count} truncated={str(grid.truncated).lower()} "
                 f"reports={grid.report_count} flagged={len(grid.flagged)} "
-                f"violations={len(grid.violations)}\n"
+                f"violations={len(violations)}\n"
             )
-            witnesses = "".join(f"VIOLATION {r.witness()}\n" for r in grid.violations)
-            code = 1 if grid.violations else 0
+            witnesses = "".join(f"VIOLATION {r.witness()}\n" for r in violations)
+            code = 1 if violations else 0
             assert run(capsys, "verify", *flags) == (code, summary + witnesses, ""), name
             for fmt, count in rows.items():
+                sweep, text = runs[fmt]
+                assert (sweep.violations, sweep.flagged) == (grid.violations, grid.flagged)
+                assert count(text) == grid.report_count, (name, fmt)
                 path = tmp_path / f"reports.{fmt}"
                 argv = ["verify", *flags, "--format", fmt, "--out", str(path)]
                 assert run(capsys, *argv) == (code, summary + witnesses, ""), (name, fmt)
-                assert path.read_text() == grid.render(fmt), (name, fmt)
-                assert count(path.read_text()) == grid.report_count, (name, fmt)
+                assert path.read_text() == text, (name, fmt)
                 # a document on stdout sends the witnesses to stderr
-                on_stdout = (code, grid.render(fmt), witnesses)
-                assert run(capsys, *argv[:-2]) == on_stdout, (name, fmt)
+                assert run(capsys, *argv[:-2]) == (code, text, witnesses), (name, fmt)
+            # the three documents hold the same rows, row for row
+            table = [*csv.reader(io.StringIO(runs["csv"][1]))][1:]
+            marked = [line[2:-2].split(" | ") for line in runs["markdown"][1].splitlines()[2:]]
+            assert table == marked == [*map(table_cells, reports)], name
 
 
 def test_verify_builds_no_variety_per_case(tmp_path, capsys, monkeypatch):
@@ -340,8 +356,9 @@ def test_verify_builds_no_variety_per_case(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", *flags, "--format", "csv", "--out", str(path))
     assert code == 0 and out.startswith("cases=")
     assert built == []
-    # the lazy cases still build on request
-    assert len(verify_grid(GridSpec(max_ambient_dim=3)).cases) == len(built) > 0
+    # the patch counts the varieties that are built
+    CompleteIntersection(3, (2,))
+    assert built == [(3, (2,))]
 
 
 def test_verify_grid_sizes_must_be_integers(tmp_path, capsys):

@@ -66,10 +66,11 @@ def test_fresh_process_output_matches_golden_digest(entry):
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_output_does_not_depend_on_how_many_keys_a_chunk_holds(monkeypatch, capsysbinary, chunk):
-    # the sweep computes up to CHUNK_KEYS keys of a block together, and a
-    # held grid renders in runs as long; chunks of 1, 2 and 3 keys split
-    # wide-csv's blocks of 14, 91, 455 and 1,820 keys and default-json's
-    # blocks of 5 to 56 keys at other places
+    # the sweep computes up to CHUNK_KEYS keys of a block together, and
+    # every format renders the chunks it computes: at 24 keys, default-json's
+    # 275 keys make 22 chunks and wide-csv's 3,059 keys 130. Chunks of 1, 2
+    # and 3 keys split wide-csv's blocks of 14, 91, 455 and 1,820 keys and
+    # default-json's blocks of 5 to 56 keys at other places
     monkeypatch.setattr(charbound.bounds, "CHUNK_KEYS", chunk)
     for entry in ("wide-csv", "default-json"):
         golden = GOLDEN[entry]
@@ -117,8 +118,9 @@ def sha256_file(path) -> str:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_json_report_memory_does_not_grow_with_the_document(tmp_path):
     # 67,168 reports, 23.8 MB of JSON; building the document as one string
-    # peaked at about 255 MB, a tuple per distinct row at 27.5 MB, and the
-    # keys' value columns peak at about 24 MB
+    # peaked at about 255 MB, a tuple per distinct row at 27.5 MB, and
+    # holding every key's values, bounds and notes at 23.6 MB; holding each
+    # chunk's derived columns until the sweep ends peaks at about 24.1 MB
     out = tmp_path / "m12d3.json"
     argv = "verify --max-ambient-dim 12 --max-degree 3 --max-codim 11"
     _, peak_mb = peak_rss_mb(argv + f" --max-cases 1000000 --format json --out {out}")

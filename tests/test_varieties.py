@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from charbound.bounds import GridResult, GridSpec, verify_grid
+from charbound.bounds import GridSpec
 from charbound.schubert import Grassmannian
 from charbound.varieties import (
     CompleteIntersection,
@@ -146,8 +146,6 @@ def test_partitions_of():
 # (value, its field tuple, its repr, a value of the same type with other
 # fields); the repr texts are those of the frozen dataclasses these types were.
 _SPEC = GridSpec(3, 2, 1, ["betti"], 4)
-# the key of the line P^1 in P^2, with its betti row alone
-_KEY = (1, 1, (("betti",), (None,), (None,), (False,)), (2,), (8,), ("",))
 VALUES = [
     (
         CompleteIntersection(5, (3, 1, 2)),
@@ -164,15 +162,6 @@ VALUES = [
         "GridSpec(max_ambient_dim=3, max_degree_per_factor=2, max_codim=1, "
         "checks=('betti',), max_cases=4)",
         GridSpec(3, 2, 1, ["euler"], 4),
-    ),
-    (
-        GridResult(_SPEC, False, (_KEY,), ((0, (1,)),)),
-        (_SPEC, False, (_KEY,), ((0, (1,)),)),
-        "GridResult(spec=GridSpec(max_ambient_dim=3, max_degree_per_factor=2, "
-        "max_codim=1, checks=('betti',), max_cases=4), truncated=False, "
-        "keys=((1, 1, (('betti',), (None,), (None,), (False,)), (2,), (8,), ('',)),), "
-        "labels=((0, (1,)),))",
-        GridResult(_SPEC, False, (_KEY,), ((0, (1, 1)),)),
     ),
 ]
 
@@ -198,19 +187,6 @@ def test_value_type_semantics(value, fields, text, other):
     with pytest.raises(AttributeError):
         delattr(value, first)
     assert value == twin
-
-
-def test_grid_result_round_trips_as_keys_and_labels():
-    # 16 cases over 9 keys (dimension, degrees above 1)
-    result = verify_grid(GridSpec(max_ambient_dim=4, max_degree_per_factor=2, max_cases=1000))
-    assert (len(result.keys), len(result.labels)) == (9, 16)
-    documents = {fmt: result.render(fmt) for fmt in ("json", "csv", "markdown")}
-    for copied in (copy.copy(result), copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
-        assert copied == result and hash(copied) == hash(result)
-        assert copied.keys == result.keys and len(copied.keys) == 9
-        assert {fmt: copied.render(fmt) for fmt in documents} == documents
-        # derived from the keys anew, where verify_grid took them from its sweep
-        assert (copied.violations, copied.flagged) == (result.violations, result.flagged)
 
 
 def test_value_types_differ_across_types():
