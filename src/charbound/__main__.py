@@ -1,5 +1,6 @@
 import sys
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+if __name__ == "__main__":
+    sys.exit(run())

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import tomllib
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -27,7 +29,9 @@ from charbound.schubert import grassmannian_degree
 from charbound.varieties import CompleteIntersection, exact_repr
 from grid_run import document, json_reports
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -923,16 +927,108 @@ def test_schubert_giambelli_twelve_parts_is_fast():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"sigma[{shape}]\n", "")
 
 
-def test_module_entry_point():
+def run_module(*argv, **kwargs):
+    """``python -m charbound *argv`` in a fresh interpreter that imports from src."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "charbound", "bound", "--betti", "-n", "2", "-d", "2"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run([sys.executable, "-m", "charbound", *argv], env=env, timeout=60, **kwargs)
+
+
+def run_script(script: str):
+    """``python -c script`` in a fresh interpreter that imports from src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_module_entry_point():
+    proc = run_module("bound", "--betti", "-n", "2", "-d", "2", capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "512\n"
+
+
+def script_target_call() -> str:
+    """The statement an installed ``charbound`` script runs, from pyproject."""
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    module, name = pyproject["project"]["scripts"]["charbound"].split(":")
+    return f"from {module} import {name}; sys.exit({name}())"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        # python -m charbound
+        "import runpy; runpy.run_module('charbound', run_name='__main__', alter_sys=True)",
+        # python -m charbound.cli
+        "import runpy; runpy.run_module('charbound.cli', run_name='__main__', alter_sys=True)",
+        "script",
+    ],
+    ids=("charbound", "charbound.cli", "script"),
+)
+def test_every_process_entry_freezes_the_heap_before_exit(entry):
+    # the collector's passes at interpreter exit skip the frozen generation
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        "sys.argv = ['charbound', 'bound', '--betti', '-n', '2', '-d', '2']\n"
+        + (script_target_call() if entry == "script" else entry)
+    )
+    proc = run_script(script)
+    assert (proc.returncode, proc.stdout) == (0, "512\n"), proc.stderr
+    assert int(proc.stderr) > 0
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # tests and library callers keep a heap the collector can free
+    before = gc.get_freeze_count()
+    assert run(capsys, "bound", "--betti", "-n", "2", "-d", "2") == (0, "512\n", "")
+    assert gc.get_freeze_count() == before
+
+
+def test_importing_the_main_module_runs_nothing():
+    script = (
+        "import sys\n"
+        "sys.argv = ['charbound', 'bound', '--betti', '-n', '2', '-d', '2']\n"
+        "try:\n"
+        "    import charbound.__main__\n"
+        "except SystemExit as exc:\n"
+        "    print('SystemExit', exc.code)\n"
+    )
+    proc = run_script(script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GOLDEN["default-json"]["argv"].split(),
+        GOLDEN["wide-csv"]["argv"].split(),
+        ["table", "-m", "257", "-D", "1000"],
+    ],
+)
+def test_a_closed_stdout_pipe_is_one_error_line_and_exit_two(argv):
+    # the reader is gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_module(*argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def test_verify_out_file_is_complete_at_exit(tmp_path):
+    # the file is closed before the heap is frozen and the process exits
+    golden = GOLDEN["default-json"]
+    path = tmp_path / "report.json"
+    proc = run_module(*golden["argv"].split(), "--out", str(path), capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        f"cases={golden['cases']} truncated={str(golden['truncated']).lower()} "
+        f"reports={golden['reports']} flagged={golden['flagged']} "
+        f"violations={golden['violations']}\n"
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == golden["sha256"]
 
 
 def modules_loaded_by_cli_import() -> set:
@@ -941,10 +1037,7 @@ def modules_loaded_by_cli_import() -> set:
         "import sys; before = set(sys.modules); import charbound.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "charbound.cli" in added
@@ -963,10 +1056,7 @@ def test_cli_import_needs_no_dataclasses():
         "from charbound import *\n"
         "print(*sorted({'charbound.bounds', 'json'} & set(sys.modules)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_script(script)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
@@ -981,10 +1071,7 @@ def modules_loaded_by_run(*argv) -> set:
         "    assert exc.code == 0, exc.code\n"
         "print(*sorted(sys.modules), file=sys.stderr)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
 
