@@ -16,7 +16,6 @@ from .schubert import (
 )
 from .varieties import (
     CompleteIntersection,
-    DimensionError,
     MultiIndex,
     Partition,
     partitions_of,
@@ -38,7 +37,6 @@ __all__ = [
     "multiply",
     "pieri",
     "CompleteIntersection",
-    "DimensionError",
     "MultiIndex",
     "Partition",
     "partitions_of",

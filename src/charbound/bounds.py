@@ -29,7 +29,7 @@ from .chern import (
     quotient_series,
     scaled_powers,
 )
-from .report import _cases, _write
+from .report import _cases, _json_head, _write
 from .varieties import (
     CompleteIntersection,
     MultiIndex,
@@ -156,19 +156,11 @@ def signature_check(ci: CompleteIntersection, sigma: int) -> BoundReport:
         raise ValueError(f"signature check needs a 4-dimensional variety, got dimension {n}")
     c = _Chunk(n, [ci.multidegree])
     d = c.ds[0]
-    c2_squared, exact = d * c.tangent[0][2] ** 2, 3 * sigma
-    return BoundReport(
-        subject="signature",
-        n=n,
-        d=d,
-        multidegree=ci.multidegree,
-        index=None,
-        exact_value=exact,
-        bound_value=c2_squared,
-        satisfied=abs(exact) <= c2_squared,
-        margin=c2_squared - abs(exact),
-        note="sigma supplied externally; c2^2 computed",
-    )
+    # one row, with no lower limit and no base (d+n-2) in its bound
+    layout = ("signature",), (None,), (), (False,)
+    note = "sigma supplied externally; c2^2 computed"
+    (row,) = _key_rows(n, d, layout, (3 * sigma,), (d * c.tangent[0][2] ** 2,), (note,))
+    return BoundReport(row[0], n, d, ci.multidegree, *row[1:])
 
 
 def blowup_euler(
@@ -191,17 +183,16 @@ def blowup_euler(
 # check gives the columns (indices, values, bounds, notes) of its rows for
 # every key of a _Chunk, all from plain ints. ``indices`` is one tuple for
 # every key of the dimension, from its _Tables. ``values`` and ``bounds``
-# hold one sequence per key: the key's row values and bounds. A row's value
-# is its exact value, except that a Schur row holds its pairing (see
-# _columns). ``notes`` is None where every note is "", else a function of a
-# key's place in the chunk that gives its rows' notes, so a note is built
-# only for a key whose notes are read. A check works on all of the chunk's
-# keys at once: a number per key is a column built by C-level map passes,
-# a series or running product a list per key built by a loop inside one
+# hold one sequence per key: the key's row exact values and bounds.
+# ``notes`` is None where every note is "", else a function of a key's
+# place in the chunk that gives its rows' notes, so a note is built only
+# for a key whose notes are read. A check works on all of the chunk's keys
+# at once: a number per key is a column built by C-level map passes, a
+# series or running product a list per key built by a loop inside one
 # call, and the partition-indexed rows (Chern numbers, Schur pairings) a
 # loop over each key's rows, so a chunk of one key does the big-int work of
 # one key. The table below says which lower limit and which bound base
-# apply to the rows, and which check's values are pairings.
+# apply to the rows.
 
 
 class _Tables:
@@ -362,12 +353,25 @@ def _euler_rows(c):
 
 
 def _schur_positivity_rows(c):
-    # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the rows hold
-    # the pairings, and their readers derive the one-sided check from them
+    # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the check is
+    # one-sided with bound 0, so a row's value is its shortfall
+    # min(pairing, 0) and its note the pairing
     t, twisted = _tables(c.n), c.twisted
     hooks = map(hook_classes, twisted, map(dual_sequence, twisted))
     pairings = [[giambelli(plan, found) * d for plan in t.plans] for d, found in zip(c.ds, hooks)]
-    return t.indices[1:], pairings, [(0,) * len(t.plans)] * c.size, None
+    # nearly every pairing is >= 0, so its shortfall is 0
+    zeros = [(0,) * len(t.plans)] * c.size
+    shortfalls = zeros
+    if min(map(min, pairings)) < 0:
+        shortfalls = [[pairing if pairing < 0 else 0 for pairing in found] for found in pairings]
+
+    def notes(j):
+        try:
+            return tuple(map("pairing=%d".__mod__, pairings[j]))
+        except ValueError:  # an int past str()'s digit limit
+            return tuple("pairing=" + exact_decimal(pairing) for pairing in pairings[j])
+
+    return t.indices[1:], shortfalls, zeros, notes
 
 
 def _pontryagin_rows(c):
@@ -385,18 +389,17 @@ def _pontryagin_rows(c):
     return indices, values, bounds, None
 
 
-# name -> (rows, least legal exact value or None, bound has the base (d+n-2),
-# values are Schur pairings)
+# name -> (rows, least legal exact value or None, bound has the base (d+n-2))
 _RULES = {
-    "degree-sequence": (_degree_sequence_rows, 1, False, False),
-    "log-concavity": (_log_concavity_rows, None, False, False),
-    "nef-chern": (_nef_chern_rows, 0, True, False),
-    "cotangent-chern": (_cotangent_chern_rows, None, True, False),
-    "betti": (_betti_rows, None, False, False),
-    "betti-recursive": (_recursive_betti_rows, None, False, False),
-    "euler": (_euler_rows, None, False, False),
-    "schur-positivity": (_schur_positivity_rows, None, False, True),
-    "pontryagin": (_pontryagin_rows, None, True, False),
+    "degree-sequence": (_degree_sequence_rows, 1, False),
+    "log-concavity": (_log_concavity_rows, None, False),
+    "nef-chern": (_nef_chern_rows, 0, True),
+    "cotangent-chern": (_cotangent_chern_rows, None, True),
+    "betti": (_betti_rows, None, False),
+    "betti-recursive": (_recursive_betti_rows, None, False),
+    "euler": (_euler_rows, None, False),
+    "schur-positivity": (_schur_positivity_rows, None, False),
+    "pontryagin": (_pontryagin_rows, None, True),
 }
 
 CHECK_NAMES = tuple(_RULES)
@@ -406,26 +409,22 @@ _CHECKS = {name: rule[0] for name, rule in _RULES.items()}
 
 
 def _layout(names, columns) -> tuple:
-    """(subjects, indices, limits, based, paired): the rows that the checks
+    """(subjects, indices, limits, based): the rows that the checks
     ``names`` gave as ``columns`` for a chunk, and so for every variety of
     its dimension. A check's rows are contiguous. ``limits`` holds (start,
     stop, least) for the rows of each check with a lower limit. A row is
     based when its bound has the base (d+n-2) as a factor: the rows of a
-    check with that base whose index is not empty. ``paired`` is the range
-    of the rows whose values are Schur pairings, those of schur-positivity."""
+    check with that base whose index is not empty."""
     subjects, indices, limits, based = [], [], [], []
-    paired = range(0)
     for name, (index_column, *_) in zip(names, columns):
-        _, least, has_base, pairings = _RULES[name]
-        start, stop = len(subjects), len(subjects) + len(index_column)
-        if pairings:
-            paired = range(start, stop)
+        _, least, has_base = _RULES[name]
+        start = len(subjects)
         if least is not None and index_column:
-            limits.append((start, stop, least))
+            limits.append((start, start + len(index_column), least))
         subjects += repeat(name, len(index_column))
         indices += index_column
         based += [has_base and bool(index) for index in index_column]
-    return tuple(subjects), tuple(indices), tuple(limits), tuple(based), paired
+    return tuple(subjects), tuple(indices), tuple(limits), tuple(based)
 
 
 # -- verification grid -----------------------------------------------------
@@ -533,32 +532,19 @@ def _grid(spec: GridSpec):
 CHUNK_KEYS = 24
 
 
-def _columns(batch, noted: bool = True) -> tuple:
-    """The columns the writers read of a batch (n, ds, layout, values,
+def _columns(batch) -> tuple:
+    """The columns the writers read of a batch (n, ds, layout, exacts,
     bounds, notes) of keys of one layout, the last three one sequence per
-    key: (n, ds, layout, exacts, bounds, satisfied, margins, degenerate,
-    notes), again one sequence per key. A row is satisfied when |exact| <=
-    bound and exact is at least the row's lower limit, and its margin is
-    bound - |exact|. A Schur row holds its pairing; the check is one-sided
-    with bound 0, so its exact value is the shortfall min(pairing, 0) and
-    its note "pairing=<pairing>". Where the base (d+n-2) vanishes, the based
-    rows are degenerate and their note is DEGENERATE_NOTE. The notes are
-    built only if ``noted``; else the notes column is None. Each key's
-    values are a list of the caller's own, which takes the shortfalls in
-    place. Each step is a C-level pass over the keys, or over a key's rows;
-    where every row passes, the keys share one satisfied tuple."""
+    key, or notes None where nothing reads them: (n, ds, layout, exacts,
+    bounds, satisfied, margins, degenerate, notes), again one sequence per
+    key. A row is satisfied when |exact| <= bound and exact is at least the
+    row's lower limit, and its margin is bound - |exact|. Where the base
+    (d+n-2) vanishes, the based rows are degenerate and their note is
+    DEGENERATE_NOTE. Each step is a C-level pass over the keys, or over a
+    key's rows; where every row passes, the keys share one satisfied
+    tuple. The batch's own sequences are read, never written."""
     n, ds, layout, exacts, bounds, notes = batch
-    _, _, limits, based, paired = layout
-    if paired:
-        cut = slice(paired.start, paired.stop)
-        pairings = [*map(itemgetter(cut), exacts)]
-        # nearly every pairing is >= 0, so its shortfall is 0
-        zeros = (0,) * len(paired)
-        for values in exacts:
-            values[cut] = zeros
-        if min(map(min, pairings)) < 0:
-            for values, found in zip(exacts, pairings):
-                values[cut] = [pairing if pairing < 0 else 0 for pairing in found]
+    _, _, limits, based = layout
     margins = [*map(list, map(map, repeat(sub), bounds, map(map, repeat(abs), exacts)))]
     satisfied = [(True,) * len(based)] * len(margins)
     if based and min(map(min, margins)) < 0:
@@ -573,16 +559,7 @@ def _columns(batch, noted: bool = True) -> tuple:
     # only a key with d + n = 2 has degenerate rows
     plain = (False,) * len(based)
     degenerate = [based if d + n == 2 else plain for d in ds]
-    if not noted:
-        notes = None
-    else:
-        if paired:
-            notes = [*map(list, notes)]
-            for note, found in zip(notes, pairings):
-                try:
-                    note[cut] = map("pairing=%d".__mod__, found)
-                except ValueError:  # an int past str()'s digit limit
-                    note[cut] = ["pairing=" + exact_decimal(pairing) for pairing in found]
+    if notes is not None:
         notes = [
             [DEGENERATE_NOTE if flag else text for flag, text in zip(flags, note)]
             if flags is based
@@ -625,15 +602,18 @@ def _exceptions(columns) -> list:
     return [j for j, ok, flags in zip(count(), oks, degenerate) if not all(ok) or any(flags)]
 
 
-def _exception_rows(n, d, layout, values, bounds, notes) -> list:
+def _key_rows(n, d, layout, values, bounds, notes) -> zip:
     """The rows (subject, index, exact, bound, satisfied, margin,
-    degenerate, note) of a key, each a report without n, d and
-    multidegree, that are unsatisfied or degenerate. ``values`` is a list
-    that takes the shortfalls in place (see _columns)."""
+    degenerate, note) of one key, each a report without n, d and
+    multidegree, derived as a batch of that key alone."""
     batch = n, (d,), layout, (values,), (bounds,), (notes,)
     _, _, (subjects, indices, *_), *columns = _columns(batch)
-    rows = zip(subjects, indices, *map(itemgetter(0), columns))
-    return [row for row in rows if row[6] or not row[4]]
+    return zip(subjects, indices, *map(itemgetter(0), columns))
+
+
+def _exception_rows(*key) -> list:
+    """The rows of a key (see _key_rows) that are unsatisfied or degenerate."""
+    return [row for row in _key_rows(*key) if row[6] or not row[4]]
 
 
 class GridSweep:
@@ -650,7 +630,8 @@ class GridSweep:
     ``noted``, as a JSON document reads them. From that one derivation it
     tallies what a run prints: ``report_count`` and the ``violations`` and
     ``flagged`` reports, in case order. ``truncated``, ``labels`` (key
-    position, multidegree) and ``case_count`` are known from the start.
+    position, multidegree), ``keys`` and ``case_count`` are known from the
+    start; ``keys`` holds one (n, degrees above 1) per key position.
     Between the first and last case of a key it holds only the key's row
     count and its unsatisfied or degenerate rows, with their notes.
 
@@ -670,7 +651,7 @@ class GridSweep:
             (where.setdefault((m - len(degs), degs[degs.count(1) :]), len(where)), degs)
             for m, degs in pairs
         ]
-        self._varieties = list(where)
+        self.keys = list(where)
         self.report_count = 0
         self.violations, self.flagged = [], []
 
@@ -679,20 +660,20 @@ class GridSweep:
         return len(self.labels)
 
     def __iter__(self):
-        names, noted, varieties = self.spec.checks, self._noted, self._varieties
+        names, noted, keys = self.spec.checks, self._noted, self.keys
         checks = [_CHECKS[name] for name in names]
         # a key's block: its n and the codimension of its first case
-        chunks = _runs(self.labels, [(n, len(degrees) or 1) for n, degrees in varieties])
+        chunks = _runs(self.labels, [(n, len(degrees) or 1) for n, degrees in keys])
         # by key position: (n, d, row count, exception rows), first case to last
-        layouts, held = {}, [None] * len(varieties)
+        layouts, held = {}, [None] * len(keys)
 
         def compute(i):
             positions = chunks.get(i)
             if positions is None:
                 return None  # an earlier key's chunk holds it
             # each key's multidegree at its first case
-            n = varieties[i][0]
-            c = _Chunk(n, [degrees or (1,) for _, degrees in varieties[positions]])
+            n = keys[i][0]
+            c = _Chunk(n, [degrees or (1,) for _, degrees in keys[positions]])
             rows = [check(c) for check in checks]
             ds, layout = c.ds, layouts.get(n)
             if layout is None:
@@ -705,15 +686,12 @@ class GridSweep:
                 found = (("",) * len(r[0]) if r[3] is None else r[3](j) for r in rows)
                 return tuple(chain.from_iterable(found))
 
-            # _columns reads the notes only if noted
-            batch = n, ds, layout, exacts, bounds, map(notes, range(c.size))
-            columns = _columns(batch, noted)
+            batch = n, ds, layout, exacts, bounds, map(notes, range(c.size)) if noted else None
+            columns = _columns(batch)
             size = len(layout[0])
             held[positions] = zip(repeat(n), ds, repeat(size), repeat(()))
             for j in _exceptions(columns):
-                # the key's values with its Schur pairings, which _columns replaced
-                values = [*chain.from_iterable(r[1][j] for r in rows)]
-                found = _exception_rows(n, ds[j], layout, values, bounds[j], notes(j))
+                found = _exception_rows(n, ds[j], layout, exacts[j], bounds[j], notes(j))
                 held[i + j] = n, ds[j], size, found
             return columns
 
@@ -728,25 +706,6 @@ class GridSweep:
                 report = new(row[:1] + (n, d, multidegree) + row[1:])
                 (self.flagged if row[6] else self.violations).append(report)
             yield case
-
-
-def _json_head(spec: GridSpec, cases: int, truncated: bool, violations: int) -> str:
-    """The members of a grid's JSON document before "reports"."""
-    from json.encoder import encode_basestring_ascii
-
-    checks = ",\n      ".join(map(encode_basestring_ascii, spec.checks))
-    return (
-        '  "grid": {\n'
-        f'    "max_ambient_dim": {exact_decimal(spec.max_ambient_dim)},\n'
-        f'    "max_degree_per_factor": {exact_decimal(spec.max_degree_per_factor)},\n'
-        f'    "max_codim": {exact_decimal(spec.max_codim)},\n'
-        f'    "checks": [\n      {checks}\n    ],\n'
-        f'    "max_cases": {exact_decimal(spec.max_cases)}\n'
-        "  },\n"
-        f'  "cases": {exact_decimal(cases)},\n'
-        f'  "truncated": {"true" if truncated else "false"},\n'
-        f'  "violations": {exact_decimal(violations)},\n'
-    )
 
 
 def verify_grid(spec: GridSpec, stream=None, fmt: str | None = None) -> GridSweep:

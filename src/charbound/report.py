@@ -55,10 +55,6 @@ CSV_COLUMNS = (
 _TRUE_FALSE = ("false", "true").__getitem__
 
 
-def _opt(value, none: str) -> str:
-    return none if value is None else exact_decimal(value)
-
-
 def _decimals(sep: str, values) -> str:
     """The ints ``values`` in full, joined by ``sep``."""
     try:
@@ -243,14 +239,32 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
     write(ends[lead != first])
 
 
+def _json_head(spec, cases: int, truncated: bool, violations: int) -> str:
+    """The members of a grid's JSON document before "reports", for the grid
+    ``spec`` (a bounds.GridSpec)."""
+    from json.encoder import encode_basestring_ascii
+
+    checks = ",\n      ".join(map(encode_basestring_ascii, spec.checks))
+    return (
+        '  "grid": {\n'
+        f'    "max_ambient_dim": {exact_decimal(spec.max_ambient_dim)},\n'
+        f'    "max_degree_per_factor": {exact_decimal(spec.max_degree_per_factor)},\n'
+        f'    "max_codim": {exact_decimal(spec.max_codim)},\n'
+        f'    "checks": [\n      {checks}\n    ],\n'
+        f'    "max_cases": {exact_decimal(spec.max_cases)}\n'
+        "  },\n"
+        f'  "cases": {exact_decimal(cases)},\n'
+        f'  "truncated": {"true" if truncated else "false"},\n'
+        f'  "violations": {exact_decimal(violations)},\n'
+    )
+
+
 def write_json(stream, reports) -> None:
     """``{"reports": [...]}`` for a report list, each report a batch of one
-    one-row key; a None number is written null."""
-    text = partial(_opt, none="null")
+    one-row key."""
 
-    def batch(subject, n, d, _, index, exact, bound, ok, margin, flag, note):
-        row = text(exact), exact_decimal(bound), ok, text(margin), flag, note
-        return (text(n), (text(d),), ((subject,), (index,)), *zip(zip(row)))
+    def batch(subject, n, d, _, index, *row):
+        return (n, (d,), ((subject,), (index,)), *zip(zip(row)))
 
     cases = ((i, r.multidegree, batch(*r), True) for i, r in enumerate(reports))
     _write(stream, "json", cases)

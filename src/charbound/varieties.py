@@ -84,10 +84,6 @@ class Record:
         return type(self), self._values()
 
 
-class DimensionError(ValueError):
-    """An operation needed more dimensions than the variety has."""
-
-
 class CompleteIntersection(Record):
     """Variety cut out by hypersurfaces of the given degrees in P^ambient_dim.
 
@@ -127,12 +123,6 @@ class CompleteIntersection(Record):
     def degree(self) -> int:
         return prod(self.multidegree)
 
-    def hyperplane_section(self) -> "CompleteIntersection":
-        """Cut with a generic hyperplane: same multidegree, ambient drops by one."""
-        if self.dimension < 2:
-            raise DimensionError("a curve has no hyperplane section in this model")
-        return CompleteIntersection(self.ambient_dim - 1, self.multidegree)
-
     @classmethod
     def from_dict(cls, data) -> "CompleteIntersection":
         """Parse the JSON shape {"ambient_dim": int, "multidegree": [int, ...]}."""
@@ -147,9 +137,6 @@ class CompleteIntersection(Record):
         if type(degs) is not list or any(type(d) is not int for d in degs):
             raise ValueError(f"multidegree must be a list of integers, got {degs!r}")
         return cls(ambient, tuple(degs))
-
-    def to_dict(self) -> dict:
-        return {"ambient_dim": self.ambient_dim, "multidegree": list(self.multidegree)}
 
     def __str__(self):
         return f"m={self.ambient_dim} deg=({','.join(map(str, self.multidegree))})"

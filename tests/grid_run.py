@@ -49,7 +49,8 @@ def json_run(spec) -> JsonRun:
 
 def grid_cases(sweep) -> tuple:
     """The grid's cases, from the sweep's labels (key position,
-    multidegree): a case of dimension n with k factors lies in P^(n+k)."""
+    multidegree) and keys (n, degrees above 1): a case of dimension n with
+    k factors lies in P^(n+k)."""
     return tuple(
-        CompleteIntersection(sweep._varieties[i][0] + len(degs), degs) for i, degs in sweep.labels
+        CompleteIntersection(sweep.keys[i][0] + len(degs), degs) for i, degs in sweep.labels
     )

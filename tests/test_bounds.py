@@ -7,8 +7,8 @@ import types
 from contextlib import contextmanager, nullcontext
 from decimal import Decimal
 from functools import partial
-from itertools import combinations_with_replacement, count, groupby, islice
-from math import comb
+from itertools import combinations_with_replacement, count, cycle, groupby, islice
+from math import comb, prod
 from pathlib import Path
 from unittest.mock import patch
 
@@ -21,7 +21,6 @@ from charbound.bounds import (
     _Chunk,
     _columns,
     _exception_rows,
-    _json_head,
     _runs,
     CHUNK_KEYS,
     CHECK_NAMES,
@@ -42,7 +41,7 @@ from charbound.bounds import (
 )
 from charbound.chern import DegreeError, degree_sequence
 from charbound.cli import main
-from charbound.report import _cases, _write, write_json
+from charbound.report import _cases, _json_head, _write, write_json
 from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
 import chern_oracle as oracle
 from determinants import long_side_schur
@@ -414,6 +413,24 @@ def test_hypersurface_degree_sequence_is_tight(small_grid):
             assert report.margin == 0
 
 
+def test_the_degree_sequence_is_d_times_powers_of_the_multidegree_sum():
+    # K and h are multiples of h, so h^(n-i) A^i = d a^i with
+    # a = sum_j (d_j - 1) + 1, read off the multidegree with no series; its
+    # bound d^(i+1) is met for i >= 1 exactly where a = d, which is where at
+    # most one factor has degree above 1: hypersurfaces and P^n
+    spec = GridSpec(max_ambient_dim=12, max_degree_per_factor=4, max_codim=11, max_cases=10**6)
+    cases = grid_cases(verify_grid(spec))
+    assert len(cases) == 4356
+    for ci in cases:
+        n, degrees = ci.dimension, ci.multidegree
+        d, a = prod(degrees), sum(degrees) - len(degrees) + 1
+        c = _Chunk(n, [degrees])
+        assert c.sequence == [[d * a**i for i in range(n + 1)]], ci
+        (sequence,), (bounds,) = c.sequence, c.degree_powers
+        tight = [value == bound for value, bound in zip(sequence[1:], bounds[1:])]
+        assert tight == [sum(x > 1 for x in degrees) <= 1] * n, ci
+
+
 def test_report_type_invariant(small_grid):
     for report in small_grid.reports:
         if report.exact_value is not None:
@@ -473,9 +490,9 @@ def spied_run(spec) -> tuple:
     it derives)."""
     batches, columns = [], charbound.bounds._columns
 
-    def spy(batch, noted=True):
+    def spy(batch):
         batches.append((batch[0], batch[2]))
-        return columns(batch, noted)
+        return columns(batch)
 
     with patch.object(charbound.bounds, "_columns", spy):
         return json_run(spec), batches
@@ -509,9 +526,11 @@ def test_a_check_alone_gives_its_rows_of_the_full_run(deep_grid, name):
     alone, alone_batches = spied_run(GridSpec(**DEEP, checks=(name,)))
     assert alone.sweep.labels == full.sweep.labels
     assert alone.reports == [r for r in full.reports if r.subject == name]
-    # the pairings are Schur's rows and no others
-    for _, (subjects, *_, paired) in full_batches:
-        assert [j for j, s in enumerate(subjects) if s == "schur-positivity"] == [*paired]
+    # every layout holds each check's rows as one run, in check order
+    for _, layout in full_batches:
+        assert len(layout) == 4
+        subjects = layout[0]
+        assert [name for name, _ in groupby(subjects)] == [c for c in CHECK_NAMES if c in subjects]
     # every key of one dimension holds the same layout object
     for batches in (alone_batches, full_batches):
         layouts = {}
@@ -579,7 +598,8 @@ def sectioned_betti_bound(ci):
     n, d = ci.dimension, ci.degree
     if n == 1:
         return curve_betti_bound(d)
-    return 4 * sectioned_betti_bound(ci.hyperplane_section()) + 2 * 2 ** (n * n) * d ** (n + 1)
+    section = CompleteIntersection(ci.ambient_dim - 1, ci.multidegree)
+    return 4 * sectioned_betti_bound(section) + 2 * 2 ** (n * n) * d ** (n + 1)
 
 
 def oracle_rows(check, ci):
@@ -986,7 +1006,6 @@ def oracle_markdown(reports):
 # ints past str()'s default 4,300-digit limit, which take the writers' exact_decimal path
 long_ints = st.sampled_from((10**4300, -(10**4300) - 7))
 some_int = st.integers(min_value=-(10**30), max_value=10**30) | long_ints
-maybe_int = st.none() | some_int
 maybe_ints = st.none() | st.lists(
     st.integers(min_value=-(10**12), max_value=10**12) | long_ints, max_size=4
 ).map(tuple)
@@ -1088,10 +1107,7 @@ def grid_layouts(draw):
             if limit is not None:
                 runs.append((start, stop, limit))
             start = stop
-        # the rows holding Schur pairings: a run of them, maybe empty
-        ends = st.lists(st.integers(min_value=0, max_value=size), min_size=2, max_size=2)
-        paired = range(*sorted(draw(ends)))
-        layouts.append((tuple(rows), tuple(indices), tuple(runs), tuple(based), paired))
+        layouts.append((tuple(rows), tuple(indices), tuple(runs), tuple(based)))
     keys = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         layout = draw(st.sampled_from(layouts))
@@ -1108,12 +1124,9 @@ def layout_reports(keys, labels):
     reports = []
     for i, multidegree in labels:
         n, d, layout, values, bounds, notes = keys[i]
-        subjects, indices, _, based, paired = layout
-        rows = zip(count(), subjects, indices, row_limits(layout), based, values, bounds, notes)
-        for j, subject, index, least, based, exact, bound, note in rows:
-            if j in paired:
-                # a one-sided Schur row holds its pairing
-                exact, note = min(exact, 0), f"pairing={exact}"
+        subjects, indices, _, based = layout
+        rows = zip(subjects, indices, row_limits(layout), based, values, bounds, notes)
+        for subject, index, least, based, exact, bound, note in rows:
             degenerate = based and d + n - 2 == 0
             satisfied = abs(exact) <= bound and (least is None or exact >= least)
             note = DEGENERATE_NOTE if degenerate else note
@@ -1137,7 +1150,7 @@ def layout_cases(keys, labels, noted: bool = True):
         if run is None:
             return None
         ns, ds, layouts, values, bounds, notes = zip(*keys[run])
-        return _columns((ns[0], ds, layouts[0], [*map(list, values)], bounds, notes), noted)
+        return _columns((ns[0], ds, layouts[0], values, bounds, notes if noted else None))
 
     return _cases(labels, columns)
 
@@ -1172,15 +1185,14 @@ specs = st.builds(
 def test_writers_match_stdlib_serializers(spec, truncated, layout):
     # the reports of a grid layout: keys x labels, one case per label
     keys, labels = layout
-    with unlimited_int_digits():  # a pairing note prints its pairing with str()
-        reports = layout_reports(keys, labels)
+    reports = layout_reports(keys, labels)
     violations = [r for r in reports if not r.satisfied and not r.degenerate]
     # each case's unsatisfied or degenerate rows, as a sweep tallies them
     exceptions = [
         BoundReport(row[0], n, d, multidegree, *row[1:])
         for i, multidegree in labels
         for n, d, layout, values, bounds, notes in (keys[i],)
-        for row in _exception_rows(n, d, layout, [*values], bounds, notes)
+        for row in _exception_rows(n, d, layout, values, bounds, notes)
     ]
     assert exceptions == [r for r in reports if r.degenerate or not r.satisfied]
     rendered = render_layout(keys, labels, _json_head(spec, len(labels), truncated, len(violations)))
@@ -1198,11 +1210,10 @@ def test_writers_match_stdlib_serializers(spec, truncated, layout):
 
 # Without the explain phase, as above.
 @settings(phases=tuple(phase for phase in Phase if phase is not Phase.explain))
-@given(keyed_rows(some_int), keyed_rows(maybe_int))
+@given(keyed_rows(some_int), keyed_rows(some_int))
 def test_writer_core_renders_any_values(layout, listed):
     # any ints, long ones too, None index and multidegree, and flags that no
-    # derivation gives; a grid key holds no None number, so None n, d, exact
-    # and margin come only in a report list, as write_json takes them
+    # derivation gives, in a grid's keys and in a report list alike
     keys, labels = layout
     reports = row_reports(keys, labels)
     rendered = render_core(keys, labels)
@@ -1212,17 +1223,6 @@ def test_writer_core_renders_any_values(layout, listed):
     with unlimited_int_digits():
         assert rendered == oracle_documents(reports)
         assert buffer.getvalue() == oracle_documents(listed)["json"]
-
-
-def test_a_report_list_writes_a_none_number_as_null():
-    report = BoundReport("signature", None, None, (4,), None, None, 7, True, None)
-    buffer = io.StringIO()
-    write_json(buffer, [report, report._replace(n=4, exact_value=-3, margin=4)])
-    first, second = json.loads(buffer.getvalue())["reports"]
-    assert first == {**oracle_dict(report), "n": None, "exact": None, "margin": None}
-    assert (second["n"], second["exact"], second["margin"]) == (4, -3, 4)
-    assert '"exact": null,\n      "bound": 7,' in buffer.getvalue()
-    assert '"margin": null,' in buffer.getvalue()
 
 
 def test_writers_keep_layouts_of_one_dimension_apart():
@@ -1274,7 +1274,7 @@ def test_writers_on_an_empty_report_list():
 
 def test_long_integers_print_in_full_in_every_format():
     exact = 10**4999 + 7  # 5,000 digits, past str()'s default 4,300-digit limit
-    layout = (("betti",), ((exact,),), (), (False,), range(0))
+    layout = (("betti",), ((exact,),), (), (False,))
     key = 2, exact, layout, (exact,), (3,), ("",)
     rendered = render_layout([key], [(0, (exact, 2))])
     (report,) = json_reports(rendered["json"])
@@ -1298,6 +1298,29 @@ def test_long_integers_print_in_full_in_every_format():
         f"subject=betti n=2 d={digits} multidegree=({digits}, 2) index=({digits},) "
         f"exact={digits} bound=3 margin={margin}"
     )
+
+
+def test_schur_notes_print_long_pairings_in_full(monkeypatch):
+    # a pairing past str()'s 4,300-digit limit: the Schur note function
+    # falls back to exact_decimal. The pairings alternate in sign, so a chunk
+    # holds shortfalls beside zeros
+    huge = 10**5000
+    spec = GridSpec(max_ambient_dim=3, checks=("schur-positivity",))
+    runs = {}
+    for fmt in ("json", "csv"):
+        signs = cycle((huge, -huge))
+        monkeypatch.setattr("charbound.bounds.giambelli", lambda plan, hooks: next(signs))
+        runs[fmt] = document(spec, fmt)
+    reports = json_reports(runs["json"][1])
+    with unlimited_int_digits():
+        pairings = [int(r.note.removeprefix("pairing=")) for r in reports]
+        assert [r.note for r in reports] == [f"pairing={p}" for p in pairings]
+    assert sorted({p // r.d for p, r in zip(pairings, reports)}) == [-huge, huge]
+    assert [r.exact_value for r in reports] == [min(p, 0) for p in pairings]
+    violations = [r for r in reports if r.exact_value < 0]
+    assert violations
+    for sweep, _ in runs.values():
+        assert sweep.violations == violations
 
 
 def test_bound_report_repr_prints_long_ints_in_full():

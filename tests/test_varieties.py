@@ -3,13 +3,11 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given, strategies as st
 
 from charbound.bounds import GridSpec
 from charbound.schubert import Grassmannian
 from charbound.varieties import (
     CompleteIntersection,
-    DimensionError,
     MultiIndex,
     Partition,
     partitions_of,
@@ -31,18 +29,6 @@ def test_degree_examples():
 def test_multidegree_canonically_sorted():
     assert CompleteIntersection(5, (3, 1, 2)).multidegree == (1, 2, 3)
     assert CompleteIntersection(5, (3, 1, 2)) == CompleteIntersection(5, (2, 3, 1))
-
-
-def test_hyperplane_section_examples():
-    assert CompleteIntersection(3, (3,)).hyperplane_section() == CompleteIntersection(2, (3,))
-    assert CompleteIntersection(4, (2, 2)).hyperplane_section() == CompleteIntersection(
-        3, (2, 2)
-    )
-
-
-def test_hyperplane_section_of_curve_fails():
-    with pytest.raises(DimensionError):
-        CompleteIntersection(2, (4,)).hyperplane_section()
 
 
 def test_validation():
@@ -83,28 +69,11 @@ def test_value_types_take_exact_ints_only(build, args, message):
 
 
 def test_json_roundtrip():
-    ci = CompleteIntersection(4, (2, 3))
-    assert CompleteIntersection.from_dict(ci.to_dict()) == ci
     assert CompleteIntersection.from_dict({"ambient_dim": 3, "multidegree": [2]}) == (
         CompleteIntersection(3, (2,))
     )
     with pytest.raises(ValueError):
         CompleteIntersection.from_dict({"multidegree": [2]})
-
-
-varieties = st.integers(min_value=2, max_value=8).flatmap(
-    lambda m: st.lists(
-        st.integers(min_value=1, max_value=5), min_size=1, max_size=m - 1
-    ).map(lambda degs: CompleteIntersection(m, tuple(degs)))
-)
-
-
-@given(varieties)
-def test_hyperplane_section_preserves_degree(ci):
-    if ci.dimension >= 2:
-        section = ci.hyperplane_section()
-        assert section.degree == ci.degree
-        assert section.dimension == ci.dimension - 1
 
 
 def test_multi_index():
