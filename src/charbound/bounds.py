@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache, partial, reduce
-from itertools import chain, combinations_with_replacement, count, repeat
+from itertools import chain, combinations_with_replacement, repeat
 from math import comb, prod
 from operator import add, and_, ge, iconcat, itemgetter, mul, sub
 from typing import NamedTuple
@@ -158,8 +158,9 @@ def signature_check(ci: CompleteIntersection, sigma: int) -> BoundReport:
     d = c.ds[0]
     # one row, with no lower limit and no base (d+n-2) in its bound
     layout = ("signature",), (None,), (), (False,)
-    note = "sigma supplied externally; c2^2 computed"
-    (row,) = _key_rows(n, d, layout, (3 * sigma,), (d * c.tangent[0][2] ** 2,), (note,))
+    notes = (("sigma supplied externally; c2^2 computed",),).__getitem__
+    batch = n, (d,), layout, ((3 * sigma,),), ((d * c.tangent[0][2] ** 2,),), notes
+    (row,) = _rows(_columns(batch), 0)
     return BoundReport(row[0], n, d, ci.multidegree, *row[1:])
 
 
@@ -534,15 +535,16 @@ CHUNK_KEYS = 24
 
 def _columns(batch) -> tuple:
     """The columns the writers read of a batch (n, ds, layout, exacts,
-    bounds, notes) of keys of one layout, the last three one sequence per
-    key, or notes None where nothing reads them: (n, ds, layout, exacts,
-    bounds, satisfied, margins, degenerate, notes), again one sequence per
-    key. A row is satisfied when |exact| <= bound and exact is at least the
-    row's lower limit, and its margin is bound - |exact|. Where the base
-    (d+n-2) vanishes, the based rows are degenerate and their note is
-    DEGENERATE_NOTE. Each step is a C-level pass over the keys, or over a
-    key's rows; where every row passes, the keys share one satisfied
-    tuple. The batch's own sequences are read, never written."""
+    bounds, notes) of keys of one layout, exacts and bounds one sequence per
+    key and notes(j) the j-th key's notes: (n, ds, layout, exacts, bounds,
+    satisfied, margins, degenerate, notes), the new ones again one sequence
+    per key. A row is satisfied when |exact| <= bound and exact is at least
+    the row's lower limit, and its margin is bound - |exact|. Where the base
+    (d+n-2) vanishes, the based rows are degenerate, and the notes function
+    returned gives them DEGENERATE_NOTE; no note is built here. Each step is
+    a C-level pass over the keys, or over a key's rows; where every row
+    passes, the keys share one satisfied tuple. The batch's own sequences
+    are read, never written."""
     n, ds, layout, exacts, bounds, notes = batch
     _, _, limits, based = layout
     margins = [*map(list, map(map, repeat(sub), bounds, map(map, repeat(abs), exacts)))]
@@ -559,14 +561,14 @@ def _columns(batch) -> tuple:
     # only a key with d + n = 2 has degenerate rows
     plain = (False,) * len(based)
     degenerate = [based if d + n == 2 else plain for d in ds]
-    if notes is not None:
-        notes = [
-            [DEGENERATE_NOTE if flag else text for flag, text in zip(flags, note)]
-            if flags is based
-            else note
-            for flags, note in zip(degenerate, notes)
-        ]
-    return n, ds, layout, exacts, bounds, satisfied, margins, degenerate, notes
+
+    def noted(j) -> tuple:
+        """The j-th key's notes, DEGENERATE_NOTE on its degenerate rows."""
+        if degenerate[j] is plain:
+            return notes(j)
+        return tuple(DEGENERATE_NOTE if flag else text for flag, text in zip(based, notes(j)))
+
+    return n, ds, layout, exacts, bounds, satisfied, margins, degenerate, noted
 
 
 def _runs(labels, blocks) -> dict:
@@ -595,25 +597,12 @@ def _joined_rows(rows, column: int, size: int) -> list:
     return [*map(reduce, repeat(iconcat), keys, map(list, repeat((), size)))]
 
 
-def _exceptions(columns) -> list:
-    """The places in a batch of the keys with unsatisfied or degenerate
-    rows, given the batch's columns."""
-    oks, degenerate = columns[5], columns[7]
-    return [j for j, ok, flags in zip(count(), oks, degenerate) if not all(ok) or any(flags)]
-
-
-def _key_rows(n, d, layout, values, bounds, notes) -> zip:
+def _rows(columns, j) -> zip:
     """The rows (subject, index, exact, bound, satisfied, margin,
-    degenerate, note) of one key, each a report without n, d and
-    multidegree, derived as a batch of that key alone."""
-    batch = n, (d,), layout, (values,), (bounds,), (notes,)
-    _, _, (subjects, indices, *_), *columns = _columns(batch)
-    return zip(subjects, indices, *map(itemgetter(0), columns))
-
-
-def _exception_rows(*key) -> list:
-    """The rows of a key (see _key_rows) that are unsatisfied or degenerate."""
-    return [row for row in _key_rows(*key) if row[6] or not row[4]]
+    degenerate, note) of the j-th key of a batch's derived ``columns``
+    (see _columns), each a report without n, d and multidegree."""
+    _, _, (subjects, indices, *_), *values, notes = columns
+    return zip(subjects, indices, *map(itemgetter(j), values), notes(j))
 
 
 class GridSweep:
@@ -626,8 +615,9 @@ class GridSweep:
     n = m - k and one layout. Their first cases come one after another, and
     at the first of them the sweep runs the checks over a chunk of at most
     CHUNK_KEYS of them, joins each key's values and bounds over the checks,
-    and derives the chunk's columns from them, with notes only if
-    ``noted``, as a JSON document reads them. From that one derivation it
+    and derives the chunk's columns from them once. The notes stay the
+    checks' functions of a key's place in the chunk; only a JSON document
+    and the exception rows call them. From that one derivation the sweep
     tallies what a run prints: ``report_count`` and the ``violations`` and
     ``flagged`` reports, in case order. ``truncated``, ``labels`` (key
     position, multidegree), ``keys`` and ``case_count`` are known from the
@@ -643,8 +633,8 @@ class GridSweep:
     every key of that dimension shares.
     """
 
-    def __init__(self, spec: GridSpec, noted: bool = False):
-        self.spec, self._noted = spec, noted
+    def __init__(self, spec: GridSpec):
+        self.spec = spec
         pairs, self.truncated = _grid(spec)
         where = {}  # (n, degrees above 1) -> key position
         self.labels = [
@@ -660,7 +650,7 @@ class GridSweep:
         return len(self.labels)
 
     def __iter__(self):
-        names, noted, keys = self.spec.checks, self._noted, self.keys
+        names, keys = self.spec.checks, self.keys
         checks = [_CHECKS[name] for name in names]
         # a key's block: its n and the codimension of its first case
         chunks = _runs(self.labels, [(n, len(degrees) or 1) for n, degrees in keys])
@@ -680,19 +670,22 @@ class GridSweep:
                 layout = layouts[n] = _layout(names, rows)
             # each key's values and bounds over every check, in check order
             exacts, bounds = _joined_rows(rows, 1, c.size), _joined_rows(rows, 2, c.size)
+            # each check's row count and note function, and no other part of
+            # its rows: a JSON run holds notes until its sweep ends
+            makers = [(len(index_column), note) for index_column, _, _, note in rows]
 
             def notes(j) -> tuple:
                 """The chunk's j-th key's notes."""
-                found = (("",) * len(r[0]) if r[3] is None else r[3](j) for r in rows)
+                found = (("",) * width if make is None else make(j) for width, make in makers)
                 return tuple(chain.from_iterable(found))
 
-            batch = n, ds, layout, exacts, bounds, map(notes, range(c.size)) if noted else None
-            columns = _columns(batch)
+            columns = _columns((n, ds, layout, exacts, bounds, notes))
             size = len(layout[0])
             held[positions] = zip(repeat(n), ds, repeat(size), repeat(()))
-            for j in _exceptions(columns):
-                found = _exception_rows(n, ds[j], layout, exacts[j], bounds[j], notes(j))
-                held[i + j] = n, ds[j], size, found
+            for j, ok, flags in zip(range(c.size), columns[5], columns[7]):
+                if not all(ok) or any(flags):
+                    found = [row for row in _rows(columns, j) if row[6] or not row[4]]
+                    held[i + j] = n, ds[j], size, found
             return columns
 
         new = partial(tuple.__new__, BoundReport)
@@ -715,9 +708,10 @@ def verify_grid(spec: GridSpec, stream=None, fmt: str | None = None) -> GridSwee
     markdown are written as the cases are reached, so a key's text is held
     only while cases of it remain. A JSON head counts the violations before
     the first report, so a JSON run holds its case stream, each chunk's
-    columns with their notes, until the sweep ends, then writes the head and
-    drains the stream into the document."""
-    sweep = GridSweep(spec, noted=fmt == "json")
+    columns and the checks' note functions, until the sweep ends, then
+    writes the head and drains the stream into the document, which builds
+    the notes."""
+    sweep = GridSweep(spec)
     if stream is None:
         deque(sweep, maxlen=0)
     elif fmt == "json":

@@ -6,9 +6,10 @@ in case order (see _cases). A batch is the columns of consecutive grid keys
 of one layout, (n, ds, layout, exacts, bounds, satisfied, margins,
 degenerate, notes): their one dimension, a degree per key, and per key its
 rows' exact values, bounds and the rest (see bounds._columns), over a layout
-that starts with the rows' subjects and indices. The stream gives a batch at
-the first case of its first key only, and last says that no case of the key
-follows.
+that starts with the rows' subjects and indices. notes is a function:
+notes(j) gives the notes of the j-th key's rows, built only when called. The
+stream gives a batch at the first case of its first key only, and last says
+that no case of the key follows.
 
 The rows of a key render through one %-template, built once per document
 for each layout object, so the keys of one grid dimension share it: the
@@ -25,7 +26,7 @@ numbers, true and false, and ASCII-escaped JSON strings. So no subject or
 value is ever replaced, whatever it holds. A batch holding an int past
 str()'s digit limit fills the same template with exact_decimal text; %s
 would refuse it. A key's text is rendered with its batch and held only until
-its last case, and its columns not at all; only JSON reads the notes. The
+its last case, and its columns not at all; only JSON calls notes(j). The
 templates live for one document and hold at most one entry per layout; a
 case's multidegree is rendered as it is written. The bytes are those the
 stdlib would give: json.dumps(payload, indent=2) + "\n" with its default
@@ -112,9 +113,9 @@ def _interleaved(leads, columns, rows: int) -> map:
 
 def _json_values(quoted, n, ds, exacts, bounds, oks, margins, flags, notes) -> map:
     """The values of each key's JSON rows, flattened row by row, each note a
-    ``quoted`` JSON string."""
+    ``quoted`` JSON string; notes(j) gives the j-th key's notes."""
     text = repeat(_TRUE_FALSE)
-    notes = map(map, repeat(quoted), notes)
+    notes = map(map, repeat(quoted), map(notes, range(len(ds))))
     columns = exacts, bounds, map(map, text, oks), margins, map(map, text, flags), notes
     return _interleaved(zip(repeat(n), ds), columns, len(oks[0]))
 
@@ -261,10 +262,11 @@ def _json_head(spec, cases: int, truncated: bool, violations: int) -> str:
 
 def write_json(stream, reports) -> None:
     """``{"reports": [...]}`` for a report list, each report a batch of one
-    one-row key."""
+    one-row key, its note as given."""
 
     def batch(subject, n, d, _, index, *row):
-        return (n, (d,), ((subject,), (index,)), *zip(zip(row)))
+        *columns, notes = zip(zip(row))
+        return (n, (d,), ((subject,), (index,)), *columns, notes.__getitem__)
 
     cases = ((i, r.multidegree, batch(*r), True) for i, r in enumerate(reports))
     _write(stream, "json", cases)

@@ -20,7 +20,7 @@ from charbound.bounds import (
     _CHECKS,
     _Chunk,
     _columns,
-    _exception_rows,
+    _rows,
     _runs,
     CHUNK_KEYS,
     CHECK_NAMES,
@@ -297,15 +297,24 @@ def test_a_library_json_run_gives_the_default_json_golden():
 
 
 def test_a_json_run_derives_each_chunk_as_often_as_a_csv_run():
-    # a JSON run once held its keys and derived every chunk's columns again
-    # to write them: 45 derivations on the default grid against CSV's 23
-    for spec in (GridSpec(), GridSpec(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8)):
-        calls = {}
-        for fmt in ("json", "csv"):
+    # every format derives each chunk's columns exactly once, and a key with
+    # exception rows reads them from its chunk's columns. A JSON run once
+    # derived every chunk again to write it (45 derivations on the default
+    # grid), and each exception key once took a derivation of its own
+    grids = {
+        # the default, deep-json and wide-csv grids, with their chunk counts
+        22: GridSpec(),
+        36: GridSpec(**DEEP),
+        130: GridSpec(max_ambient_dim=5, max_degree_per_factor=14, max_cases=10**6),
+    }
+    for chunks, spec in grids.items():
+        for fmt in ("json", "csv", None):
             with patch.object(charbound.bounds, "_columns", wraps=_columns) as spy:
-                document(spec, fmt)
-            calls[fmt] = spy.call_count
-        assert calls["json"] == calls["csv"] > 0, spec
+                sweep = verify_grid(spec, io.StringIO(), fmt) if fmt else verify_grid(spec)
+            assert spy.call_count == chunks, (spec, fmt)
+        # a chunk is a run of at most CHUNK_KEYS keys of one block
+        blocks = [(n, len(degrees) or 1) for n, degrees in sweep.keys]
+        assert len(_runs(sweep.labels, blocks)) == chunks, spec
 
 
 # small grids: dimensions up to 6, so Pontryagin rows at n = 4 and the
@@ -336,10 +345,10 @@ def negated_values():
 @given(small_specs, st.booleans())
 @example(GridSpec(max_ambient_dim=7, max_degree_per_factor=4, max_codim=6, max_cases=600), True)
 def test_a_grid_read_case_by_case_gives_what_the_held_grid_gives(spec, negative):
-    # a JSON run holds its case stream until the sweep ends and derives the
-    # notes with each chunk's columns; CSV and markdown runs render each
-    # chunk as it comes, without notes. The sweep tallies each key's
-    # exception rows, derived anew with their notes
+    # a JSON run holds its case stream until the sweep ends and builds the
+    # notes as it writes them; CSV and markdown runs render each chunk as it
+    # comes, without notes. The sweep tallies each key's exception rows, read
+    # with their notes from its chunk's columns
     patched = patch.multiple(charbound.bounds, **negated_values()) if negative else nullcontext()
     with patched:
         runs = {fmt: document(spec, fmt) for fmt in ("json", "csv", "markdown")}
@@ -508,6 +517,36 @@ def test_the_deep_grid_reaches_pontryagin_and_degenerate_rows(deep_grid):
     pontryagin = {r.n for r in grid.reports if r.subject == "pontryagin"}
     assert pontryagin == {4, 8}
     assert {(r.n, r.d) for r in grid.sweep.flagged} == {(1, 1)}
+
+
+# The line P^1, (n, d) = (1, 1), by hand. Its tangent bundle is O(2), so its
+# cotangent bundle O(-2) has c_1 of degree -2, and its nef twist by O(2) is
+# trivial, with c_1 of degree 0. The bound base d + n - 2 is 0, so both
+# bounds, d (d+n-2) and 2 d (d+n-2), are 0: (subject, index) -> (exact,
+# bound, satisfied, margin)
+LINE_ROWS = {
+    ("nef-chern", (1,)): (0, 0, True, 0),
+    ("cotangent-chern", (1,)): (-2, 0, False, -2),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, flagged", [(GridSpec(), 10), (GridSpec(**DEEP), 16)], ids=("default", "deep-json")
+)
+def test_the_flagged_rows_are_the_hand_values_of_the_line(spec, flagged):
+    # the rows whose bound base vanishes: every line case of the grid gives
+    # the table's rows, and no other row is flagged
+    sweep, _, reports = json_run(spec)
+    line = {(1, 1, *row) for row in LINE_ROWS}
+    rows = [r for r in reports if (r.n, r.d, r.subject, r.index) in line]
+    assert [r for r in reports if r.degenerate] == rows == sweep.flagged
+    assert len(rows) == flagged
+    for r in rows:
+        assert set(r.multidegree) == {1} and r.note == DEGENERATE_NOTE
+        assert (r.exact_value, r.bound_value, r.satisfied, r.margin) == LINE_ROWS[r.subject, r.index]
+    lines = {r.multidegree for r in rows}
+    assert [(r.subject, r.index) for r in rows] == [*LINE_ROWS] * len(lines)
+    assert verify_grid(spec, io.StringIO(), "csv").flagged == rows
 
 
 def row_limits(layout) -> list:
@@ -1033,13 +1072,13 @@ multidegrees = maybe_ints | st.sampled_from(((2, 3), (1, 1, 2)))
 def writer_keys(keys):
     """Keys (n, d, rows) of report rows without n, d and multidegree, each
     as the writer core takes a batch of one key: (n, (d,), layout, (exacts,),
-    (bounds,), (satisfied,), (margins,), (degenerate,), (notes,)). Keys given
-    the same rows object share one layout object."""
+    (bounds,), (satisfied,), (margins,), (degenerate,), notes), notes(0) the
+    key's notes. Keys given the same rows object share one layout object."""
     layouts, out = {}, []
     for n, d, rows in keys:
-        subjects, indices, *columns = zip(*rows) if rows else ((),) * 8
+        subjects, indices, *columns, notes = zip(*rows) if rows else ((),) * 8
         layout = layouts.setdefault(id(rows), (subjects, indices))
-        out.append((n, (d,), layout, *zip(columns)))
+        out.append((n, (d,), layout, *zip(columns), (notes,).__getitem__))
     return out
 
 
@@ -1139,10 +1178,16 @@ def layout_reports(keys, labels):
     return reports
 
 
-def layout_cases(keys, labels, noted: bool = True):
+def key_columns(n, d, layout, values, bounds, notes) -> tuple:
+    """The derived columns of a batch of one grid key (see bounds._columns)."""
+    return _columns((n, (d,), layout, (values,), (bounds,), (notes,).__getitem__))
+
+
+def layout_cases(keys, labels):
     """The case stream of a grid layout, as a sweep gives it: the columns of
     each run of keys of one n and one layout object, derived at the run's
-    first case (see bounds._runs and bounds._columns)."""
+    first case (see bounds._runs and bounds._columns), each run's notes the
+    function of a key's place in it."""
     runs = _runs(labels, [(n, id(layout)) for n, _, layout, *_ in keys])
 
     def columns(i):
@@ -1150,19 +1195,18 @@ def layout_cases(keys, labels, noted: bool = True):
         if run is None:
             return None
         ns, ds, layouts, values, bounds, notes = zip(*keys[run])
-        return _columns((ns[0], ds, layouts[0], values, bounds, notes if noted else None))
+        return _columns((ns[0], ds, layouts[0], values, bounds, notes.__getitem__))
 
     return _cases(labels, columns)
 
 
 def render_layout(keys, labels, head: str = "") -> dict:
     """A grid layout's document in each format, ``head`` before a JSON
-    document's reports; only JSON derives the notes."""
+    document's reports; only JSON calls the notes."""
     rendered = {}
     for fmt in ("json", "csv", "markdown"):
         buffer = io.StringIO()
-        json = fmt == "json"
-        _write(buffer, fmt, layout_cases(keys, labels, json), head if json else "")
+        _write(buffer, fmt, layout_cases(keys, labels), head if fmt == "json" else "")
         rendered[fmt] = buffer.getvalue()
     return rendered
 
@@ -1188,11 +1232,12 @@ def test_writers_match_stdlib_serializers(spec, truncated, layout):
     reports = layout_reports(keys, labels)
     violations = [r for r in reports if not r.satisfied and not r.degenerate]
     # each case's unsatisfied or degenerate rows, as a sweep tallies them
+    # from its key's derived columns
     exceptions = [
-        BoundReport(row[0], n, d, multidegree, *row[1:])
+        BoundReport(row[0], keys[i][0], keys[i][1], multidegree, *row[1:])
         for i, multidegree in labels
-        for n, d, layout, values, bounds, notes in (keys[i],)
-        for row in _exception_rows(n, d, layout, values, bounds, notes)
+        for row in _rows(key_columns(*keys[i]), 0)
+        if row[6] or not row[4]
     ]
     assert exceptions == [r for r in reports if r.degenerate or not r.satisfied]
     rendered = render_layout(keys, labels, _json_head(spec, len(labels), truncated, len(violations)))
