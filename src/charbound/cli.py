@@ -8,7 +8,8 @@ Exit codes: 0 all checks pass, 1 a mathematical violation was found,
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
+import os
 import re
 import sys
 from itertools import accumulate
@@ -464,11 +465,16 @@ def main(argv=None) -> int:
     # the first word names the subcommand; any other start gets every flag
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = _build_parser(command).parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
+        try:
+            args = _build_parser(command).parse_args(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code in (0, None) else 2
+        else:
+            code = args.func(args)
+        # what stdout still buffers fails here if its reader has gone, not
+        # at exit
+        sys.stdout.flush()
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -482,17 +488,40 @@ def main(argv=None) -> int:
         return 2
 
 
-def run() -> int:
-    """The process entry: ``main`` on sys.argv, then freeze the heap.
+def _observed() -> bool:
+    """Whether a profiler, tracer or coverage tool watches this process; it
+    reports at interpreter exit. From Python 3.12 cProfile and coverage may
+    hook in as a sys.monitoring tool (ids 0 to 5), not through
+    sys.setprofile or sys.settrace."""
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(map(monitoring.get_tool, range(6)))
 
-    Everything still alive then goes to the collector's permanent
-    generation, so the full passes at interpreter exit have nothing to scan
-    before the OS takes the memory back. ``main`` itself leaves the heap as
-    it was, for tests and library callers that live on.
+
+def run() -> int:
+    """The process entry: ``main`` on sys.argv, then the end of the process.
+
+    Once stdout is flushed and the atexit handlers have run, as interpreter
+    exit would run them, ``os._exit`` ends the process without tearing down
+    the modules, whose memory the OS takes back anyway. With a profiler,
+    tracer or coverage tool attached, ``run`` returns the exit code instead,
+    so that the tool reports at the normal exit. ``main`` itself returns, for
+    tests and library callers that live on.
     """
     code = main()
-    gc.freeze()
-    return code
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; the text still buffered has no
+        # reader, and goes nowhere rather than failing again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if _observed():
+        return code
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,9 @@ its last case, and its columns not at all; only JSON calls notes(j). The
 templates live for one document and hold at most one entry per layout; a
 case's multidegree is rendered as it is written. The bytes are those the
 stdlib would give: json.dumps(payload, indent=2) + "\n" with its default
-ASCII escaping, and csv.writer with lineterminator "\n".
+ASCII escaping, and csv.writer with lineterminator "\n". JSON strings are
+quoted by _json.encode_basestring_ascii, the C function json.encoder wraps,
+so writing JSON does not load the json package.
 """
 
 from __future__ import annotations
@@ -170,8 +172,7 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
     """Stream a case stream (see above) as a ``fmt`` document (json, csv or
     markdown); ``head`` holds the rendered JSON members before "reports"."""
     if fmt == "json":
-        # json loads only where a JSON document is written
-        from json.encoder import encode_basestring_ascii as quoted
+        from _json import encode_basestring_ascii as quoted
 
         label = _json_ints
 
@@ -243,7 +244,7 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
 def _json_head(spec, cases: int, truncated: bool, violations: int) -> str:
     """The members of a grid's JSON document before "reports", for the grid
     ``spec`` (a bounds.GridSpec)."""
-    from json.encoder import encode_basestring_ascii
+    from _json import encode_basestring_ascii
 
     checks = ",\n      ".join(map(encode_basestring_ascii, spec.checks))
     return (

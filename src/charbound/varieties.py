@@ -199,13 +199,6 @@ class Partition(Record):
     def fits_in_box(self, rows: int, cols: int) -> bool:
         return len(self.parts) <= rows and all(p <= cols for p in self.parts)
 
-    def box_complement(self, rows: int, cols: int) -> "Partition":
-        """Complementary partition inside the rows x cols box."""
-        if not self.fits_in_box(rows, cols):
-            raise ValueError(f"{self.parts} does not fit in a {rows}x{cols} box")
-        padded = self.parts + (0,) * (rows - len(self.parts))
-        return Partition(tuple(cols - p for p in reversed(padded)))
-
     def __str__(self):
         return "(" + ",".join(map(str, self.parts)) + ")"
 

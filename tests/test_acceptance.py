@@ -54,6 +54,14 @@ def all_box_partitions(gr):
     return [Partition(p) for p in rec(0, gr.cols)]
 
 
+def box_complement(gr, shape):
+    """The rest of the q x (N-q) box around ``shape``, turned half a turn:
+    the shape whose Schubert class pairs with the class of ``shape`` to the
+    point class."""
+    padded = shape.parts + (0,) * (gr.q - len(shape))
+    return Partition(tuple(gr.cols - p for p in reversed(padded)))
+
+
 def test_criterion_01_degree_sequence_chain():
     started = time.perf_counter()
     result = json_run(GridSpec(checks=("degree-sequence",)))
@@ -148,7 +156,7 @@ def test_criterion_06_schubert_consistency():
                 [s1] * gr.total_codim
             ) == grassmannian_degree(q, N)
             for lam in shapes:
-                comp = lam.box_complement(gr.q, gr.cols)
+                comp = box_complement(gr, lam)
                 for mu in shapes:
                     if lam.size + mu.size != gr.total_codim:
                         continue

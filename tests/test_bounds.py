@@ -8,6 +8,7 @@ from contextlib import contextmanager, nullcontext
 from decimal import Decimal
 from functools import partial
 from itertools import combinations_with_replacement, count, cycle, groupby, islice
+from json.encoder import encode_basestring_ascii, py_encode_basestring_ascii
 from math import comb, prod
 from pathlib import Path
 from unittest.mock import patch
@@ -1302,6 +1303,24 @@ def test_writers_keep_layouts_of_one_dimension_apart():
     for fmt, text in expected.items():
         assert rendered[fmt] == text, fmt
     assert "a\x00b" in expected["csv"] and "50% of {n}" in expected["markdown"]
+
+
+@given(st.text())
+@example('say "hi" \\ to a\\b')
+@example("".join(map(chr, range(32))) + "\x7f")
+@example("Poincar\u00e9 \u03bb \u20ac \u00ff\u0100")
+@example("\U0001d11e \U0001f600 \U0010ffff")
+@example("lone \ud800 and \udfff surrogates")
+def test_json_strings_are_quoted_as_the_json_package_quotes_them(text):
+    # the writer quotes with _json's C function, not through the json package
+    report = BoundReport(text, 1, 1, (1,), None, 0, 0, True, 0, False, text)
+    buffer = io.StringIO()
+    write_json(buffer, [report])
+    quoted = encode_basestring_ascii(text)
+    assert quoted == py_encode_basestring_ascii(text)
+    assert f'"subject": {quoted},\n' in buffer.getvalue()
+    assert f'"note": {quoted}\n' in buffer.getvalue()
+    assert buffer.getvalue() == json.dumps({"reports": [oracle_dict(report)]}, indent=2) + "\n"
 
 
 def test_writers_on_an_empty_report_list():

@@ -8,7 +8,6 @@ import os
 import resource
 import subprocess
 import sys
-import tomllib
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -930,17 +929,26 @@ def test_schubert_giambelli_twelve_parts_is_fast():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"sigma[{shape}]\n", "")
 
 
+def child_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports from src. Its
+    stdout is buffered, as wherever PYTHONUNBUFFERED is unset, so what the
+    process has not flushed by its exit shows as lost."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def run_module(*argv, **kwargs):
-    """``python -m charbound *argv`` in a fresh interpreter that imports from src."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-m", "charbound", *argv], env=env, timeout=60, **kwargs)
+    """``python -m charbound *argv`` in a fresh interpreter (see child_env)."""
+    return subprocess.run(
+        [sys.executable, "-m", "charbound", *argv], env=child_env(), timeout=60, **kwargs
+    )
 
 
 def run_script(script: str):
-    """``python -c script`` in a fresh interpreter that imports from src."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    """``python -c script`` in a fresh interpreter (see child_env)."""
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
     )
 
 
@@ -952,6 +960,7 @@ def test_module_entry_point():
 
 def script_target_call() -> str:
     """The statement an installed ``charbound`` script runs, from pyproject."""
+    tomllib = pytest.importorskip("tomllib", reason="Python 3.11 added tomllib")
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     module, name = pyproject["project"]["scripts"]["charbound"].split(":")
     return f"from {module} import {name}; sys.exit({name}())"
@@ -968,17 +977,24 @@ def script_target_call() -> str:
     ],
     ids=("charbound", "charbound.cli", "script"),
 )
-def test_every_process_entry_freezes_the_heap_before_exit(entry):
-    # the collector's passes at interpreter exit skip the frozen generation
+def test_every_process_entry_runs_atexit_once_and_skips_teardown(entry):
+    # the process ends once stdout is flushed and the atexit handlers have
+    # run: the object the handler leaves on sys would speak when module
+    # teardown deletes it
     script = (
-        "import atexit, gc, sys\n"
-        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+        "import atexit, os, sys\n"
+        "class Teardown:\n"
+        "    def __del__(self, write=os.write):\n"
+        "        write(2, b'teardown\\n')\n"
+        "def handler():\n"
+        "    print('atexit')\n"
+        "    sys.teardown = Teardown()\n"
+        "atexit.register(handler)\n"
         "sys.argv = ['charbound', 'bound', '--betti', '-n', '2', '-d', '2']\n"
         + (script_target_call() if entry == "script" else entry)
     )
     proc = run_script(script)
-    assert (proc.returncode, proc.stdout) == (0, "512\n"), proc.stderr
-    assert int(proc.stderr) > 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "512\natexit\n", "")
 
 
 def test_main_leaves_the_heap_unfrozen(capsys):
@@ -986,6 +1002,18 @@ def test_main_leaves_the_heap_unfrozen(capsys):
     before = gc.get_freeze_count()
     assert run(capsys, "bound", "--betti", "-n", "2", "-d", "2") == (0, "512\n", "")
     assert gc.get_freeze_count() == before
+
+
+def test_a_profiled_run_reports_after_the_output():
+    # a profiler reports at interpreter exit, so run() returns under it
+    argv = ["-m", "cProfile", "-m", "charbound", "bound", "--betti", "-n", "2", "-d", "2"]
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    output, _, profile = proc.stdout.partition("\n")
+    assert output == "512"
+    assert "function calls" in profile and "Ordered by" in profile
 
 
 def test_importing_the_main_module_runs_nothing():
@@ -1007,6 +1035,10 @@ def test_importing_the_main_module_runs_nothing():
         GOLDEN["default-json"]["argv"].split(),
         GOLDEN["wide-csv"]["argv"].split(),
         ["table", "-m", "257", "-D", "1000"],
+        # output that stays in stdout's buffer until the command is done
+        ["bound", "--betti", "-n", "2", "-d", "2"],
+        ["verify"],
+        ["--help"],
     ],
 )
 def test_a_closed_stdout_pipe_is_one_error_line_and_exit_two(argv):
@@ -1021,7 +1053,7 @@ def test_a_closed_stdout_pipe_is_one_error_line_and_exit_two(argv):
 
 
 def test_verify_out_file_is_complete_at_exit(tmp_path):
-    # the file is closed before the heap is frozen and the process exits
+    # the file is closed before the process exits
     golden = GOLDEN["default-json"]
     path = tmp_path / "report.json"
     proc = run_module(*golden["argv"].split(), "--out", str(path), capture_output=True, text=True)
@@ -1064,15 +1096,13 @@ def test_cli_import_needs_no_dataclasses():
 
 
 def modules_loaded_by_run(*argv) -> set:
-    """The modules loaded once ``python -m charbound *argv`` has run."""
+    """The modules loaded once ``python -m charbound *argv`` has run, as an
+    atexit handler sees them."""
     script = (
-        "import runpy, sys\n"
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
         f"sys.argv = ['charbound', *{list(argv)!r}]\n"
-        "try:\n"
-        "    runpy.run_module('charbound', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-        "print(*sorted(sys.modules), file=sys.stderr)\n"
+        "runpy.run_module('charbound', run_name='__main__', alter_sys=True)\n"
     )
     proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
@@ -1081,11 +1111,15 @@ def modules_loaded_by_run(*argv) -> set:
 
 def test_schubert_starts_without_the_grid_layer():
     # charbound.bounds and json cost about 4 ms of every start, and only
-    # `bound`, `verify` and `table` read them
+    # `bound`, `verify` and `table` read the grid layer
     loaded = modules_loaded_by_run("schubert", "-q", "2", "-N", "4", "--degree")
     assert "charbound.schubert" in loaded
     assert not loaded & {"charbound.bounds", "json"}
     assert "charbound.bounds" in modules_loaded_by_run("verify", "--max-cases", "1")
+    # a JSON document is quoted by _json's C function alone
+    loaded = modules_loaded_by_run("verify", "--max-cases", "1", "--format", "json")
+    assert "_json" in loaded
+    assert not loaded & {"json", "json.decoder"}
 
 
 def test_cli_import_leaves_decimal_unloaded():
@@ -1120,9 +1154,9 @@ def test_each_subcommand_parser_matches_the_full_parser():
 
 
 # the help layout of each Python minor version's argparse: 3.13 prints an
-# option's metavar once (-m, --ambient-dim AMBIENT_DIM), where 3.11 and 3.12
+# option's metavar once (-m, --ambient-dim AMBIENT_DIM), where 3.10 to 3.12
 # print it after each flag (-m AMBIENT_DIM, --ambient-dim AMBIENT_DIM)
-ARGPARSE_LAYOUTS = {(3, 11): "3.11", (3, 12): "3.11", (3, 13): "3.13"}
+ARGPARSE_LAYOUTS = {(3, 10): "3.11", (3, 11): "3.11", (3, 12): "3.11", (3, 13): "3.13"}
 
 # per layout, the sha256 and length of the help text at 80 columns, as the
 # parser that built every flag printed it
@@ -1155,6 +1189,21 @@ def test_help_prints_the_pinned_bytes(capsys, monkeypatch, command):
     data = out.encode()
     pins = HELP_PINS[ARGPARSE_LAYOUTS[version]]
     assert (hashlib.sha256(data).hexdigest(), len(data)) == pins[command]
+
+
+def test_help_through_a_pipe_prints_the_pinned_bytes():
+    # stdout is a buffered pipe here, and the help is flushed before the exit
+    version = sys.version_info[:2]
+    assert version in ARGPARSE_LAYOUTS, f"no help pins for Python {version}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "charbound", "-h"],
+        capture_output=True,
+        env=child_env(COLUMNS="80"),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    pins = HELP_PINS[ARGPARSE_LAYOUTS[version]]
+    assert (hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)) == pins[()]
 
 
 # -- argv fuzz ------------------------------------------------------------------

@@ -48,6 +48,14 @@ def all_box_partitions(gr):
     return [Partition(p) for p in rec(0, gr.cols)]
 
 
+def box_complement(gr, shape):
+    """The rest of the q x (N-q) box around ``shape``, turned half a turn:
+    the shape whose Schubert class pairs with the class of ``shape`` to the
+    point class."""
+    padded = shape.parts + (0,) * (gr.q - len(shape))
+    return Partition(tuple(gr.cols - p for p in reversed(padded)))
+
+
 # -- pieri ---------------------------------------------------------------------
 
 
@@ -140,7 +148,7 @@ def test_poincare_duality_kronecker_delta(q, N):
     gr = Grassmannian(q, N)
     shapes = all_box_partitions(gr)
     for lam in shapes:
-        comp = lam.box_complement(gr.q, gr.cols)
+        comp = box_complement(gr, lam)
         for mu in shapes:
             if lam.size + mu.size != gr.total_codim:
                 continue

@@ -98,9 +98,6 @@ def test_partition_box_helpers():
     lam = Partition((2, 1))
     assert lam.fits_in_box(2, 2)
     assert not lam.fits_in_box(1, 5)
-    assert lam.box_complement(2, 3) == Partition((2, 1))
-    assert Partition((1,)).box_complement(2, 2) == Partition((2, 1))
-    assert Partition(()).box_complement(2, 2) == Partition((2, 2))
 
 
 def test_partitions_of():
