@@ -10,7 +10,6 @@ from .schubert import (
     SchubertClass,
     giambelli_expand,
     grassmannian_degree,
-    intersection_number,
     multiply,
     pieri,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "SchubertClass",
     "giambelli_expand",
     "grassmannian_degree",
-    "intersection_number",
     "multiply",
     "pieri",
     "CompleteIntersection",

@@ -537,30 +537,34 @@ def _columns(batch) -> tuple:
     """The columns the writers read of a batch (n, ds, layout, exacts,
     bounds, notes) of keys of one layout, exacts and bounds one sequence per
     key and notes(j) the j-th key's notes: (n, ds, layout, exacts, bounds,
-    satisfied, margins, degenerate, notes), the new ones again one sequence
-    per key. A row is satisfied when |exact| <= bound and exact is at least
-    the row's lower limit, and its margin is bound - |exact|. Where the base
-    (d+n-2) vanishes, the based rows are degenerate, and the notes function
-    returned gives them DEGENERATE_NOTE; no note is built here. Each step is
-    a C-level pass over the keys, or over a key's rows; where every row
-    passes, the keys share one satisfied tuple. The batch's own sequences
-    are read, never written."""
+    satisfied, margins, degenerate, notes, clean), the new ones again one
+    sequence per key. A row is satisfied when |exact| <= bound and exact is
+    at least the row's lower limit, and its margin is bound - |exact|. Where
+    the base (d+n-2) vanishes, the based rows are degenerate, and the notes
+    function returned gives them DEGENERATE_NOTE; no note is built here. The
+    batch is clean when every row is satisfied and none is degenerate. Each
+    step is a C-level pass over the keys, or over a key's rows; where every
+    row passes, the keys share one satisfied tuple. The batch's own
+    sequences are read, never written."""
     n, ds, layout, exacts, bounds, notes = batch
     _, _, limits, based = layout
     margins = [*map(list, map(map, repeat(sub), bounds, map(map, repeat(abs), exacts)))]
     satisfied = [(True,) * len(based)] * len(margins)
-    if based and min(map(min, margins)) < 0:
+    clean = not based or min(map(min, margins)) >= 0
+    if not clean:
         satisfied = [[margin >= 0 for margin in row] for row in margins]
     # a lower limit fails only where a value of its run lies below it
     for start, stop, least in limits:
         run = itemgetter(slice(start, stop))
         if min(map(min, map(run, exacts))) < least:
+            clean = False
             for j, values in enumerate(exacts):
                 ok = satisfied[j] = [*satisfied[j]]
                 ok[start:stop] = map(and_, run(ok), map(ge, run(values), repeat(least)))
     # only a key with d + n = 2 has degenerate rows
     plain = (False,) * len(based)
     degenerate = [based if d + n == 2 else plain for d in ds]
+    clean = clean and (2 - n not in ds or not any(based))
 
     def noted(j) -> tuple:
         """The j-th key's notes, DEGENERATE_NOTE on its degenerate rows."""
@@ -568,7 +572,7 @@ def _columns(batch) -> tuple:
             return notes(j)
         return tuple(DEGENERATE_NOTE if flag else text for flag, text in zip(based, notes(j)))
 
-    return n, ds, layout, exacts, bounds, satisfied, margins, degenerate, noted
+    return n, ds, layout, exacts, bounds, satisfied, margins, degenerate, noted, clean
 
 
 def _runs(labels, blocks) -> dict:
@@ -601,7 +605,7 @@ def _rows(columns, j) -> zip:
     """The rows (subject, index, exact, bound, satisfied, margin,
     degenerate, note) of the j-th key of a batch's derived ``columns``
     (see _columns), each a report without n, d and multidegree."""
-    _, _, (subjects, indices, *_), *values, notes = columns
+    _, _, (subjects, indices, *_), *values, notes, _ = columns
     return zip(subjects, indices, *map(itemgetter(j), values), notes(j))
 
 
@@ -682,6 +686,8 @@ class GridSweep:
             columns = _columns((n, ds, layout, exacts, bounds, notes))
             size = len(layout[0])
             held[positions] = zip(repeat(n), ds, repeat(size), repeat(()))
+            if columns[9]:
+                return columns  # a clean batch: no row is unsatisfied or degenerate
             for j, ok, flags in zip(range(c.size), columns[5], columns[7]):
                 if not all(ok) or any(flags):
                     found = [row for row in _rows(columns, j) if row[6] or not row[4]]

@@ -437,13 +437,25 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help fails as any write to stdout does:
+    argparse drops an OSError of its own writes, and with unbuffered stdout
+    help into a closed pipe would then exit 0 with nothing said."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout and message:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser(command=None) -> argparse.ArgumentParser:
     """The CLI's parser; given a subcommand name, only that one gets its flags.
 
     Every subcommand is still named, so the top-level help and the errors
     before a subcommand read the same either way.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="charbound",
         description=(
             "Exact characteristic-class bounds for complete intersections: "

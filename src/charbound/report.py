@@ -4,42 +4,47 @@ streamed from a case stream.
 A case stream gives one (key position, multidegree, batch, last) per case,
 in case order (see _cases). A batch is the columns of consecutive grid keys
 of one layout, (n, ds, layout, exacts, bounds, satisfied, margins,
-degenerate, notes): their one dimension, a degree per key, and per key its
-rows' exact values, bounds and the rest (see bounds._columns), over a layout
-that starts with the rows' subjects and indices. notes is a function:
-notes(j) gives the notes of the j-th key's rows, built only when called. The
-stream gives a batch at the first case of its first key only, and last says
-that no case of the key follows.
+degenerate, notes, clean): their one dimension, a degree per key, and per
+key its rows' exact values, bounds and the rest (see bounds._columns), over
+a layout that starts with the rows' subjects and indices. notes is a
+function: notes(j) gives the notes of the j-th key's rows, built only when
+called. clean says that every row of the batch is satisfied and none is
+degenerate; a batch without it is not clean. The stream gives a batch at
+the first case of its first key only, and last says that no case of the key
+follows.
 
 The rows of a key render through one %-template, built once per document
-for each layout object, so the keys of one grid dimension share it: the
-template holds every row's subject and index text, with each "%" doubled, a
-%s for each value, and a mark where the multidegree goes. In CSV and
-markdown a row's n and d are one %s, filled with the key's one pre-rendered
-cell ("n,d" or "n | d"); JSON keeps a %s for each. So a key is one
+for each layout object, n and cleanness, so the keys of one grid dimension
+share it: the template holds every row's subject, n and index text, with
+each "%" doubled, a %s for each value that varies by row, and a mark where
+d and the multidegree go. A clean batch's template holds true and false for
+the flags, so a clean row passes its exact value, bound and margin, and in
+JSON its note; any other batch keeps a %s for each flag. So a key is one
 ``template % values``, its values one flat tuple, and a batch's value tuples
 come from C-level map and zip passes over its keys; each case writes its
-key's text with its own multidegree's text in place of each mark. The mark
-is the first control character, or else the first character from U+0080 on,
-that the template's own text does not hold. No value holds one: values are
-numbers, true and false, and ASCII-escaped JSON strings. So no subject or
-value is ever replaced, whatever it holds. A batch holding an int past
-str()'s digit limit fills the same template with exact_decimal text; %s
-would refuse it. A key's text is rendered with its batch and held only until
-its last case, and its columns not at all; only JSON calls notes(j). The
-templates live for one document and hold at most one entry per layout; a
-case's multidegree is rendered as it is written. The bytes are those the
-stdlib would give: json.dumps(payload, indent=2) + "\n" with its default
-ASCII escaping, and csv.writer with lineterminator "\n". JSON strings are
-quoted by _json.encode_basestring_ascii, the C function json.encoder wraps,
-so writing JSON does not load the json package.
+key's text with the key's d text, rendered once per key, and its own
+multidegree's text in place of each mark. The mark is the first control
+character, or else the first character from U+0080 on, that the template's
+own text does not hold. No value holds one: values are numbers, true and
+false, and ASCII-escaped JSON strings. So no subject or value is ever
+replaced, whatever it holds. n and d are exact_decimal text; a batch
+holding another int past str()'s digit limit fills the same template with
+exact_decimal text, as %s would refuse it. A key's text is rendered with
+its batch and held only until its last case, and its columns not at all;
+only JSON calls notes(j). The templates live for one document and hold at
+most two entries per layout and n; a case's multidegree is rendered as it
+is written. The bytes are those the stdlib would give:
+json.dumps(payload, indent=2) + "\n" with its default ASCII escaping, and
+csv.writer with lineterminator "\n". JSON strings are quoted by
+_json.encode_basestring_ascii, the C function json.encoder wraps, so
+writing JSON does not load the json package.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import chain, count, repeat
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 
 from .varieties import exact_decimal
 
@@ -98,55 +103,59 @@ def _template(row, sep: str, subjects, indices) -> tuple:
     return sep.join(map(mark.join, zip(heads, tails))), mark
 
 
-def _interleaved(leads, columns, rows: int) -> map:
-    """One flat tuple per key: row by row, the key's ``leads`` tuple and then
-    its value in each of ``columns``, over the ``rows`` rows every key has.
-    Each column fills its place in all of a key's rows by one strided slice
+def _interleaved(columns, keys: int, rows: int) -> map:
+    """One flat tuple for each of ``keys`` keys: row by row, its value in
+    each of ``columns``, over the ``rows`` rows every key has. Each column
+    fills its place in all of a key's rows by one strided slice
     assignment."""
-    leads, width = [*leads], len(columns)
-    step = len(leads[0]) + width
-    flats = [*map(list, map(mul, map(add, leads, repeat((None,) * width)), repeat(rows)))]
-    for j, column in enumerate(columns, step - width):
-        place = slice(j, None, step)
+    width = len(columns)
+    flats = [*map(list, repeat((None,) * (width * rows), keys))]
+    for j, column in enumerate(columns):
+        place = slice(j, None, width)
         for flat, values in zip(flats, column):
             flat[place] = values
     return map(tuple, flats)
 
 
-def _json_values(quoted, n, ds, exacts, bounds, oks, margins, flags, notes) -> map:
+def _json_values(quoted, clean, exacts, bounds, oks, margins, flags, notes) -> map:
     """The values of each key's JSON rows, flattened row by row, each note a
-    ``quoted`` JSON string; notes(j) gives the j-th key's notes."""
-    text = repeat(_TRUE_FALSE)
-    notes = map(map, repeat(quoted), map(notes, range(len(ds))))
-    columns = exacts, bounds, map(map, text, oks), margins, map(map, text, flags), notes
-    return _interleaved(zip(repeat(n), ds), columns, len(oks[0]))
+    ``quoted`` JSON string; notes(j) gives the j-th key's notes. A clean
+    batch's template holds its flags."""
+    notes = map(map, repeat(quoted), map(notes, range(len(oks))))
+    if clean:
+        columns = exacts, bounds, margins, notes
+    else:
+        text = repeat(_TRUE_FALSE)
+        columns = exacts, bounds, map(map, text, oks), margins, map(map, text, flags), notes
+    return _interleaved(columns, len(oks), len(oks[0]))
 
 
-def _table_values(pair, n, ds, exacts, bounds, oks, margins, _, __) -> map:
-    """The values of each key's CSV or markdown rows, flattened row by row:
-    n and d as one cell, ``pair % (n, d)``."""
-    cells = zip(map(pair.__mod__, zip(repeat(n), ds)))
-    columns = exacts, bounds, map(map, repeat(_TRUE_FALSE), oks), margins
-    return _interleaved(cells, columns, len(oks[0]))
+def _table_values(clean, exacts, bounds, oks, margins, _, __) -> map:
+    """The values of each key's CSV or markdown rows, flattened row by row.
+    A clean batch's template holds its flags."""
+    if clean:
+        columns = exacts, bounds, margins
+    else:
+        columns = exacts, bounds, map(map, repeat(_TRUE_FALSE), oks), margins
+    return _interleaved(columns, len(oks), len(oks[0]))
 
 
-def _fill(template, values, n, ds, columns) -> list:
-    """``template`` filled with each key's n, d and row columns (exact
-    values, bounds, satisfied, margins, degenerate, notes), every number in
-    full.
+def _fill(template, values, columns) -> list:
+    """``template`` filled with each key's row columns (exact values,
+    bounds, satisfied, margins, degenerate, notes), every number in full.
 
     The ints go into the template as they are. An int past str()'s digit
     limit (ValueError) fills it again with the numbers as ``exact_decimal``
     text.
     """
     try:
-        return [*map(template.__mod__, values(n, ds, *columns))]
+        return [*map(template.__mod__, values(*columns))]
     except ValueError:  # an int past str()'s digit limit
         pass
     decimals = partial(map, partial(map, exact_decimal))
     exacts, bounds, oks, margins, flags, notes = columns
-    texts = exact_decimal(n), [*map(exact_decimal, ds)], decimals(exacts), decimals(bounds)
-    return [*map(template.__mod__, values(*texts, oks, decimals(margins), flags, notes))]
+    texts = decimals(exacts), decimals(bounds), oks, decimals(margins), flags, notes
+    return [*map(template.__mod__, values(*texts))]
 
 
 def _cases(labels, columns):
@@ -176,55 +185,62 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
 
         label = _json_ints
 
-        def row(subject, index):
+        def row(n, satisfied, degenerate, subject, index):
             return (
                 f'    {{\n      "subject": {_escaped(quoted(subject))},\n'
-                '      "n": %s,\n      "d": %s,\n      "multidegree": ',
+                f'      "n": {n},\n      "d": ',
                 f',\n      "index": {index_label(index)},\n      "exact": %s,\n'
-                '      "bound": %s,\n      "satisfied": %s,\n      "margin": %s,\n'
-                '      "degenerate": %s,\n      "note": %s\n    }',
+                f'      "bound": %s,\n      "satisfied": {satisfied},\n      "margin": %s,\n'
+                f'      "degenerate": {degenerate},\n      "note": %s\n    }}',
             )
 
         start, first, sep = "{\n" + head + '  "reports": [', "\n", ",\n"
         values, ends = partial(_json_values, quoted), ("]\n}\n", "\n  ]\n}\n")
+        before_label = ',\n      "multidegree": '
     elif fmt == "csv":
         def label(values):
             return _csv_cell(_joined(values))
 
-        def row(subject, index):
-            return f"{_escaped(_csv_cell(subject))},%s,", f",{index_label(index)},%s,%s,%s,%s\n"
+        def row(n, satisfied, _, subject, index):
+            head = f"{_escaped(_csv_cell(subject))},{n},"
+            return head, f",{index_label(index)},%s,%s,{satisfied},%s\n"
 
         start, first, sep, ends = ",".join(CSV_COLUMNS) + "\n", "", "", ("", "")
-        values = partial(_table_values, "%s,%s")
+        values, before_label = _table_values, ","
     elif fmt == "markdown":
         label = _joined
 
-        def row(subject, index):
-            tail = f" | {index_label(index)} | %s | %s | %s | %s |\n"
-            return f"| {_escaped(subject)} | %s | ", tail
+        def row(n, satisfied, _, subject, index):
+            tail = f" | {index_label(index)} | %s | %s | {satisfied} | %s |\n"
+            return f"| {_escaped(subject)} | {n} | ", tail
 
         start = f"| {' | '.join(CSV_COLUMNS)} |\n|{'---|' * len(CSV_COLUMNS)}\n"
-        values, first, sep, ends = partial(_table_values, "%s | %s"), "", "", ("", "")
+        values, first, sep, ends = _table_values, "", "", ("", "")
+        before_label = " | "
     else:
         raise ValueError(f"unknown format {fmt!r}")
     # an index's text is rendered once per document, a multidegree's at each
     # of its cases: most multidegrees of a grid have one or two cases
     index_label = lru_cache(maxsize=None)(label)
-    # id(layout) -> (layout, template, mark); holding the layout keeps its id
-    # from going to another object while the document is written
+    # (id(layout), n, clean) -> (layout, template, mark); holding the layout
+    # keeps its id from going to another object while the document is written
     templates = {}
 
-    def texts(n, ds, layout, *columns):
-        """(Text of a key's rows, the mark where the multidegree goes), for
-        each key of a batch."""
+    def texts(n, ds, layout, exacts, bounds, oks, margins, flags, notes, clean=False):
+        """(Text of a key's rows, the mark where its d and multidegree go,
+        the d text before the multidegree), for each key of a batch."""
         if not layout[0]:
-            return repeat(("", ""), len(ds))
-        found = templates.get(id(layout))
+            return repeat(("", "", ""), len(ds))
+        key = id(layout), n, clean
+        found = templates.get(key)
         if found is None:
-            found = layout, *_template(row, sep, *layout[:2])
-            templates[id(layout)] = found
+            written = ("true", "false") if clean else ("%s", "%s")
+            found = layout, *_template(partial(row, exact_decimal(n), *written), sep, *layout[:2])
+            templates[key] = found
         _, template, mark = found
-        return zip(_fill(template, values, n, ds, columns), repeat(mark))
+        columns = exacts, bounds, oks, margins, flags, notes
+        rows = _fill(template, partial(values, clean), columns)
+        return zip(rows, repeat(mark), map(add, map(exact_decimal, ds), repeat(before_label)))
 
     write = stream.write
     write(start)
@@ -233,9 +249,9 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
     for i, multidegree, batch, last in cases:
         if batch is not None:
             held.update(zip(count(i), texts(*batch)))
-        rows, mark = held.pop(i) if last else held[i]
+        rows, mark, d = held.pop(i) if last else held[i]
         if rows:
-            write(lead + rows.replace(mark, label(multidegree)))
+            write(lead + rows.replace(mark, d + label(multidegree)))
             lead = sep
     # lead is no longer first once a row is written
     write(ends[lead != first])

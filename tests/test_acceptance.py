@@ -24,10 +24,10 @@ from charbound.schubert import (
     SchubertClass,
     giambelli_expand,
     grassmannian_degree,
-    intersection_number,
 )
 from charbound.varieties import CompleteIntersection, Partition
 from grid_run import document, grid_cases, json_run
+from intersection import intersection_number
 
 
 def verdict(num, label, ok, detail=""):

@@ -1364,6 +1364,22 @@ def test_long_integers_print_in_full_in_every_format():
     )
 
 
+def test_a_clean_key_prints_a_long_degree_in_full_in_every_format():
+    # d is rendered once per key beside the multidegree, not by the row
+    # template, so a clean key's short values still fill the template with %
+    d = 10**4999 + 7  # 5,000 digits, past str()'s default 4,300-digit limit
+    layout = (("betti", "euler"), (None, (1,)), (), (True, False))
+    key = 2, d, layout, (1, -2), (3, 2), ("", "x")
+    assert key_columns(*key)[-1]  # every row satisfied, none degenerate
+    labels = [(0, (d,)), (0, (d, 1))]
+    rendered = render_layout([key], labels)
+    with unlimited_int_digits():
+        assert rendered == oracle_documents(layout_reports([key], labels))
+    digits = "1" + "0" * 4998 + "7"
+    for fmt, text in rendered.items():
+        assert text.count(digits) == 8, fmt  # d and the multidegree, in 4 rows
+
+
 def test_schur_notes_print_long_pairings_in_full(monkeypatch):
     # a pairing past str()'s 4,300-digit limit: the Schur note function
     # falls back to exact_decimal. The pairings alternate in sign, so a chunk

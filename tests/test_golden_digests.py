@@ -64,6 +64,23 @@ def test_fresh_process_output_matches_golden_digest(entry):
     assert hashlib.sha256(proc.stdout).hexdigest() == golden["sha256"]
 
 
+def test_hash_randomization_does_not_change_the_bytes():
+    # the tests above pin PYTHONHASHSEED; the writers' caches are keyed by
+    # objects, n and multidegrees, and no output order may follow a hash
+    env = {**ENV, "PYTHONHASHSEED": "random"}
+    for entry in ("default-json", "wide-csv"):
+        golden = GOLDEN[entry]
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "charbound", *golden["argv"].split()],
+                capture_output=True,
+                env=env,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            assert hashlib.sha256(proc.stdout).hexdigest() == golden["sha256"], entry
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3])
 def test_output_does_not_depend_on_how_many_keys_a_chunk_holds(monkeypatch, capsysbinary, chunk):
     # the sweep computes up to CHUNK_KEYS keys of a block together, and

@@ -23,12 +23,12 @@ from charbound.schubert import (
     _strip_shapes,
     giambelli_expand,
     grassmannian_degree,
-    intersection_number,
     multiply,
     pieri,
     special_intersection_number,
 )
 from charbound.varieties import Partition
+from intersection import intersection_number
 from kostka import rectangle_kostka
 
 
