@@ -1,7 +1,7 @@
 """Exact characteristic-class calculator and bound-verification harness for
 complete intersections in projective space."""
 
-from .betti import betti_numbers, total_betti
+from .betti import betti_numbers
 from .chern import DegreeError, euler_characteristic, tangent_chern
 from .schubert import (
     BoxError,
@@ -10,7 +10,6 @@ from .schubert import (
     SchubertClass,
     giambelli_expand,
     grassmannian_degree,
-    multiply,
     pieri,
 )
 from .varieties import (
@@ -22,7 +21,6 @@ from .varieties import (
 
 __all__ = [
     "betti_numbers",
-    "total_betti",
     "DegreeError",
     "euler_characteristic",
     "tangent_chern",
@@ -32,7 +30,6 @@ __all__ = [
     "SchubertClass",
     "giambelli_expand",
     "grassmannian_degree",
-    "multiply",
     "pieri",
     "CompleteIntersection",
     "MultiIndex",

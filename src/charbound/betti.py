@@ -47,7 +47,3 @@ def middle_betti(n: int, chis) -> list:
         )
     return middles
 
-
-def total_betti(ci: CompleteIntersection) -> int:
-    """Sum of all Betti numbers."""
-    return sum(betti_numbers(ci))

@@ -4,13 +4,15 @@ A class is an integer combination of box partitions, each stored as a
 zero-padded q-tuple. One combinatorial rule does all the work: multiplying
 by a special class sigma_k adds a horizontal strip of k boxes, and only the
 corner rows (row 0 up to N-q, row i up to part i-1) can take boxes.
-General products expand the Jacobi-Trudi determinant det(sigma_{l_i-i+j})
-of one factor row by row over subsets of used columns, keeping only subsets
-the remaining rows can complete, so an r-part shape costs at most r*2^(r-1)
-Pieri steps. A product of special classes that fills the box needs only
-its point coefficient, which Poincare duality reads off two half-products.
-The classical factorial formula for the degree of the Grassmannian serves as
-an independent cross-check on the whole machine.
+This module keeps only what ``charbound schubert`` runs, and multiplies
+classes only by special ones. Giambelli expands the Jacobi-Trudi
+determinant det(sigma_{l_i-i+j}) of one shape row by row over subsets of
+used columns, keeping only subsets the remaining rows can complete, so an
+r-part shape costs at most r*2^(r-1) Pieri steps. A product of special
+classes that fills the box needs only its point coefficient, which Poincare
+duality reads off two half-products. The classical factorial formula for
+the degree of the Grassmannian serves as an independent cross-check on the
+whole machine.
 """
 
 from __future__ import annotations
@@ -48,11 +50,6 @@ class Grassmannian(Record):
     def total_codim(self) -> int:
         return self.q * self.cols
 
-    @property
-    def point_partition(self) -> Partition:
-        """Index of the class of a point: the full box."""
-        return Partition((self.cols,) * self.q)
-
     def __str__(self):
         return f"G({self.q},{self.N})"
 
@@ -72,9 +69,9 @@ def _padded_key(grassmannian: Grassmannian, shape) -> tuple:
 class SchubertClass:
     """Integer combination of basis classes, keyed by padded box partitions.
 
-    ``terms`` maps zero-padded q-tuples to nonzero coefficients. Mixed-degree
-    sums are allowed (they appear as determinant intermediates); pairings
-    check homogeneity where it matters.
+    ``terms`` maps zero-padded q-tuples to nonzero coefficients. A class has
+    no arithmetic of its own: ``pieri`` multiplies it by a special class,
+    and equality compares terms.
     """
 
     __slots__ = ("grassmannian", "terms")
@@ -97,53 +94,8 @@ class SchubertClass:
         return out
 
     @classmethod
-    def basis(cls, grassmannian: Grassmannian, shape: Partition) -> "SchubertClass":
-        return cls(grassmannian, {shape: 1})
-
-    @classmethod
-    def zero(cls, grassmannian: Grassmannian) -> "SchubertClass":
-        return cls(grassmannian)
-
-    @classmethod
     def one(cls, grassmannian: Grassmannian) -> "SchubertClass":
         return cls(grassmannian, {Partition(()): 1})
-
-    def _require_same_space(self, other: "SchubertClass") -> None:
-        if self.grassmannian != other.grassmannian:
-            raise ValueError(
-                f"classes live on different Grassmannians: "
-                f"{self.grassmannian} vs {other.grassmannian}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, SchubertClass):
-            return NotImplemented
-        self._require_same_space(other)
-        merged = dict(self.terms)
-        for shape, coeff in other.terms.items():
-            merged[shape] = merged.get(shape, 0) + coeff
-        return SchubertClass._trusted(self.grassmannian, merged)
-
-    def __neg__(self):
-        return SchubertClass._trusted(
-            self.grassmannian, {s: -c for s, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, SchubertClass):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return SchubertClass._trusted(
-                self.grassmannian, {s: c * other for s, c in self.terms.items()}
-            )
-        if isinstance(other, SchubertClass):
-            return multiply(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -151,20 +103,6 @@ class SchubertClass:
             and self.grassmannian == other.grassmannian
             and self.terms == other.terms
         )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def codimensions(self) -> set:
-        """Set of codimensions |shape| present among the nonzero terms."""
-        return {sum(shape) for shape in self.terms}
-
-    def coefficient(self, shape: Partition) -> int:
-        try:
-            key = _padded_key(self.grassmannian, shape)
-        except BoxError:
-            return 0
-        return self.terms.get(key, 0)
 
     def __repr__(self):
         return f"SchubertClass({self.grassmannian}, {self})"
@@ -262,8 +200,9 @@ def pieri(s: SchubertClass, k: int) -> SchubertClass:
     return SchubertClass._trusted(gr, out)
 
 
-def _jacobi_trudi(a: SchubertClass, parts: tuple) -> SchubertClass:
-    """a * det(sigma_{parts[i] - i + j}), expanded one row at a time.
+def giambelli_expand(shape: Partition, grassmannian: Grassmannian) -> SchubertClass:
+    """det(sigma_{shape[i] - i + j}), expanded one row at a time from the
+    unit class; by Giambelli it must equal the basis class of ``shape``.
 
     The state maps the bitmask of the columns the rows so far have used to
     the signed sum of their products; taking column j after used columns
@@ -273,9 +212,9 @@ def _jacobi_trudi(a: SchubertClass, parts: tuple) -> SchubertClass:
     a state that cannot be completed that way is dropped before its Pieri
     step.
     """
-    gr = a.grassmannian
-    cols = gr.cols
-    r = len(parts)
+    gr, parts = grassmannian, shape.parts
+    _padded_key(gr, shape)
+    cols, r = gr.cols, len(parts)
     lo = [max(0, i - part) for i, part in enumerate(parts)]
     hi = [min(r - 1, i - part + cols) for i, part in enumerate(parts)]
 
@@ -283,7 +222,7 @@ def _jacobi_trudi(a: SchubertClass, parts: tuple) -> SchubertClass:
         free = (j for j in range(r) if not used >> j & 1)
         return all(lo[i] <= j <= hi[i] for i, j in zip(range(below, r), free))
 
-    states = {0: a}
+    states = {0: SchubertClass.one(gr)}
     for i, part in enumerate(parts):
         sums = {}
         for used, cls in states.items():
@@ -295,34 +234,14 @@ def _jacobi_trudi(a: SchubertClass, parts: tuple) -> SchubertClass:
                 product = pieri(cls, k) if k else cls
                 sign = -1 if (used >> j).bit_count() % 2 else 1
                 acc = sums.setdefault(used | bit, {})
-                for shape, coeff in product.terms.items():
-                    acc[shape] = acc.get(shape, 0) + sign * coeff
+                for key, coeff in product.terms.items():
+                    acc[key] = acc.get(key, 0) + sign * coeff
         states = {}
         for used, acc in sums.items():
             cls = SchubertClass._trusted(gr, acc)
             if cls.terms:
                 states[used] = cls
-    return states.get((1 << r) - 1, SchubertClass.zero(gr))
-
-
-def giambelli_expand(shape: Partition, grassmannian: Grassmannian) -> SchubertClass:
-    """Expand the determinant of special classes; must equal the basis class."""
-    _padded_key(grassmannian, shape)
-    return _jacobi_trudi(SchubertClass.one(grassmannian), shape.parts)
-
-
-def multiply(a: SchubertClass, b: SchubertClass) -> SchubertClass:
-    """General product: expand one factor's determinant against the other."""
-    a._require_same_space(b)
-    gr = a.grassmannian
-    if len(b.terms) > len(a.terms):
-        a, b = b, a
-    out = {}
-    for shape, coeff in b.terms.items():
-        parts = Partition(shape).parts
-        for mu, c in _jacobi_trudi(a, parts).terms.items():
-            out[mu] = out.get(mu, 0) + coeff * c
-    return SchubertClass._trusted(gr, out)
+    return states.get((1 << r) - 1, SchubertClass._trusted(gr, {}))
 
 
 def special_intersection_number(grassmannian: Grassmannian, factors) -> int:

@@ -1227,6 +1227,16 @@ specs = st.builds(
 # fails. That took a broken writer 50-100 s to report, shrinking itself 5-13 s.
 @settings(phases=tuple(phase for phase in Phase if phase is not Phase.explain))
 @given(specs, st.booleans(), grid_layouts())
+# a nef-chern row whose margin is 4 but whose exact value -1 fails the lower
+# limit 0: no margin is negative, yet the batch is not clean
+@example(
+    GridSpec(),
+    False,
+    (
+        [(2, 3, (("nef-chern",), ((1, 1),), ((0, 1, 0),), (True,)), (-1,), (5,), ("",))],
+        [(0, (3,))],
+    ),
+)
 def test_writers_match_stdlib_serializers(spec, truncated, layout):
     # the reports of a grid layout: keys x labels, one case per label
     keys, labels = layout
