@@ -390,23 +390,40 @@ def _pontryagin_rows(c):
     return indices, values, bounds, None
 
 
-# name -> (rows, least legal exact value or None, bound has the base (d+n-2))
+def _index_count(n: int) -> int:
+    """sum_(k<=n) p(k): the multi-indices of weight at most n, () among them."""
+    return len(_tables(n).indices)
+
+
+def _pontryagin_count(n: int) -> int:
+    return 0 if n % 4 else len(tuple(partitions_of(n // 4)))
+
+
+# name -> (rows, least legal exact value or None, bound has the base (d+n-2),
+# the number of rows the check gives each key of dimension n)
 _RULES = {
-    "degree-sequence": (_degree_sequence_rows, 1, False),
-    "log-concavity": (_log_concavity_rows, None, False),
-    "nef-chern": (_nef_chern_rows, 0, True),
-    "cotangent-chern": (_cotangent_chern_rows, None, True),
-    "betti": (_betti_rows, None, False),
-    "betti-recursive": (_recursive_betti_rows, None, False),
-    "euler": (_euler_rows, None, False),
-    "schur-positivity": (_schur_positivity_rows, None, False),
-    "pontryagin": (_pontryagin_rows, None, True),
+    "degree-sequence": (_degree_sequence_rows, 1, False, lambda n: n + 1),
+    "log-concavity": (_log_concavity_rows, None, False, lambda n: n - 1),
+    "nef-chern": (_nef_chern_rows, 0, True, _index_count),
+    "cotangent-chern": (_cotangent_chern_rows, None, True, _index_count),
+    "betti": (_betti_rows, None, False, lambda n: 1),
+    "betti-recursive": (_recursive_betti_rows, None, False, lambda n: 1),
+    "euler": (_euler_rows, None, False, lambda n: 1),
+    "schur-positivity": (_schur_positivity_rows, None, False, lambda n: _index_count(n) - 1),
+    "pontryagin": (_pontryagin_rows, None, True, _pontryagin_count),
 }
 
 CHECK_NAMES = tuple(_RULES)
 
 # name -> callable(chunk) -> its rows' columns; GridSweep dispatches here
 _CHECKS = {name: rule[0] for name, rule in _RULES.items()}
+
+
+def _row_count(names, n: int) -> int:
+    """The rows the checks ``names`` give each key of dimension n, counted
+    in closed form before any key is computed: over all nine, 2n + 2 +
+    3 * sum_(k<=n) p(k) + [4 | n] * p(n/4)."""
+    return sum(_RULES[name][3](n) for name in names)
 
 
 def _layout(names, columns) -> tuple:
@@ -418,7 +435,7 @@ def _layout(names, columns) -> tuple:
     check with that base whose index is not empty."""
     subjects, indices, limits, based = [], [], [], []
     for name, (index_column, *_) in zip(names, columns):
-        _, least, has_base = _RULES[name]
+        _, least, has_base, _ = _RULES[name]
         start = len(subjects)
         if least is not None and index_column:
             limits.append((start, start + len(index_column), least))
@@ -529,8 +546,17 @@ def _grid(spec: GridSpec):
     return pairs, False
 
 
-# keys computed together: a chunk is at most this many keys of one block
+# keys computed together: a chunk is keys of one block, CHUNK_ROWS rows'
+# worth of them but never fewer than CHUNK_KEYS. Under all nine checks the
+# floor holds from n = 6 on (104 rows a key), where smaller chunks ran slower
 CHUNK_KEYS = 24
+CHUNK_ROWS = 2048
+
+
+def _chunk_keys(rows: int) -> int:
+    """The most keys of ``rows`` rows each that a chunk holds; a rowless
+    key counts as one row."""
+    return max(CHUNK_KEYS, CHUNK_ROWS // max(rows, 1))
 
 
 def _columns(batch) -> tuple:
@@ -575,20 +601,20 @@ def _columns(batch) -> tuple:
     return n, ds, layout, exacts, bounds, satisfied, margins, degenerate, noted, clean
 
 
-def _runs(labels, blocks) -> dict:
-    """Key position -> the slice of keys computed with it: runs
-    of at most CHUNK_KEYS keys of one block, ``blocks`` giving each key's,
-    whose first cases come one after another in ``labels``."""
-    runs, seen, start, stop = {}, bytearray(len(blocks)), 0, -1
+def _runs(labels, blocks, sizes) -> dict:
+    """Key position -> the slice of keys computed with it: runs of keys of
+    one block, ``blocks`` giving each key's, whose first cases come one
+    after another in ``labels``, and at most ``sizes[block]`` of them."""
+    runs, seen, start, stop, size = {}, bytearray(len(blocks)), 0, -1, 0
     for i, _ in labels:
         if seen[i]:
             stop = -1  # a later case of a key ends the run
         else:
             seen[i] = True
-            if i == stop and blocks[i] == blocks[start] and stop - start < CHUNK_KEYS:
+            if i == stop and blocks[i] == blocks[start] and stop - start < size:
                 stop += 1
             else:
-                start, stop = i, i + 1
+                start, stop, size = i, i + 1, sizes[blocks[i]]
             runs[start] = slice(start, stop)
     return runs
 
@@ -617,15 +643,17 @@ class GridSweep:
     first case has the same ambient dimension m and codimension k, every
     k-multiset of degrees >= 2 (and P^(m-1) for k = 1), so one dimension
     n = m - k and one layout. Their first cases come one after another, and
-    at the first of them the sweep runs the checks over a chunk of at most
-    CHUNK_KEYS of them, joins each key's values and bounds over the checks,
-    and derives the chunk's columns from them once. The notes stay the
-    checks' functions of a key's place in the chunk; only a JSON document
-    and the exception rows call them. From that one derivation the sweep
-    tallies what a run prints: ``report_count`` and the ``violations`` and
-    ``flagged`` reports, in case order. ``truncated``, ``labels`` (key
-    position, multidegree), ``keys`` and ``case_count`` are known from the
-    start; ``keys`` holds one (n, degrees above 1) per key position.
+    at the first of them the sweep runs the checks over a chunk of them:
+    CHUNK_ROWS rows' worth of keys, by the block's closed-form row count
+    per key (_row_count), but never fewer than CHUNK_KEYS keys. It joins
+    each key's values and bounds over the checks, and derives the chunk's
+    columns from them once. The notes stay the checks' functions of a key's
+    place in the chunk; only a JSON document and the exception rows call
+    them. From that one derivation the sweep tallies what a run prints:
+    ``report_count`` and the ``violations`` and ``flagged`` reports, in
+    case order. ``truncated``, ``labels`` (key position, multidegree),
+    ``keys`` and ``case_count`` are known from the start; ``keys`` holds
+    one (n, degrees above 1) per key position.
     Between the first and last case of a key it holds only the key's row
     count and its unsatisfied or degenerate rows, with their notes.
 
@@ -656,8 +684,11 @@ class GridSweep:
     def __iter__(self):
         names, keys = self.spec.checks, self.keys
         checks = [_CHECKS[name] for name in names]
-        # a key's block: its n and the codimension of its first case
-        chunks = _runs(self.labels, [(n, len(degrees) or 1) for n, degrees in keys])
+        # a key's block: its n and the codimension of its first case; the
+        # block's chunk size: by its rows per key, at least CHUNK_KEYS
+        blocks = [(n, len(degrees) or 1) for n, degrees in keys]
+        sizes = {block: _chunk_keys(_row_count(names, block[0])) for block in set(blocks)}
+        chunks = _runs(self.labels, blocks, sizes)
         # by key position: (n, d, row count, exception rows), first case to last
         layouts, held = {}, [None] * len(keys)
 

@@ -20,15 +20,21 @@ import charbound.bounds
 from charbound.bounds import (
     _CHECKS,
     _Chunk,
+    _chunk_keys,
     _columns,
+    _layout,
+    _row_count,
     _rows,
     _runs,
     CHUNK_KEYS,
+    CHUNK_ROWS,
     CHECK_NAMES,
     DEGENERATE_NOTE,
+    MAX_AMBIENT_DIM,
     MAX_GRID_CASES,
     BoundReport,
     GridSpec,
+    GridSweep,
     betti_bound,
     betti_bound_recursive,
     blowup_euler,
@@ -297,27 +303,6 @@ def test_a_library_json_run_gives_the_default_json_golden():
     assert hashlib.sha256(data).hexdigest() == golden["sha256"]
 
 
-def test_a_json_run_derives_each_chunk_as_often_as_a_csv_run():
-    # every format derives each chunk's columns exactly once, and a key with
-    # exception rows reads them from its chunk's columns. A JSON run once
-    # derived every chunk again to write it (45 derivations on the default
-    # grid), and each exception key once took a derivation of its own
-    grids = {
-        # the default, deep-json and wide-csv grids, with their chunk counts
-        22: GridSpec(),
-        36: GridSpec(**DEEP),
-        130: GridSpec(max_ambient_dim=5, max_degree_per_factor=14, max_cases=10**6),
-    }
-    for chunks, spec in grids.items():
-        for fmt in ("json", "csv", None):
-            with patch.object(charbound.bounds, "_columns", wraps=_columns) as spy:
-                sweep = verify_grid(spec, io.StringIO(), fmt) if fmt else verify_grid(spec)
-            assert spy.call_count == chunks, (spec, fmt)
-        # a chunk is a run of at most CHUNK_KEYS keys of one block
-        blocks = [(n, len(degrees) or 1) for n, degrees in sweep.keys]
-        assert len(_runs(sweep.labels, blocks)) == chunks, spec
-
-
 # small grids: dimensions up to 6, so Pontryagin rows at n = 4 and the
 # degenerate lines (n, d) = (1, 1), cut anywhere
 small_specs = st.builds(
@@ -365,6 +350,165 @@ def test_a_grid_read_case_by_case_gives_what_the_held_grid_gives(spec, negative)
     assert runs["json"][1] == expected
     assert runs["csv"][1] == oracle_csv(reports)
     assert runs["markdown"][1] == oracle_markdown(reports)
+
+
+# the deep-json grid: dimensions 1..8, so Pontryagin rows at n = 4 and 8, and
+# the degenerate lines (n, d) = (1, 1)
+DEEP = dict(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8, max_cases=10**6)
+
+
+# -- chunk sizes: a chunk holds CHUNK_ROWS rows' worth of keys, at least
+# CHUNK_KEYS of them
+
+
+def partition_counts(top: int) -> list:
+    """p(0), ..., p(top), counted part by part."""
+    p = [1] + [0] * top
+    for part in range(1, top + 1):
+        for weight in range(part, top + 1):
+            p[weight] += p[weight - part]
+    return p
+
+
+def layout_rows(names, n: int) -> int:
+    """The rows of the layout the checks ``names`` build from a real
+    one-key chunk of dimension n."""
+    c = _Chunk(n, [(2,)])
+    return len(_layout(names, [_CHECKS[name](c) for name in names])[0])
+
+
+def chunk_cap(names, n: int) -> int:
+    """The most keys of one block of dimension n that a chunk holds, from
+    the rows the checks build; a rowless key counts as one row."""
+    return max(CHUNK_KEYS, CHUNK_ROWS // max(layout_rows(names, n), 1))
+
+
+def block_sizes(sweep) -> tuple:
+    """(each key's block, block -> chunk cap) of a sweep's keys, the caps
+    from the rows the checks build."""
+    blocks = [(n, len(degrees) or 1) for n, degrees in sweep.keys]
+    caps = {n: chunk_cap(sweep.spec.checks, n) for n, _ in set(blocks)}
+    return blocks, {block: caps[block[0]] for block in blocks}
+
+
+def test_the_closed_form_row_count_is_the_rows_the_checks_build():
+    p = partition_counts(MAX_AMBIENT_DIM)
+    for n in range(1, MAX_AMBIENT_DIM + 1):
+        for name in CHECK_NAMES:
+            assert _row_count((name,), n) == layout_rows((name,), n), (n, name)
+        rows = 2 * n + 2 + 3 * sum(p[: n + 1]) + (0 if n % 4 else p[n // 4])
+        assert _row_count(CHECK_NAMES, n) == layout_rows(CHECK_NAMES, n) == rows, n
+    # 10, 18, 29, 47 and 69 rows per key up to n = 5, 104 at n = 6
+    caps = [_chunk_keys(_row_count(CHECK_NAMES, n)) for n in range(1, 8)]
+    assert caps == [204, 113, 70, 43, 29, 24, 24]
+    # pontryagin alone gives no row off n = 0 mod 4
+    assert [_row_count(("pontryagin",), n) for n in range(1, 9)] == [0, 0, 0, 1, 0, 0, 0, 2]
+    assert _chunk_keys(0) == CHUNK_ROWS
+
+
+@pytest.mark.parametrize(
+    "spec, reports",
+    [
+        (GridSpec(), 10_323),
+        (GridSpec(**DEEP), 5_892),
+        (GridSpec(max_ambient_dim=5, max_degree_per_factor=14, max_cases=10**6), 46_921),
+    ],
+    ids=("default", "deep-json", "wide-csv"),
+)
+def test_the_closed_form_counts_a_grid_s_reports(spec, reports):
+    sweep = verify_grid(spec)
+    cases = grid_cases(sweep)
+    assert sum(_row_count(spec.checks, ci.dimension) for ci in cases) == reports
+    assert sweep.report_count == reports
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_specs)
+def test_the_closed_form_counts_the_reports_of_any_check_subset(spec):
+    sweep = verify_grid(spec)
+    rows = sum(_row_count(spec.checks, ci.dimension) for ci in grid_cases(sweep))
+    assert rows == sweep.report_count
+
+
+def test_a_json_run_derives_each_chunk_as_often_as_a_csv_run():
+    # every format derives each chunk's columns exactly once, and a key with
+    # exception rows reads them from its chunk's columns. A JSON run once
+    # derived every chunk again to write it (45 derivations on the default
+    # grid), and each exception key once took a derivation of its own
+    grids = {
+        # the default, deep-json and wide-csv grids, with their chunk counts;
+        # at 24 keys a chunk, whatever its rows, they were 22, 36 and 130
+        18: GridSpec(),
+        36: GridSpec(**DEEP),
+        25: GridSpec(max_ambient_dim=5, max_degree_per_factor=14, max_cases=10**6),
+    }
+    for chunks, spec in grids.items():
+        for fmt in ("json", "csv", None):
+            with patch.object(charbound.bounds, "_columns", wraps=_columns) as spy:
+                sweep = verify_grid(spec, io.StringIO(), fmt) if fmt else verify_grid(spec)
+            assert spy.call_count == chunks, (spec, fmt)
+        # a chunk is a run of keys of one block, as many as its cap allows
+        assert len(_runs(sweep.labels, *block_sizes(sweep))) == chunks, spec
+
+
+def sweep_plan(spec) -> tuple:
+    """(the sweep of ``spec``, the chunks its iteration plans): the plan is
+    made before the first case is given."""
+    sweep, plans = GridSweep(spec), []
+
+    def spy(*args):
+        plans.append(_runs(*args))
+        return plans[-1]
+
+    with patch.object(charbound.bounds, "_runs", spy):
+        next(iter(sweep))
+    (plan,) = plans
+    return sweep, plan
+
+
+def test_blocks_from_dimension_6_on_are_chunked_by_keys_alone():
+    # m<=24 D<=4: 17,549 keys. From n = 6 on a key has 104 rows or more
+    # under all nine checks, so CHUNK_ROWS allows fewer than CHUNK_KEYS keys
+    # and the chunks are those of CHUNK_KEYS alone; a row budget with no key
+    # floor cut them smaller and ran the frontier grids some 5% slower
+    spec = GridSpec(max_ambient_dim=24, max_degree_per_factor=4, max_codim=23, max_cases=10**6)
+    sweep, plan = sweep_plan(spec)
+    assert len(sweep.keys) == 17_549
+    blocks = [(n, len(degrees) or 1) for n, degrees in sweep.keys]
+    by_keys = _runs(sweep.labels, blocks, dict.fromkeys(blocks, CHUNK_KEYS))
+    high = {i for i, (n, _) in enumerate(sweep.keys) if n >= 6}
+    assert {i: plan[i] for i in high if i in plan} == {i: by_keys[i] for i in high if i in by_keys}
+    assert any(run.stop - run.start == CHUNK_KEYS for i, run in plan.items() if i in high)
+    # and the lower blocks take more keys a chunk
+    low = [run.stop - run.start for i, run in plan.items() if sweep.keys[i][0] < 6]
+    assert max(low) > CHUNK_KEYS
+
+
+# the pontryagin-only CSV of 125 reports of 1,708 cases, as chunks of at
+# most CHUNK_KEYS keys wrote it
+PONTRYAGIN_CSV_SHA256 = "c15f14934c08235bdcfdf9e568a57b401bb5f368b7203b628788bfc12c7de2f2"
+
+
+def test_rowless_keys_run_in_chunks_of_chunk_rows_keys(capsys):
+    # pontryagin alone gives rows only at n = 4 on this grid (n = 1..7), one
+    # a key: every other key is rowless and counts as one row, so every
+    # block is a chunk of its own, up to 120 keys
+    argv = "verify --max-ambient-dim 8 --max-degree 5 --max-codim 7 --max-cases 1000000"
+    spec = GridSpec(
+        max_ambient_dim=8, max_degree_per_factor=5, max_codim=7, checks=("pontryagin",),
+        max_cases=10**6,
+    )
+    sweep, plan = sweep_plan(spec)
+    blocks, sizes = block_sizes(sweep)
+    assert {n for n, _ in blocks} == {*range(1, 8)}
+    assert set(sizes.values()) == {CHUNK_ROWS}
+    assert plan == _runs(sweep.labels, blocks, sizes)
+    assert len(plan) == len(sizes) and max(run.stop - run.start for run in plan.values()) == 120
+    assert main([*argv.split(), "--checks", "pontryagin", "--format", "csv"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PONTRYAGIN_CSV_SHA256
+    sweep = verify_grid(spec)
+    assert sweep.report_count == sum(ci.dimension == 4 for ci in grid_cases(sweep)) == 125
 
 
 def test_grid_spec_json_roundtrip():
@@ -490,18 +634,13 @@ def test_schur_work_runs_only_when_schur_positivity_is_selected(monkeypatch, cap
         verify_grid(GridSpec(max_ambient_dim=3, checks=("schur-positivity",)))
 
 
-# the deep-json grid: dimensions 1..8, so Pontryagin rows at n = 4 and 8, and
-# the degenerate lines (n, d) = (1, 1)
-DEEP = dict(max_ambient_dim=9, max_degree_per_factor=2, max_codim=8, max_cases=10**6)
-
-
 def spied_run(spec) -> tuple:
-    """(a JSON run of ``spec``, the (n, layout) of each batch whose columns
-    it derives)."""
+    """(a JSON run of ``spec``, the (n, layout, key count) of each batch
+    whose columns it derives)."""
     batches, columns = [], charbound.bounds._columns
 
     def spy(batch):
-        batches.append((batch[0], batch[2]))
+        batches.append((batch[0], batch[2], len(batch[1])))
         return columns(batch)
 
     with patch.object(charbound.bounds, "_columns", spy):
@@ -567,14 +706,14 @@ def test_a_check_alone_gives_its_rows_of_the_full_run(deep_grid, name):
     assert alone.sweep.labels == full.sweep.labels
     assert alone.reports == [r for r in full.reports if r.subject == name]
     # every layout holds each check's rows as one run, in check order
-    for _, layout in full_batches:
+    for _, layout, _ in full_batches:
         assert len(layout) == 4
         subjects = layout[0]
         assert [name for name, _ in groupby(subjects)] == [c for c in CHECK_NAMES if c in subjects]
     # every key of one dimension holds the same layout object
     for batches in (alone_batches, full_batches):
         layouts = {}
-        for n, layout in batches:
+        for n, layout, _ in batches:
             assert layouts.setdefault(n, layout) is layout
 
 
@@ -780,7 +919,8 @@ def test_memoized_reports_match_case_by_case_checks(spec):
 # -- the block kernel: chunks of one block against the oracle --------------------
 # The new keys whose first case has ambient dimension m and codimension k
 # form a block: every k-multiset of degrees >= 2, all of dimension m - k.
-# The sweep computes a block CHUNK_KEYS keys at a time.
+# The sweep computes a block a chunk at a time, chunk_cap(CHECK_NAMES, n)
+# keys at most: 204 curves, 113 surfaces, down to CHUNK_KEYS from n = 6 on.
 
 
 def block_grid(n, size):
@@ -788,7 +928,7 @@ def block_grid(n, size):
     intersections of two factors of degree 2..D of dimension n, first met
     in P^(n+2), the case cap cuts to its first ``size`` keys."""
     # the 2-multisets of top - 1 degrees, one more than a chunk at least
-    top = next(top for top in count(3) if comb(top, 2) > CHUNK_KEYS)
+    top = next(top for top in count(3) if comb(top, 2) > chunk_cap(CHECK_NAMES, n))
     grid = dict(max_ambient_dim=n + 2, max_degree_per_factor=top, max_codim=2)
     # the block's keys are the last cases of the uncapped grid
     whole = GridSpec(**grid, max_cases=10**6).case_count
@@ -797,12 +937,15 @@ def block_grid(n, size):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_a_block_chunk_by_chunk_matches_the_case_by_case_oracle(n):
-    # chunks of 1, CHUNK_KEYS - 1 and CHUNK_KEYS keys, and of CHUNK_KEYS + 1
-    # keys, which the sweep splits in two, each the last block of its grid
-    expected = {}
-    for size in (1, CHUNK_KEYS - 1, CHUNK_KEYS, CHUNK_KEYS + 1):
+    # chunks of 1, cap - 1 and cap keys, and of cap + 1 keys, which the
+    # sweep splits in two, each the last block of its grid
+    expected, cap = {}, chunk_cap(CHECK_NAMES, n)
+    for size in (1, cap - 1, cap, cap + 1):
         spec, top = block_grid(n, size)
-        sweep, _, reports = json_run(spec)
+        (sweep, _, reports), batches = spied_run(spec)
+        # the block's chunks are the last batches the run derived
+        chunks = [(n, size)] if size <= cap else [(n, cap), (n, 1)]
+        assert [(m, keys) for m, _, keys in batches[-len(chunks) :]] == chunks
         block = grid_cases(sweep)[-size:]
         assert sweep.truncated and len(block) == size
         assert {(ci.dimension, ci.codimension) for ci in block} == {(n, 2)}
@@ -829,8 +972,8 @@ def test_a_seam_failing_one_key_mid_chunk_fails_that_key_alone(monkeypatch):
     # note, at both of its cases: (3, 5) in P^4 and (1, 3, 5) in P^5
     spec = GridSpec(max_ambient_dim=5, max_degree_per_factor=14, max_cases=10**6)
     clean = json_run(spec)
-    block = [*combinations_with_replacement(range(2, 15), 2)]
-    assert 0 < block.index((3, 5)) % CHUNK_KEYS < CHUNK_KEYS - 1
+    block, cap = [*combinations_with_replacement(range(2, 15), 2)], chunk_cap(CHECK_NAMES, 2)
+    assert 0 < block.index((3, 5)) % cap < min(cap, len(block)) - 1
     twisted = _Chunk(2, [(3, 5)]).twisted[0]
     hooks = charbound.bounds.hook_classes(twisted, charbound.bounds.dual_sequence(twisted))
     schur = charbound.bounds.giambelli
@@ -1189,7 +1332,9 @@ def layout_cases(keys, labels):
     each run of keys of one n and one layout object, derived at the run's
     first case (see bounds._runs and bounds._columns), each run's notes the
     function of a key's place in it."""
-    runs = _runs(labels, [(n, id(layout)) for n, _, layout, *_ in keys])
+    blocks = [(n, id(layout)) for n, _, layout, *_ in keys]
+    sizes = {(n, id(layout)): _chunk_keys(len(layout[0])) for n, _, layout, *_ in keys}
+    runs = _runs(labels, blocks, sizes)
 
     def columns(i):
         run = runs.get(i)

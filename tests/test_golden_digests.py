@@ -81,14 +81,20 @@ def test_hash_randomization_does_not_change_the_bytes():
             assert hashlib.sha256(proc.stdout).hexdigest() == golden["sha256"], entry
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3])
-def test_output_does_not_depend_on_how_many_keys_a_chunk_holds(monkeypatch, capsysbinary, chunk):
-    # the sweep computes up to CHUNK_KEYS keys of a block together, and
-    # every format renders the chunks it computes: at 24 keys, default-json's
-    # 275 keys make 22 chunks and wide-csv's 3,059 keys 130. Chunks of 1, 2
-    # and 3 keys split wide-csv's blocks of 14, 91, 455 and 1,820 keys and
-    # default-json's blocks of 5 to 56 keys at other places
-    monkeypatch.setattr(charbound.bounds, "CHUNK_KEYS", chunk)
+@pytest.mark.parametrize("keys, rows", [(1, 0), (2, 110), (3, 170)], ids=("1", "2", "3"))
+def test_output_does_not_depend_on_how_many_keys_a_chunk_holds(
+    monkeypatch, capsysbinary, keys, rows
+):
+    # the sweep computes a block's keys CHUNK_ROWS rows' worth at a time,
+    # never fewer than CHUNK_KEYS of them, and every format renders the
+    # chunks it computes: at 2,048 rows and 24 keys, default-json's 275 keys
+    # make 18 chunks and wide-csv's 3,059 keys 25. Here a chunk holds one
+    # key; or 11 curves (10 rows each), 6 surfaces (18), 3 threefolds (29)
+    # and 2 keys from n = 4 on (47 rows); or 17, 9, 5 and 3. That splits
+    # wide-csv's blocks of 14, 91, 455 and 1,820 keys and default-json's
+    # blocks of 5 to 56 keys at other places
+    monkeypatch.setattr(charbound.bounds, "CHUNK_KEYS", keys)
+    monkeypatch.setattr(charbound.bounds, "CHUNK_ROWS", rows)
     for entry in ("wide-csv", "default-json"):
         golden = GOLDEN[entry]
         assert main(golden["argv"].split()) == 0, entry
@@ -180,7 +186,10 @@ def test_wide_csv_memory_holds_a_chunk_of_keys_not_a_block():
     # P^5). Run alternately, computing one key at a time peaked at 17.4 MB
     # and chunks of 24 keys at 17.6 MB (17.2-17.5 and 17.4-17.75 MB across
     # batches of runs); one chunk for a whole block peaked at 22.0 MB. The
-    # bound is the one-key reading plus 0.5 MB
+    # bound is the one-key reading plus 0.5 MB. On a 2-vCPU Linux guest with
+    # Python 3.11.7, 12 alternating runs read 16.26 MB (16.24-16.34) at 24
+    # keys a chunk and 16.90 MB (16.84-17.09) at 2,048 rows a chunk, 204
+    # curves; 1,024 rows read 16.56 MB
     golden = GOLDEN["wide-csv"]
     out, peak_mb = peak_rss_mb(golden["argv"])
     assert hashlib.sha256(out.encode()).hexdigest() == golden["sha256"]
