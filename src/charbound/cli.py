@@ -1,20 +1,25 @@
 """Command-line interface: bound evaluation, grid verification, variety
 tables, and Schubert-calculus queries.
 
+Each subcommand's flags are declared once, in the flag table of COMMANDS. A
+well-formed argv is read straight from the table; argparse, built from it
+too, loads only for help and for the error messages it prints.
+
 Exit codes: 0 all checks pass, 1 a mathematical violation was found,
 2 usage or I/O error. All numeric output is exact decimal text.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import re
 import sys
+from functools import partial
 from itertools import accumulate
 from math import comb
 from operator import mul
+from types import SimpleNamespace
 
 from .betti import betti_from_euler
 from .schubert import (
@@ -56,6 +61,13 @@ class UsageError(ValueError):
     """Bad flag combination or unreadable input."""
 
 
+def _type_error(message: str) -> Exception:
+    """The error a converter raises for argparse to report as a bad value."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _parse_int_list(text: str) -> tuple:
     """Comma-separated integers; the empty string is the empty tuple."""
     text = text.strip()
@@ -64,9 +76,7 @@ def _parse_int_list(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from exc
+        raise _type_error(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _read_json(path: str, what: str):
@@ -103,8 +113,8 @@ BOUNDS = {
 }
 
 
-def _formula(name: str):
-    """The bound formula of charbound.bounds named ``name``."""
+def _from_bounds(name: str):
+    """The name ``name`` of charbound.bounds, imported on first use."""
     from . import bounds
 
     return getattr(bounds, name)
@@ -117,7 +127,7 @@ def _cmd_bound(args) -> int:
             f"need 1 <= n <= {MAX_BOUND_N} and 1 <= d <= {MAX_BOUND_D}, got n={n}, d={d}"
         )
     name, takes_index = BOUNDS[args.formula]
-    formula = _formula(name)
+    formula = _from_bounds(name)
     if takes_index != (args.index is not None):
         need = "needs a multi-index via -I" if takes_index else "takes no multi-index"
         raise UsageError(f"--{args.formula} {need}")
@@ -132,15 +142,13 @@ def _cmd_bound(args) -> int:
 def _parse_names(text: str) -> tuple:
     names = tuple(name.strip() for name in text.split(","))
     if not all(names):
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated check names, got {text!r}"
-        )
+        raise _type_error(f"expected comma-separated check names, got {text!r}")
     return names
 
 
-def _refuse(args, actions, when: str) -> None:
-    """Raise UsageError naming each of these flags that was given."""
-    given = [a.option_strings[0] for a in actions if getattr(args, a.dest) is not None]
+def _refuse(args, flags, when: str) -> None:
+    """Raise UsageError naming each of these flag-table entries that was given."""
+    given = [flag.options[0] for flag in flags if getattr(args, flag.dest) is not None]
     if given:
         raise UsageError(f"{', '.join(given)} cannot be used {when}")
 
@@ -151,7 +159,7 @@ def _grid_spec_from_args(args) -> GridSpec:
     if args.grid is None:
         given = vars(args)
         return GridSpec(**{f: given[f] for f in GridSpec._fields if given[f] is not None})
-    _refuse(args, args.spec_flags, "with --grid")
+    _refuse(args, [flag for flag in _VERIFY_FLAGS if flag.dest in GridSpec._fields], "with --grid")
     data = _read_json(args.grid, "grid")
     try:
         return GridSpec.from_dict(data)
@@ -175,9 +183,9 @@ def _cmd_verify(args) -> int:
     from .bounds import verify_grid
 
     if args.sigma is not None:
-        _refuse(args, args.grid_flags, "with --sigma")
+        _refuse(args, [flag for flag in _VERIFY_FLAGS if flag.group == _GRID], "with --sigma")
         return _cmd_verify_signature(args)
-    _refuse(args, args.signature_flags, "without --sigma")
+    _refuse(args, [flag for flag in _VERIFY_FLAGS if flag.group == _SIGNATURE], "without --sigma")
     spec = _grid_spec_from_args(args)
     fmt = args.format or ("json" if args.out is not None else None)
 
@@ -243,9 +251,9 @@ TABLE = {
     "total_betti": lambda c: c.betti_sums[0][0],
     "degree_sequence": lambda c: tuple(c.sequence[0]),
     "tangent_chern": lambda c: tuple(c.tangent[0]),
-    "betti_bound": lambda c: _formula("betti_bound")(c.n, c.ds[0]),
-    "betti_bound_recursive": lambda c: _formula("betti_bound_recursive")(c.n, c.ds[0]),
-    "pontryagin_bound": lambda c: _formula("pontryagin_bound")(c.n, c.ds[0]),
+    "betti_bound": lambda c: _from_bounds("betti_bound")(c.n, c.ds[0]),
+    "betti_bound_recursive": lambda c: _from_bounds("betti_bound_recursive")(c.n, c.ds[0]),
+    "pontryagin_bound": lambda c: _from_bounds("pontryagin_bound")(c.n, c.ds[0]),
 }
 TABLE_QUANTITIES = tuple(TABLE)
 
@@ -289,11 +297,11 @@ def _parse_power_spec(text: str) -> tuple:
         token = token.strip()
         match = _POWER_TOKEN.match(token)
         if not match:
-            raise argparse.ArgumentTypeError(
+            raise _type_error(
                 f"cannot parse {token!r}; expected sigmaK or sigmaK^E terms joined by *"
             )
         if any(len(g) > MAX_POWER_DIGITS for g in match.groups() if g):
-            raise argparse.ArgumentTypeError(
+            raise _type_error(
                 f"{token!r}: index and exponent take at most {MAX_POWER_DIGITS} digits"
             )
         k = int(match.group(1))
@@ -346,115 +354,135 @@ def _cmd_schubert(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def _add_variety_flags(parser) -> list:
-    """--variety FILE, or -m and -D inline; returns their actions."""
-    degrees = "comma-separated degrees, e.g. 2,2"
-    return [
-        parser.add_argument("--variety", help="variety spec JSON file"),
-        parser.add_argument("-m", "--ambient-dim", type=int, help="ambient dimension"),
-        parser.add_argument("-D", "--multidegree", type=_parse_int_list, help=degrees),
-    ]
+class _OneOf(str):
+    """The name of a required mutually exclusive group of flags."""
 
 
-def _bound_flags(bound) -> None:
-    formulas = bound.add_mutually_exclusive_group(required=True)
-    for flag, (name, _) in BOUNDS.items():
-        formulas.add_argument(
-            f"--{flag}",
-            dest="formula",
-            action="store_const",
-            const=flag,
-            help=_formula(name).__doc__,
-        )
-    bound.add_argument("-n", type=int, required=True, help=f"dimension, 1..{MAX_BOUND_N}")
-    bound.add_argument("-d", type=int, required=True, help=f"degree, 1..{MAX_BOUND_D}")
-    bound.add_argument(
-        "-I", "--index", type=_parse_int_list, help="comma-separated multi-index, e.g. 1,2"
-    )
-    bound.set_defaults(func=_cmd_bound)
+def _flag(*options, group=None, **facts) -> SimpleNamespace:
+    """One entry of the flag table: its option strings, its group (an
+    argument group's title, or a _OneOf) and what add_argument takes: dest,
+    by default as argparse derives it; type, or const for a flag without a
+    value; required; help, or a function giving it; metavar; choices."""
+    long = next((option for option in options if option.startswith("--")), options[0])
+    facts.setdefault("dest", long.lstrip("-").replace("-", "_"))
+    facts.setdefault("action", "store_const" if "const" in facts else "store")
+    unset = dict(type=None, const=None, required=False, help=None, metavar=None, choices=None)
+    return SimpleNamespace(options=options, group=group, **{**unset, **facts})
 
 
-def _verify_flags(verify) -> None:
-    from .bounds import CHECK_NAMES
+_formula = partial(_flag, group=_OneOf("formula"), dest="formula")
+_GRID, _SIGNATURE = "grid run", "signature check"
+_grid, _signature = partial(_flag, group=_GRID), partial(_flag, group=_SIGNATURE)
+_mode = partial(_flag, group=_OneOf("mode"))
 
-    grid = verify.add_argument_group("grid run")
-    grid_file = grid.add_argument("--grid", help="path to a grid-spec JSON file")
-    spec_flags = [  # each dest is a GridSpec field
-        grid.add_argument("--max-ambient-dim", type=int),
-        grid.add_argument(
-            "--max-degree", type=int, dest="max_degree_per_factor", metavar="MAX_DEGREE"
-        ),
-        grid.add_argument("--max-codim", type=int),
-        grid.add_argument("--max-cases", type=int),
-        grid.add_argument(
-            "--checks",
-            type=_parse_names,
-            help=f"comma-separated subset of: {','.join(CHECK_NAMES)}",
-        ),
-    ]
-    report_format = grid.add_argument(
-        "--format", choices=("json", "csv", "markdown"), help="report format"
-    )
-    verify.add_argument("--out", help="write the report file here")
-    signature = verify.add_argument_group("signature check")
-    signature.add_argument(
-        "--sigma", type=int, help="supplied real-side signature; runs the signature check"
-    )
-    verify.set_defaults(
-        func=_cmd_verify,
-        spec_flags=spec_flags,
-        grid_flags=[grid_file, *spec_flags, report_format],
-        signature_flags=_add_variety_flags(signature),
+
+def _variety_flags(flag=_flag) -> tuple:
+    """--variety FILE, or -m and -D inline, each made by ``flag``."""
+    return (
+        flag("--variety", help="variety spec JSON file"),
+        flag("-m", "--ambient-dim", type=int, help="ambient dimension"),
+        flag("-D", "--multidegree", type=_parse_int_list, help="comma-separated degrees, e.g. 2,2"),
     )
 
 
-def _table_flags(table) -> None:
-    _add_variety_flags(table)
-    table.add_argument(
-        "--quantities", help=f"comma-separated subset of: {','.join(TABLE_QUANTITIES)}"
-    )
-    table.set_defaults(func=_cmd_table)
+_BOUND_FLAGS = tuple(
+    _formula(f"--{flag}", const=flag, help=lambda name=name: _from_bounds(name).__doc__)
+    for flag, (name, _) in BOUNDS.items()
+) + (
+    _flag("-n", type=int, required=True, help=f"dimension, 1..{MAX_BOUND_N}"),
+    _flag("-d", type=int, required=True, help=f"degree, 1..{MAX_BOUND_D}"),
+    _flag("-I", "--index", type=_parse_int_list, help="comma-separated multi-index, e.g. 1,2"),
+)
+_VERIFY_FLAGS = (
+    _grid("--grid", help="path to a grid-spec JSON file"),
+    _grid("--max-ambient-dim", type=int),
+    _grid("--max-degree", type=int, dest="max_degree_per_factor", metavar="MAX_DEGREE"),
+    _grid("--max-codim", type=int),
+    _grid("--max-cases", type=int),
+    _grid(
+        "--checks",
+        type=_parse_names,
+        help=lambda: f"comma-separated subset of: {','.join(_from_bounds('CHECK_NAMES'))}",
+    ),
+    _grid("--format", choices=("json", "csv", "markdown"), help="report format"),
+    _flag("--out", help="write the report file here"),
+    _signature("--sigma", type=int, help="supplied real-side signature; runs the signature check"),
+    *_variety_flags(_signature),
+)
+_TABLE_FLAGS = (
+    *_variety_flags(),
+    _flag("--quantities", help=f"comma-separated subset of: {','.join(TABLE_QUANTITIES)}"),
+)
+_SCHUBERT_FLAGS = (
+    _flag("-q", type=int, required=True, help="subspace dimension"),
+    _flag("-N", type=int, required=True, help="ambient dimension"),
+    _mode("--power", type=_parse_power_spec, help="product, e.g. sigma1^4 or sigma1^2*sigma2"),
+    _mode("--giambelli", type=_parse_int_list, help="shape to expand, e.g. 1,1"),
+    _mode("--degree", const=True, help="degree of the Grassmannian"),
+)
 
-
-def _schubert_flags(schubert) -> None:
-    schubert.add_argument("-q", type=int, required=True, help="subspace dimension")
-    schubert.add_argument("-N", type=int, required=True, help="ambient dimension")
-    modes = schubert.add_mutually_exclusive_group(required=True)
-    modes.add_argument(
-        "--power", type=_parse_power_spec, help="product, e.g. sigma1^4 or sigma1^2*sigma2"
-    )
-    modes.add_argument("--giambelli", type=_parse_int_list, help="shape to expand, e.g. 1,1")
-    modes.add_argument("--degree", action="store_true", help="degree of the Grassmannian")
-    schubert.set_defaults(func=_cmd_schubert)
-
-
-# subcommand -> (its line in the top-level help, the function adding its flags)
+# subcommand -> (its line in the top-level help, its flags, the function it runs)
 COMMANDS = {
-    "bound": ("evaluate one bound formula exactly", _bound_flags),
-    "verify": ("run bound checks over a variety grid, or a signature check", _verify_flags),
-    "table": ("print exact invariants of one variety", _table_flags),
-    "schubert": ("Schubert calculus on G_q(C^N)", _schubert_flags),
+    "bound": ("evaluate one bound formula exactly", _BOUND_FLAGS, _cmd_bound),
+    "verify": (
+        "run bound checks over a variety grid, or a signature check", _VERIFY_FLAGS, _cmd_verify
+    ),
+    "table": ("print exact invariants of one variety", _TABLE_FLAGS, _cmd_table),
+    "schubert": ("Schubert calculus on G_q(C^N)", _SCHUBERT_FLAGS, _cmd_schubert),
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose help fails as any write to stdout does:
-    argparse drops an OSError of its own writes, and with unbuffered stdout
-    help into a closed pipe would then exit 0 with nothing said."""
-
-    def _print_message(self, message, file=None):
-        if file is sys.stdout and message:
-            file.write(message)
-        else:
-            super()._print_message(message, file)
+def _read_argv(argv):
+    """The namespace of a well-formed argv: a subcommand, then each of its
+    flags at most once by full option string, each value one word that does
+    not start with -, converts and is a legal choice, every required flag
+    and one flag of each _OneOf. Any other argv gives None, for argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, flags, func = COMMANDS[argv[0]]
+    by_option = {option: flag for flag in flags for option in flag.options}
+    values, given, words = {flag.dest: None for flag in flags}, [], iter(argv[1:])
+    for word in words:
+        flag = by_option.get(word)
+        if flag is None or flag in given:
+            return None
+        given.append(flag)
+        values[flag.dest] = value = flag.const
+        if value is None:
+            text = next(words, "-")
+            try:
+                values[flag.dest] = value = text if flag.type is None else flag.type(text)
+            except Exception:  # ArgumentTypeError among them: argparse reports it
+                return None
+            if text.startswith("-") or flag.choices is not None and value not in flag.choices:
+                return None
+    one_of = {flag.group for flag in flags if isinstance(flag.group, _OneOf)}
+    chosen = sorted(flag.group for flag in given if flag.group in one_of)
+    if chosen != sorted(one_of) or any(flag.required and flag not in given for flag in flags):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI's parser; given a subcommand name, only that one gets its flags.
+    """The CLI's argparse parser, built from the flag table; given a
+    subcommand name, only that one gets its flags.
 
     Every subcommand is still named, so the top-level help and the errors
     before a subcommand read the same either way.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose help fails as any write to stdout does:
+        argparse drops an OSError of its own writes, and with unbuffered
+        stdout help into a closed pipe would then exit 0 with nothing said."""
+
+        def _print_message(self, message, file=None):
+            if file is sys.stdout and message:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
     parser = _Parser(
         prog="charbound",
         description=(
@@ -464,10 +492,22 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_flags) in COMMANDS.items():
+    for name, (summary, flags, func) in COMMANDS.items():
         subparser = sub.add_parser(name, help=summary)
-        if command in (None, name):
-            add_flags(subparser)
+        if command not in (None, name):
+            continue
+        groups = {None: subparser}
+        for flag in flags:
+            if flag.group not in groups:
+                groups[flag.group] = (
+                    subparser.add_mutually_exclusive_group(required=True)
+                    if isinstance(flag.group, _OneOf)
+                    else subparser.add_argument_group(flag.group)
+                )
+            facts = {k: v for k, v in vars(flag).items() if v is not None and k != "group"}
+            facts["help"] = flag.help() if callable(flag.help) else flag.help
+            groups[flag.group].add_argument(*facts.pop("options"), **facts)
+        subparser.set_defaults(func=func)
     return parser
 
 
@@ -478,7 +518,7 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         try:
-            args = _build_parser(command).parse_args(argv)
+            args = _read_argv(argv) or _build_parser(command).parse_args(argv)
         except SystemExit as exc:
             code = 0 if exc.code in (0, None) else 2
         else:

@@ -22,6 +22,7 @@ from charbound.cli import (
     TABLE,
     _build_parser,
     _grid_spec_from_args,
+    _read_argv,
     main,
 )
 from charbound.schubert import grassmannian_degree
@@ -947,10 +948,14 @@ def run_module(*argv, env=None, **kwargs):
     )
 
 
-def run_script(script: str):
+def run_script(script: str, **extra):
     """``python -c script`` in a fresh interpreter (see child_env)."""
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env(**extra),
+        timeout=60,
     )
 
 
@@ -1087,10 +1092,15 @@ def modules_loaded_by_cli_import() -> set:
     return added
 
 
+# argparse, and the gettext and locale modules it loads, cost about 4 ms of
+# a fresh process; only help and usage errors need them
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+
+
 def test_cli_import_needs_no_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize at start-up, which
     # no command uses
-    assert not modules_loaded_by_cli_import() & {"dataclasses", "inspect"}
+    assert not modules_loaded_by_cli_import() & {"dataclasses", "inspect", *ARGPARSE_MODULES}
     # the package binds every name it exports at import, and neither import
     # form loads the grid layer or json
     script = (
@@ -1103,18 +1113,28 @@ def test_cli_import_needs_no_dataclasses():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
-def modules_loaded_by_run(*argv) -> set:
-    """The modules loaded once ``python -m charbound *argv`` has run, as an
-    atexit handler sees them."""
+def run_listing_modules(*argv) -> tuple:
+    """``python -m charbound *argv`` in a fresh interpreter at 80 columns:
+    its exit code, stdout and stderr, and the modules it loaded, as an
+    atexit handler sees them once it has run."""
     script = (
         "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+        "before = set(sys.modules)\n"
+        "added = lambda: sorted(set(sys.modules) - before)\n"
+        "atexit.register(lambda: print('modules:', *added(), file=sys.stderr))\n"
         f"sys.argv = ['charbound', *{list(argv)!r}]\n"
         "runpy.run_module('charbound', run_name='__main__', alter_sys=True)\n"
     )
-    proc = run_script(script)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+    proc = run_script(script, COLUMNS="80")
+    err, _, modules = proc.stderr.rpartition("modules: ")
+    return proc.returncode, proc.stdout, err, set(modules.split())
+
+
+def modules_loaded_by_run(*argv) -> set:
+    """The modules that ``python -m charbound *argv`` loads; it must exit 0."""
+    code, _, err, loaded = run_listing_modules(*argv)
+    assert code == 0, err
+    return loaded
 
 
 def test_schubert_starts_without_the_grid_layer():
@@ -1122,12 +1142,16 @@ def test_schubert_starts_without_the_grid_layer():
     # `bound`, `verify` and `table` read the grid layer
     loaded = modules_loaded_by_run("schubert", "-q", "2", "-N", "4", "--degree")
     assert "charbound.schubert" in loaded
-    assert not loaded & {"charbound.bounds", "json"}
+    assert not loaded & {"charbound.bounds", "json", *ARGPARSE_MODULES}
     assert "charbound.bounds" in modules_loaded_by_run("verify", "--max-cases", "1")
     # a JSON document is quoted by _json's C function alone
     loaded = modules_loaded_by_run("verify", "--max-cases", "1", "--format", "json")
     assert "_json" in loaded
-    assert not loaded & {"json", "json.decoder"}
+    assert not loaded & {"json", "json.decoder", *ARGPARSE_MODULES}
+    # every well-formed argv is read from the flag table, without argparse
+    for argv in (("bound", "--betti", "-n", "2", "-d", "2"), ("table", "-m", "3", "-D", "2")):
+        loaded = modules_loaded_by_run(*argv)
+        assert "charbound.bounds" in loaded and not loaded & ARGPARSE_MODULES, argv
 
 
 def test_cli_import_leaves_decimal_unloaded():
@@ -1325,3 +1349,117 @@ def test_any_argv_exits_with_a_code_and_no_traceback(fuzz_dir, argv):
         os.chdir(cwd)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# -- the flag-table reader -------------------------------------------------------
+
+
+def argparse_vars(argv, command=None) -> dict:
+    """vars() of what argparse parses from argv; the test fails if it
+    refuses argv."""
+    try:
+        return vars(_build_parser(command).parse_args(argv))
+    except SystemExit as exc:
+        pytest.fail(f"argparse refused {argv} with exit code {exc.code}")
+
+
+# argv the reader must leave to argparse, with the exit code and, after the
+# usage line, the stderr that argparse prints; a run that exits 0 pins its
+# stdout instead
+LEFT_TO_ARGPARSE = {
+    "missing -N": (
+        ["schubert", "-q", "2", "--degree"],
+        2,
+        ["the following arguments are required: -N"],
+    ),
+    "two modes": (
+        ["schubert", "-q", "2", "-N", "4", "--power", "sigma1", "--degree"],
+        2,
+        ["argument --degree: not allowed with argument --power"],
+    ),
+    # later argparse releases list the choices with str(), not repr()
+    "bad choice": (
+        ["verify", "--max-cases", "5", "--format", "xml"],
+        2,
+        [
+            "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'markdown')",
+            "argument --format: invalid choice: 'xml' (choose from json, csv, markdown)",
+        ],
+    ),
+    "bad int": (
+        ["schubert", "-q", "x", "-N", "4", "--degree"],
+        2,
+        ["argument -q: invalid int value: 'x'"],
+    ),
+    # argparse takes the abbreviation of --max-degree
+    "abbreviation": (
+        ["verify", "--max-deg", "3", "--max-cases", "5"],
+        0,
+        "cases=5 truncated=true reports=66 flagged=2 violations=0\n",
+    ),
+}
+
+
+# Without the explain phase, as in test_writers_match_stdlib_serializers.
+@settings(
+    max_examples=600,
+    deadline=None,
+    phases=tuple(phase for phase in Phase if phase is not Phase.explain),
+)
+@given(st.one_of(st.sampled_from(SEEDS).map(list), argvs()))
+# the argv of LEFT_TO_ARGPARSE
+@example(["schubert", "-q", "2", "--degree"])
+@example(["schubert", "-q", "2", "-N", "4", "--power", "sigma1", "--degree"])
+@example(["verify", "--max-cases", "5", "--format", "xml"])
+@example(["schubert", "-q", "x", "-N", "4", "--degree"])
+@example(["verify", "--max-deg", "3", "--max-cases", "5"])
+# a value joined to its flag, a negative value, a repeated flag, help
+@example(["verify", "--max-degree=3"])
+@example(["bound", "--betti", "-n", "-2", "-d", "2"])
+@example(["bound", "--betti", "--betti", "-n", "2", "-d", "2"])
+@example(["schubert", "-h"])
+def test_the_reader_gives_argparse_s_namespace_or_leaves_the_argv_to_it(argv):
+    read = _read_argv(argv)
+    if tuple(argv) in SEEDS:
+        assert read is not None, argv
+    if read is not None:
+        assert vars(read) == argparse_vars(argv) == argparse_vars(argv, argv[0])
+
+
+def usage_of(help_text: str) -> str:
+    """The usage lines that open a help text."""
+    return help_text[: help_text.index("\n\n") + 1]
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected", LEFT_TO_ARGPARSE.values(), ids=list(LEFT_TO_ARGPARSE)
+)
+def test_argv_left_to_argparse_prints_the_pinned_bytes(capsys, monkeypatch, argv, code, expected):
+    assert _read_argv(argv) is None
+    monkeypatch.setenv("COLUMNS", "80")
+    if code == 0:
+        assert run(capsys, *argv) == (0, expected, "")
+        return
+    # the usage lines as the subcommand's help prints them, whose bytes
+    # test_help_prints_the_pinned_bytes pins
+    usage = usage_of(run(capsys, argv[0], "--help")[1])
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err in [f"{usage}charbound {argv[0]}: error: {message}\n" for message in expected]
+
+
+def test_help_and_usage_errors_load_argparse_and_print_the_pinned_bytes():
+    version = sys.version_info[:2]
+    assert version in ARGPARSE_LAYOUTS, f"no help pins for Python {version}"
+    code, out, err, loaded = run_listing_modules("schubert", "-h")
+    assert (code, err) == (0, "")
+    assert loaded >= ARGPARSE_MODULES
+    data = out.encode()
+    pins = HELP_PINS[ARGPARSE_LAYOUTS[version]]
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == pins[("schubert",)]
+    usage = usage_of(out)
+    code, out, err, loaded = run_listing_modules("schubert", "-q", "2", "-N", "4")
+    assert (code, out) == (2, "")
+    assert loaded >= ARGPARSE_MODULES
+    message = "one of the arguments --power --giambelli --degree is required"
+    assert err == f"{usage}charbound schubert: error: {message}\n"
