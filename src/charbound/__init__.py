@@ -1,8 +1,7 @@
 """Exact characteristic-class calculator and bound-verification harness for
 complete intersections in projective space."""
 
-from .betti import betti_numbers
-from .chern import DegreeError, euler_characteristic, tangent_chern
+from .chern import DegreeError, betti_numbers, euler_characteristic, tangent_chern
 from .schubert import (
     BoxError,
     GradingError,

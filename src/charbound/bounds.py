@@ -17,7 +17,6 @@ from math import comb, prod
 from operator import add, and_, ge, iconcat, itemgetter, mul, sub
 from typing import NamedTuple
 
-from .betti import middle_betti
 from .chern import (
     DegreeError,
     binomial_row,
@@ -26,6 +25,7 @@ from .chern import (
     giambelli,
     giambelli_plan,
     hook_classes,
+    middle_betti,
     quotient_series,
     scaled_powers,
 )
@@ -226,70 +226,37 @@ class _Tables:
 _tables = lru_cache(maxsize=None)(_Tables)
 
 
-class _built:
-    """A method read as an attribute: its value is built on the first read
-    and stored on the instance. functools.cached_property does the same
-    behind a lock, which costs several times more per chunk."""
-
-    def __init__(self, method):
-        self.method, self.name = method, method.__name__
-
-    def __get__(self, chunk, owner=None):
-        value = chunk.__dict__[self.name] = self.method(chunk)
-        return value
-
-
 class _Chunk:
     """The Chern and Betti ints of some complete intersections of one
     dimension n, those of the given multidegrees, all of one length k, in
     P^(n + k): every value a grid check, `table` or the signature check
     reads. A series or running product is one list per variety, a number
-    one column: a list with one int per variety, in the chunk's order. The
-    degrees and the tangent series are built at once and the rest on first
-    read, so `table` and the signature check build only what they print."""
+    one column: a list with one int per variety, in the chunk's order."""
 
     def __init__(self, n: int, multidegrees: list):
-        self.n, self.multidegrees, self.size = n, multidegrees, len(multidegrees)
-        self.ds = [*map(prod, multidegrees)]
+        self.n, self.size = n, len(multidegrees)
+        self.ds = ds = [*map(prod, multidegrees)]
         # C(m+1, i), the multiples of (1+h)^(m+1) on P^m, m = n + k
-        self._row = binomial_row(n + len(multidegrees[0]) + 1, n)
-        self.tangent = quotient_series(self._row, multidegrees)
-
-    @_built
-    def twisted(self) -> list:
+        row = binomial_row(n + len(multidegrees[0]) + 1, n)
+        self.tangent = tangent = quotient_series(row, multidegrees)
         # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
         # O(2) - sum_j O(2 - d_j): the same series over the roots 2, 2 - d_j
-        roots = map(map, repeat(sub), repeat(repeat(2)), self.multidegrees)
-        return quotient_series(self._row, map(chain, repeat((2,)), roots))
-
-    @_built
-    def sequence(self) -> list:
+        roots = map(map, repeat(sub), repeat(repeat(2)), multidegrees)
+        self.twisted = quotient_series(row, map(chain, repeat((2,)), roots))
         # the ample degree sequence, for A = K + (n+2)h with K = -c_1
-        amples = map(sub, repeat(self.n + 2), map(itemgetter(1), self.tangent))
-        return degree_sequence(amples, self.ds, self.n)
-
-    @_built
-    def degree_powers(self) -> list:
-        """d^(i+1) for i = 0..n, the degree-sequence bounds."""
-        return scaled_powers(self.ds, self.ds, self.n)
-
-    @_built
-    def powers(self) -> list:
-        """d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight."""
-        return scaled_powers(map(add, self.ds, repeat(self.n - 2)), self.ds, self.n)
-
-    @_built
-    def chi(self) -> list:
-        return [*map(mul, self.ds, map(itemgetter(self.n), self.tangent))]
-
-    @_built
-    def betti_sums(self) -> tuple:
-        """The columns (sum_i b_i, sum_i (-1)^i b_i): off the middle the
-        numbers add up to n + n % 2 either way, and the middle one counts
-        with sign (-1)^n in the alternating sum."""
-        off, middles = self.n + self.n % 2, middle_betti(self.n, self.chi)
+        amples = map(sub, repeat(n + 2), map(itemgetter(1), tangent))
+        self.sequence = degree_sequence(amples, ds, n)
+        # d^(i+1) for i = 0..n, the degree-sequence bounds
+        self.degree_powers = scaled_powers(ds, ds, n)
+        # d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight
+        self.powers = scaled_powers(map(add, ds, repeat(n - 2)), ds, n)
+        self.chi = chi = [*map(mul, ds, map(itemgetter(n), tangent))]
+        # the columns (sum_i b_i, sum_i (-1)^i b_i): off the middle the
+        # numbers add up to n + n % 2 either way, and the middle one counts
+        # with sign (-1)^n in the alternating sum
+        off, middles = n + n % 2, middle_betti(n, chi)
         total = [*map(add, repeat(off), middles)]
-        return total, total if self.n % 2 == 0 else [*map(sub, repeat(off), middles)]
+        self.betti_sums = total, total if n % 2 == 0 else [*map(sub, repeat(off), middles)]
 
 
 def _chern_numbers(t: _Tables, d: int, multiples) -> list:

@@ -15,12 +15,17 @@ a_0..a_n, and every computation is plain integer arithmetic on it:
   its Durfee size. The hook classes s_(p|q) come from the multiples a and
   their dual sequence b, B(t) = 1 / A(-t), by a two-term recursion.
 
+Betti numbers, the ground truth of the Betti bounds, are those of P^n off
+the middle (Lefschetz and duality); the middle one makes up the Euler
+characteristic.
+
 These helpers are the one value path: ``bounds._Chunk`` builds from them
 every value that the grid checks, ``table`` and ``verify --sigma`` read, for
 a chunk of varieties at a time. The series and running products below take
 one argument per variety and give one list per variety, looping over the
-varieties inside one call. ``tangent_chern`` and ``euler_characteristic``
-are the same series for one variety, cached for library callers.
+varieties inside one call. ``tangent_chern``, ``euler_characteristic`` and
+``betti_numbers`` are the same values for one variety, cached for library
+callers.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import comb
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 
 from .varieties import CompleteIntersection
 
@@ -74,6 +79,37 @@ def quotient_series(row: list, roots) -> list:
 def euler_characteristic(ci: CompleteIntersection) -> int:
     """Topological Euler characteristic: the top tangent Chern number d * a_n."""
     return ci.degree * tangent_chern(ci)[ci.dimension]
+
+
+@lru_cache(maxsize=None)
+def betti_numbers(ci: CompleteIntersection) -> tuple:
+    """b_0..b_2n: projective-space values off the middle, middle from chi."""
+    return betti_from_euler(ci.dimension, euler_characteristic(ci))
+
+
+def betti_from_euler(n: int, chi: int) -> tuple:
+    """b_0..b_2n of a smooth n-dimensional complete intersection with Euler
+    characteristic chi: 1 in each even degree off the middle, 0 in each odd
+    one, and the middle number whatever makes the alternating sum chi."""
+    betti = [1, 0] * n + [1]
+    betti[n] = middle_betti(n, (chi,))[0]
+    return tuple(betti)
+
+
+def middle_betti(n: int, chis) -> list:
+    """b_n of a smooth n-dimensional complete intersection for each Euler
+    characteristic in ``chis``. Off the middle the numbers are those of P^n,
+    whose sum n + n % 2 is also their alternating sum, since every odd one
+    is 0; b_n, counted with the sign (-1)^n, makes up the rest of chi."""
+    off = n + n % 2
+    middles = [*map(sub, chis, repeat(off))] if n % 2 == 0 else [*map(sub, repeat(off), chis)]
+    if middles and min(middles) < 0:
+        middle, chi = next((b, chi) for b, chi in zip(middles, chis) if b < 0)
+        raise RuntimeError(
+            f"negative middle Betti number {middle} for dimension {n} and chi={chi}; "
+            "inconsistent Euler characteristic"
+        )
+    return middles
 
 
 def scaled_powers(bases, scales, n: int) -> list:

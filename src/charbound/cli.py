@@ -21,7 +21,7 @@ from math import comb
 from operator import mul
 from types import SimpleNamespace
 
-from .betti import betti_from_euler
+from .chern import betti_from_euler
 from .schubert import (
     Grassmannian,
     GradingError,
@@ -240,7 +240,7 @@ def _cmd_verify_signature(args) -> int:
 
 # quantity -> its value, read from a bounds._Chunk of the one variety: the
 # tangent multiples a_0..a_n give K = -a_1, the ample class A = K + (n+2)h
-# and chi = d * a_n; each quantity builds only the columns it reads
+# and chi = d * a_n
 TABLE = {
     "dimension": lambda c: c.n,
     "degree": lambda c: c.ds[0],
@@ -463,13 +463,8 @@ def _read_argv(argv):
     return SimpleNamespace(command=argv[0], func=func, **values)
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI's argparse parser, built from the flag table; given a
-    subcommand name, only that one gets its flags.
-
-    Every subcommand is still named, so the top-level help and the errors
-    before a subcommand read the same either way.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, built from the flag table."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -494,8 +489,6 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, flags, func) in COMMANDS.items():
         subparser = sub.add_parser(name, help=summary)
-        if command not in (None, name):
-            continue
         groups = {None: subparser}
         for flag in flags:
             if flag.group not in groups:
@@ -514,11 +507,9 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the first word names the subcommand; any other start gets every flag
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         try:
-            args = _read_argv(argv) or _build_parser(command).parse_args(argv)
+            args = _read_argv(argv) or _build_parser().parse_args(argv)
         except SystemExit as exc:
             code = 0 if exc.code in (0, None) else 2
         else:

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from charbound.betti import betti_numbers
 from charbound.bounds import (
     GridSpec,
     betti_bound,
@@ -17,7 +16,7 @@ from charbound.bounds import (
     curve_betti_bound,
     signature_check,
 )
-from charbound.chern import euler_characteristic
+from charbound.chern import betti_numbers, euler_characteristic
 from charbound.cli import main
 from charbound.schubert import (
     Grassmannian,

@@ -1,7 +1,9 @@
 from hypothesis import given, strategies as st
 
-from charbound.betti import betti_numbers
-from charbound.chern import euler_characteristic
+import chern_oracle as oracle
+from charbound.bounds import _Chunk
+from charbound.chern import betti_numbers, euler_characteristic
+from charbound.cli import TABLE
 from charbound.varieties import CompleteIntersection
 from chern_oracle import genus
 
@@ -58,3 +60,14 @@ def test_alternating_sum_recovers_euler_characteristic(ci):
     for i, b in enumerate(betti):
         if i != n:
             assert b == (1 if i % 2 == 0 else 0)
+
+
+@given(varieties)
+def test_library_and_table_betti_numbers_match_the_oracle(ci):
+    # the oracle's chi is d * a_n of its own tangent series, a product in a
+    # truncated polynomial ring, and its Betti numbers an alternating sum
+    n = ci.dimension
+    chi = ci.degree * oracle.tangent(ci.ambient_dim, ci.multidegree, n)[n]
+    want = oracle.betti(n, chi)
+    assert betti_numbers(ci) == want
+    assert TABLE["betti"](_Chunk(n, [ci.multidegree])) == want

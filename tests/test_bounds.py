@@ -763,7 +763,7 @@ def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, 
 # numbers by Lefschetz, the ample class by adjunction, Schur classes as
 # long-side Jacobi-Trudi determinants, and the recursive Betti bound through
 # CompleteIntersection hyperplane sections. It reads nothing from
-# charbound.chern or charbound.betti, whose values it checks.
+# charbound.chern, whose Chern and Betti values it checks.
 
 ORACLE_LEAST = {"degree-sequence": 1, "nef-chern": 0}
 ORACLE_HAS_BASE = {"nef-chern", "cotangent-chern", "pontryagin"}
@@ -860,7 +860,7 @@ def test_oracle_rows_reads_nothing_from_chern_or_betti():
         for name, value in reached.items()
     }
     assert homes["oracle"] == "chern_oracle"
-    assert not {n: h for n, h in homes.items() if h in ("charbound.chern", "charbound.betti")}
+    assert not {n: h for n, h in homes.items() if h == "charbound.chern"}
 
 
 def oracle_case_reports(ci, checks):

@@ -1160,38 +1160,12 @@ def test_cli_import_leaves_decimal_unloaded():
     assert not modules_loaded_by_cli_import() & {"decimal", "_decimal", "numbers"}
 
 
-def subparsers_of(parser) -> dict:
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return subparsers.choices
-
-
-def action_facts(parser) -> list:
-    return [
-        (a.option_strings, a.dest, a.type, a.choices, a.required, a.help)
-        for a in parser._actions
-    ]
-
-
-def test_each_subcommand_parser_matches_the_full_parser():
-    full = subparsers_of(_build_parser())
-    for command in full:
-        alone = subparsers_of(_build_parser(command))
-        assert list(alone) == list(full)
-        assert action_facts(alone[command]) == action_facts(full[command]), command
-        groups = [g.required for g in alone[command]._mutually_exclusive_groups]
-        assert groups == [g.required for g in full[command]._mutually_exclusive_groups]
-        # the other subcommands are named but get no flags
-        for other in set(full) - {command}:
-            assert [a.dest for a in alone[other]._actions] == ["help"], (command, other)
-
-
 # the help layout of each Python minor version's argparse: 3.13 prints an
 # option's metavar once (-m, --ambient-dim AMBIENT_DIM), where 3.10 to 3.12
 # print it after each flag (-m AMBIENT_DIM, --ambient-dim AMBIENT_DIM)
 ARGPARSE_LAYOUTS = {(3, 10): "3.11", (3, 11): "3.11", (3, 12): "3.11", (3, 13): "3.13"}
 
-# per layout, the sha256 and length of the help text at 80 columns, as the
-# parser that built every flag printed it
+# per layout, the sha256 and length of the help text at 80 columns
 HELP_PINS = {
     "3.11": {
         (): ("bbe7ae83df6e3b2cbaafb5d21866149e57e33097406b8919b5d2bf2c3fdb4f96", 651),
@@ -1354,11 +1328,11 @@ def test_any_argv_exits_with_a_code_and_no_traceback(fuzz_dir, argv):
 # -- the flag-table reader -------------------------------------------------------
 
 
-def argparse_vars(argv, command=None) -> dict:
+def argparse_vars(argv) -> dict:
     """vars() of what argparse parses from argv; the test fails if it
     refuses argv."""
     try:
-        return vars(_build_parser(command).parse_args(argv))
+        return vars(_build_parser().parse_args(argv))
     except SystemExit as exc:
         pytest.fail(f"argparse refused {argv} with exit code {exc.code}")
 
@@ -1423,7 +1397,7 @@ def test_the_reader_gives_argparse_s_namespace_or_leaves_the_argv_to_it(argv):
     if tuple(argv) in SEEDS:
         assert read is not None, argv
     if read is not None:
-        assert vars(read) == argparse_vars(argv) == argparse_vars(argv, argv[0])
+        assert vars(read) == argparse_vars(argv)
 
 
 def usage_of(help_text: str) -> str:
