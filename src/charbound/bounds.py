@@ -11,7 +11,7 @@ than special-cased, and the flagged cases are settled by direct inspection.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from itertools import chain, combinations_with_replacement, repeat
 from math import comb, prod
 from operator import add, and_, ge, iconcat, itemgetter, mul, sub
@@ -20,14 +20,11 @@ from typing import NamedTuple
 from .chern import (
     DegreeError,
     binomial_row,
-    degree_sequence,
-    dual_sequence,
     giambelli,
     giambelli_plan,
     hook_classes,
     middle_betti,
-    quotient_series,
-    scaled_powers,
+    twist_duals,
 )
 from .report import _cases, _json_head, _write
 from .varieties import (
@@ -189,11 +186,12 @@ def blowup_euler(
 # place in the chunk that gives its rows' notes, so a note is built only
 # for a key whose notes are read. A check works on all of the chunk's keys
 # at once: a number per key is a column built by C-level map passes, a
-# series or running product a list per key built by a loop inside one
-# call, and the partition-indexed rows (Chern numbers, Schur pairings) a
-# loop over each key's rows, so a chunk of one key does the big-int work of
-# one key. The table below says which lower limit and which bound base
-# apply to the rows.
+# series or running product a list per key that the chunk builds in its one
+# loop over the keys, and the partition-indexed rows (Chern numbers, Schur
+# pairings) a loop over each key's rows, so a chunk of one key does the
+# big-int work of one key. The table below says which lower limit and which
+# bound base apply to the rows, and how many rows each check gives a key of
+# dimension n; the sweep calls a check only where that count is not 0.
 
 
 class _Tables:
@@ -231,26 +229,43 @@ class _Chunk:
     dimension n, those of the given multidegrees, all of one length k, in
     P^(n + k): every value a grid check, `table` or the signature check
     reads. A series or running product is one list per variety, a number
-    one column: a list with one int per variety, in the chunk's order."""
+    one column: a list with one int per variety, in the chunk's order. One
+    loop over the varieties builds every series, each variety's from one
+    walk over its degrees."""
 
     def __init__(self, n: int, multidegrees: list):
-        self.n, self.size = n, len(multidegrees)
-        self.ds = ds = [*map(prod, multidegrees)]
-        # C(m+1, i), the multiples of (1+h)^(m+1) on P^m, m = n + k
-        row = binomial_row(n + len(multidegrees[0]) + 1, n)
-        self.tangent = tangent = quotient_series(row, multidegrees)
+        self.n, self.size, self.multidegrees = n, len(multidegrees), multidegrees
+        # C(m+1, i), the multiples of (1+h)^(m+1) on P^m, m = n + k; those of
+        # (m+1)O(1) less an O(r) divide it by (1 + r h): b_i -= r * b_(i-1)
+        row, steps = binomial_row(n + len(multidegrees[0]) + 1, n), range(1, n + 1)
         # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
-        # O(2) - sum_j O(2 - d_j): the same series over the roots 2, 2 - d_j
-        roots = map(map, repeat(sub), repeat(repeat(2)), multidegrees)
-        self.twisted = quotient_series(row, map(chain, repeat((2,)), roots))
-        # the ample degree sequence, for A = K + (n+2)h with K = -c_1
-        amples = map(sub, repeat(n + 2), map(itemgetter(1), tangent))
-        self.sequence = degree_sequence(amples, ds, n)
-        # d^(i+1) for i = 0..n, the degree-sequence bounds
-        self.degree_powers = scaled_powers(ds, ds, n)
-        # d * (d+n-2)^w for w = 0..n, the Chern number bounds by weight
-        self.powers = scaled_powers(map(add, ds, repeat(n - 2)), ds, n)
-        self.chi = chi = [*map(mul, ds, map(itemgetter(n), tangent))]
+        # O(2) - sum_j O(2 - d_j): every variety shares the root 2
+        nef = row[:]
+        for i in steps:
+            nef[i] -= 2 * nef[i - 1]
+        found = []
+        for degrees in multidegrees:
+            d, tangent, twisted = 1, row[:], nef[:]
+            for r in degrees:
+                d *= r
+                s = 2 - r
+                for i in steps:
+                    tangent[i] -= r * tangent[i - 1]
+                    twisted[i] -= s * twisted[i - 1]
+            # running products from d: a^i d, the degree sequence of the ample
+            # A = K + (n+2)h with K = -c_1; d^(i+1), its bounds; and
+            # d (d+n-2)^w, the Chern number bounds by weight w
+            a, base, x, y, z = n + 2 - tangent[1], d + n - 2, d, d, d
+            sequence, cap, power = [d], [d], [d]
+            for _ in steps:
+                x, y, z = x * a, y * d, z * base
+                sequence.append(x)
+                cap.append(y)
+                power.append(z)
+            found.append((d, tangent, twisted, sequence, cap, power))
+        columns = map(list, zip(*found))
+        self.ds, self.tangent, self.twisted, self.sequence, self.degree_powers, self.powers = columns
+        self.chi = chi = [*map(mul, self.ds, map(itemgetter(n), self.tangent))]
         # the columns (sum_i b_i, sum_i (-1)^i b_i): off the middle the
         # numbers add up to n + n % 2 either way, and the middle one counts
         # with sign (-1)^n in the alternating sum
@@ -324,8 +339,9 @@ def _schur_positivity_rows(c):
     # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the check is
     # one-sided with bound 0, so a row's value is its shortfall
     # min(pairing, 0) and its note the pairing
-    t, twisted = _tables(c.n), c.twisted
-    hooks = map(hook_classes, twisted, map(dual_sequence, twisted))
+    t, n = _tables(c.n), c.n
+    duals = twist_duals(n + len(c.multidegrees[0]), n, c.multidegrees)
+    hooks = map(hook_classes, c.twisted, duals)
     pairings = [[giambelli(plan, found) * d for plan in t.plans] for d, found in zip(c.ds, hooks)]
     # nearly every pairing is >= 0, so its shortfall is 0
     zeros = [(0,) * len(t.plans)] * c.size
@@ -344,9 +360,7 @@ def _schur_positivity_rows(c):
 
 def _pontryagin_rows(c):
     n = c.n
-    if n % 4 != 0:
-        return (), [()] * c.size, [()] * c.size, None
-    indices = tuple(partitions_of(n // 4))
+    indices = () if n % 4 else tuple(partitions_of(n // 4))
     # the Pontryagin index j reads the squared class c_2j of the nef twist;
     # pontryagin_bound(n, d) = 2^(n^2+3n) * d * (d+n-2)^n
     values = [
@@ -588,10 +602,12 @@ def _runs(labels, blocks, sizes) -> dict:
 
 def _joined_rows(rows, column: int, size: int) -> list:
     """Each of ``size`` keys' items of one column of the checks' ``rows``
-    (values or bounds), joined over the checks into a new list: every
-    check's sequence extends it in C."""
-    keys = zip(*map(itemgetter(column), rows))
-    return [*map(reduce, repeat(iconcat), keys, map(list, repeat((), size)))]
+    (values or bounds), joined over the checks into a new list: each
+    check's sequences extend the lists in one C-level pass."""
+    joined = [*map(list, repeat((), size))]
+    for found in map(itemgetter(column), rows):
+        deque(map(iconcat, joined, found), maxlen=0)
+    return joined
 
 
 def _rows(columns, j) -> zip:
@@ -628,8 +644,9 @@ class GridSweep:
     is the same variety in P^(m-1), with the same n and d. So the checks run
     once per key (dimension, degrees above 1), a plain tuple: (n, ()) is
     P^n, which CompleteIntersection cannot hold; its first case is P^(n+1)
-    cut by (1). The first chunk of each dimension gives the layout that
-    every key of that dimension shares.
+    cut by (1). Only the selected checks with rows at n run, and where none
+    has, no chunk is built; the first chunk of each dimension gives the
+    layout that every key of that dimension shares.
     """
 
     def __init__(self, spec: GridSpec):
@@ -650,10 +667,11 @@ class GridSweep:
 
     def __iter__(self):
         names, keys = self.spec.checks, self.keys
-        checks = [_CHECKS[name] for name in names]
         # a key's block: its n and the codimension of its first case; the
         # block's chunk size: by its rows per key, at least CHUNK_KEYS
         blocks = [(n, len(degrees) or 1) for n, degrees in keys]
+        # by dimension, the selected checks that give its keys rows
+        called = {n: [name for name in names if _RULES[name][3](n)] for n, _ in set(blocks)}
         sizes = {block: _chunk_keys(_row_count(names, block[0])) for block in set(blocks)}
         chunks = _runs(self.labels, blocks, sizes)
         # by key position: (n, d, row count, exception rows), first case to last
@@ -664,14 +682,18 @@ class GridSweep:
             if positions is None:
                 return None  # an earlier key's chunk holds it
             # each key's multidegree at its first case
-            n = keys[i][0]
-            c = _Chunk(n, [degrees or (1,) for _, degrees in keys[positions]])
-            rows = [check(c) for check in checks]
-            ds, layout = c.ds, layouts.get(n)
+            n, multidegrees = keys[i][0], [degrees or (1,) for _, degrees in keys[positions]]
+            checks = called[n]
+            if checks:
+                c = _Chunk(n, multidegrees)
+                ds, rows = c.ds, [_CHECKS[name](c) for name in checks]
+            else:  # no selected check gives the block a row
+                ds, rows = [*map(prod, multidegrees)], []
+            layout = layouts.get(n)
             if layout is None:
-                layout = layouts[n] = _layout(names, rows)
+                layout = layouts[n] = _layout(checks, rows)
             # each key's values and bounds over every check, in check order
-            exacts, bounds = _joined_rows(rows, 1, c.size), _joined_rows(rows, 2, c.size)
+            exacts, bounds = _joined_rows(rows, 1, len(ds)), _joined_rows(rows, 2, len(ds))
             # each check's row count and note function, and no other part of
             # its rows: a JSON run holds notes until its sweep ends
             makers = [(len(index_column), note) for index_column, _, _, note in rows]
@@ -686,7 +708,7 @@ class GridSweep:
             held[positions] = zip(repeat(n), ds, repeat(size), repeat(()))
             if columns[9]:
                 return columns  # a clean batch: no row is unsatisfied or degenerate
-            for j, ok, flags in zip(range(c.size), columns[5], columns[7]):
+            for j, ok, flags in zip(range(len(ds)), columns[5], columns[7]):
                 if not all(ok) or any(flags):
                     found = [row for row in _rows(columns, j) if row[6] or not row[4]]
                     held[i + j] = n, ds[j], size, found

@@ -13,19 +13,21 @@ a_0..a_n, and every computation is plain integer arithmetic on it:
   determinant det(a_{lambda_i - i + j}) taken as Giambelli's determinant
   det(s_(alpha_i|beta_j)) on the Frobenius coordinates of lambda, of order
   its Durfee size. The hook classes s_(p|q) come from the multiples a and
-  their dual sequence b, B(t) = 1 / A(-t), by a two-term recursion.
+  their dual sequence b, B(t) = 1 / A(-t), by a two-term recursion. As
+  1 / (1-t)^(m+1) = sum_i C(m+i, i) t^i, B(t) is that series times
+  (1 - r t) over the same Chern roots r: one product pass per root.
 
 Betti numbers, the ground truth of the Betti bounds, are those of P^n off
 the middle (Lefschetz and duality); the middle one makes up the Euler
 characteristic.
 
-These helpers are the one value path: ``bounds._Chunk`` builds from them
-every value that the grid checks, ``table`` and ``verify --sigma`` read, for
-a chunk of varieties at a time. The series and running products below take
-one argument per variety and give one list per variety, looping over the
-varieties inside one call. ``tangent_chern``, ``euler_characteristic`` and
-``betti_numbers`` are the same values for one variety, cached for library
-callers.
+``bounds._Chunk`` builds every series that the grid checks, ``table`` and
+``verify --sigma`` read, for a chunk of varieties at a time, in one loop
+over the varieties that walks each one's degrees once. The Schur check
+reads its dual sequences from ``twist_duals``, one list per variety, and
+its determinants from the helpers below. ``tangent_chern``,
+``euler_characteristic`` and ``betti_numbers`` are the same values for one
+variety, cached for library callers.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import comb
-from operator import itemgetter, mul, sub
+from operator import itemgetter, sub
 
 from .varieties import CompleteIntersection
 
@@ -48,31 +50,18 @@ class DegreeError(ValueError):
 @lru_cache(maxsize=None)
 def tangent_chern(ci: CompleteIntersection) -> tuple:
     """a_0..a_n with c_i(T) = a_i * h^i, via the ambient/normal quotient:
-    the coefficients of (1+h)^(m+1) / prod_j (1 + d_j h) up to h^n."""
-    row = binomial_row(ci.ambient_dim + 1, ci.dimension)
-    return tuple(quotient_series(row, [ci.multidegree])[0])
+    the coefficients of (1+h)^(m+1) / prod_j (1 + d_j h) up to h^n, each
+    division the recursion b_k = a_k - d_j * b_(k-1)."""
+    series = binomial_row(ci.ambient_dim + 1, ci.dimension)
+    for d in ci.multidegree:
+        for k in range(1, len(series)):
+            series[k] -= d * series[k - 1]
+    return tuple(series)
 
 
 def binomial_row(top: int, n: int) -> list:
     """C(top, 0..n): the multiples of (1+h)^top up to h^n."""
     return [*map(comb, repeat(top, n + 1), range(n + 1))]
-
-
-def quotient_series(row: list, roots) -> list:
-    """For each variety's ints in ``roots``, ``row`` divided by prod_r
-    (1 + r h) over them, to its own length, one list per variety: from the
-    binomial row of P^m, the multiples of the bundle (m+1)*O(1) less the
-    O(r), whose Chern roots r * h may be any ints. Dividing by (1 + r h) is
-    the recursion b_k = a_k - r * b_(k-1)."""
-    steps, out = range(1, len(row)), []
-    append = out.append
-    for variety in roots:
-        series = row[:]
-        for r in variety:
-            for k in steps:
-                series[k] -= r * series[k - 1]
-        append(series)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -112,49 +101,37 @@ def middle_betti(n: int, chis) -> list:
     return middles
 
 
-def scaled_powers(bases, scales, n: int) -> list:
-    """For each base and scale, the list [scale, scale*base, ...,
-    scale*base^n], each the one before it times base."""
-    out, steps = [], range(n)
-    append = out.append
-    for base, scale in zip(bases, scales):
-        powers = [scale]
-        push = powers.append
-        for _ in steps:
-            scale *= base
-            push(scale)
-        append(powers)
-    return out
-
-
-def degree_sequence(amples, ds, n: int) -> list:
-    """For each ample multiple a and degree d, (d, a*d, ..., a^n*d): the
-    pairings h^(n-i) * (a*h)^i on a degree-d n-fold, as running products."""
-    return scaled_powers(amples, ds, n)
-
-
 def conjugate(parts: tuple) -> tuple:
     """The conjugate partition: column lengths of the Young diagram."""
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
 
 
-def dual_sequence(a) -> list:
-    """b with B(t) = 1 / A(-t), as many terms as ``a`` has (a_0 = 1).
-
-    b_k = sum_i (-1)^(i-1) * a_i * b_(k-i). If a plays the complete
-    symmetric functions of the Jacobi-Trudi form det(a_{lambda_i - i + j}),
-    b plays the elementary ones.
-    """
-    signed = [-x if i % 2 == 0 else x for i, x in enumerate(a)]
-    b = [1]
-    for k in range(1, len(a)):
-        b.append(sum(map(mul, signed[1 : k + 1], reversed(b))))
-    return b
+def twist_duals(m: int, n: int, multidegrees) -> list:
+    """b_0..b_(n-1), for each multidegree, of the nef twist's multiples a of
+    the n-dimensional complete intersection in P^m: the dual sequence,
+    B(t) = 1 / A(-t). A(t) is (1+t)^(m+1) / ((1+2t) prod_j (1+(2-d_j)t)),
+    so B(t) is the product (1-2t) prod_j (1-(2-d_j)t) sum_i C(m+i, i) t^i
+    over the same roots, O(n k) a variety. Multiplying by (1 - r t) is b_i
+    -= r * b_(i-1), from the top down. If a plays the complete symmetric
+    functions of the Jacobi-Trudi form det(a_{lambda_i - i + j}), b plays
+    the elementary ones."""
+    row, steps, out = [*map(comb, range(m, m + n), range(n))], range(n - 1, 0, -1), []
+    for i in steps:
+        row[i] -= 2 * row[i - 1]
+    for degrees in multidegrees:
+        b = row[:]
+        for d in degrees:
+            r = 2 - d
+            for i in steps:
+                b[i] -= r * b[i - 1]
+        out.append(b)
+    return out
 
 
 def hook_classes(a, b) -> list:
     """The hook classes s_(p|q) = sum_k (-1)^k a_(p+1+k) b_(q-k) of weight
-    p + q + 1 from 1 to len(a) - 1, for b = dual_sequence(a).
+    p + q + 1 from 1 to len(a) - 1, for b the dual sequence of a (see
+    twist_duals), of which b_0..b_(len(a) - 2) are read.
 
     They are listed by weight w and, within a weight, by q from 0 up, so
     s_(p|q) sits at w(w-1)/2 + q. Each is a_(p+1) b_q - s_(p+1|q-1), and

@@ -8,6 +8,7 @@ code, from the textbook formulas (Fulton, *Intersection Theory*, 3.2):
 - the twist by a line bundle of class t*h,
   c_i(E (x) L) = sum_j C(r-j, i-j) t^(i-j) c_j(E) for E of rank r;
 - a Chern number as the degree times a product of h-multiples;
+- the dual sequence b of a series a, B(t) = 1 / A(-t), by convolution;
 - Betti numbers by Lefschetz, those of P^n off the middle, and the middle
   one from the Euler characteristic;
 - the genus of a smooth plane curve.
@@ -41,6 +42,15 @@ def twist(a, t):
         sum(comb(r - j, i - j) * t ** (i - j) * a[j] for j in range(i + 1))
         for i in range(r + 1)
     )
+
+
+def dual_sequence(a):
+    """b with B(t) = 1 / A(-t), as many terms as ``a`` has (a_0 = 1):
+    b_k = sum_i (-1)^(i-1) a_i b_(k-i)."""
+    b = [1]
+    for k in range(1, len(a)):
+        b.append(sum((-1) ** (i - 1) * a[i] * b[k - i] for i in range(1, k + 1)))
+    return b
 
 
 def chern_number(d, a, parts):

@@ -1,13 +1,15 @@
 """A grid run as the tests read it: the finished sweep verify_grid returns,
 and the reports of the document it writes, parsed back into BoundReports.
-The library holds no report of a grid; every run streams its document."""
+The library holds no report of a grid; every run streams its document.
+``with_sequence`` is the seam the tests patch to make the degree-sequence
+check fail."""
 
 import io
 import json
 from decimal import Decimal
 from typing import NamedTuple
 
-from charbound.bounds import BoundReport, GridSweep, verify_grid
+from charbound.bounds import BoundReport, GridSweep, _Chunk, verify_grid
 from charbound.varieties import CompleteIntersection
 
 
@@ -54,3 +56,22 @@ def grid_cases(sweep) -> tuple:
     return tuple(
         CompleteIntersection(sweep.keys[i][0] + len(degs), degs) for i, degs in sweep.labels
     )
+
+
+def with_sequence(rewrite):
+    """bounds._Chunk, with each key's degree sequence replaced by
+    rewrite(n, d, sequence); patched over charbound.bounds._Chunk, every
+    chunk the sweep and the CLI build reads it."""
+
+    class Chunk(_Chunk):
+        def __init__(self, n, multidegrees):
+            super().__init__(n, multidegrees)
+            self.sequence = [rewrite(n, d, row) for d, row in zip(self.ds, self.sequence)]
+
+    return Chunk
+
+
+def one_past_the_quadric_surface(n, d, sequence):
+    """The degree sequence, with the values of the quadric surface key (n,
+    d) = (2, 2) one past their bounds d^(i+1)."""
+    return tuple(d ** (i + 1) + 1 for i in range(n + 1)) if (n, d) == (2, 2) else sequence

@@ -46,13 +46,20 @@ from charbound.bounds import (
     signature_check,
     verify_grid,
 )
-from charbound.chern import DegreeError, degree_sequence
+from charbound.chern import DegreeError
 from charbound.cli import main
 from charbound.report import _cases, _json_head, _write, write_json
 from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
 import chern_oracle as oracle
 from determinants import long_side_schur
-from grid_run import document, grid_cases, json_reports, json_run
+from grid_run import (
+    document,
+    grid_cases,
+    json_reports,
+    json_run,
+    one_past_the_quadric_surface,
+    with_sequence,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -612,7 +619,7 @@ def test_nef_chern_lower_limit_can_fail(monkeypatch):
 
 def test_degree_sequence_lower_limit_can_fail(monkeypatch):
     monkeypatch.setattr(
-        "charbound.bounds.degree_sequence", lambda amples, ds, n: [(0,) * (n + 1) for _ in ds]
+        "charbound.bounds._Chunk", with_sequence(lambda n, d, sequence: (0,) * (n + 1))
     )
     spec = GridSpec(max_ambient_dim=4, max_degree_per_factor=3, checks=("degree-sequence",))
     sweep, _, reports = json_run(spec)
@@ -625,7 +632,7 @@ def test_schur_work_runs_only_when_schur_positivity_is_selected(monkeypatch, cap
     def refuse(*args):
         raise AssertionError("computed the dual sequence without schur-positivity")
 
-    monkeypatch.setattr("charbound.bounds.dual_sequence", refuse)
+    monkeypatch.setattr("charbound.bounds.twist_duals", refuse)
     others = ",".join(name for name in CHECK_NAMES if name != "schur-positivity")
     assert main(["verify", "--checks", others]) == 0
     assert "violations=0" in capsys.readouterr().out
@@ -720,13 +727,7 @@ def test_a_check_alone_gives_its_rows_of_the_full_run(deep_grid, name):
 def test_upper_limit_fails_by_one_on_every_case_of_a_key(monkeypatch, tmp_path, capsys):
     # the quadric surface key, (n, d) = (2, 2), gets degree sequence values
     # one past their bounds d^(i+1); every other key keeps its own
-    def one_past(amples, ds, n):
-        return [
-            tuple(d ** (i + 1) + 1 for i in range(n + 1)) if (n, d) == (2, 2) else row
-            for d, row in zip(ds, degree_sequence(amples, ds, n))
-        ]
-
-    monkeypatch.setattr("charbound.bounds.degree_sequence", one_past)
+    monkeypatch.setattr("charbound.bounds._Chunk", with_sequence(one_past_the_quadric_surface))
     spec = GridSpec(max_ambient_dim=5, max_degree_per_factor=3, checks=("degree-sequence",))
     sweep, _, found = json_run(spec)
     cases = grid_cases(sweep)
@@ -975,7 +976,7 @@ def test_a_seam_failing_one_key_mid_chunk_fails_that_key_alone(monkeypatch):
     block, cap = [*combinations_with_replacement(range(2, 15), 2)], chunk_cap(CHECK_NAMES, 2)
     assert 0 < block.index((3, 5)) % cap < min(cap, len(block)) - 1
     twisted = _Chunk(2, [(3, 5)]).twisted[0]
-    hooks = charbound.bounds.hook_classes(twisted, charbound.bounds.dual_sequence(twisted))
+    hooks = charbound.bounds.hook_classes(twisted, oracle.dual_sequence(twisted))
     schur = charbound.bounds.giambelli
     monkeypatch.setattr(
         "charbound.bounds.giambelli",

@@ -3,19 +3,20 @@
 Expected values are hand values, or come from the oracles of
 ``chern_oracle.py``: the tangent series as a product in a truncated
 polynomial ring of coefficient lists (``Series`` in ``series_ring.py``), the
-cotangent sign flip, the binomial twist and Chern numbers, all written
-without any of the package's code. The twist is also compared with the same
+cotangent sign flip, the binomial twist, Chern numbers and the dual
+sequence as a convolution inverse, all written without any of the
+package's code. The twist is also compared with the same
 computation run through that ring, and Giambelli's determinants with the
 long-side Jacobi-Trudi determinant by Bareiss elimination
 (``determinants.py``), itself checked against a plain Laplace expansion.
 """
 
 import ast
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from charbound.bounds import (
     _Chunk,
@@ -31,12 +32,12 @@ from charbound.bounds import (
 from charbound.chern import (
     DegreeError,
     cofactor_determinant,
-    dual_sequence,
     euler_characteristic,
     giambelli,
     giambelli_plan,
     hook_classes,
     tangent_chern,
+    twist_duals,
 )
 from charbound.cli import TABLE
 from charbound.varieties import CompleteIntersection, MultiIndex, Partition, partitions_of
@@ -72,7 +73,7 @@ def kernel_schur(a, parts):
     by the grid kernel's Giambelli determinant of hook classes."""
     weight = sum(parts)
     a = [*a[: weight + 1], *[0] * (weight + 1 - len(a))]
-    return giambelli(giambelli_plan(parts), hook_classes(a, dual_sequence(a)))
+    return giambelli(giambelli_plan(parts), hook_classes(a, oracle.dual_sequence(a)))
 
 
 def ring_classes(a, cap):
@@ -149,6 +150,46 @@ varieties = st.integers(min_value=2, max_value=7).flatmap(
 def test_tangent_chern_matches_series_oracle(ci):
     assert tangent_chern(ci) == oracle_tangent(ci)
     assert tuple(record(ci).tangent[0]) == oracle_tangent(ci)
+
+
+@st.composite
+def chunk_blocks(draw):
+    """(n, multidegrees): the keys of one chunk of a block, as the sweep
+    builds it. 1 to 30 sorted multidegrees of k factors of degree 2..9,
+    and for k = 1 maybe the P^n key (1,) in front."""
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    factors = st.lists(st.integers(2, 9), min_size=k, max_size=k).map(sorted).map(tuple)
+    multidegrees = sorted(draw(st.lists(factors, min_size=1, max_size=30, unique=True)))
+    if k == 1 and draw(st.booleans()):
+        multidegrees.insert(0, (1,))
+    return n, multidegrees
+
+
+CHUNK_ATTRIBUTES = ("ds", "tangent", "twisted", "sequence", "degree_powers", "powers", "chi")
+
+
+@settings(deadline=None)
+@given(chunk_blocks())
+def test_a_chunk_carries_nothing_from_one_key_to_the_next(block):
+    # every key of a chunk gets the values of a chunk of that key alone,
+    # and those are the oracle's: its tangent multiples, its twist of the
+    # cotangent bundle by 2 and its degree sequence d (n + 2 - a_1)^i; the
+    # Schur check's product-form dual sequence is the convolution inverse
+    # of the oracle's twist
+    n, multidegrees = block
+    c, m = _Chunk(n, multidegrees), n + len(multidegrees[0])
+    duals = twist_duals(m, n, multidegrees)
+    for j, degrees in enumerate(multidegrees):
+        alone = _Chunk(n, [degrees])
+        for name in CHUNK_ATTRIBUTES:
+            assert getattr(c, name)[j] == getattr(alone, name)[0], (name, degrees)
+        assert [sums[j] for sums in c.betti_sums] == [sums[0] for sums in alone.betti_sums]
+        tangent = oracle.tangent(m, degrees, n)
+        twisted = oracle.twist(oracle.cotangent(tangent), 2)
+        assert (tuple(c.tangent[j]), tuple(c.twisted[j])) == (tangent, twisted), degrees
+        d = prod(degrees)
+        assert c.sequence[j] == [d * (n + 2 - tangent[1]) ** i for i in range(n + 1)]
+        assert duals[j] == oracle.dual_sequence(twisted)[:n], degrees
 
 
 @given(varieties)
@@ -359,7 +400,7 @@ def test_giambelli_matches_long_side_bareiss(case):
     a, parts = case
     plan = giambelli_plan(parts)
     assert plan[0] == durfee_size(parts)
-    hooks = hook_classes(a, dual_sequence(a))
+    hooks = hook_classes(a, oracle.dual_sequence(a))
     assert giambelli(plan, hooks) == long_side_schur(a, parts)
 
 
@@ -401,8 +442,8 @@ def test_schur_class_of_a_durfee_size_six_shape():
 
 def test_dual_sequence_inverts_the_signed_series():
     # B(t) * A(-t) = 1: (1 + 2t + t^2)(1 - 2t + 3t^2 - 4t^3) = 1 + O(t^4)
-    assert dual_sequence([1, 2, 3, 4]) == [1, 2, 1, 0]
-    assert dual_sequence([1]) == [1]
+    assert oracle.dual_sequence([1, 2, 3, 4]) == [1, 2, 1, 0]
+    assert oracle.dual_sequence([1]) == [1]
 
 
 @st.composite

@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from charbound.bounds import _Chunk
-from charbound.chern import degree_sequence
+from charbound.bounds import _CHECKS, _Chunk
 from charbound.cli import (
     MAX_BOUND_D,
     MAX_TABLE_D,
@@ -27,7 +26,7 @@ from charbound.cli import (
 )
 from charbound.schubert import grassmannian_degree
 from charbound.varieties import CompleteIntersection, exact_repr
-from grid_run import document, json_reports
+from grid_run import document, json_reports, one_past_the_quadric_surface, with_sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -256,15 +255,6 @@ def test_verify_out_of_memory_exits_two_with_one_error_line(capsys, monkeypatch)
             assert flag in err
 
 
-def one_past_the_quadric_surface(amples, ds, n):
-    """degree_sequence, with the values of the quadric surface key (n, d) =
-    (2, 2) one past their bounds d^(i+1)."""
-    return [
-        tuple(d ** (i + 1) + 1 for i in range(n + 1)) if (n, d) == (2, 2) else row
-        for d, row in zip(ds, degree_sequence(amples, ds, n))
-    ]
-
-
 # grids where a run read case by case could part from the held one, with
 # their (cases, truncated, reports, flagged, violations)
 STREAMED_GRIDS = {
@@ -311,7 +301,9 @@ def test_verify_builds_reports_only_for_violations_and_flags(tmp_path, capsys, m
     for name, (flags, expected) in STREAMED_GRIDS.items():
         with monkeypatch.context() as patched:
             if name == "one past the bound":
-                patched.setattr("charbound.bounds.degree_sequence", one_past_the_quadric_surface)
+                patched.setattr(
+                    "charbound.bounds._Chunk", with_sequence(one_past_the_quadric_surface)
+                )
             args = _build_parser().parse_args(["verify", *flags])
             spec = _grid_spec_from_args(args)
             runs = {fmt: document(spec, fmt) for fmt in rows}
@@ -718,6 +710,39 @@ def test_table_refuses_a_dimension_past_the_cap_before_computing(capsys, monkeyp
     monkeypatch.undo()
     code, out, _ = run(capsys, "table", "-m", "257", "-D", "1", "--quantities", "dimension")
     assert (code, out) == (0, "variety: m=257 deg=(1)\ndimension: 256\n")
+
+
+# sha256 of each `verify --max-ambient-dim 4` document: the bytes a sweep
+# that calls every selected check on every block writes
+SMALL_GRID_DIGESTS = {
+    "json": "52074285936a4d5da0decf2928715e02531bb06343e553718a418e72a2d9f51c",
+    "csv": "cbfeb7ea1410b16ee58e2353feeded1e74c0121d6b9661b7f942b9bfbcc0cc27",
+    "markdown": "6b97f5334d3d5aff5a42dffea278c5613805386f21b3ebbed78347a1225cf62b",
+}
+
+
+def test_verify_never_calls_a_check_where_it_has_no_rows(capsys, monkeypatch):
+    # log-concavity gives a curve no row, and pontryagin a dimension off
+    # 0 mod 4 none: each is refused there, and the documents keep their bytes
+    log_concavity, pontryagin = _CHECKS["log-concavity"], _CHECKS["pontryagin"]
+
+    def refused(check, rowless):
+        return lambda c: pytest.fail(f"called on n={c.n}") if rowless(c.n) else check(c)
+
+    monkeypatch.setitem(_CHECKS, "log-concavity", refused(log_concavity, lambda n: n < 2))
+    monkeypatch.setitem(_CHECKS, "pontryagin", refused(pontryagin, lambda n: n % 4))
+    for fmt, digest in SMALL_GRID_DIGESTS.items():
+        code, out, err = run(capsys, "verify", "--max-ambient-dim", "4", "--format", fmt)
+        assert (code, err) == (0, ""), fmt
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+    # a grid where no selected check has a row builds no chunk at all
+    monkeypatch.setattr("charbound.bounds._Chunk", lambda n, multidegrees: pytest.fail("built"))
+    argv = ["verify", "--max-ambient-dim", "2", "--checks", "log-concavity"]
+    summary = "cases=5 truncated=false reports=0 flagged=0 violations=0\n"
+    assert run(capsys, *argv) == (0, summary, "")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.endswith('"reports": []\n}\n')
 
 
 def test_table_refuses_a_huge_degree_before_computing():
