@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache, partial
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement, count, islice, repeat
 from math import comb, prod
 from operator import add, and_, ge, iconcat, itemgetter, mul, sub
 from typing import NamedTuple
@@ -26,7 +26,7 @@ from .chern import (
     middle_betti,
     twist_duals,
 )
-from .report import _cases, _json_head, _write
+from .report import _json_head, _write
 from .varieties import (
     CompleteIntersection,
     MultiIndex,
@@ -511,22 +511,6 @@ class GridSpec(Record):
         return cls(**{k: data[k] for k in known if k in data})
 
 
-def _grid(spec: GridSpec):
-    """The grid's (ambient dimension, multidegree) pairs in canonical order,
-    capped; returns (pairs, truncated)."""
-    pairs = []
-    # no degree above max_cases + 1 is reached before the cap, and the shorter
-    # range keeps combinations_with_replacement under its sys.maxsize limit
-    degrees = range(1, min(spec.max_degree_per_factor, spec.max_cases + 1) + 1)
-    for m in range(2, spec.max_ambient_dim + 1):
-        for k in range(1, min(m - 1, spec.max_codim) + 1):
-            for degs in combinations_with_replacement(degrees, k):
-                if len(pairs) >= spec.max_cases:
-                    return pairs, True
-                pairs.append((m, degs))
-    return pairs, False
-
-
 # keys computed together: a chunk is keys of one block, CHUNK_ROWS rows'
 # worth of them but never fewer than CHUNK_KEYS. Under all nine checks the
 # floor holds from n = 6 on (104 rows a key), where smaller chunks ran slower
@@ -582,24 +566,6 @@ def _columns(batch) -> tuple:
     return n, ds, layout, exacts, bounds, satisfied, margins, degenerate, noted, clean
 
 
-def _runs(labels, blocks, sizes) -> dict:
-    """Key position -> the slice of keys computed with it: runs of keys of
-    one block, ``blocks`` giving each key's, whose first cases come one
-    after another in ``labels``, and at most ``sizes[block]`` of them."""
-    runs, seen, start, stop, size = {}, bytearray(len(blocks)), 0, -1, 0
-    for i, _ in labels:
-        if seen[i]:
-            stop = -1  # a later case of a key ends the run
-        else:
-            seen[i] = True
-            if i == stop and blocks[i] == blocks[start] and stop - start < size:
-                stop += 1
-            else:
-                start, stop, size = i, i + 1, sizes[blocks[i]]
-            runs[start] = slice(start, stop)
-    return runs
-
-
 def _joined_rows(rows, column: int, size: int) -> list:
     """Each of ``size`` keys' items of one column of the checks' ``rows``
     (values or bounds), joined over the checks into a new list: each
@@ -621,77 +587,62 @@ def _rows(columns, j) -> zip:
 class GridSweep:
     """The checks of a grid run one case at a time, in case order.
 
-    Iterated once, it gives the grid's case stream (see _cases). The keys
-    are computed a chunk at a time (see _Chunk): a block is the keys whose
-    first case has the same ambient dimension m and codimension k, every
-    k-multiset of degrees >= 2 (and P^(m-1) for k = 1), so one dimension
-    n = m - k and one layout. Their first cases come one after another, and
-    at the first of them the sweep runs the checks over a chunk of them:
-    CHUNK_ROWS rows' worth of keys, by the block's closed-form row count
-    per key (_row_count), but never fewer than CHUNK_KEYS keys. It joins
-    each key's values and bounds over the checks, and derives the chunk's
-    columns from them once. The notes stay the checks' functions of a key's
-    place in the chunk; only a JSON document and the exception rows call
-    them. From that one derivation the sweep tallies what a run prints:
-    ``report_count`` and the ``violations`` and ``flagged`` reports, in
-    case order. ``truncated``, ``labels`` (key position, multidegree),
-    ``keys`` and ``case_count`` are known from the start; ``keys`` holds
-    one (n, degrees above 1) per key position.
-    Between the first and last case of a key it holds only the key's row
-    count and its unsatisfied or degenerate rows, with their notes.
+    Iterated once, it walks the grid a block at a time and gives its case
+    stream (see charbound.report). A block is the cases of one ambient
+    dimension m and codimension k, the k-multisets of degrees in
+    lexicographic order, of one dimension n = m - k and one layout. For
+    k > 1 its cases with a degree 1 come first, each a later case of a key
+    of an earlier block; the rest, every k-multiset of degrees >= 2 (and
+    P^(m-1) for k = 1), are the first cases of new keys. At the first of
+    them the sweep takes the next cases of the block as a chunk (see
+    _Chunk), CHUNK_ROWS rows' worth of keys by the closed-form row count
+    (_row_count) but never fewer than CHUNK_KEYS, runs the checks over it
+    and derives its columns once. The notes stay the checks' functions of a
+    key's place in the chunk; only a JSON document and the exception rows
+    call them. A key's next case lies at the same place of block (m + 1,
+    k + 1), so a case is its key's last where m or k is at its top or the
+    case cap falls before that place. The sweep tallies ``report_count`` by
+    the rows of each case's layout, and the ``violations`` and ``flagged``
+    reports in case order; it holds a key's position, and its unsatisfied
+    or degenerate rows where it has any, only while the key has cases left.
+    ``truncated`` is set when the walk meets a case past the cap.
 
     A degree-1 factor is a linear re-embedding: X cut by a hyperplane of P^m
-    is the same variety in P^(m-1), with the same n and d. So the checks run
-    once per key (dimension, degrees above 1), a plain tuple: (n, ()) is
-    P^n, which CompleteIntersection cannot hold; its first case is P^(n+1)
-    cut by (1). Only the selected checks with rows at n run, and where none
-    has, no chunk is built; the first chunk of each dimension gives the
-    layout that every key of that dimension shares.
+    is X in P^(m-1), with the same n and d, so the checks run once per key
+    (n, degrees above 1); (n, ()) is P^n, first met as P^(n+1) cut by (1).
+    Only the selected checks with rows at n run, and where none has, no
+    chunk is built; every key of a dimension shares its first chunk's layout.
     """
 
     def __init__(self, spec: GridSpec):
-        self.spec = spec
-        pairs, self.truncated = _grid(spec)
-        where = {}  # (n, degrees above 1) -> key position
-        self.labels = [
-            (where.setdefault((m - len(degs), degs[degs.count(1) :]), len(where)), degs)
-            for m, degs in pairs
-        ]
-        self.keys = list(where)
-        self.report_count = 0
+        self.spec, self.truncated, self.report_count = spec, False, 0
         self.violations, self.flagged = [], []
 
     @property
     def case_count(self) -> int:
-        return len(self.labels)
+        return self.spec.case_count
 
     def __iter__(self):
-        names, keys = self.spec.checks, self.keys
-        # a key's block: its n and the codimension of its first case; the
-        # block's chunk size: by its rows per key, at least CHUNK_KEYS
-        blocks = [(n, len(degrees) or 1) for n, degrees in keys]
-        # by dimension, the selected checks that give its keys rows
-        called = {n: [name for name in names if _RULES[name][3](n)] for n, _ in set(blocks)}
-        sizes = {block: _chunk_keys(_row_count(names, block[0])) for block in set(blocks)}
-        chunks = _runs(self.labels, blocks, sizes)
-        # by key position: (n, d, row count, exception rows), first case to last
-        layouts, held = {}, [None] * len(keys)
+        spec, names = self.spec, self.spec.checks
+        top, codim, cap = spec.max_ambient_dim, spec.max_codim, spec.max_cases
+        # no degree above max_cases + 1 is reached before the cap, and the shorter
+        # range keeps combinations_with_replacement under its sys.maxsize limit
+        degrees = range(1, min(spec.max_degree_per_factor, cap + 1) + 1)
+        # the cases of a block of codimension j, for each j a block reaches
+        sizes = [comb(degrees[-1] + j - 1, j) for j in range(min(codim, top - 1) + 1)]
+        # while a key has cases left, its position by (n, degrees above 1) and its
+        # (d, exception rows) by position if any; by n, its layout and (checks with
+        # rows at n, a chunk's most keys); the cases walked and the keys met
+        where, held, layouts, plans, done, known = {}, {}, {}, {}, 0, 0
 
-        def compute(i):
-            positions = chunks.get(i)
-            if positions is None:
-                return None  # an earlier key's chunk holds it
-            # each key's multidegree at its first case
-            n, multidegrees = keys[i][0], [degrees or (1,) for _, degrees in keys[positions]]
-            checks = called[n]
+        def compute(n, checks, multidegrees, start):
+            """The columns of the chunk of new keys at positions from start."""
             if checks:
                 c = _Chunk(n, multidegrees)
                 ds, rows = c.ds, [_CHECKS[name](c) for name in checks]
             else:  # no selected check gives the block a row
                 ds, rows = [*map(prod, multidegrees)], []
-            layout = layouts.get(n)
-            if layout is None:
-                layout = layouts[n] = _layout(checks, rows)
+            layout = layouts.get(n) or layouts.setdefault(n, _layout(checks, rows))
             # each key's values and bounds over every check, in check order
             exacts, bounds = _joined_rows(rows, 1, len(ds)), _joined_rows(rows, 2, len(ds))
             # each check's row count and note function, and no other part of
@@ -704,27 +655,50 @@ class GridSweep:
                 return tuple(chain.from_iterable(found))
 
             columns = _columns((n, ds, layout, exacts, bounds, notes))
-            size = len(layout[0])
-            held[positions] = zip(repeat(n), ds, repeat(size), repeat(()))
-            if columns[9]:
-                return columns  # a clean batch: no row is unsatisfied or degenerate
-            for j, ok, flags in zip(range(len(ds)), columns[5], columns[7]):
-                if not all(ok) or any(flags):
-                    found = [row for row in _rows(columns, j) if row[6] or not row[4]]
-                    held[i + j] = n, ds[j], size, found
+            if not columns[9]:  # a batch with unsatisfied or degenerate rows
+                for j, ok, flags in zip(range(len(ds)), columns[5], columns[7]):
+                    if not all(ok) or any(flags):
+                        found = [row for row in _rows(columns, j) if row[6] or not row[4]]
+                        held[start + j] = ds[j], found
             return columns
 
         new = partial(tuple.__new__, BoundReport)
-        for case in _cases(self.labels, compute):
-            i, multidegree, _, last = case
-            n, d, count, rows = held[i]
-            if last:
-                held[i] = None
-            self.report_count += count
-            for row in rows:
-                report = new(row[:1] + (n, d, multidegree) + row[1:])
-                (self.flagged if row[6] else self.violations).append(report)
-            yield case
+        for m in range(2, top + 1):
+            deepest = min(m - 1, codim)
+            for k in range(1, deepest + 1):
+                # past the rest of m's blocks and the first k of m + 1: no case
+                # from index stop on has its next case before the cap
+                gap = sum(sizes[k : deepest + 1]) + sum(sizes[1 : k + 1])
+                n, stop = m - k, 0 if m == top or k == codim else cap - gap
+                cases = combinations_with_replacement(degrees, k)
+                for degs in cases:
+                    if done == cap:
+                        self.truncated = True
+                        return
+                    if k > 1 and degs[0] == 1:  # a later case of an earlier block's key
+                        key, chunk, batch = (n, degs[degs.count(1) :]), (degs,), None
+                        i = where.pop(key) if done >= stop else where[key]
+                    else:  # a new key's first case: a chunk of it and the next new keys
+                        if n not in plans:
+                            checks = [name for name in names if _RULES[name][3](n)]
+                            plans[n] = checks, _chunk_keys(_row_count(checks, n))
+                        checks, fit = plans[n]
+                        chunk = [degs, *islice(cases, min(fit, cap - done) - 1)]
+                        i, batch = known, compute(n, checks, chunk, known)
+                        known += len(chunk)
+                        for j, degs in zip(count(i), chunk[: max(stop - done, 0)]):
+                            where[n, degs[degs.count(1) :]] = j
+                    rows = len(layouts[n][0])
+                    for degs in chunk:
+                        last = done >= stop
+                        done += 1
+                        self.report_count += rows
+                        d, exceptions = (held.pop if last else held.get)(i, (None, ()))
+                        for row in exceptions:
+                            report = new(row[:1] + (n, d, degs) + row[1:])
+                            (self.flagged if row[6] else self.violations).append(report)
+                        yield i, degs, batch, last
+                        i, batch = i + 1, None
 
 
 def verify_grid(spec: GridSpec, stream=None, fmt: str | None = None) -> GridSweep:

@@ -25,9 +25,9 @@ characteristic.
 ``verify --sigma`` read, for a chunk of varieties at a time, in one loop
 over the varieties that walks each one's degrees once. The Schur check
 reads its dual sequences from ``twist_duals``, one list per variety, and
-its determinants from the helpers below. ``tangent_chern``,
-``euler_characteristic`` and ``betti_numbers`` are the same values for one
-variety, cached for library callers.
+its determinants from the helpers below. ``tangent_chern``, read from a
+one-variety chunk, ``euler_characteristic`` and ``betti_numbers`` are the
+same values for one variety, cached for library callers.
 """
 
 from __future__ import annotations
@@ -50,13 +50,11 @@ class DegreeError(ValueError):
 @lru_cache(maxsize=None)
 def tangent_chern(ci: CompleteIntersection) -> tuple:
     """a_0..a_n with c_i(T) = a_i * h^i, via the ambient/normal quotient:
-    the coefficients of (1+h)^(m+1) / prod_j (1 + d_j h) up to h^n, each
-    division the recursion b_k = a_k - d_j * b_(k-1)."""
-    series = binomial_row(ci.ambient_dim + 1, ci.dimension)
-    for d in ci.multidegree:
-        for k in range(1, len(series)):
-            series[k] -= d * series[k - 1]
-    return tuple(series)
+    the coefficients of (1+h)^(m+1) / prod_j (1 + d_j h) up to h^n, read
+    from a bounds._Chunk of the one variety."""
+    from .bounds import _Chunk  # charbound.bounds imports this module
+
+    return tuple(_Chunk(ci.dimension, [ci.multidegree]).tangent[0])
 
 
 def binomial_row(top: int, n: int) -> list:

@@ -1,17 +1,17 @@
 """The report writers: JSON, CSV and markdown documents of verified bounds,
 streamed from a case stream.
 
-A case stream gives one (key position, multidegree, batch, last) per case,
-in case order (see _cases). A batch is the columns of consecutive grid keys
-of one layout, (n, ds, layout, exacts, bounds, satisfied, margins,
-degenerate, notes, clean): their one dimension, a degree per key, and per
-key its rows' exact values, bounds and the rest (see bounds._columns), over
-a layout that starts with the rows' subjects and indices. notes is a
-function: notes(j) gives the notes of the j-th key's rows, built only when
-called. clean says that every row of the batch is satisfied and none is
-degenerate; a batch without it is not clean. The stream gives a batch at
-the first case of its first key only, and last says that no case of the key
-follows.
+A case stream (bounds.GridSweep) gives one (key position, multidegree,
+batch, last) per case, in case order. A batch is the columns of grid keys
+of one layout at consecutive positions, (n, ds, layout, exacts, bounds,
+satisfied, margins, degenerate, notes, clean): their one dimension, a
+degree per key, and per key its rows' exact values, bounds and the rest
+(see bounds._columns), over a layout that starts with the rows' subjects
+and indices. notes is a function: notes(j) gives the notes of the j-th
+key's rows, built only when called. clean says that every row of the batch
+is satisfied and none is degenerate; a batch without it is not clean. The
+stream gives a batch at the first case of its first key only, and last
+says that no case of the key follows.
 
 The rows of a key render through one %-template, built once per document
 for each layout object, n and cleanness, so the keys of one grid dimension
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import chain, count, repeat
-from operator import add, itemgetter
+from operator import add
 
 from .varieties import exact_decimal
 
@@ -156,25 +156,6 @@ def _fill(template, values, columns) -> list:
     exacts, bounds, oks, margins, flags, notes = columns
     texts = decimals(exacts), decimals(bounds), oks, decimals(margins), flags, notes
     return [*map(template.__mod__, values(*texts))]
-
-
-def _cases(labels, columns):
-    """The case stream of labels (key position i, multidegree), in their
-    order: (i, multidegree, columns(i) at the first case of key i and None
-    at its others, whether no case of key i follows). columns(i) is the
-    batch that starts at key i, or None where an earlier batch holds key i."""
-    # per key: its case count until its first case, then minus the cases left
-    left = [0] * (max(map(itemgetter(0), labels), default=-1) + 1)
-    for i, _ in labels:
-        left[i] += 1
-    for i, multidegree in labels:
-        cases = left[i]
-        if cases > 0:
-            left[i] = 1 - cases
-            yield i, multidegree, columns(i), cases == 1
-        else:
-            left[i] = cases + 1
-            yield i, multidegree, None, cases == -1
 
 
 def _write(stream, fmt: str, cases, head: str = "") -> None:

@@ -25,7 +25,6 @@ from charbound.bounds import (
     _layout,
     _row_count,
     _rows,
-    _runs,
     CHUNK_KEYS,
     CHUNK_ROWS,
     CHECK_NAMES,
@@ -34,7 +33,6 @@ from charbound.bounds import (
     MAX_GRID_CASES,
     BoundReport,
     GridSpec,
-    GridSweep,
     betti_bound,
     betti_bound_recursive,
     blowup_euler,
@@ -48,15 +46,18 @@ from charbound.bounds import (
 )
 from charbound.chern import DegreeError
 from charbound.cli import main
-from charbound.report import _cases, _json_head, _write, write_json
+from charbound.report import _json_head, _write, write_json
 from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
 import chern_oracle as oracle
 from determinants import long_side_schur
 from grid_run import (
+    case_stream,
     document,
     grid_cases,
     json_reports,
     json_run,
+    label_cases,
+    label_runs,
     one_past_the_quadric_surface,
     with_sequence,
 )
@@ -390,12 +391,54 @@ def chunk_cap(names, n: int) -> int:
     return max(CHUNK_KEYS, CHUNK_ROWS // max(layout_rows(names, n), 1))
 
 
-def block_sizes(sweep) -> tuple:
-    """(each key's block, block -> chunk cap) of a sweep's keys, the caps
-    from the rows the checks build."""
-    blocks = [(n, len(degrees) or 1) for n, degrees in sweep.keys]
-    caps = {n: chunk_cap(sweep.spec.checks, n) for n, _ in set(blocks)}
-    return blocks, {block: caps[block[0]] for block in blocks}
+def oracle_stream(spec, cap=None) -> list:
+    """(key position, case, chunk, last) for each case of oracle_grid(spec),
+    worked out from the enumeration alone. Keys (n, degrees above 1) are
+    numbered in the order of their first cases. A case is last when no later
+    case of the capped grid has its key. A chunk (n, key count) starts at a
+    first case and takes the first cases right after it of the same block
+    (m, k), at most cap(n) keys: by default _chunk_keys(_row_count(checks,
+    n)); every other case has chunk None."""
+    cap = cap or (lambda n: _chunk_keys(_row_count(spec.checks, n)))
+    cases, _ = oracle_grid(spec)
+    keys = [(ci.dimension, tuple(d for d in ci.multidegree if d > 1)) for ci in cases]
+    where = {}
+    positions = [where.setdefault(key, len(where)) for key in keys]
+    later, lasts = set(), []
+    for key in reversed(keys):
+        lasts.append(key not in later)
+        later.add(key)
+    chunks, start, known = [None] * len(cases), None, 0
+    for j, (ci, i) in enumerate(zip(cases, positions)):
+        if i < known:  # a later case ends the run of first cases
+            start = None
+            continue
+        known, n = i + 1, ci.dimension
+        block = ci.ambient_dim, ci.codimension
+        if start is not None and block == run_block and chunks[start][1] < cap(n):
+            chunks[start] = n, chunks[start][1] + 1
+        else:
+            start, run_block, chunks[j] = j, block, (n, 1)
+    return [*zip(positions, cases, chunks, reversed(lasts))]
+
+
+def oracle_chunks(spec, cap=None) -> list:
+    """The chunks (n, key count) of oracle_stream(spec, cap), in order."""
+    return [chunk for _, _, chunk, _ in oracle_stream(spec, cap) if chunk]
+
+
+def spied_chunks(spec) -> list:
+    """The (n, key count) of each batch a summary run of ``spec`` derives
+    columns for, in order."""
+    chunks, columns = [], charbound.bounds._columns
+
+    def spy(batch):
+        chunks.append((batch[0], len(batch[1])))
+        return columns(batch)
+
+    with patch.object(charbound.bounds, "_columns", spy):
+        verify_grid(spec)
+    return chunks
 
 
 def test_the_closed_form_row_count_is_the_rows_the_checks_build():
@@ -452,25 +495,10 @@ def test_a_json_run_derives_each_chunk_as_often_as_a_csv_run():
     for chunks, spec in grids.items():
         for fmt in ("json", "csv", None):
             with patch.object(charbound.bounds, "_columns", wraps=_columns) as spy:
-                sweep = verify_grid(spec, io.StringIO(), fmt) if fmt else verify_grid(spec)
+                verify_grid(spec, io.StringIO(), fmt) if fmt else verify_grid(spec)
             assert spy.call_count == chunks, (spec, fmt)
-        # a chunk is a run of keys of one block, as many as its cap allows
-        assert len(_runs(sweep.labels, *block_sizes(sweep))) == chunks, spec
-
-
-def sweep_plan(spec) -> tuple:
-    """(the sweep of ``spec``, the chunks its iteration plans): the plan is
-    made before the first case is given."""
-    sweep, plans = GridSweep(spec), []
-
-    def spy(*args):
-        plans.append(_runs(*args))
-        return plans[-1]
-
-    with patch.object(charbound.bounds, "_runs", spy):
-        next(iter(sweep))
-    (plan,) = plans
-    return sweep, plan
+        # a chunk is a run of first cases of one block, as many as its cap allows
+        assert len(oracle_chunks(spec)) == chunks, spec
 
 
 def test_blocks_from_dimension_6_on_are_chunked_by_keys_alone():
@@ -479,16 +507,15 @@ def test_blocks_from_dimension_6_on_are_chunked_by_keys_alone():
     # and the chunks are those of CHUNK_KEYS alone; a row budget with no key
     # floor cut them smaller and ran the frontier grids some 5% slower
     spec = GridSpec(max_ambient_dim=24, max_degree_per_factor=4, max_codim=23, max_cases=10**6)
-    sweep, plan = sweep_plan(spec)
-    assert len(sweep.keys) == 17_549
-    blocks = [(n, len(degrees) or 1) for n, degrees in sweep.keys]
-    by_keys = _runs(sweep.labels, blocks, dict.fromkeys(blocks, CHUNK_KEYS))
-    high = {i for i, (n, _) in enumerate(sweep.keys) if n >= 6}
-    assert {i: plan[i] for i in high if i in plan} == {i: by_keys[i] for i in high if i in by_keys}
-    assert any(run.stop - run.start == CHUNK_KEYS for i, run in plan.items() if i in high)
+    plan = spied_chunks(spec)
+    assert plan == oracle_chunks(spec)
+    assert sum(keys for _, keys in plan) == 17_549
+    by_keys = oracle_chunks(spec, lambda n: CHUNK_KEYS)
+    high = [chunk for chunk in plan if chunk[0] >= 6]
+    assert high == [chunk for chunk in by_keys if chunk[0] >= 6]
+    assert (6, CHUNK_KEYS) in high
     # and the lower blocks take more keys a chunk
-    low = [run.stop - run.start for i, run in plan.items() if sweep.keys[i][0] < 6]
-    assert max(low) > CHUNK_KEYS
+    assert max(keys for n, keys in plan if n < 6) > CHUNK_KEYS
 
 
 # the pontryagin-only CSV of 125 reports of 1,708 cases, as chunks of at
@@ -505,17 +532,44 @@ def test_rowless_keys_run_in_chunks_of_chunk_rows_keys(capsys):
         max_ambient_dim=8, max_degree_per_factor=5, max_codim=7, checks=("pontryagin",),
         max_cases=10**6,
     )
-    sweep, plan = sweep_plan(spec)
-    blocks, sizes = block_sizes(sweep)
-    assert {n for n, _ in blocks} == {*range(1, 8)}
-    assert set(sizes.values()) == {CHUNK_ROWS}
-    assert plan == _runs(sweep.labels, blocks, sizes)
-    assert len(plan) == len(sizes) and max(run.stop - run.start for run in plan.values()) == 120
+    plan = spied_chunks(spec)
+    assert plan == oracle_chunks(spec, partial(chunk_cap, spec.checks))
+    assert {n for n, _ in plan} == {*range(1, 8)}
+    assert {chunk_cap(spec.checks, n) for n in range(1, 8)} == {CHUNK_ROWS}
+    # one chunk for each block that holds first cases
+    firsts = oracle_stream(spec)
+    blocks = {(ci.ambient_dim, ci.codimension) for _, ci, chunk, _ in firsts if chunk}
+    assert len(plan) == len(blocks) and max(keys for _, keys in plan) == 120
     assert main([*argv.split(), "--checks", "pontryagin", "--format", "csv"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == PONTRYAGIN_CSV_SHA256
     sweep = verify_grid(spec)
     assert sweep.report_count == sum(ci.dimension == 4 for ci in grid_cases(sweep)) == 125
+
+
+# grids the case cap cuts anywhere, up to the top ambient dimension, and
+# degrees up to 10**20 that the cap cuts in the first block
+capped_specs = st.builds(
+    GridSpec,
+    max_ambient_dim=st.integers(min_value=2, max_value=MAX_AMBIENT_DIM),
+    max_degree_per_factor=st.integers(min_value=1, max_value=5) | st.just(10**20),
+    max_codim=st.integers(min_value=1, max_value=30) | st.just(10**18),
+    checks=st.lists(st.sampled_from(CHECK_NAMES), min_size=1, unique=True).map(tuple),
+    max_cases=st.integers(min_value=0, max_value=400),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_specs | capped_specs)
+# (2,) in P^2, case 1, has its next case (1, 2) in P^3 at case 5, the cap
+@example(GridSpec(max_ambient_dim=4, max_degree_per_factor=2, max_cases=5))
+# (1, 2) in P^5, case 35, has its next case (1, 1, 2) in P^6 at case 60, the cap
+@example(GridSpec(max_ambient_dim=7, max_degree_per_factor=3, max_codim=3, max_cases=60))
+def test_the_case_stream_s_last_flags_and_chunks_are_the_enumeration_s(spec):
+    # a case is last where no later case of the capped grid has its key, and
+    # a batch comes at the first case of each chunk the enumeration plans;
+    # a sweep that held a key past its last case would print the same bytes
+    assert case_stream(spec) == oracle_stream(spec)
 
 
 def test_grid_spec_json_roundtrip():
@@ -710,7 +764,7 @@ def row_limits(layout) -> list:
 def test_a_check_alone_gives_its_rows_of_the_full_run(deep_grid, name):
     full, full_batches = deep_grid
     alone, alone_batches = spied_run(GridSpec(**DEEP, checks=(name,)))
-    assert alone.sweep.labels == full.sweep.labels
+    assert grid_cases(alone.sweep) == grid_cases(full.sweep)
     assert alone.reports == [r for r in full.reports if r.subject == name]
     # every layout holds each check's rows as one run, in check order
     for _, layout, _ in full_batches:
@@ -947,13 +1001,14 @@ def test_a_block_chunk_by_chunk_matches_the_case_by_case_oracle(n):
         # the block's chunks are the last batches the run derived
         chunks = [(n, size)] if size <= cap else [(n, cap), (n, 1)]
         assert [(m, keys) for m, _, keys in batches[-len(chunks) :]] == chunks
-        block = grid_cases(sweep)[-size:]
+        stream = case_stream(spec)
+        block = [ci for _, ci, _, _ in stream[-size:]]
         assert sweep.truncated and len(block) == size
         assert {(ci.dimension, ci.codimension) for ci in block} == {(n, 2)}
         assert all(2 <= min(ci.multidegree) <= max(ci.multidegree) <= top for ci in block)
         # the block's cases are the first cases of keys of their own
-        keys = max(i for i, _ in sweep.labels) + 1
-        assert [i for i, _ in sweep.labels[-size:]] == [*range(keys - size, keys)]
+        keys = max(i for i, _, _, _ in stream) + 1
+        assert [i for i, _, _, _ in stream[-size:]] == [*range(keys - size, keys)]
         want = []
         for ci in block:
             if ci.multidegree not in expected:
@@ -1242,7 +1297,7 @@ def render_core(keys, labels) -> dict:
     rendered = {}
     for fmt in ("json", "csv", "markdown"):
         buffer = io.StringIO()
-        _write(buffer, fmt, _cases(labels, core.__getitem__))
+        _write(buffer, fmt, label_cases(labels, core.__getitem__))
         rendered[fmt] = buffer.getvalue()
     return rendered
 
@@ -1331,11 +1386,11 @@ def key_columns(n, d, layout, values, bounds, notes) -> tuple:
 def layout_cases(keys, labels):
     """The case stream of a grid layout, as a sweep gives it: the columns of
     each run of keys of one n and one layout object, derived at the run's
-    first case (see bounds._runs and bounds._columns), each run's notes the
-    function of a key's place in it."""
+    first case (see grid_run.label_runs and bounds._columns), each run's
+    notes the function of a key's place in it."""
     blocks = [(n, id(layout)) for n, _, layout, *_ in keys]
     sizes = {(n, id(layout)): _chunk_keys(len(layout[0])) for n, _, layout, *_ in keys}
-    runs = _runs(labels, blocks, sizes)
+    runs = label_runs(labels, blocks, sizes)
 
     def columns(i):
         run = runs.get(i)
@@ -1344,7 +1399,7 @@ def layout_cases(keys, labels):
         ns, ds, layouts, values, bounds, notes = zip(*keys[run])
         return _columns((ns[0], ds, layouts[0], values, bounds, notes.__getitem__))
 
-    return _cases(labels, columns)
+    return label_cases(labels, columns)
 
 
 def render_layout(keys, labels, head: str = "") -> dict:

@@ -197,6 +197,39 @@ def test_frontier_summary_memory_holds_only_keys_with_cases_left(probe_env):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_frontier_d4_summary_memory_holds_no_list_of_cases(probe_env):
+    # 20,360,719 reports of 98,256 cases from 17,549 keys; listing every case
+    # and its key position up front peaked at about 66 MB, and walking the
+    # grid one block at a time, holding only the positions of keys with
+    # cases left, peaks at about 43 MB
+    argv = "verify --max-ambient-dim 24 --max-degree 4 --max-codim 23 --max-cases 1000000"
+    out, peak_mb = peak_rss_mb(argv, probe_env)
+    assert out == "cases=98256 truncated=false reports=20360719 flagged=46 violations=0\n"
+    assert peak_mb < 52, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets RLIMIT_AS")
+def test_a_huge_max_codim_costs_nothing():
+    # the blocks of P^m reach codimension m - 1 at most; a walk that sized
+    # anything by max_codim itself would not fit in 1 GiB or end in 30 s
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = "verify --max-codim 1000000000000000000 --max-cases 10"
+    proc = subprocess.run(
+        [sys.executable, "-m", "charbound", *argv.split()],
+        capture_output=True,
+        env=ENV,
+        preexec_fn=limit,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout == b"cases=10 truncated=true reports=140 flagged=2 violations=0\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_wide_csv_memory_holds_a_chunk_of_keys_not_a_block(probe_env):
     # 3,059 keys, 1,820 of them one block (the curves cut by four factors in
     # P^5). Run alternately, computing one key at a time peaked at 17.4 MB
