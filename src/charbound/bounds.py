@@ -12,18 +12,17 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache, partial
-from itertools import chain, combinations_with_replacement, count, islice, repeat
+from itertools import chain, combinations_with_replacement, islice, repeat
 from math import comb, prod
-from operator import add, and_, ge, iconcat, itemgetter, mul, sub
+from operator import and_, ge, iconcat, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .chern import (
     DegreeError,
-    binomial_row,
+    _Chunk,
     giambelli,
     giambelli_plan,
     hook_classes,
-    middle_betti,
     twist_duals,
 )
 from .report import _json_head, _write
@@ -144,10 +143,10 @@ def cotangent_chern_bound(n: int, d: int, index: MultiIndex) -> int:
     return 2 ** (n * n) * d * (d + n - 2) ** index.weight
 
 
-def signature_check(ci: CompleteIntersection, sigma: int) -> BoundReport:
+def signature_check(ci: CompleteIntersection, sigma: int, stream=None) -> BoundReport:
     """Report on |3*sigma| <= c2^2 for a 4-dimensional variety, with an
     externally supplied signature; c2^2 = d * a_2^2 from its tangent
-    multiples."""
+    multiples. Given a ``stream``, writes {"reports": [...]} to it."""
     n = ci.dimension
     if n != 4:
         raise ValueError(f"signature check needs a 4-dimensional variety, got dimension {n}")
@@ -157,7 +156,10 @@ def signature_check(ci: CompleteIntersection, sigma: int) -> BoundReport:
     layout = ("signature",), (None,), (), (False,)
     notes = (("sigma supplied externally; c2^2 computed",),).__getitem__
     batch = n, (d,), layout, ((3 * sigma,),), ((d * c.tangent[0][2] ** 2,),), notes
-    (row,) = _rows(_columns(batch), 0)
+    columns = _columns(batch)
+    if stream is not None:
+        _write(stream, "json", [(0, ci.multidegree, columns, True)])
+    (row,) = _rows(columns, 0)
     return BoundReport(row[0], n, d, ci.multidegree, *row[1:])
 
 
@@ -222,56 +224,6 @@ class _Tables:
 
 # one entry per dimension, at most MAX_AMBIENT_DIM of them
 _tables = lru_cache(maxsize=None)(_Tables)
-
-
-class _Chunk:
-    """The Chern and Betti ints of some complete intersections of one
-    dimension n, those of the given multidegrees, all of one length k, in
-    P^(n + k): every value a grid check, `table` or the signature check
-    reads. A series or running product is one list per variety, a number
-    one column: a list with one int per variety, in the chunk's order. One
-    loop over the varieties builds every series, each variety's from one
-    walk over its degrees."""
-
-    def __init__(self, n: int, multidegrees: list):
-        self.n, self.size, self.multidegrees = n, len(multidegrees), multidegrees
-        # C(m+1, i), the multiples of (1+h)^(m+1) on P^m, m = n + k; those of
-        # (m+1)O(1) less an O(r) divide it by (1 + r h): b_i -= r * b_(i-1)
-        row, steps = binomial_row(n + len(multidegrees[0]) + 1, n), range(1, n + 1)
-        # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
-        # O(2) - sum_j O(2 - d_j): every variety shares the root 2
-        nef = row[:]
-        for i in steps:
-            nef[i] -= 2 * nef[i - 1]
-        found = []
-        for degrees in multidegrees:
-            d, tangent, twisted = 1, row[:], nef[:]
-            for r in degrees:
-                d *= r
-                s = 2 - r
-                for i in steps:
-                    tangent[i] -= r * tangent[i - 1]
-                    twisted[i] -= s * twisted[i - 1]
-            # running products from d: a^i d, the degree sequence of the ample
-            # A = K + (n+2)h with K = -c_1; d^(i+1), its bounds; and
-            # d (d+n-2)^w, the Chern number bounds by weight w
-            a, base, x, y, z = n + 2 - tangent[1], d + n - 2, d, d, d
-            sequence, cap, power = [d], [d], [d]
-            for _ in steps:
-                x, y, z = x * a, y * d, z * base
-                sequence.append(x)
-                cap.append(y)
-                power.append(z)
-            found.append((d, tangent, twisted, sequence, cap, power))
-        columns = map(list, zip(*found))
-        self.ds, self.tangent, self.twisted, self.sequence, self.degree_powers, self.powers = columns
-        self.chi = chi = [*map(mul, self.ds, map(itemgetter(n), self.tangent))]
-        # the columns (sum_i b_i, sum_i (-1)^i b_i): off the middle the
-        # numbers add up to n + n % 2 either way, and the middle one counts
-        # with sign (-1)^n in the alternating sum
-        off, middles = n + n % 2, middle_betti(n, chi)
-        total = [*map(add, repeat(off), middles)]
-        self.betti_sums = total, total if n % 2 == 0 else [*map(sub, repeat(off), middles)]
 
 
 def _chern_numbers(t: _Tables, d: int, multiples) -> list:
@@ -595,17 +547,19 @@ class GridSweep:
     of an earlier block; the rest, every k-multiset of degrees >= 2 (and
     P^(m-1) for k = 1), are the first cases of new keys. At the first of
     them the sweep takes the next cases of the block as a chunk (see
-    _Chunk), CHUNK_ROWS rows' worth of keys by the closed-form row count
-    (_row_count) but never fewer than CHUNK_KEYS, runs the checks over it
-    and derives its columns once. The notes stay the checks' functions of a
+    chern._Chunk), CHUNK_ROWS rows' worth of keys by the closed-form row
+    count (_row_count) but never fewer than CHUNK_KEYS, runs the checks over
+    it and derives its columns once. The notes stay the checks' functions of a
     key's place in the chunk; only a JSON document and the exception rows
     call them. A key's next case lies at the same place of block (m + 1,
     k + 1), so a case is its key's last where m or k is at its top or the
-    case cap falls before that place. The sweep tallies ``report_count`` by
-    the rows of each case's layout, and the ``violations`` and ``flagged``
-    reports in case order; it holds a key's position, and its unsatisfied
-    or degenerate rows where it has any, only while the key has cases left.
-    ``truncated`` is set when the walk meets a case past the cap.
+    case cap falls before that place; and a block's cases with a degree 1
+    take the key positions of block (m - 1, k - 1) in turn, those of the
+    new keys each earlier block of n met. The sweep holds a range of them
+    per block, and a key's unsatisfied or degenerate rows only while the
+    key has cases left; it tallies ``report_count`` by the rows of each
+    case's layout, and the ``violations`` and ``flagged`` reports in case
+    order. ``truncated`` is set when the walk meets a case past the cap.
 
     A degree-1 factor is a linear re-embedding: X cut by a hyperplane of P^m
     is X in P^(m-1), with the same n and d, so the checks run once per key
@@ -630,10 +584,10 @@ class GridSweep:
         degrees = range(1, min(spec.max_degree_per_factor, cap + 1) + 1)
         # the cases of a block of codimension j, for each j a block reaches
         sizes = [comb(degrees[-1] + j - 1, j) for j in range(min(codim, top - 1) + 1)]
-        # while a key has cases left, its position by (n, degrees above 1) and its
-        # (d, exception rows) by position if any; by n, its layout and (checks with
-        # rows at n, a chunk's most keys); the cases walked and the keys met
-        where, held, layouts, plans, done, known = {}, {}, {}, {}, 0, 0
+        # while a key has cases left, its (d, exception rows) by position if any;
+        # by n, the range of new keys each block met, its layout and (checks
+        # with rows at n, a chunk's most keys); the cases walked and the keys met
+        held, met, layouts, plans, done, known = {}, {}, {}, {}, 0, 0
 
         def compute(n, checks, multidegrees, start):
             """The columns of the chunk of new keys at positions from start."""
@@ -670,14 +624,16 @@ class GridSweep:
                 # from index stop on has its next case before the cap
                 gap = sum(sizes[k : deepest + 1]) + sum(sizes[1 : k + 1])
                 n, stop = m - k, 0 if m == top or k == codim else cap - gap
+                # the cases with a degree 1 are block (m - 1, k - 1)'s, in order
+                ranges, first = met.setdefault(n, []), known
+                earlier = chain.from_iterable(ranges)
                 cases = combinations_with_replacement(degrees, k)
                 for degs in cases:
                     if done == cap:
                         self.truncated = True
                         return
                     if k > 1 and degs[0] == 1:  # a later case of an earlier block's key
-                        key, chunk, batch = (n, degs[degs.count(1) :]), (degs,), None
-                        i = where.pop(key) if done >= stop else where[key]
+                        i, chunk, batch = next(earlier), (degs,), None
                     else:  # a new key's first case: a chunk of it and the next new keys
                         if n not in plans:
                             checks = [name for name in names if _RULES[name][3](n)]
@@ -686,8 +642,6 @@ class GridSweep:
                         chunk = [degs, *islice(cases, min(fit, cap - done) - 1)]
                         i, batch = known, compute(n, checks, chunk, known)
                         known += len(chunk)
-                        for j, degs in zip(count(i), chunk[: max(stop - done, 0)]):
-                            where[n, degs[degs.count(1) :]] = j
                     rows = len(layouts[n][0])
                     for degs in chunk:
                         last = done >= stop
@@ -699,6 +653,7 @@ class GridSweep:
                             (self.flagged if row[6] else self.violations).append(report)
                         yield i, degs, batch, last
                         i, batch = i + 1, None
+                ranges.append(range(first, known))
 
 
 def verify_grid(spec: GridSpec, stream=None, fmt: str | None = None) -> GridSweep:

@@ -21,13 +21,15 @@ Betti numbers, the ground truth of the Betti bounds, are those of P^n off
 the middle (Lefschetz and duality); the middle one makes up the Euler
 characteristic.
 
-``bounds._Chunk`` builds every series that the grid checks, ``table`` and
+``_Chunk`` builds every series that the grid checks, ``table`` and
 ``verify --sigma`` read, for a chunk of varieties at a time, in one loop
-over the varieties that walks each one's degrees once. The Schur check
-reads its dual sequences from ``twist_duals``, one list per variety, and
-its determinants from the helpers below. ``tangent_chern``, read from a
-one-variety chunk, ``euler_characteristic`` and ``betti_numbers`` are the
-same values for one variety, cached for library callers.
+over the varieties that walks each one's degrees once; the grid sweep and
+the signature check read it as charbound.bounds._Chunk. The Schur check
+reads its dual sequences from ``twist_duals``, over the same roots 2 and
+2 - d_j, one list per variety, and its determinants from the helpers
+below. ``tangent_chern``, read from a one-variety chunk,
+``euler_characteristic`` and ``betti_numbers`` are the same values for
+one variety, cached for library callers.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import comb
-from operator import itemgetter, sub
+from operator import add, itemgetter, mul, sub
 
 from .varieties import CompleteIntersection
 
@@ -51,9 +53,7 @@ class DegreeError(ValueError):
 def tangent_chern(ci: CompleteIntersection) -> tuple:
     """a_0..a_n with c_i(T) = a_i * h^i, via the ambient/normal quotient:
     the coefficients of (1+h)^(m+1) / prod_j (1 + d_j h) up to h^n, read
-    from a bounds._Chunk of the one variety."""
-    from .bounds import _Chunk  # charbound.bounds imports this module
-
+    from a _Chunk of the one variety."""
     return tuple(_Chunk(ci.dimension, [ci.multidegree]).tangent[0])
 
 
@@ -124,6 +124,56 @@ def twist_duals(m: int, n: int, multidegrees) -> list:
                 b[i] -= r * b[i - 1]
         out.append(b)
     return out
+
+
+class _Chunk:
+    """The Chern and Betti ints of some complete intersections of one
+    dimension n, those of the given multidegrees, all of one length k, in
+    P^(n + k): every value a grid check, `table` or the signature check
+    reads. A series or running product is one list per variety, a number
+    one column: a list with one int per variety, in the chunk's order. One
+    loop over the varieties builds every series, each variety's from one
+    walk over its degrees."""
+
+    def __init__(self, n: int, multidegrees: list):
+        self.n, self.size, self.multidegrees = n, len(multidegrees), multidegrees
+        # C(m+1, i), the multiples of (1+h)^(m+1) on P^m, m = n + k; those of
+        # (m+1)O(1) less an O(r) divide it by (1 + r h): b_i -= r * b_(i-1)
+        row, steps = binomial_row(n + len(multidegrees[0]) + 1, n), range(1, n + 1)
+        # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
+        # O(2) - sum_j O(2 - d_j): every variety shares the root 2
+        nef = row[:]
+        for i in steps:
+            nef[i] -= 2 * nef[i - 1]
+        found = []
+        for degrees in multidegrees:
+            d, tangent, twisted = 1, row[:], nef[:]
+            for r in degrees:
+                d *= r
+                s = 2 - r
+                for i in steps:
+                    tangent[i] -= r * tangent[i - 1]
+                    twisted[i] -= s * twisted[i - 1]
+            # running products from d: a^i d, the degree sequence of the ample
+            # A = K + (n+2)h with K = -c_1; d^(i+1), its bounds; and
+            # d (d+n-2)^w, the Chern number bounds by weight w
+            a, base, x, y, z = n + 2 - tangent[1], d + n - 2, d, d, d
+            sequence, cap, power = [d], [d], [d]
+            for _ in steps:
+                x, y, z = x * a, y * d, z * base
+                sequence.append(x)
+                cap.append(y)
+                power.append(z)
+            found.append((d, tangent, twisted, sequence, cap, power))
+        columns = map(list, zip(*found))
+        self.ds, self.tangent, self.twisted, self.sequence, self.degree_powers, self.powers = columns
+        self.chi = chi = [*map(mul, self.ds, map(itemgetter(n), self.tangent))]
+        # the columns (sum_i b_i, sum_i (-1)^i b_i): off the middle the
+        # numbers add up to n + n % 2 either way, and the middle one counts
+        # with sign (-1)^n in the alternating sum
+        off, middles = n + n % 2, middle_betti(n, chi)
+        total = [*map(add, repeat(off), middles)]
+        self.betti_sums = total, total if n % 2 == 0 else [*map(sub, repeat(off), middles)]
 
 
 def hook_classes(a, b) -> list:

@@ -21,7 +21,7 @@ from math import comb
 from operator import mul
 from types import SimpleNamespace
 
-from .chern import betti_from_euler
+from .chern import _Chunk, betti_from_euler
 from .schubert import (
     Grassmannian,
     GradingError,
@@ -212,18 +212,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_signature(args) -> int:
     from .bounds import signature_check
-    from .report import write_json
 
     ci = _variety_from_args(args)
-
-    def check(out):
-        report = signature_check(ci, args.sigma)
-        if out is not None:
-            write_json(out, (report,))
-        return report
-
+    check = partial(signature_check, ci, args.sigma)
     # an --out file is opened before the check runs, as for a grid
-    report = check(None) if args.out is None else _write_out(check, args.out)
+    report = check() if args.out is None else _write_out(check, args.out)
     status = "satisfied" if report.satisfied else "violated"
     print(
         f"signature check on {ci}: |3*sigma|={exact_decimal(abs(report.exact_value))} "
@@ -238,7 +231,7 @@ def _cmd_verify_signature(args) -> int:
 
 # -- table -----------------------------------------------------------------
 
-# quantity -> its value, read from a bounds._Chunk of the one variety: the
+# quantity -> its value, read from a chern._Chunk of the one variety: the
 # tangent multiples a_0..a_n give K = -a_1, the ample class A = K + (n+2)h
 # and chi = d * a_n
 TABLE = {
@@ -259,8 +252,6 @@ TABLE_QUANTITIES = tuple(TABLE)
 
 
 def _cmd_table(args) -> int:
-    from .bounds import _Chunk
-
     ci = _variety_from_args(args)
     if ci.dimension > MAX_BOUND_N:
         raise UsageError(f"table needs dimension <= {MAX_BOUND_N}, got {ci.dimension}")

@@ -9,9 +9,10 @@ degree per key, and per key its rows' exact values, bounds and the rest
 (see bounds._columns), over a layout that starts with the rows' subjects
 and indices. notes is a function: notes(j) gives the notes of the j-th
 key's rows, built only when called. clean says that every row of the batch
-is satisfied and none is degenerate; a batch without it is not clean. The
-stream gives a batch at the first case of its first key only, and last
-says that no case of the key follows.
+is satisfied and none is degenerate. Every batch is bounds._columns
+output, the signature check's one-key batch among them. The stream gives a
+batch at the first case of its first key only, and last says that no case
+of the key follows.
 
 The rows of a key render through one %-template, built once per document
 for each layout object, n and cleanness, so the keys of one grid dimension
@@ -207,7 +208,7 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
     # keeps its id from going to another object while the document is written
     templates = {}
 
-    def texts(n, ds, layout, exacts, bounds, oks, margins, flags, notes, clean=False):
+    def texts(n, ds, layout, exacts, bounds, oks, margins, flags, notes, clean):
         """(Text of a key's rows, the mark where its d and multidegree go,
         the d text before the multidegree), for each key of a batch."""
         if not layout[0]:
@@ -256,17 +257,3 @@ def _json_head(spec, cases: int, truncated: bool, violations: int) -> str:
         f'  "truncated": {"true" if truncated else "false"},\n'
         f'  "violations": {exact_decimal(violations)},\n'
     )
-
-
-def write_json(stream, reports) -> None:
-    """``{"reports": [...]}`` for a report list, each report a batch of one
-    one-row key, its note as given."""
-
-    def batch(subject, n, d, _, index, *row):
-        *columns, notes = zip(zip(row))
-        return (n, (d,), ((subject,), (index,)), *columns, notes.__getitem__)
-
-    cases = ((i, r.multidegree, batch(*r), True) for i, r in enumerate(reports))
-    _write(stream, "json", cases)
-
-

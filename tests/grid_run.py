@@ -112,9 +112,9 @@ def label_runs(labels, blocks, sizes) -> dict:
 
 
 def with_sequence(rewrite):
-    """bounds._Chunk, with each key's degree sequence replaced by
+    """chern._Chunk, with each key's degree sequence replaced by
     rewrite(n, d, sequence); patched over charbound.bounds._Chunk, every
-    chunk the sweep and the CLI build reads it."""
+    chunk the sweep builds reads it, through `verify` too."""
 
     class Chunk(_Chunk):
         def __init__(self, n, multidegrees):

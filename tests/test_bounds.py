@@ -7,7 +7,7 @@ import types
 from contextlib import contextmanager, nullcontext
 from decimal import Decimal
 from functools import partial
-from itertools import combinations_with_replacement, count, cycle, groupby, islice
+from itertools import combinations_with_replacement, count, cycle, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii, py_encode_basestring_ascii
 from math import comb, prod
 from pathlib import Path
@@ -46,7 +46,7 @@ from charbound.bounds import (
 )
 from charbound.chern import DegreeError
 from charbound.cli import main
-from charbound.report import _json_head, _write, write_json
+from charbound.report import _json_head, _write
 from charbound.varieties import CompleteIntersection, MultiIndex, partitions_of
 import chern_oracle as oracle
 from determinants import long_side_schur
@@ -1063,12 +1063,12 @@ def test_a_failing_euler_row_keeps_its_own_note(monkeypatch):
     # with a note that gives both sides
     spec = GridSpec(max_ambient_dim=5, max_degree_per_factor=4, max_cases=10**6)
     clean = json_run(spec)
-    middle_betti = charbound.bounds.middle_betti
+    middle_betti = charbound.chern.middle_betti
 
     def one_more(n, chis):
         return [b + ((n, chi) == (2, 8)) for b, chi in zip(middle_betti(n, chis), chis)]
 
-    monkeypatch.setattr("charbound.bounds.middle_betti", one_more)
+    monkeypatch.setattr("charbound.chern.middle_betti", one_more)
     expected = [
         r._replace(exact_value=-1, satisfied=False, margin=-1, note="chi=8 alternating_betti=9")
         for r in clean.reports
@@ -1272,14 +1272,24 @@ multidegrees = maybe_ints | st.sampled_from(((2, 3), (1, 1, 2)))
 def writer_keys(keys):
     """Keys (n, d, rows) of report rows without n, d and multidegree, each
     as the writer core takes a batch of one key: (n, (d,), layout, (exacts,),
-    (bounds,), (satisfied,), (margins,), (degenerate,), notes), notes(0) the
-    key's notes. Keys given the same rows object share one layout object."""
+    (bounds,), (satisfied,), (margins,), (degenerate,), notes, clean),
+    notes(0) the key's notes and clean False. Keys given the same rows
+    object share one layout object."""
     layouts, out = {}, []
     for n, d, rows in keys:
         subjects, indices, *columns, notes = zip(*rows) if rows else ((),) * 8
         layout = layouts.setdefault(id(rows), (subjects, indices))
-        out.append((n, (d,), layout, *zip(columns), (notes,).__getitem__))
+        out.append((n, (d,), layout, *zip(columns), (notes,).__getitem__, False))
     return out
+
+
+def report_list_json(reports) -> str:
+    """The writer core's JSON document of a report list, head "": one
+    one-key batch of one row per report."""
+    keys = writer_keys([(r.n, r.d, ((r.subject, *r[4:]),)) for r in reports])
+    buffer = io.StringIO()
+    _write(buffer, "json", zip(count(), (r.multidegree for r in reports), keys, repeat(True)))
+    return buffer.getvalue()
 
 
 def row_reports(keys, labels):
@@ -1453,15 +1463,14 @@ def test_writers_match_stdlib_serializers(spec, truncated, layout):
     ]
     assert exceptions == [r for r in reports if r.degenerate or not r.satisfied]
     rendered = render_layout(keys, labels, _json_head(spec, len(labels), truncated, len(violations)))
-    # the signature check's --out file: a document with the report list alone
-    buffer = io.StringIO()
-    write_json(buffer, reports)
+    # a document with the report list alone
+    listed = report_list_json(reports)
     with unlimited_int_digits():  # the stdlib oracles print every int with str()
         payload, expected = oracle_json(spec, len(labels), truncated, reports)
         assert json.loads(rendered["json"]) == payload
         documents = oracle_documents(reports)
         assert rendered == {**documents, "json": expected}
-        assert buffer.getvalue() == documents["json"]
+        assert listed == documents["json"]
     assert json_reports(rendered["json"]) == reports
 
 
@@ -1475,11 +1484,10 @@ def test_writer_core_renders_any_values(layout, listed):
     reports = row_reports(keys, labels)
     rendered = render_core(keys, labels)
     listed = row_reports(*listed)
-    buffer = io.StringIO()
-    write_json(buffer, listed)
+    text = report_list_json(listed)
     with unlimited_int_digits():
         assert rendered == oracle_documents(reports)
-        assert buffer.getvalue() == oracle_documents(listed)["json"]
+        assert text == oracle_documents(listed)["json"]
 
 
 def test_writers_keep_layouts_of_one_dimension_apart():
@@ -1525,13 +1533,12 @@ def test_writers_keep_layouts_of_one_dimension_apart():
 def test_json_strings_are_quoted_as_the_json_package_quotes_them(text):
     # the writer quotes with _json's C function, not through the json package
     report = BoundReport(text, 1, 1, (1,), None, 0, 0, True, 0, False, text)
-    buffer = io.StringIO()
-    write_json(buffer, [report])
+    rendered = report_list_json([report])
     quoted = encode_basestring_ascii(text)
     assert quoted == py_encode_basestring_ascii(text)
-    assert f'"subject": {quoted},\n' in buffer.getvalue()
-    assert f'"note": {quoted}\n' in buffer.getvalue()
-    assert buffer.getvalue() == json.dumps({"reports": [oracle_dict(report)]}, indent=2) + "\n"
+    assert f'"subject": {quoted},\n' in rendered
+    assert f'"note": {quoted}\n' in rendered
+    assert rendered == json.dumps({"reports": [oracle_dict(report)]}, indent=2) + "\n"
 
 
 def test_writers_on_an_empty_report_list():

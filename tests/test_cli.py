@@ -534,23 +534,26 @@ def test_verify_signature_violation_exits_one(capsys):
 
 
 def test_verify_signature_out_file_bytes(tmp_path, capsys):
+    # a violated signature, and a satisfied one, which renders as a clean batch
     out = tmp_path / "sig.json"
-    code, _, _ = run(capsys, "verify", "--sigma", "33", "-m", "5", "-D", "2", "--out", str(out))
-    assert code == 1
-    report = {
-        "subject": "signature",
-        "n": 4,
-        "d": 2,
-        "multidegree": [2],
-        "index": None,
-        "exact": 99,
-        "bound": 98,
-        "satisfied": False,
-        "margin": -1,
-        "degenerate": False,
-        "note": "sigma supplied externally; c2^2 computed",
-    }
-    assert out.read_text() == json.dumps({"reports": [report]}, indent=2) + "\n"
+    for sigma, exact, satisfied, margin in ((33, 99, False, -1), (0, 0, True, 98)):
+        argv = ("verify", "--sigma", str(sigma), "-m", "5", "-D", "2", "--out", str(out))
+        code, _, _ = run(capsys, *argv)
+        assert code == (0 if satisfied else 1), sigma
+        report = {
+            "subject": "signature",
+            "n": 4,
+            "d": 2,
+            "multidegree": [2],
+            "index": None,
+            "exact": exact,
+            "bound": 98,
+            "satisfied": satisfied,
+            "margin": margin,
+            "degenerate": False,
+            "note": "sigma supplied externally; c2^2 computed",
+        }
+        assert out.read_text() == json.dumps({"reports": [report]}, indent=2) + "\n", sigma
 
 
 def test_verify_signature_prints_long_values_in_full(tmp_path, capsys):
@@ -702,11 +705,14 @@ def test_variety_files_reject_non_integer_sizes_and_unknown_keys(tmp_path, capsy
 
 
 def test_table_refuses_a_dimension_past_the_cap_before_computing(capsys, monkeypatch):
-    monkeypatch.setattr("charbound.bounds._Chunk", lambda n, multidegrees: pytest.fail("computed"))
+    monkeypatch.setattr("charbound.cli._Chunk", lambda n, multidegrees: pytest.fail("computed"))
     code, out, err = run(capsys, "table", "-m", "3000", "-D", "2")
     assert code == 2
     assert out == ""
     assert "dimension <= 256, got 2999" in err
+    # the patch is the chunk `table` builds: a legal call under it computes
+    with pytest.raises(pytest.fail.Exception, match="computed"):
+        run(capsys, "table", "-m", "257", "-D", "1", "--quantities", "dimension")
     monkeypatch.undo()
     code, out, _ = run(capsys, "table", "-m", "257", "-D", "1", "--quantities", "dimension")
     assert (code, out) == (0, "variety: m=257 deg=(1)\ndimension: 256\n")

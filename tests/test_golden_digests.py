@@ -199,13 +199,14 @@ def test_frontier_summary_memory_holds_only_keys_with_cases_left(probe_env):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_frontier_d4_summary_memory_holds_no_list_of_cases(probe_env):
     # 20,360,719 reports of 98,256 cases from 17,549 keys; listing every case
-    # and its key position up front peaked at about 66 MB, and walking the
-    # grid one block at a time, holding only the positions of keys with
-    # cases left, peaks at about 43 MB
+    # and its key position up front peaked at about 66 MB, a map from each key
+    # with cases left to its position at about 43 MB, and reading a later
+    # case's position from the block order, one range of positions per block
+    # walked, peaks at about 39 MB
     argv = "verify --max-ambient-dim 24 --max-degree 4 --max-codim 23 --max-cases 1000000"
     out, peak_mb = peak_rss_mb(argv, probe_env)
     assert out == "cases=98256 truncated=false reports=20360719 flagged=46 violations=0\n"
-    assert peak_mb < 52, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 41, f"peak RSS {peak_mb:.0f} MB"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets RLIMIT_AS")
