@@ -23,7 +23,6 @@ from .chern import (
     giambelli,
     giambelli_plan,
     hook_classes,
-    twist_duals,
 )
 from .report import _json_head, _write
 from .varieties import (
@@ -37,8 +36,8 @@ from .varieties import (
 
 # every check of a dimension-n case walks all partitions of weight <= n, a
 # count that grows exponentially in n; the 23 hypersurfaces of the grid
-# max_ambient_dim=24, max_degree_per_factor=1, max_codim=1 take about 0.25 s
-# in a fresh process
+# max_ambient_dim=24, max_degree_per_factor=1, max_codim=1 take about 0.16 s
+# in a fresh process (best of 3 on a 2-core Xeon)
 MAX_AMBIENT_DIM = 24
 # a grid may hold at most this many cases after its max_cases cap; counted in
 # closed form before anything is enumerated, so a huge degree or case cap is
@@ -180,27 +179,28 @@ def blowup_euler(
 
 # -- checks ----------------------------------------------------------------
 # The grid computes its keys a chunk at a time (see GridSweep), and each
-# check gives the columns (indices, values, bounds, notes) of its rows for
-# every key of a _Chunk, all from plain ints. ``indices`` is one tuple for
-# every key of the dimension, from its _Tables. ``values`` and ``bounds``
-# hold one sequence per key: the key's row exact values and bounds.
-# ``notes`` is None where every note is "", else a function of a key's
-# place in the chunk that gives its rows' notes, so a note is built only
-# for a key whose notes are read. A check works on all of the chunk's keys
-# at once: a number per key is a column built by C-level map passes, a
-# series or running product a list per key that the chunk builds in its one
-# loop over the keys, and the partition-indexed rows (Chern numbers, Schur
-# pairings) a loop over each key's rows, so a chunk of one key does the
-# big-int work of one key. The table below says which lower limit and which
-# bound base apply to the rows, and how many rows each check gives a key of
-# dimension n; the sweep calls a check only where that count is not 0.
+# check gives the columns (values, bounds, notes) of its rows for every key
+# of a _Chunk, all from plain ints. ``values`` and ``bounds`` hold one
+# sequence per key: the key's row exact values and bounds. ``notes`` is
+# None where every note is "", else a function of a key's place in the
+# chunk that gives its rows' notes, so a note is built only for a key whose
+# notes are read. A check works on all of the chunk's keys at once: a
+# number per key is a column built by C-level map passes, a series or
+# running product a list per key that the chunk builds in its one loop over
+# the keys, and the partition-indexed rows (Chern numbers, Schur pairings)
+# a loop over each key's rows, so a chunk of one key does the big-int work
+# of one key. The table below says which lower limit and which bound base
+# apply to the rows, and gives each check's index column at dimension n
+# from its _Tables: one index per row, the same for every key of n, so the
+# rows at n are counted and laid out before any key is computed. The sweep
+# calls a check only where that column is not empty.
 
 
 class _Tables:
     """What every variety of dimension n shares; build it through _tables(n),
     which extends the tables one dimension down."""
 
-    __slots__ = ("indices", "weights", "by_weight", "steps", "plans", "singles")
+    __slots__ = ("indices", "weights", "by_weight", "steps", "plans", "singles", "fourths")
 
     def __init__(self, n: int):
         if n == 0:
@@ -220,6 +220,8 @@ class _Tables:
         # chern.giambelli_plan of each shape, the indices after ()
         self.plans = below.plans + tuple(map(giambelli_plan, new))
         self.singles = below.singles + ((n,),)
+        # the partitions of n/4 where 4 | n: the Pontryagin indices
+        self.fourths = () if n % 4 else tuple(partitions_of(n // 4))
 
 
 # one entry per dimension, at most MAX_AMBIENT_DIM of them
@@ -242,20 +244,20 @@ def _products(left, right) -> list:
 
 
 def _degree_sequence_rows(c):
-    return _tables(c.n).singles, c.sequence, c.degree_powers, None
+    return c.sequence, c.degree_powers, None
 
 
 def _log_concavity_rows(c):
     seq = c.sequence
     middle = [*map(itemgetter(slice(1, -1)), seq)]
     products = _products(map(itemgetter(slice(2, None)), seq), seq)
-    return _tables(c.n).singles[2:], products, _products(middle, middle), None
+    return products, _products(middle, middle), None
 
 
 def _nef_chern_rows(c):
     t = _tables(c.n)
     values = [*map(_chern_numbers, repeat(t), c.ds, c.twisted)]
-    return t.indices, values, [*map(t.by_weight, c.powers)], None
+    return values, [*map(t.by_weight, c.powers)], None
 
 
 def _cotangent_chern_rows(c):
@@ -264,18 +266,18 @@ def _cotangent_chern_rows(c):
     signs = (1, -1) * (c.n // 2 + 1)
     values = [*map(_chern_numbers, repeat(t), c.ds, _products(c.tangent, repeat(signs)))]
     bounds = map(t.by_weight, _products(c.powers, repeat(repeat(scale))))
-    return t.indices, values, [*bounds], None
+    return values, [*bounds], None
 
 
 def _betti_rows(c):
     # betti_bound(n, d) = 2^(n^2+2) * d^(n+1)
     bounds = map(mul, map(itemgetter(c.n), c.degree_powers), repeat(2 ** (c.n * c.n + 2)))
-    return (None,), [*zip(c.betti_sums[0])], [*zip(bounds)], None
+    return [*zip(c.betti_sums[0])], [*zip(bounds)], None
 
 
 def _recursive_betti_rows(c):
     bounds = map(betti_bound_recursive, repeat(c.n), c.ds)
-    return (None,), [*zip(c.betti_sums[0])], [*zip(bounds)], None
+    return [*zip(c.betti_sums[0])], [*zip(bounds)], None
 
 
 def _euler_rows(c):
@@ -284,16 +286,15 @@ def _euler_rows(c):
     def notes(j):
         return (f"chi={chi[j]} alternating_betti={alternating[j]}",)
 
-    return (None,), [*zip(map(sub, chi, alternating))], [(0,)] * c.size, notes
+    return [*zip(map(sub, chi, alternating))], [(0,)] * c.size, notes
 
 
 def _schur_positivity_rows(c):
     # s_lambda = D * h^|lambda|, paired with h^(n - |lambda|); the check is
     # one-sided with bound 0, so a row's value is its shortfall
     # min(pairing, 0) and its note the pairing
-    t, n = _tables(c.n), c.n
-    duals = twist_duals(n + len(c.multidegrees[0]), n, c.multidegrees)
-    hooks = map(hook_classes, c.twisted, duals)
+    t = _tables(c.n)
+    hooks = map(hook_classes, c.twisted, c.duals)
     pairings = [[giambelli(plan, found) * d for plan in t.plans] for d, found in zip(c.ds, hooks)]
     # nearly every pairing is >= 0, so its shortfall is 0
     zeros = [(0,) * len(t.plans)] * c.size
@@ -307,12 +308,11 @@ def _schur_positivity_rows(c):
         except ValueError:  # an int past str()'s digit limit
             return tuple("pairing=" + exact_decimal(pairing) for pairing in pairings[j])
 
-    return t.indices[1:], shortfalls, zeros, notes
+    return shortfalls, zeros, notes
 
 
 def _pontryagin_rows(c):
-    n = c.n
-    indices = () if n % 4 else tuple(partitions_of(n // 4))
+    n, indices = c.n, _tables(c.n).fourths
     # the Pontryagin index j reads the squared class c_2j of the nef twist;
     # pontryagin_bound(n, d) = 2^(n^2+3n) * d * (d+n-2)^n
     values = [
@@ -320,30 +320,21 @@ def _pontryagin_rows(c):
         for d, twisted in zip(c.ds, c.twisted)
     ]
     bounds = [[2 ** (n * n + 3 * n) * powers[n]] * len(indices) for powers in c.powers]
-    return indices, values, bounds, None
-
-
-def _index_count(n: int) -> int:
-    """sum_(k<=n) p(k): the multi-indices of weight at most n, () among them."""
-    return len(_tables(n).indices)
-
-
-def _pontryagin_count(n: int) -> int:
-    return 0 if n % 4 else len(tuple(partitions_of(n // 4)))
+    return values, bounds, None
 
 
 # name -> (rows, least legal exact value or None, bound has the base (d+n-2),
-# the number of rows the check gives each key of dimension n)
+# the index of each row the check gives a key of dimension n, from its _Tables)
 _RULES = {
-    "degree-sequence": (_degree_sequence_rows, 1, False, lambda n: n + 1),
-    "log-concavity": (_log_concavity_rows, None, False, lambda n: n - 1),
-    "nef-chern": (_nef_chern_rows, 0, True, _index_count),
-    "cotangent-chern": (_cotangent_chern_rows, None, True, _index_count),
-    "betti": (_betti_rows, None, False, lambda n: 1),
-    "betti-recursive": (_recursive_betti_rows, None, False, lambda n: 1),
-    "euler": (_euler_rows, None, False, lambda n: 1),
-    "schur-positivity": (_schur_positivity_rows, None, False, lambda n: _index_count(n) - 1),
-    "pontryagin": (_pontryagin_rows, None, True, _pontryagin_count),
+    "degree-sequence": (_degree_sequence_rows, 1, False, lambda t: t.singles),
+    "log-concavity": (_log_concavity_rows, None, False, lambda t: t.singles[2:]),
+    "nef-chern": (_nef_chern_rows, 0, True, lambda t: t.indices),
+    "cotangent-chern": (_cotangent_chern_rows, None, True, lambda t: t.indices),
+    "betti": (_betti_rows, None, False, lambda t: (None,)),
+    "betti-recursive": (_recursive_betti_rows, None, False, lambda t: (None,)),
+    "euler": (_euler_rows, None, False, lambda t: (None,)),
+    "schur-positivity": (_schur_positivity_rows, None, False, lambda t: t.indices[1:]),
+    "pontryagin": (_pontryagin_rows, None, True, lambda t: t.fourths),
 }
 
 CHECK_NAMES = tuple(_RULES)
@@ -353,28 +344,29 @@ _CHECKS = {name: rule[0] for name, rule in _RULES.items()}
 
 
 def _row_count(names, n: int) -> int:
-    """The rows the checks ``names`` give each key of dimension n, counted
-    in closed form before any key is computed: over all nine, 2n + 2 +
+    """The rows the checks ``names`` give each key of dimension n, read from
+    their index columns before any key is computed: over all nine, 2n + 2 +
     3 * sum_(k<=n) p(k) + [4 | n] * p(n/4)."""
-    return sum(_RULES[name][3](n) for name in names)
+    t = _tables(n)
+    return sum(len(_RULES[name][3](t)) for name in names)
 
 
-def _layout(names, columns) -> tuple:
+def _layout(names, n: int) -> tuple:
     """(subjects, indices, limits, based): the rows that the checks
-    ``names`` gave as ``columns`` for a chunk, and so for every variety of
-    its dimension. A check's rows are contiguous. ``limits`` holds (start,
-    stop, least) for the rows of each check with a lower limit. A row is
-    based when its bound has the base (d+n-2) as a factor: the rows of a
-    check with that base whose index is not empty."""
-    subjects, indices, limits, based = [], [], [], []
-    for name, (index_column, *_) in zip(names, columns):
-        _, least, has_base, _ = _RULES[name]
-        start = len(subjects)
-        if least is not None and index_column:
-            limits.append((start, start + len(index_column), least))
-        subjects += repeat(name, len(index_column))
-        indices += index_column
-        based += [has_base and bool(index) for index in index_column]
+    ``names`` give every variety of dimension n, from their index columns.
+    A check's rows are contiguous. ``limits`` holds (start, stop, least)
+    for the rows of each check with a lower limit. A row is based when its
+    bound has the base (d+n-2) as a factor: the rows of a check with that
+    base whose index is not empty."""
+    t, subjects, indices, limits, based = _tables(n), [], [], [], []
+    for name in names:
+        _, least, has_base, column = _RULES[name]
+        found, start = column(t), len(subjects)
+        if least is not None and found:
+            limits.append((start, start + len(found), least))
+        subjects += repeat(name, len(found))
+        indices += found
+        based += [has_base and bool(index) for index in found]
     return tuple(subjects), tuple(indices), tuple(limits), tuple(based)
 
 
@@ -441,15 +433,21 @@ class GridSpec(Record):
             )
 
     @property
+    def _block_sizes(self) -> list:
+        """C(D+k-1, k), the cases of a block of codimension k, for k from 0
+        to the deepest a block reaches. No degree above max_cases + 1 is
+        reached before the cap, so D is cut to it: where that cuts, C(D, 1)
+        alone passes the cap, with or without the cut."""
+        top = min(self.max_degree_per_factor, self.max_cases + 1)
+        deepest = min(self.max_codim, self.max_ambient_dim - 1)
+        return [comb(top + k - 1, k) for k in range(deepest + 1)]
+
+    @property
     def case_count(self) -> int:
-        """verify_grid(self).case_count in closed form: k factors of degree
-        at most D, in P^m, make C(D+k-1, k) cases, summed over m and k and
-        capped by max_cases."""
-        total = sum(
-            comb(self.max_degree_per_factor + k - 1, k)
-            for m in range(2, self.max_ambient_dim + 1)
-            for k in range(1, min(m - 1, self.max_codim) + 1)
-        )
+        """verify_grid(self).case_count in closed form: the sizes of the
+        blocks of each P^m, codimension 1 to m - 1, summed and capped."""
+        sizes = self._block_sizes
+        total = sum(sum(sizes[1:m]) for m in range(2, self.max_ambient_dim + 1))
         return min(total, self.max_cases)
 
     @classmethod
@@ -547,11 +545,10 @@ class GridSweep:
     of an earlier block; the rest, every k-multiset of degrees >= 2 (and
     P^(m-1) for k = 1), are the first cases of new keys. At the first of
     them the sweep takes the next cases of the block as a chunk (see
-    chern._Chunk), CHUNK_ROWS rows' worth of keys by the closed-form row
-    count (_row_count) but never fewer than CHUNK_KEYS, runs the checks over
-    it and derives its columns once. The notes stay the checks' functions of a
-    key's place in the chunk; only a JSON document and the exception rows
-    call them. A key's next case lies at the same place of block (m + 1,
+    chern._Chunk), CHUNK_ROWS rows' worth of keys but never fewer than
+    CHUNK_KEYS, runs the checks over it and derives its columns once. The
+    notes stay the checks' functions of a key's place in the chunk; only a
+    JSON document and the exception rows call them. A key's next case lies at the same place of block (m + 1,
     k + 1), so a case is its key's last where m or k is at its top or the
     case cap falls before that place; and a block's cases with a degree 1
     take the key positions of block (m - 1, k - 1) in turn, those of the
@@ -564,8 +561,11 @@ class GridSweep:
     A degree-1 factor is a linear re-embedding: X cut by a hyperplane of P^m
     is X in P^(m-1), with the same n and d, so the checks run once per key
     (n, degrees above 1); (n, ()) is P^n, first met as P^(n+1) cut by (1).
-    Only the selected checks with rows at n run, and where none has, no
-    chunk is built; every key of a dimension shares its first chunk's layout.
+    At the first block of each dimension n the sweep plans it from the
+    checks' index columns alone (see _RULES): the selected checks with rows
+    at n, each one's row count, their layout, which every key of n shares,
+    and the chunk size. Only those checks run, and where none has a row, no
+    chunk is built.
     """
 
     def __init__(self, spec: GridSpec):
@@ -579,29 +579,30 @@ class GridSweep:
     def __iter__(self):
         spec, names = self.spec, self.spec.checks
         top, codim, cap = spec.max_ambient_dim, spec.max_codim, spec.max_cases
-        # no degree above max_cases + 1 is reached before the cap, and the shorter
-        # range keeps combinations_with_replacement under its sys.maxsize limit
-        degrees = range(1, min(spec.max_degree_per_factor, cap + 1) + 1)
-        # the cases of a block of codimension j, for each j a block reaches
-        sizes = [comb(degrees[-1] + j - 1, j) for j in range(min(codim, top - 1) + 1)]
+        # the cases of a block of codimension j, for each j a block reaches;
+        # C(D, 1) = D, the degrees walked, which the cap keeps under
+        # combinations_with_replacement's sys.maxsize limit
+        sizes = spec._block_sizes
+        degrees = range(1, sizes[1] + 1)
         # while a key has cases left, its (d, exception rows) by position if any;
-        # by n, the range of new keys each block met, its layout and (checks
-        # with rows at n, a chunk's most keys); the cases walked and the keys met
-        held, met, layouts, plans, done, known = {}, {}, {}, {}, 0, 0
+        # by n, the range of new keys each block met and the plan (checks with
+        # rows at n, each one's rows, the layout, their sum); the cases walked
+        # and the keys met
+        held, met, plans, done, known = {}, {}, {}, 0, 0
 
-        def compute(n, checks, multidegrees, start):
+        def compute(n, multidegrees, start):
             """The columns of the chunk of new keys at positions from start."""
+            checks, widths, layout, _ = plans[n]
             if checks:
                 c = _Chunk(n, multidegrees)
                 ds, rows = c.ds, [_CHECKS[name](c) for name in checks]
             else:  # no selected check gives the block a row
                 ds, rows = [*map(prod, multidegrees)], []
-            layout = layouts.get(n) or layouts.setdefault(n, _layout(checks, rows))
             # each key's values and bounds over every check, in check order
-            exacts, bounds = _joined_rows(rows, 1, len(ds)), _joined_rows(rows, 2, len(ds))
+            exacts, bounds = _joined_rows(rows, 0, len(ds)), _joined_rows(rows, 1, len(ds))
             # each check's row count and note function, and no other part of
             # its rows: a JSON run holds notes until its sweep ends
-            makers = [(len(index_column), note) for index_column, _, _, note in rows]
+            makers = [*zip(widths, map(itemgetter(2), rows))]
 
             def notes(j) -> tuple:
                 """The chunk's j-th key's notes."""
@@ -624,6 +625,12 @@ class GridSweep:
                 # from index stop on has its next case before the cap
                 gap = sum(sizes[k : deepest + 1]) + sum(sizes[1 : k + 1])
                 n, stop = m - k, 0 if m == top or k == codim else cap - gap
+                if n not in plans:
+                    t = _tables(n)
+                    checks = [name for name in names if _RULES[name][3](t)]
+                    widths = [len(_RULES[name][3](t)) for name in checks]
+                    plans[n] = checks, widths, _layout(checks, n), sum(widths)
+                rows = plans[n][3]
                 # the cases with a degree 1 are block (m - 1, k - 1)'s, in order
                 ranges, first = met.setdefault(n, []), known
                 earlier = chain.from_iterable(ranges)
@@ -635,14 +642,9 @@ class GridSweep:
                     if k > 1 and degs[0] == 1:  # a later case of an earlier block's key
                         i, chunk, batch = next(earlier), (degs,), None
                     else:  # a new key's first case: a chunk of it and the next new keys
-                        if n not in plans:
-                            checks = [name for name in names if _RULES[name][3](n)]
-                            plans[n] = checks, _chunk_keys(_row_count(checks, n))
-                        checks, fit = plans[n]
-                        chunk = [degs, *islice(cases, min(fit, cap - done) - 1)]
-                        i, batch = known, compute(n, checks, chunk, known)
+                        chunk = [degs, *islice(cases, min(_chunk_keys(rows), cap - done) - 1)]
+                        i, batch = known, compute(n, chunk, known)
                         known += len(chunk)
-                    rows = len(layouts[n][0])
                     for degs in chunk:
                         last = done >= stop
                         done += 1

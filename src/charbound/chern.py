@@ -15,7 +15,9 @@ a_0..a_n, and every computation is plain integer arithmetic on it:
   its Durfee size. The hook classes s_(p|q) come from the multiples a and
   their dual sequence b, B(t) = 1 / A(-t), by a two-term recursion. As
   1 / (1-t)^(m+1) = sum_i C(m+i, i) t^i, B(t) is that series times
-  (1 - r t) over the same Chern roots r: one product pass per root.
+  (1 - r t) over the same Chern roots r: one product pass per root. If a
+  plays the complete symmetric functions of the Jacobi-Trudi form, b plays
+  the elementary ones.
 
 Betti numbers, the ground truth of the Betti bounds, are those of P^n off
 the middle (Lefschetz and duality); the middle one makes up the Euler
@@ -23,11 +25,10 @@ characteristic.
 
 ``_Chunk`` builds every series that the grid checks, ``table`` and
 ``verify --sigma`` read, for a chunk of varieties at a time, in one loop
-over the varieties that walks each one's degrees once; the grid sweep and
-the signature check read it as charbound.bounds._Chunk. The Schur check
-reads its dual sequences from ``twist_duals``, over the same roots 2 and
-2 - d_j, one list per variety, and its determinants from the helpers
-below. ``tangent_chern``, read from a one-variety chunk,
+over the varieties that walks each one's degrees once, the dual sequences
+of the Schur check among them; the grid sweep and the signature check read
+it as charbound.bounds._Chunk. The Schur check takes its determinants from
+the helpers below. ``tangent_chern``, read from a one-variety chunk,
 ``euler_characteristic`` and ``betti_numbers`` are the same values for
 one variety, cached for library callers.
 """
@@ -104,28 +105,6 @@ def conjugate(parts: tuple) -> tuple:
     return tuple(sum(1 for p in parts if p > j) for j in range(parts[0] if parts else 0))
 
 
-def twist_duals(m: int, n: int, multidegrees) -> list:
-    """b_0..b_(n-1), for each multidegree, of the nef twist's multiples a of
-    the n-dimensional complete intersection in P^m: the dual sequence,
-    B(t) = 1 / A(-t). A(t) is (1+t)^(m+1) / ((1+2t) prod_j (1+(2-d_j)t)),
-    so B(t) is the product (1-2t) prod_j (1-(2-d_j)t) sum_i C(m+i, i) t^i
-    over the same roots, O(n k) a variety. Multiplying by (1 - r t) is b_i
-    -= r * b_(i-1), from the top down. If a plays the complete symmetric
-    functions of the Jacobi-Trudi form det(a_{lambda_i - i + j}), b plays
-    the elementary ones."""
-    row, steps, out = [*map(comb, range(m, m + n), range(n))], range(n - 1, 0, -1), []
-    for i in steps:
-        row[i] -= 2 * row[i - 1]
-    for degrees in multidegrees:
-        b = row[:]
-        for d in degrees:
-            r = 2 - d
-            for i in steps:
-                b[i] -= r * b[i - 1]
-        out.append(b)
-    return out
-
-
 class _Chunk:
     """The Chern and Betti ints of some complete intersections of one
     dimension n, those of the given multidegrees, all of one length k, in
@@ -136,24 +115,32 @@ class _Chunk:
     walk over its degrees."""
 
     def __init__(self, n: int, multidegrees: list):
-        self.n, self.size, self.multidegrees = n, len(multidegrees), multidegrees
+        self.n, self.size, m = n, len(multidegrees), n + len(multidegrees[0])
         # C(m+1, i), the multiples of (1+h)^(m+1) on P^m, m = n + k; those of
         # (m+1)O(1) less an O(r) divide it by (1 + r h): b_i -= r * b_(i-1)
-        row, steps = binomial_row(n + len(multidegrees[0]) + 1, n), range(1, n + 1)
+        row, steps = binomial_row(m + 1, n), range(1, n + 1)
+        # b_0..b_(n-1) of the duals B(t) = 1 / A(-t) of the nef multiples a:
+        # C(m+i, i) times (1 - r t) for each root r, b_i -= r * b_(i-1) from
+        # the top down
+        dual, down = [*map(comb, range(m, m + n), range(n))], range(n - 1, 0, -1)
         # the cotangent bundle twisted by 2h, which is nef, is (m+1)O(1) -
         # O(2) - sum_j O(2 - d_j): every variety shares the root 2
         nef = row[:]
         for i in steps:
             nef[i] -= 2 * nef[i - 1]
+        for i in down:
+            dual[i] -= 2 * dual[i - 1]
         found = []
         for degrees in multidegrees:
-            d, tangent, twisted = 1, row[:], nef[:]
+            d, tangent, twisted, duals = 1, row[:], nef[:], dual[:]
             for r in degrees:
                 d *= r
                 s = 2 - r
                 for i in steps:
                     tangent[i] -= r * tangent[i - 1]
                     twisted[i] -= s * twisted[i - 1]
+                for i in down:
+                    duals[i] -= s * duals[i - 1]
             # running products from d: a^i d, the degree sequence of the ample
             # A = K + (n+2)h with K = -c_1; d^(i+1), its bounds; and
             # d (d+n-2)^w, the Chern number bounds by weight w
@@ -164,9 +151,9 @@ class _Chunk:
                 sequence.append(x)
                 cap.append(y)
                 power.append(z)
-            found.append((d, tangent, twisted, sequence, cap, power))
-        columns = map(list, zip(*found))
-        self.ds, self.tangent, self.twisted, self.sequence, self.degree_powers, self.powers = columns
+            found.append((d, tangent, twisted, duals, sequence, cap, power))
+        self.ds, self.tangent, self.twisted, self.duals, *products = map(list, zip(*found))
+        self.sequence, self.degree_powers, self.powers = products
         self.chi = chi = [*map(mul, self.ds, map(itemgetter(n), self.tangent))]
         # the columns (sum_i b_i, sum_i (-1)^i b_i): off the middle the
         # numbers add up to n + n % 2 either way, and the middle one counts
@@ -179,7 +166,7 @@ class _Chunk:
 def hook_classes(a, b) -> list:
     """The hook classes s_(p|q) = sum_k (-1)^k a_(p+1+k) b_(q-k) of weight
     p + q + 1 from 1 to len(a) - 1, for b the dual sequence of a (see
-    twist_duals), of which b_0..b_(len(a) - 2) are read.
+    _Chunk), of which b_0..b_(len(a) - 2) are read.
 
     They are listed by weight w and, within a weight, by q from 0 up, so
     s_(p|q) sits at w(w-1)/2 + q. Each is a_(p+1) b_q - s_(p+1|q-1), and

@@ -47,10 +47,10 @@ MAX_TABLE_D = 10**30
 MAX_POWER_DIGITS = 18
 # `schubert --power` and `--giambelli` work on the shapes of the q x (N-q)
 # box, each a q-tuple, so both the shape count C(N, q) and the cell count
-# q(N-q) are capped. The slowest accepted queries found take about 2.3 s in a
-# fresh process: `-q 5 -N 30 --power sigma5^24`, one factor short of the box,
-# walks the whole forward product; a product that fills the box is paired by
-# duality and takes about half that (`sigma5^25`, 1.2 s)
+# q(N-q) are capped. The slowest accepted query found, `-q 5 -N 30 --power
+# sigma5^24`, one factor short of the box, walks the whole forward product in
+# about 1.4 s (a fresh process, best of 3, 2-core Xeon); a product that fills
+# the box is paired by duality in about half that (`sigma5^25`, 0.8 s)
 MAX_SCHUBERT_SHAPES = 150_000
 MAX_SCHUBERT_CELLS = 200
 # `schubert --degree` computes (q(N-q))!; at the cap it takes under a second

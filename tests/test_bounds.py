@@ -19,12 +19,14 @@ from hypothesis import Phase, example, given, settings, strategies as st
 import charbound.bounds
 from charbound.bounds import (
     _CHECKS,
+    _RULES,
     _Chunk,
     _chunk_keys,
     _columns,
     _layout,
     _row_count,
     _rows,
+    _tables,
     CHUNK_KEYS,
     CHUNK_ROWS,
     CHECK_NAMES,
@@ -379,10 +381,8 @@ def partition_counts(top: int) -> list:
 
 
 def layout_rows(names, n: int) -> int:
-    """The rows of the layout the checks ``names`` build from a real
-    one-key chunk of dimension n."""
-    c = _Chunk(n, [(2,)])
-    return len(_layout(names, [_CHECKS[name](c) for name in names])[0])
+    """The rows of the layout of the checks ``names`` at dimension n."""
+    return len(_layout(names, n)[0])
 
 
 def chunk_cap(names, n: int) -> int:
@@ -442,18 +442,41 @@ def spied_chunks(spec) -> list:
 
 
 def test_the_closed_form_row_count_is_the_rows_the_checks_build():
-    p = partition_counts(MAX_AMBIENT_DIM)
     for n in range(1, MAX_AMBIENT_DIM + 1):
         for name in CHECK_NAMES:
             assert _row_count((name,), n) == layout_rows((name,), n), (n, name)
-        rows = 2 * n + 2 + 3 * sum(p[: n + 1]) + (0 if n % 4 else p[n // 4])
-        assert _row_count(CHECK_NAMES, n) == layout_rows(CHECK_NAMES, n) == rows, n
+        assert _row_count(CHECK_NAMES, n) == layout_rows(CHECK_NAMES, n), n
     # 10, 18, 29, 47 and 69 rows per key up to n = 5, 104 at n = 6
     caps = [_chunk_keys(_row_count(CHECK_NAMES, n)) for n in range(1, 8)]
     assert caps == [204, 113, 70, 43, 29, 24, 24]
     # pontryagin alone gives no row off n = 0 mod 4
     assert [_row_count(("pontryagin",), n) for n in range(1, 9)] == [0, 0, 0, 1, 0, 0, 0, 2]
     assert _chunk_keys(0) == CHUNK_ROWS
+
+
+def test_the_row_count_of_all_nine_checks_is_its_docstring_s_closed_form():
+    # 2n + 2 + 3 sum_(k<=n) p(k) + [4 | n] p(n/4), p from the recurrence
+    # of partition_counts, not from the tables the count reads
+    p = partition_counts(MAX_AMBIENT_DIM)
+    for n in range(1, MAX_AMBIENT_DIM + 1):
+        rows = 2 * n + 2 + 3 * sum(p[: n + 1]) + (0 if n % 4 else p[n // 4])
+        assert _row_count(CHECK_NAMES, n) == rows, n
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_every_key_gets_one_value_and_bound_per_index_of_its_check(name):
+    # the rows a check computes, key by key, against its index column in
+    # the table: a check that drops or adds a row fails here, outside any
+    # digest. Chunks of one and of several keys, with the line's key (1,)
+    check, _, _, column = _RULES[name]
+    for n in range(1, 17):
+        rows = len(column(_tables(n)))
+        for multidegrees in ([(1,), (2,), (5,)], [(2, 2)], [(2, 3), (3, 3), (2, 7)]):
+            values, bounds, notes = check(_Chunk(n, multidegrees))
+            assert len(values) == len(bounds) == len(multidegrees), (n, multidegrees)
+            for j, (found, caps) in enumerate(zip(values, bounds)):
+                assert len(found) == len(caps) == rows, (n, multidegrees[j])
+                assert notes is None or len(notes(j)) == rows, (n, multidegrees[j])
 
 
 @pytest.mark.parametrize(
@@ -684,9 +707,9 @@ def test_degree_sequence_lower_limit_can_fail(monkeypatch):
 
 def test_schur_work_runs_only_when_schur_positivity_is_selected(monkeypatch, capsys):
     def refuse(*args):
-        raise AssertionError("computed the dual sequence without schur-positivity")
+        raise AssertionError("computed hook classes without schur-positivity")
 
-    monkeypatch.setattr("charbound.bounds.twist_duals", refuse)
+    monkeypatch.setattr("charbound.bounds.hook_classes", refuse)
     others = ",".join(name for name in CHECK_NAMES if name != "schur-positivity")
     assert main(["verify", "--checks", others]) == 0
     assert "violations=0" in capsys.readouterr().out

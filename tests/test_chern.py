@@ -19,12 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charbound.bounds import (
+    _RULES,
     _Chunk,
     _chern_numbers,
-    _cotangent_chern_rows,
-    _nef_chern_rows,
-    _pontryagin_rows,
-    _schur_positivity_rows,
     _tables,
     cotangent_chern_bound,
     signature_check,
@@ -37,7 +34,6 @@ from charbound.chern import (
     giambelli_plan,
     hook_classes,
     tangent_chern,
-    twist_duals,
 )
 from charbound.cli import TABLE
 from charbound.varieties import CompleteIntersection, MultiIndex, Partition, partitions_of
@@ -57,10 +53,11 @@ def record(ci):
     return _Chunk(ci.dimension, [ci.multidegree])
 
 
-def kernel_rows(check, ci):
-    """index -> value of a grid check's rows on the variety."""
-    indices, values, _, _ = check(record(ci))
-    return dict(zip(indices, values[0]))
+def kernel_rows(name, ci):
+    """index -> value of the rows of the grid check ``name`` on the variety."""
+    check, _, _, column = _RULES[name]
+    values, _, _ = check(record(ci))
+    return dict(zip(column(_tables(ci.dimension)), values[0]))
 
 
 def table(ci, name):
@@ -165,7 +162,9 @@ def chunk_blocks(draw):
     return n, multidegrees
 
 
-CHUNK_ATTRIBUTES = ("ds", "tangent", "twisted", "sequence", "degree_powers", "powers", "chi")
+CHUNK_ATTRIBUTES = (
+    "ds", "tangent", "twisted", "duals", "sequence", "degree_powers", "powers", "chi"
+)
 
 
 @settings(deadline=None)
@@ -174,11 +173,10 @@ def test_a_chunk_carries_nothing_from_one_key_to_the_next(block):
     # every key of a chunk gets the values of a chunk of that key alone,
     # and those are the oracle's: its tangent multiples, its twist of the
     # cotangent bundle by 2 and its degree sequence d (n + 2 - a_1)^i; the
-    # Schur check's product-form dual sequence is the convolution inverse
+    # chunk's product-form dual sequence is the convolution inverse
     # of the oracle's twist
     n, multidegrees = block
     c, m = _Chunk(n, multidegrees), n + len(multidegrees[0])
-    duals = twist_duals(m, n, multidegrees)
     for j, degrees in enumerate(multidegrees):
         alone = _Chunk(n, [degrees])
         for name in CHUNK_ATTRIBUTES:
@@ -189,7 +187,7 @@ def test_a_chunk_carries_nothing_from_one_key_to_the_next(block):
         assert (tuple(c.tangent[j]), tuple(c.twisted[j])) == (tangent, twisted), degrees
         d = prod(degrees)
         assert c.sequence[j] == [d * (n + 2 - tangent[1]) ** i for i in range(n + 1)]
-        assert duals[j] == oracle.dual_sequence(twisted)[:n], degrees
+        assert c.duals[j] == oracle.dual_sequence(twisted)[:n], degrees
 
 
 @given(varieties)
@@ -217,14 +215,14 @@ def test_cotangent_flips_odd_signs():
     ci = CompleteIntersection(3, (2,))
     assert oracle.cotangent(tangent_chern(ci)) == (1, -2, 2)
     # the kernel's cotangent Chern numbers: d times products of (1, -2, 2)
-    assert kernel_rows(_cotangent_chern_rows, ci) == {(): 2, (1,): -4, (2,): 4, (1, 1): 8}
+    assert kernel_rows("cotangent-chern", ci) == {(): 2, (1,): -4, (2,): 4, (1, 1): 8}
 
 
 def test_cotangent_plane_curve():
     for d in range(1, 8):
         ci = CompleteIntersection(2, (d,))
         assert oracle.cotangent(tangent_chern(ci)) == (1, d - 3)
-        assert kernel_rows(_cotangent_chern_rows, ci) == {(): d, (1,): d * (d - 3)}
+        assert kernel_rows("cotangent-chern", ci) == {(): d, (1,): d * (d - 3)}
 
 
 @given(varieties)
@@ -232,7 +230,7 @@ def test_cotangent_sign_rule_in_pairings(ci):
     # every cotangent Chern number of the kernel is (-1)^|I| times the
     # oracle's tangent one
     tangent = oracle_tangent(ci)
-    rows = kernel_rows(_cotangent_chern_rows, ci)
+    rows = kernel_rows("cotangent-chern", ci)
     assert len(rows) == 1 + sum(len(list(partitions_of(w))) for w in range(1, ci.dimension + 1))
     for parts, value in rows.items():
         assert value == (-1) ** sum(parts) * oracle.chern_number(ci.degree, tangent, parts)
@@ -268,7 +266,7 @@ def test_twist_involution(ci, t):
 
 def test_curve_cotangent_number_matches_genus():
     for d in range(1, 13):
-        value = kernel_rows(_cotangent_chern_rows, CompleteIntersection(2, (d,)))[(1,)]
+        value = kernel_rows("cotangent-chern", CompleteIntersection(2, (d,)))[(1,)]
         assert value == d * (d - 3)
         assert value == 2 * oracle.genus(d) - 2
 
@@ -281,7 +279,7 @@ def test_quadric_surface_top_tangent_number():
 
 def test_empty_index_pairs_to_degree():
     ci = CompleteIntersection(4, (2, 3))
-    assert kernel_rows(_nef_chern_rows, ci)[()] == 6
+    assert kernel_rows("nef-chern", ci)[()] == 6
     assert _chern_numbers(_tables(2), 6, tangent_chern(ci))[0] == 6
 
 
@@ -351,7 +349,7 @@ def test_schur_above_cap_is_zero():
     # s_(2,1) of (1, 2, 3) vanishes on a surface, and a surface's Schur rows
     # stop at weight 2
     assert ring_jacobi_trudi((1, 2, 3), 2, Partition((2, 1))) == Series([], 2)
-    rows = kernel_rows(_schur_positivity_rows, CompleteIntersection(3, (2,)))
+    rows = kernel_rows("schur-positivity", CompleteIntersection(3, (2,)))
     assert list(rows) == [(1,), (2,), (1, 1)]
 
 
@@ -490,7 +488,7 @@ def test_pontryagin_index_doubles():
     for m, indices in ((5, [(1,)]), (9, [(2,), (1, 1)])):
         ci = CompleteIntersection(m, (2,))
         twisted = oracle.twist(oracle.cotangent(oracle_tangent(ci)), 2)
-        rows = kernel_rows(_pontryagin_rows, ci)
+        rows = kernel_rows("pontryagin", ci)
         assert list(rows) == indices
         for j, value in rows.items():
             assert value == oracle.chern_number(ci.degree, twisted, doubled[j])
