@@ -12,6 +12,7 @@ Exit codes: 0 all checks pass, 1 a mathematical violation was found,
 from __future__ import annotations
 
 import atexit
+import gc
 import os
 import re
 import sys
@@ -536,13 +537,16 @@ def _observed() -> bool:
 def run() -> int:
     """The process entry: ``main`` on sys.argv, then the end of the process.
 
-    Once stdout is flushed and the atexit handlers have run, as interpreter
-    exit would run them, ``os._exit`` ends the process without tearing down
-    the modules, whose memory the OS takes back anyway. With a profiler,
-    tracer or coverage tool attached, ``run`` returns the exit code instead,
-    so that the tool reports at the normal exit. ``main`` itself returns, for
-    tests and library callers that live on.
+    The cyclic collector is off, as grid data are acyclic and no command
+    leaves garbage for it. Once stdout is flushed and the atexit handlers
+    have run, as interpreter exit would run them, ``os._exit`` ends the
+    process without tearing down the modules, whose memory the OS takes
+    back anyway. With a profiler, tracer or coverage tool attached, ``run``
+    returns the exit code instead, so that the tool reports at the normal
+    exit. ``main`` itself returns, and leaves the collector as its caller
+    set it, for tests and library callers that live on.
     """
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()

@@ -22,19 +22,20 @@ d and the multidegree go. A clean batch's template holds true and false for
 the flags, so a clean row passes its exact value, bound and margin, and in
 JSON its note; any other batch keeps a %s for each flag. So a key is one
 ``template % values``, its values one flat tuple, and a batch's value tuples
-come from C-level map and zip passes over its keys; each case writes its
-key's text with the key's d text, rendered once per key, and its own
-multidegree's text in place of each mark. The mark is the first control
-character, or else the first character from U+0080 on, that the template's
-own text does not hold. No value holds one: values are numbers, true and
-false, and ASCII-escaped JSON strings. So no subject or value is ever
-replaced, whatever it holds. n and d are exact_decimal text; a batch
-holding another int past str()'s digit limit fills the same template with
-exact_decimal text, as %s would refuse it. A key's text is rendered with
-its batch and held only until its last case, and its columns not at all;
-only JSON calls notes(j). The templates live for one document and hold at
-most two entries per layout and n; a case's multidegree is rendered as it
-is written. The bytes are those the stdlib would give:
+and d texts come from C-level map and zip passes over its keys. Each case
+writes its key's text with its own multidegree's text in place of each mark:
+one % of the case's own tuple, by a format built once per document for each
+factor count, the label of that many %s (a CSV cell is quoted exactly when
+there is more than one factor). The mark is the first control character,
+or else the first character from U+0080 on, that the template's own text
+does not hold. No value holds one: values are numbers, true and false, and
+ASCII-escaped JSON strings. So no subject or value is ever replaced,
+whatever it holds. n is exact_decimal text; d, a multidegree or a batch
+holding an int past str()'s digit limit, which %s refuses, is rendered
+again with exact_decimal text. A key's text is rendered with its batch and
+held only until its last case, and its columns not at all; only JSON calls
+notes(j). The templates live for one document and hold at most two entries
+per layout and n. The bytes are those the stdlib would give:
 json.dumps(payload, indent=2) + "\n" with its default ASCII escaping, and
 csv.writer with lineterminator "\n". JSON strings are quoted by
 _json.encode_basestring_ascii, the C function json.encoder wraps, so
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import chain, count, repeat
-from operator import add
 
 from .varieties import exact_decimal
 
@@ -64,23 +64,23 @@ CSV_COLUMNS = (
 _TRUE_FALSE = ("false", "true").__getitem__
 
 
-def _decimals(sep: str, values) -> str:
-    """The ints ``values`` in full, joined by ``sep``."""
+def _decimals(values) -> list:
+    """The text of each int of ``values`` in full."""
     try:
-        return sep.join(map(str, values))
+        return [*map(str, values)]
     except ValueError:  # an int past str()'s digit limit
-        return sep.join(map(exact_decimal, values))
+        return [*map(exact_decimal, values)]
 
 
 def _json_ints(values) -> str:
     """An int list or null, as the value of a report member."""
     if not values:
         return "null" if values is None else "[]"
-    return "[\n        " + _decimals(",\n        ", values) + "\n      ]"
+    return "[\n        " + ",\n        ".join(_decimals(values)) + "\n      ]"
 
 
 def _joined(values) -> str:
-    return "" if values is None else _decimals(",", values)
+    return "" if values is None else ",".join(_decimals(values))
 
 
 def _csv_cell(text: str) -> str:
@@ -201,16 +201,17 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
         before_label = " | "
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    # an index's text is rendered once per document, a multidegree's at each
-    # of its cases: most multidegrees of a grid have one or two cases
+    # an index's text is rendered once per document, a multidegree's format
+    # once per factor count, with the text before the multidegree
     index_label = lru_cache(maxsize=None)(label)
+    form = lru_cache(maxsize=None)(lambda k: before_label + label(("%s",) * k))
     # (id(layout), n, clean) -> (layout, template, mark); holding the layout
     # keeps its id from going to another object while the document is written
     templates = {}
 
     def texts(n, ds, layout, exacts, bounds, oks, margins, flags, notes, clean):
         """(Text of a key's rows, the mark where its d and multidegree go,
-        the d text before the multidegree), for each key of a batch."""
+        its d text), for each key of a batch."""
         if not layout[0]:
             return repeat(("", "", ""), len(ds))
         key = id(layout), n, clean
@@ -222,7 +223,7 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
         _, template, mark = found
         columns = exacts, bounds, oks, margins, flags, notes
         rows = _fill(template, partial(values, clean), columns)
-        return zip(rows, repeat(mark), map(add, map(exact_decimal, ds), repeat(before_label)))
+        return zip(rows, repeat(mark), _decimals(ds))
 
     write = stream.write
     write(start)
@@ -233,7 +234,11 @@ def _write(stream, fmt: str, cases, head: str = "") -> None:
             held.update(zip(count(i), texts(*batch)))
         rows, mark, d = held.pop(i) if last else held[i]
         if rows:
-            write(lead + rows.replace(mark, d + label(multidegree)))
+            try:
+                text = form(len(multidegree)) % multidegree
+            except (TypeError, ValueError):  # None, or a degree past str()'s digit limit
+                text = before_label + label(multidegree)
+            write(lead + rows.replace(mark, d + text))
             lead = sep
     # lead is no longer first once a row is written
     write(ends[lead != first])

@@ -146,28 +146,28 @@ def _strip_shapes(lam: tuple, k: int, cols: int) -> list:
     if spare[0] < k:
         return []
     shapes = []
-    mu = list(lam)
-
-    def place(j, left):
-        if left == 1:
-            # the last box goes to any one of the corner rows from j on
-            for i in rows[j:]:
-                mu[i] += 1
-                shapes.append(tuple(mu))
-                mu[i] -= 1
-            return
-        i = rows[j]
-        # leave at most spare[j + 1] boxes for the rows below
-        for add in range(max(0, left - spare[j + 1]), min(left, rooms[j]) + 1):
-            mu[i] = lam[i] + add
-            if add == left:
-                shapes.append(tuple(mu))
-            else:
-                place(j + 1, left - add)
-        mu[i] = lam[i]
-
-    place(0, k)
+    _place(lam, list(lam), rows, rooms, spare, shapes, 0, k)
     return shapes
+
+
+def _place(lam, mu, rows, rooms, spare, shapes, j, left) -> None:
+    """Add to ``shapes`` each mu of _strip_shapes with ``left`` boxes left for rows j on."""
+    if left == 1:
+        # the last box goes to any one of the corner rows from j on
+        for i in rows[j:]:
+            mu[i] += 1
+            shapes.append(tuple(mu))
+            mu[i] -= 1
+        return
+    i = rows[j]
+    # leave at most spare[j + 1] boxes for the rows below
+    for add in range(max(0, left - spare[j + 1]), min(left, rooms[j]) + 1):
+        mu[i] = lam[i] + add
+        if add == left:
+            shapes.append(tuple(mu))
+        else:
+            _place(lam, mu, rows, rooms, spare, shapes, j + 1, left - add)
+    mu[i] = lam[i]
 
 
 def pieri(s: SchubertClass, k: int) -> SchubertClass:

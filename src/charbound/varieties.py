@@ -207,13 +207,14 @@ def partitions_of(total: int):
     """Yield all partitions of ``total`` as weakly decreasing tuples."""
     if total < 0:
         raise ValueError("total must be nonnegative")
+    yield from _partitions(total, total)
 
-    def rec(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(largest, remaining), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
 
-    yield from rec(total, total)
+def _partitions(remaining: int, largest: int):
+    """Yield the partitions of ``remaining`` into parts of at most ``largest``."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(largest, remaining), 0, -1):
+        for rest in _partitions(remaining - first, first):
+            yield (first,) + rest

@@ -103,17 +103,22 @@ def test_output_does_not_depend_on_how_many_keys_a_chunk_holds(
         assert hashlib.sha256(out).hexdigest() == golden["sha256"], entry
 
 
-# Runs the CLI and prints the interpreter's own peak RSS (VmHWM, in kB) to
-# stderr. A child's ru_maxrss would not do: it counts the pages it inherits
+# Runs the CLI as the installed script does, through cli.run() with the
+# cyclic collector off, and prints the interpreter's own peak RSS (VmHWM, in
+# kB) to stderr from an atexit handler, which run() calls before it ends the
+# process. A child's ru_maxrss would not do: it counts the pages it inherits
 # from this pytest process before exec.
 PEAK_RSS_PROBE = """\
-import sys
-from charbound.cli import main
-code = main(sys.argv[1:])
-with open("/proc/self/status") as status:
-    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
-print(peak, file=sys.stderr)
-sys.exit(code)
+import atexit, sys
+from charbound.cli import run
+
+def peak():
+    with open("/proc/self/status") as status:
+        peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    print(peak, file=sys.stderr)
+
+atexit.register(peak)
+sys.exit(run())
 """
 
 
@@ -202,7 +207,8 @@ def test_frontier_d4_summary_memory_holds_no_list_of_cases(probe_env):
     # and its key position up front peaked at about 66 MB, a map from each key
     # with cases left to its position at about 43 MB, and reading a later
     # case's position from the block order, one range of positions per block
-    # walked, peaks at about 39 MB
+    # walked, peaks at about 39 MB; through cli.run(), with the collector
+    # off, at 39.7-39.9 MB
     argv = "verify --max-ambient-dim 24 --max-degree 4 --max-codim 23 --max-cases 1000000"
     out, peak_mb = peak_rss_mb(argv, probe_env)
     assert out == "cases=98256 truncated=false reports=20360719 flagged=46 violations=0\n"
