@@ -26,11 +26,10 @@ from .chern import _Chunk, betti_from_euler
 from .schubert import (
     Grassmannian,
     GradingError,
-    SchubertClass,
     giambelli_expand,
     grassmannian_degree,
-    pieri,
     special_intersection_number,
+    special_product,
 )
 from .varieties import CompleteIntersection, MultiIndex, Partition, exact_decimal, exact_repr
 
@@ -47,11 +46,12 @@ MAX_TABLE_D = 10**30
 # before they are parsed
 MAX_POWER_DIGITS = 18
 # `schubert --power` and `--giambelli` work on the shapes of the q x (N-q)
-# box, each a q-tuple, so both the shape count C(N, q) and the cell count
-# q(N-q) are capped. The slowest accepted query found, `-q 5 -N 30 --power
-# sigma5^24`, one factor short of the box, walks the whole forward product in
-# about 1.4 s (a fresh process, best of 3, 2-core Xeon); a product that fills
-# the box is paired by duality in about half that (`sigma5^25`, 0.8 s)
+# box, each an N-bit word, so both the shape count C(N, q) and the cell count
+# q(N-q) are capped. The slowest accepted queries found, `-q 5 -N 30 --power
+# sigma5^24` and `sigma4^30`, one factor short of the box, walk the whole
+# forward product in about 0.8 s (a fresh process, best of 3, 2-core Xeon); a
+# product that fills the box is paired by duality in about half that
+# (`sigma5^25`, 0.4 s)
 MAX_SCHUBERT_SHAPES = 150_000
 MAX_SCHUBERT_CELLS = 200
 # `schubert --degree` computes (q(N-q))!; at the cap it takes under a second
@@ -279,15 +279,13 @@ def _cmd_table(args) -> int:
 
 # -- schubert --------------------------------------------------------------
 
-_POWER_TOKEN = re.compile(r"^sigma(\d+)(?:\^(\d+))?$")
-
-
 def _parse_power_spec(text: str) -> tuple:
-    """(k, exponent) pairs of a product of special classes, unexpanded."""
+    """(k, exponent) pairs of a product of special classes, unexpanded; re
+    compiles the token pattern on first use and caches it."""
     factors = []
     for token in text.split("*"):
         token = token.strip()
-        match = _POWER_TOKEN.match(token)
+        match = re.match(r"^sigma(\d+)(?:\^(\d+))?$", token)
         if not match:
             raise _type_error(
                 f"cannot parse {token!r}; expected sigmaK or sigmaK^E terms joined by *"
@@ -335,11 +333,7 @@ def _cmd_schubert(args) -> int:
     if total == cells:
         print(exact_decimal(special_intersection_number(gr, factors)))
         return 0
-    cls = SchubertClass.one(gr)
-    for k, exponent in factors:
-        for _ in range(exponent):
-            cls = pieri(cls, k)
-    print(cls)
+    print(special_product(gr, factors))
     return 0
 
 

@@ -1,11 +1,16 @@
 """Schubert calculus on the Grassmannian of q-planes in C^N.
 
-A class is an integer combination of box partitions, each stored as a
-zero-padded q-tuple. One combinatorial rule does all the work: multiplying
-by a special class sigma_k adds a horizontal strip of k boxes, and only the
-corner rows (row 0 up to N-q, row i up to part i-1) can take boxes.
-This module keeps only what ``charbound schubert`` runs, and multiplies
-classes only by special ones. Giambelli expands the Jacobi-Trudi
+A class is an integer combination of box partitions. A SchubertClass, the
+API's type, keys its terms by zero-padded q-tuples; inside, each shape is an
+N-bit word with row i's bit at part i + q - 1 - i, so a part counts the
+clear bits below its row's bit. One combinatorial rule does all the work:
+multiplying by a special class sigma_k adds a horizontal strip of k boxes.
+A box moves a bit up one place, so the corner rows, the ones that can take
+a box, are the bits of w & ~(w >> 1) below the top bit, and the box
+complement of a shape is its word read backwards. This module keeps only
+what ``charbound schubert`` runs, and multiplies classes only by special
+ones; each product chains the strip step on word-keyed dicts and builds one
+SchubertClass at the end. Giambelli expands the Jacobi-Trudi
 determinant det(sigma_{l_i-i+j}) of one shape row by row over subsets of
 used columns, keeping only subsets the remaining rows can complete, so an
 r-part shape costs at most r*2^(r-1) Pieri steps. A product of special
@@ -86,14 +91,6 @@ class SchubertClass:
         self.terms = {s: c for s, c in clean.items() if c}
 
     @classmethod
-    def _trusted(cls, grassmannian: Grassmannian, terms: dict) -> "SchubertClass":
-        # keys must already be padded shapes inside the box; zeros are dropped
-        out = cls.__new__(cls)
-        out.grassmannian = grassmannian
-        out.terms = {s: c for s, c in terms.items() if c}
-        return out
-
-    @classmethod
     def one(cls, grassmannian: Grassmannian) -> "SchubertClass":
         return cls(grassmannian, {Partition(()): 1})
 
@@ -123,81 +120,74 @@ class SchubertClass:
         return " + ".join(pieces)
 
 
-def _strip_shapes(lam: tuple, k: int, cols: int) -> list:
-    """Every mu in the box with mu/lam a horizontal strip of k boxes.
+def _word(shape: tuple) -> int:
+    """The N-bit word of a padded shape: row i's bit at shape[i] + q - 1 - i."""
+    return sum(1 << part + i for i, part in enumerate(reversed(shape)))
 
-    Only corner rows can grow: row 0 up to ``cols``, row i up to lam[i-1].
-    The k boxes are spread over those rows as compositions bounded by each
-    row's room.
+
+def _shape(word: int, q: int) -> tuple:
+    """The padded shape of a word: each row's part counts the clear bits below its bit."""
+    parts = []
+    for i in range(q):
+        bit = word & -word
+        word ^= bit
+        parts.append(bit.bit_length() - 1 - i)
+    return tuple(reversed(parts))
+
+
+def _class(gr: Grassmannian, words: dict) -> SchubertClass:
+    """The class of word-keyed terms; zero coefficients are dropped."""
+    out = SchubertClass.__new__(SchubertClass)
+    out.grassmannian = gr
+    out.terms = {_shape(word, gr.q): coeff for word, coeff in words.items() if coeff}
+    return out
+
+
+def _strip(words: dict, k: int, gr: Grassmannian) -> dict:
+    """Word-keyed terms times the special class sigma_k (sigma_0 is the
+    identity): every way to add a horizontal strip of k boxes.
+
+    The boxes of a strip lie in k different columns, so they go in one at a
+    time from left to right. A box moves the bit of a corner row up one
+    place, and the next box goes to a corner at or above the bit that moved,
+    the same row again while its bit can still move. Between boxes a term is
+    keyed by its word and that bit, so the paths of different terms that
+    meet there go on as one; after the last box, by its word alone.
     """
-    rows, rooms = [], []
-    upper = cols
-    for i, part in enumerate(lam):
-        if upper > part:
-            rows.append(i)
-            rooms.append(upper - part)
-        if not part:
-            break  # rows below the first empty row have no room
-        upper = part
-    # spare[j]: boxes the corner rows from j on can still take
-    spare = [0] * (len(rows) + 1)
-    for j in range(len(rows) - 1, -1, -1):
-        spare[j] = spare[j + 1] + rooms[j]
-    if spare[0] < k:
-        return []
-    shapes = []
-    _place(lam, list(lam), rows, rooms, spare, shapes, 0, k)
-    return shapes
-
-
-def _place(lam, mu, rows, rooms, spare, shapes, j, left) -> None:
-    """Add to ``shapes`` each mu of _strip_shapes with ``left`` boxes left for rows j on."""
-    if left == 1:
-        # the last box goes to any one of the corner rows from j on
-        for i in rows[j:]:
-            mu[i] += 1
-            shapes.append(tuple(mu))
-            mu[i] -= 1
-        return
-    i = rows[j]
-    # leave at most spare[j + 1] boxes for the rows below
-    for add in range(max(0, left - spare[j + 1]), min(left, rooms[j]) + 1):
-        mu[i] = lam[i] + add
-        if add == left:
-            shapes.append(tuple(mu))
-        else:
-            _place(lam, mu, rows, rooms, spare, shapes, j + 1, left - add)
-    mu[i] = lam[i]
+    if not 0 <= k <= gr.cols:
+        raise ValueError(f"special index must satisfy 0 <= k <= {gr.cols}, got {k}")
+    if not k:
+        return words
+    end = 1 << gr.N
+    states = {(word, 1): coeff for word, coeff in words.items()}
+    for left in range(k, 0, -1):
+        grown = {}
+        get = grown.get
+        for (word, low), coeff in states.items():
+            # the bits with a clear bit above them, below the top bit, from low up
+            corners = word & ~((word | end) >> 1) & -low
+            while corners:
+                bit = corners & -corners
+                corners ^= bit
+                key = (word + bit, bit << 1) if left > 1 else word + bit
+                grown[key] = get(key, 0) + coeff
+        states = grown
+    return states
 
 
 def pieri(s: SchubertClass, k: int) -> SchubertClass:
     """Multiply by the special class sigma_k (sigma_0 is the identity)."""
-    gr = s.grassmannian
-    if not 0 <= k <= gr.cols:
-        raise ValueError(f"special index must satisfy 0 <= k <= {gr.cols}, got {k}")
-    if k == 0:
-        return s
-    cols = gr.cols
-    out = {}
-    get = out.get
-    if k == 1:
-        # one box: each corner row in turn, as in _strip_shapes
-        for shape, coeff in s.terms.items():
-            mu, upper = list(shape), cols
-            for i, part in enumerate(shape):
-                if upper > part:
-                    mu[i] = part + 1
-                    key = tuple(mu)
-                    out[key] = get(key, 0) + coeff
-                    mu[i] = part
-                if not part:
-                    break
-                upper = part
-        return SchubertClass._trusted(gr, out)
-    for shape, coeff in s.terms.items():
-        for mu in _strip_shapes(shape, k, cols):
-            out[mu] = get(mu, 0) + coeff
-    return SchubertClass._trusted(gr, out)
+    words = {_word(shape): coeff for shape, coeff in s.terms.items()}
+    return _class(s.grassmannian, _strip(words, k, s.grassmannian))
+
+
+def special_product(grassmannian: Grassmannian, factors) -> SchubertClass:
+    """prod sigma_k^e over (k, e) pairs, one Pieri step per factor."""
+    words = {(1 << grassmannian.q) - 1: 1}
+    for k, e in factors:
+        for _ in range(e):
+            words = _strip(words, k, grassmannian)
+    return _class(grassmannian, words)
 
 
 def giambelli_expand(shape: Partition, grassmannian: Grassmannian) -> SchubertClass:
@@ -222,26 +212,24 @@ def giambelli_expand(shape: Partition, grassmannian: Grassmannian) -> SchubertCl
         free = (j for j in range(r) if not used >> j & 1)
         return all(lo[i] <= j <= hi[i] for i, j in zip(range(below, r), free))
 
-    states = {0: SchubertClass.one(gr)}
+    states = {0: {(1 << gr.q) - 1: 1}}
     for i, part in enumerate(parts):
         sums = {}
-        for used, cls in states.items():
+        for used, words in states.items():
             for j in range(lo[i], hi[i] + 1):
                 bit = 1 << j
                 if used & bit or not completable(used | bit, i + 1):
                     continue
-                k = part - i + j
-                product = pieri(cls, k) if k else cls
                 sign = -1 if (used >> j).bit_count() % 2 else 1
                 acc = sums.setdefault(used | bit, {})
-                for key, coeff in product.terms.items():
-                    acc[key] = acc.get(key, 0) + sign * coeff
+                for word, coeff in _strip(words, part - i + j, gr).items():
+                    acc[word] = acc.get(word, 0) + sign * coeff
         states = {}
         for used, acc in sums.items():
-            cls = SchubertClass._trusted(gr, acc)
-            if cls.terms:
-                states[used] = cls
-    return states.get((1 << r) - 1, SchubertClass._trusted(gr, {}))
+            words = {word: coeff for word, coeff in acc.items() if coeff}
+            if words:
+                states[used] = words
+    return _class(gr, states.get((1 << r) - 1, {}))
 
 
 def special_intersection_number(grassmannian: Grassmannian, factors) -> int:
@@ -251,10 +239,11 @@ def special_intersection_number(grassmannian: Grassmannian, factors) -> int:
     sigma_lam * sigma_mu in complementary codimensions is the point class if
     mu is the box complement lam^v of lam, lam^v_i = (N-q) - lam_{q-1-i}, and
     0 otherwise; so the point coefficient of A*B is the sum of A_lam *
-    B_{lam^v}. Both A and B start from the product P of every exponent
-    halved, built once, and the factors of odd exponent go one each, largest
-    first, to the side with fewer boxes. Pieri steps then reach only about
-    half the box, where a forward product walks every codimension.
+    B_{lam^v}, and the word of lam^v is the word of lam read backwards.
+    Both A and B start from the product P of every exponent halved, built
+    once, and the factors of odd exponent go one each, largest first, to
+    the side with fewer boxes. Pieri steps then reach only about half the
+    box, where a forward product walks every codimension.
     """
     gr = grassmannian
     factors = tuple(factors)
@@ -263,22 +252,19 @@ def special_intersection_number(grassmannian: Grassmannian, factors) -> int:
     total = sum(k * e for k, e in factors)
     if total != gr.total_codim:
         raise GradingError(f"total codimension {total} != dim {gr.total_codim} of {gr}")
-    shared = SchubertClass.one(gr)
+    shared = {(1 << gr.q) - 1: 1}
     for k, e in factors:
         for _ in range(e // 2):
-            shared = pieri(shared, k)
+            shared = _strip(shared, k, gr)
     half = sum(k * (e // 2) for k, e in factors)
     sides, boxes = [shared, shared], [half, half]
     for k in sorted((k for k, e in factors if e % 2), reverse=True):
         side = boxes[1] < boxes[0]
-        sides[side] = pieri(sides[side], k)
+        sides[side] = _strip(sides[side], k, gr)
         boxes[side] += k
-    a, b = sides[0].terms, sides[1].terms
-    q, cols = gr.q, gr.cols
-    return sum(
-        coeff * b.get(tuple(cols - lam[q - 1 - i] for i in range(q)), 0)
-        for lam, coeff in a.items()
-    )
+    a, b = sides
+    bits = f"0{gr.N}b"
+    return sum(coeff * b.get(int(format(word, bits)[::-1], 2), 0) for word, coeff in a.items())
 
 
 def grassmannian_degree(q: int, N: int) -> int:

@@ -1061,13 +1061,17 @@ def test_no_command_leaves_cyclic_garbage():
     # command drops must be freed by reference counting alone. A fresh
     # interpreter, so that no cache is warm and every command builds what
     # it needs; functions that held themselves through their own closure
-    # cells left 13,600 objects after the Schubert query
+    # cells left 13,600 objects after the mixed Schubert query. The top
+    # sigma1 power (paired by duality) and a product short of the box (the
+    # forward product) run the strip step on both --power paths
     commands = [
         GOLDEN["default-json"]["argv"],
         GOLDEN["wide-csv"]["argv"],
         "verify --sigma 32 -m 5 -D 2",
         "table -m 3 -D 4",
         f"schubert -q 5 -N 15 --power {MIXED_POWER}",
+        "schubert -q 5 -N 15 --power sigma1^50",
+        "schubert -q 3 -N 7 --power sigma2^2*sigma1",
         "schubert -q 2 -N 5 --giambelli 2,1",
     ]
     script = (

@@ -19,7 +19,9 @@ from charbound.schubert import (
     GradingError,
     Grassmannian,
     SchubertClass,
-    _strip_shapes,
+    _shape,
+    _strip,
+    _word,
     giambelli_expand,
     grassmannian_degree,
     pieri,
@@ -181,16 +183,17 @@ def test_duality_split_matches_forward_product_and_kostka(case):
     gr, factors = case
     reached = []
 
-    def counted_pieri(cls, k):
-        product = pieri(cls, k)
-        reached.extend(sum(key) for key in product.terms)
+    def counted_strip(words, k, gr):
+        product = _strip(words, k, gr)
+        reached.extend(sum(_shape(word, gr.q)) for word in product)
         return product
 
-    with mock.patch("charbound.schubert.pieri", counted_pieri):
+    with mock.patch("charbound.schubert._strip", counted_strip):
         got = special_intersection_number(gr, factors)
     # the odd factors are dealt so that neither side passes the middle of the
     # box by more than half the largest index
-    assert 2 * max(reached, default=0) <= gr.total_codim + max(k for k, _ in factors)
+    assert reached
+    assert 2 * max(reached) <= gr.total_codim + max(k for k, _ in factors)
     classes = [
         SchubertClass(gr, {(k,): 1}) for k, e in factors for _ in range(e)
     ]
@@ -317,23 +320,32 @@ def test_pieri_matches_interlacing_oracle(data):
     assert pieri(cls, k) == brute_pieri(cls, k)
 
 
+def test_words_encode_every_shape_and_reverse_into_its_complement():
+    # row i's bit sits at lam_i + q - 1 - i, so the box complement, which
+    # turns the shape half a turn inside the box, reads the N bits backwards
+    for q in range(1, 31):
+        for N in range(q + 1, q + 30 // q + 1):
+            gr = Grassmannian(q, N)
+            for shape in all_box_partitions(gr):
+                lam = shape.parts + (0,) * (q - len(shape))
+                word = _word(lam)
+                assert _shape(word, q) == lam, (gr, lam)
+                assert word.bit_count() == q and word < 1 << N
+                dual = box_complement(gr, shape).parts
+                reversed_word = int(format(word, f"0{N}b")[::-1], 2)
+                assert _word(dual + (0,) * (q - len(dual))) == reversed_word, (gr, lam)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_sigma_one_steps_match_strip_shapes(data):
-    # pieri takes k = 1 in a flat loop of its own; the strip compositions
-    # serve every k >= 2 and must give the same successors
+def test_strip_step_on_one_word_matches_interlacing_oracle(data):
     gr = data.draw(small_grassmannians(max_cells=30))
     shape = data.draw(st.sampled_from(all_box_partitions(gr)))
     lam = shape.parts + (0,) * (gr.q - len(shape))
-    step = pieri(SchubertClass(gr, {shape: 1}), 1).terms
-    assert list(step) == _strip_shapes(lam, 1, gr.cols)
-    assert set(step.values()) <= {1}
-    cls = data.draw(integer_classes(gr, max_terms=6))
-    expected = {}
-    for key, coeff in cls.terms.items():
-        for mu in _strip_shapes(key, 1, gr.cols):
-            expected[mu] = expected.get(mu, 0) + coeff
-    assert pieri(cls, 1).terms == {mu: c for mu, c in expected.items() if c}
+    for k in range(gr.cols + 1):
+        step = _strip({_word(lam): 1}, k, gr)
+        got = {_shape(word, gr.q): coeff for word, coeff in step.items()}
+        assert got == brute_pieri(SchubertClass(gr, {shape: 1}), k).terms, (lam, k)
 
 
 def test_sigma_one_step_drops_cancelled_terms():
